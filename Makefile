@@ -1,14 +1,17 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-disk bench-handle bench-remote bench-namespace bench-compare escapes smoke verify-mesh kill-mesh fmt vet docs-check ci scenarios
+.PHONY: all build test race bench bench-disk bench-handle bench-namespace escapes smoke verify-mesh kill-mesh fmt vet docs-check ci scenarios
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# bench/ is its own module (the deployed-shape benchmark, BENCHMARK.json), so
+# the root ./... does not reach its unit tests.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test -short ./...
 
 race:
 	$(GO) test -race -short ./...
@@ -22,18 +25,11 @@ bench:
 bench-disk:
 	$(GO) test -bench 'Store' -benchtime=100x -run '^$$' ./internal/stable/
 
-# bench-handle demonstrates the cached Register-handle hot path against the
-# per-operation string-map resolution it replaced.
+# bench-handle measures the per-operation register resolution of the
+# string-keyed Node API (shard hash + queue-map lookup) against a cached
+# RegisterRef, which resolved both once.
 bench-handle:
 	$(GO) test -bench 'BenchmarkStringLookup|BenchmarkRegisterHandle' -benchtime=1000000x -run '^$$' ./internal/core/
-
-# bench-remote measures the remote hot path over a loopback mesh (ops/s,
-# ns/op, allocs/op for the closed-loop write, closed-loop read and pipelined
-# workloads) and appends the run to the BENCH_remote.json trajectory at the
-# repo root, stamped with the current commit.
-bench-remote:
-	$(GO) run ./cmd/recmem-bench -experiment remote -writes 2000 -batch 32 \
-		-json BENCH_remote.json -commit $$(git rev-parse --short HEAD)
 
 # bench-namespace sweeps register counts (1k to 1M) over the wal and sharded
 # storage engines (load throughput, cold storage recovery, node-level reopen —
@@ -44,14 +40,6 @@ bench-remote:
 bench-namespace:
 	$(GO) run ./cmd/recmem-bench -experiment namespace -batch 32 \
 		-json BENCH_namespace.json -commit $$(git rev-parse --short HEAD)
-
-# bench-compare runs the remote benchmarks of BASE (default HEAD~1) and the
-# working tree interleaved, then reports per-benchmark deltas — through
-# benchstat when installed, a built-in mean comparison otherwise. Nightly CI
-# uploads the report as an artifact.
-BASE ?= HEAD~1
-bench-compare:
-	scripts/bench-compare.sh $(BASE)
 
 # smoke boots a real 3-node recmem-node mesh and drives it through the
 # remote client, then runs the VERIFIED live-mesh torture round (recording

@@ -20,7 +20,7 @@ import (
 // behind it.
 type Client interface {
 	// Register resolves a handle on the named register. Resolution work
-	// (dispatcher shard, submission queue, write lock — or the encoded name
+	// (dispatcher shard, submission queue — or the encoded name
 	// for remote clients) happens once, here: reuse handles on hot paths.
 	Register(name string) *Register
 	// Crash fails the process behind the client: volatile state is lost and

@@ -57,9 +57,8 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("recmem-bench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "fig6a, fig6b, batch, disks, remote, namespace, or all")
-		nodes      = fs.String("nodes", "", "comma-separated recmem-node control addresses for -experiment remote (empty: boot an in-process loopback mesh)")
-		jsonPath   = fs.String("json", "", "append -experiment remote/namespace results to this trajectory file (BENCH_remote.json / BENCH_namespace.json)")
+		experiment = fs.String("experiment", "all", "fig6a, fig6b, batch, disks, namespace, or all")
+		jsonPath   = fs.String("json", "", "append -experiment namespace results to this trajectory file (BENCH_namespace.json)")
 		commit     = fs.String("commit", "", "commit hash recorded in the -json entry")
 		note       = fs.String("note", "", "free-form note recorded in the -json entry")
 		writes     = fs.Int("writes", 50, "timed writes per data point (the paper uses 50)")
@@ -143,16 +142,6 @@ func run(args []string) error {
 			return err
 		}
 		experiments.PrintDisks(os.Stdout, points)
-	}
-	if *experiment == "remote" {
-		var addrs []string
-		if *nodes != "" {
-			addrs = strings.Split(*nodes, ",")
-		}
-		return remoteBench(ctx, remoteBenchConfig{
-			Addrs: addrs, Writes: *writes, Window: *batch, Registers: *pipeline,
-			JSONPath: *jsonPath, Commit: *commit, Note: *note,
-		})
 	}
 	if *experiment == "namespace" {
 		registers, err := parseInts(*nsRegs)

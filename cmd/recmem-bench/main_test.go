@@ -3,18 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"recmem/internal/core"
-	"recmem/internal/nettcp"
-	"recmem/internal/stable"
-	"recmem/remote"
 )
 
 func TestParseInts(t *testing.T) {
@@ -86,105 +79,15 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	}
 }
 
-// TestRemoteBench drives the remote experiment against an in-process
-// 3-node TCP mesh.
-func TestRemoteBench(t *testing.T) {
-	meshes := make([]*nettcp.Mesh, 3)
-	peers := make([]string, 3)
-	for i := range meshes {
-		m, err := nettcp.Listen(int32(i), "127.0.0.1:0", nettcp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { m.Close() })
-		meshes[i] = m
-		peers[i] = m.Addr()
-	}
-	ids := &atomic.Uint64{}
-	addrs := make([]string, 3)
-	for i := range meshes {
-		meshes[i].SetPeers(peers)
-		nd, err := core.NewNode(int32(i), 3, core.Persistent,
-			core.Options{RetransmitEvery: 10 * time.Millisecond},
-			core.Deps{Endpoint: meshes[i], Storage: stable.NewMemDisk(stable.Profile{}), IDs: ids})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(nd.Close)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := remote.Serve(ln, nd, remote.ServerOptions{})
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = srv.Addr()
-	}
-	var out strings.Builder
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_remote.json")
-	cfg := remoteBenchConfig{Addrs: addrs, Writes: 10, Window: 4, Registers: 2,
-		JSONPath: jsonPath, Commit: "test", Out: &out}
-	if err := remoteBench(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "pipelined") {
-		t.Fatalf("unexpected output: %q", out.String())
-	}
-
-	// The trajectory file appends entries under a pinned schema.
-	if err := remoteBench(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatalf("trajectory file: %v", err)
-	}
-	if f.Schema != benchSchema || len(f.Entries) != 2 {
-		t.Fatalf("trajectory = schema %q, %d entries", f.Schema, len(f.Entries))
-	}
-	for _, e := range f.Entries {
-		if e.Mode != "mesh" || e.Write.Ops != 10 || e.Pipelined.OpsPerSec <= 0 {
-			t.Fatalf("entry = %+v", e)
-		}
-	}
-}
-
-// TestRemoteBenchLoopback exercises the self-contained mode: no -nodes
-// boots an in-process loopback mesh.
-func TestRemoteBenchLoopback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	var out strings.Builder
-	err := remoteBench(ctx, remoteBenchConfig{Writes: 8, Window: 4, Registers: 2, Out: &out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "loopback") {
-		t.Fatalf("unexpected output: %q", out.String())
-	}
-}
-
 // TestAppendBenchEntryRejectsForeignSchema pins the trajectory-file
 // contract: an unknown schema is an error, never silently rewritten.
 func TestAppendBenchEntryRejectsForeignSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_remote.json")
+	path := filepath.Join(t.TempDir(), "BENCH_namespace.json")
 	if err := os.WriteFile(path, []byte(`{"schema":"other/v9"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := appendBenchEntry(path, benchEntry{}); err == nil {
-		t.Fatal("foreign schema accepted")
-	}
-	// The namespace trajectory enforces its own schema the same way.
 	if err := appendTrajectory(path, nsSchema, nsEntry{}); err == nil {
-		t.Fatal("namespace append accepted a foreign schema")
+		t.Fatal("foreign schema accepted")
 	}
 }
 

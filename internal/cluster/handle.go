@@ -10,7 +10,7 @@ import (
 )
 
 // Handle is a cached (process, register) operation handle: the core-level
-// RegisterRef resolution (engine shard, submission queue, write lock)
+// RegisterRef resolution (engine shard, submission queue)
 // happens once at creation, and every operation through the handle records
 // history and latency exactly like the Cluster-level methods. The public
 // recmem.Register and the workload drivers are built on it.

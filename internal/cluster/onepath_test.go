@@ -1,0 +1,208 @@
+package cluster_test
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"recmem/internal/cluster"
+	"recmem/internal/core"
+	"recmem/internal/history"
+	"recmem/internal/metrics"
+	"recmem/internal/stable"
+)
+
+// Synchronous operations are submissions awaited under the process's
+// operation mutex (docs/adr/0011). These tests pin the two things that merge
+// must not change: what a lone operation costs, and what a call that stops
+// waiting leaves in the history.
+
+// opBill is the paper's cost of one operation: request/acknowledgement
+// rounds, messages sent, the causal depth of its logs, and how many stores
+// it caused across all processes.
+type opBill struct {
+	rounds, sends, depth, logs int
+}
+
+// TestBatchOfOneIsFigure6: on a quiescent n=5 cluster a synchronous write
+// and read — each a batch of one on the engine path — cost exactly the
+// messages and logs of the paper's algorithms (Fig. 6: 2 rounds of n
+// messages; 0/1/2 causal logs per crash-stop/transient/persistent write, 0
+// per quiescent read), no batch frame forms, and every log is one
+// single-record store.
+func TestBatchOfOneIsFigure6(t *testing.T) {
+	const n = 5
+	cases := []struct {
+		kind        core.AlgorithmKind
+		write, read opBill
+	}{
+		{core.CrashStop, opBill{2, 2 * n, 0, 0}, opBill{2, 2 * n, 0, 0}},
+		{core.Transient, opBill{2, 2 * n, 1, n}, opBill{2, 2 * n, 0, 0}},
+		{core.Persistent, opBill{2, 2 * n, 2, 1 + n}, opBill{2, 2 * n, 0, 0}},
+		// The straw man logs every step: intent, each sequence-number reply,
+		// the pre-log and each adoption for a write; the reader's intent and
+		// every replica's (unchanged) state for a read.
+		{core.Naive, opBill{2, 2 * n, 4, 2 + 2*n}, opBill{2, 2 * n, 2, 1 + n}},
+		{core.RegularSW, opBill{1, n, 1, n}, opBill{1, n, 0, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			var disks []*stable.Counting
+			c := newCluster(t, cluster.Config{
+				N: n, Algorithm: tc.kind,
+				// No operation here waits on a lost message; a slow machine
+				// must not add a retransmission sweep to the bill.
+				Node: core.Options{RetransmitEvery: time.Minute},
+				DiskFactory: func(int32) (stable.Storage, error) {
+					d := stable.NewCounting(stable.NewMemDisk(stable.Profile{}))
+					disks = append(disks, d)
+					return d, nil
+				},
+			})
+			ctx := testCtx(t)
+			stored := func() (records, commits int) {
+				for _, d := range disks {
+					records += d.Stores()
+					commits += d.Commits()
+				}
+				return records, commits
+			}
+			// check waits for the operation's stragglers (replicas beyond
+			// the majority adopt and log after it returned), then compares
+			// its bill with the paper's.
+			check := func(name string, op uint64, want opBill, wantStored int) {
+				t.Helper()
+				waitUntil(t, 5*time.Second, name+"'s last log", func() bool { return c.LogCost(op).Logs >= want.logs })
+				if got, want := c.MsgTrace(op), (metrics.OpTrace{Rounds: want.rounds, Sends: want.sends}); got != want {
+					t.Errorf("%s messages = %+v, want %+v", name, got, want)
+				}
+				if got := c.LogCost(op); got.Logs != want.logs || got.CausalDepth != want.depth {
+					t.Errorf("%s logs = %+v, want %d logs of causal depth %d", name, got, want.logs, want.depth)
+				}
+				if records, commits := stored(); records != wantStored || commits != wantStored {
+					t.Errorf("after %s: %d records in %d store calls, want %d single-record stores",
+						name, records, commits, wantStored)
+				}
+			}
+
+			w, err := c.Write(ctx, core.RegularWriter, "x", []byte("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Quiescence: every replica has adopted, so the read's write-back
+			// replaces nothing anywhere.
+			waitUntil(t, 5*time.Second, "adoption everywhere", func() bool {
+				for p := int32(0); p < n; p++ {
+					if _, val, _ := c.Node(p).RegisterState("x"); string(val) != "v" {
+						return false
+					}
+				}
+				return true
+			})
+			check("write", w.Op, tc.write, tc.write.logs)
+
+			val, r, err := c.Read(ctx, 1, "x")
+			if err != nil || string(val) != "v" {
+				t.Fatalf("read = %q, %v", val, err)
+			}
+			check("read", r.Op, tc.read, tc.write.logs+tc.read.logs)
+			check("write, after the read", w.Op, tc.write, tc.write.logs+tc.read.logs)
+
+			if st := c.NetStats(); st.BatchFrames != 0 {
+				t.Errorf("network = %+v, want plain messages only, no batch frame", st)
+			}
+		})
+	}
+}
+
+// TestAbandonedSynchronousCall: a synchronous call whose context ends returns
+// the context's error and its invocation stays pending in the history — even
+// though the operation itself is not cancelled and completes in the engine
+// once a quorum is reachable again. The process is not wedged: a follow-up
+// call on the same register completes behind the abandoned one.
+func TestAbandonedSynchronousCall(t *testing.T) {
+	// call runs one synchronous operation at proc on register "x".
+	type call func(ctx context.Context, c *cluster.Cluster, proc int32) (cluster.Report, error)
+	write := func(ctx context.Context, c *cluster.Cluster, proc int32) (cluster.Report, error) {
+		return c.Write(ctx, proc, "x", []byte("late"))
+	}
+	safeRead := func(ctx context.Context, c *cluster.Cluster, proc int32) (cluster.Report, error) {
+		_, rep, err := c.Handle(proc, "x").Read(ctx, core.ReadSafe)
+		return rep, err
+	}
+	cases := []struct {
+		name string
+		kind core.AlgorithmKind
+		proc int32 // the process that abandons its call
+		op   call
+		typ  history.OpType
+	}{
+		{"persistent write", core.Persistent, 0, write, history.Write},
+		{"transient write", core.Transient, 0, write, history.Write},
+		{"regular safe read", core.RegularSW, 2, safeRead, history.Read},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, testConfig(3, tc.kind))
+			ctx := testCtx(t)
+			if _, err := c.Write(ctx, core.RegularWriter, "x", []byte("v0")); err != nil {
+				t.Fatal(err)
+			}
+
+			c.Net().Isolate(tc.proc) // no quorum (and no writer) in reach
+			short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+			defer cancel()
+			abandoned, err := tc.op(short, c, tc.proc)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("call without a quorum = %v, want DeadlineExceeded", err)
+			}
+			c.Net().Heal(tc.proc)
+
+			// The abandoned operation drains: its rounds complete on the next
+			// retransmission.
+			rounds := 2
+			if tc.kind == core.RegularSW {
+				rounds = 1
+			}
+			waitUntil(t, 5*time.Second, "the abandoned operation's rounds", func() bool {
+				return c.MsgTrace(abandoned.Op).Rounds >= rounds
+			})
+
+			// Another process's operations verify against a history in which
+			// the abandoned invocation is pending (a pending write may take
+			// effect; here it has).
+			other := (tc.proc + 1) % 3
+			val, _, err := c.Read(ctx, other, "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := map[history.OpType]string{history.Write: "late", history.Read: "v0"}[tc.typ]; string(val) != want {
+				t.Fatalf("read after the drain = %q, want %q", val, want)
+			}
+			if err := c.VerifyDefault(); err != nil {
+				t.Fatalf("history with the abandoned invocation pending: %v", err)
+			}
+
+			// A follow-up write queues behind the abandoned one on the
+			// register's dispatcher, so its return also proves the abandoned
+			// one was settled — silently.
+			if _, err := tc.op(ctx, c, tc.proc); err != nil {
+				t.Fatalf("follow-up call: %v", err)
+			}
+			var found bool
+			for _, op := range c.History().Operations() {
+				if op.OpID != abandoned.Op {
+					continue
+				}
+				found = true
+				if op.Proc != tc.proc || op.Type != tc.typ || !op.Pending() {
+					t.Fatalf("abandoned operation in the history = %v, want a pending %v of process %d", op, tc.typ, tc.proc)
+				}
+			}
+			if !found {
+				t.Fatal("abandoned invocation missing from the history")
+			}
+		})
+	}
+}

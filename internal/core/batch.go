@@ -39,13 +39,12 @@ import (
 //     per-destination batch frames (wire.EncodeBatch), so one network
 //     round-trip carries the coalesced rounds of many registers.
 //
-// The synchronous Write/Read path still serializes on opMu, modeling the
-// paper's sequential process. Mixing the synchronous and the asynchronous
-// API on the same register of the same node is safe for atomicity — tag-
-// minting write executions for one register serialize on the node's
-// per-register write lock (see writeProtocol), so racing paths can never
-// mint the same timestamp for different values — but it forfeits the
-// per-process program order the synchronous path guarantees.
+// The synchronous Write/Read are this same path — submit, then wait for the
+// future under opMu, which models the paper's sequential process (docs/adr/
+// 0011). A register's dispatcher is the only caller of its write protocol,
+// so no two executions at one node can mint the same timestamp for different
+// values, whichever API submitted them; mixing the two APIs on one node only
+// forfeits the per-process program order the synchronous calls guarantee.
 
 // batchSub is one submitted operation waiting in a register's queue. Subs
 // are engine-owned — created at submission, consumed by exactly one flush —
@@ -132,16 +131,9 @@ func (eng *engine) queueFor(reg string) (*engineShard, *regQueue) {
 	return sh, q
 }
 
-// enqueue appends a submission to the register's queue and starts a
+// enqueue appends a submission to the register's resolved queue and starts a
 // dispatcher for the register if none is running.
-func (eng *engine) enqueue(reg string, sub *batchSub) {
-	sh, q := eng.queueFor(reg)
-	eng.enqueueResolved(sh, q, reg, sub)
-}
-
-// enqueueResolved is enqueue with the shard and queue already resolved (the
-// cached-handle fast path).
-func (eng *engine) enqueueResolved(sh *engineShard, q *regQueue, reg string, sub *batchSub) {
+func (eng *engine) enqueue(sh *engineShard, q *regQueue, reg string, sub *batchSub) {
 	sh.mu.Lock()
 	q.pending = append(q.pending, sub)
 	if !q.running {
@@ -211,7 +203,7 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 	}
 	ctx := context.Background() // rounds abort via crashCh on crash/close
 	if writeCarrier >= 0 {
-		wit, err := nd.writeProtocol(ctx, batch[writeCarrier].op, reg, finalVal, true)
+		wit, err := nd.writeProtocol(ctx, batch[writeCarrier].op, reg, finalVal)
 		for i, s := range batch {
 			if s.read {
 				continue
@@ -223,20 +215,24 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 			if i == lastWrite {
 				w = wit
 			}
-			inc, err2 := nd.endOp(s.op, s.epoch, s.obs, err, nil, w)
-			s.fut.complete(nil, w, inc, err2)
+			nd.finish(s, nil, w, err)
 		}
 	}
 	if readCarrier >= 0 {
-		val, wit, err := nd.readProtocol(ctx, batch[readCarrier].op, reg, true)
+		val, wit, err := nd.readProtocol(ctx, batch[readCarrier].op, reg)
 		for _, s := range batch {
-			if !s.read {
-				continue
+			if s.read {
+				nd.finish(s, val, wit, err)
 			}
-			inc, err2 := nd.endOp(s.op, s.epoch, s.obs, err, val, wit)
-			s.fut.complete(val, wit, inc, err2)
 		}
 	}
+}
+
+// finish settles one submitted operation: the history reply (endOp), then
+// the future.
+func (nd *Node) finish(s *batchSub, val []byte, wit tag.Tag, err error) {
+	inc, err := nd.endOp(s, err, val, wit)
+	s.fut.complete(val, wit, inc, err)
 }
 
 // SubmitWrite asynchronously writes val to the named register through the
@@ -246,42 +242,14 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 // process, oversized value, non-writer under RegularSW) are returned
 // immediately and leave no trace in the history.
 func (nd *Node) SubmitWrite(reg string, val []byte, obs OpObserver) (*Future, error) {
-	val = append([]byte(nil), val...) // copy once at the boundary
-	return nd.submitWriteOwned(reg, val, obs)
-}
-
-// submitWriteOwned is SubmitWrite minus the defensive copy: the caller
-// transfers ownership of val, which must never be mutated afterwards. The
-// remote server uses this through RegisterRef — its decoded request value is
-// already an owned copy, and copying it again would be the last avoidable
-// per-op allocation on the ingest path.
-func (nd *Node) submitWriteOwned(reg string, val []byte, obs OpObserver) (*Future, error) {
-	if len(val) > wire.MaxValueSize {
-		return nil, wire.ErrValueTooLarge
-	}
-	if nd.kind == RegularSW && nd.id != RegularWriter {
-		return nil, ErrNotWriter
-	}
-	op, epoch, err := nd.beginOp(obs)
-	if err != nil {
-		return nil, err
-	}
-	fut := newFuture(op)
-	nd.eng.enqueue(reg, newSub(false, val, obs, op, epoch, fut))
-	return fut, nil
+	return nd.RegisterRef(reg).SubmitWrite(val, obs)
 }
 
 // SubmitRead asynchronously reads the named register through the batching
 // engine. Concurrent submitted reads of one register share a single quorum
 // round (and its single write-back) and all return its value.
 func (nd *Node) SubmitRead(reg string, obs OpObserver) (*Future, error) {
-	op, epoch, err := nd.beginOp(obs)
-	if err != nil {
-		return nil, err
-	}
-	fut := newFuture(op)
-	nd.eng.enqueue(reg, newSub(true, nil, obs, op, epoch, fut))
-	return fut, nil
+	return nd.RegisterRef(reg).SubmitRead(ReadDefault, obs)
 }
 
 // gatherYields caps the outbox's quiescence probe: the flusher drains once

@@ -75,7 +75,7 @@ func TestSubmitWriteCoalesces(t *testing.T) {
 				t.Fatalf("register = %q, want the last submitted value", got)
 			}
 			if kind.Recovers() {
-				// Unbatched, every write stores at the writer and/or the
+				// One at a time, every write stores at the writer and/or the
 				// adopters; coalesced, whole batches share one log chain.
 				if s := totalStores(tc); s >= burst {
 					t.Fatalf("%d stores for %d coalesced writes — batching did not amortize", s, burst)
@@ -112,7 +112,7 @@ func TestSubmitReadCoalesces(t *testing.T) {
 			t.Fatalf("read %d = %q", i, val)
 		}
 	}
-	// Unbatched, 50 reads over 3 nodes cost >= 50*2*3 = 300 sends; coalesced
+	// One at a time, 50 reads over 3 nodes cost >= 50*2*3 = 300 sends; coalesced
 	// they collapse to a handful of rounds.
 	if sent := tc.net.Stats().Sent - before; sent >= burst*2*3 {
 		t.Fatalf("%d sends for %d coalesced reads — no amortization", sent, burst)

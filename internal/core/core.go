@@ -25,12 +25,15 @@
 // instance of the protocol multiplexed over the same channels and stable
 // store.
 //
-// Beyond the paper's one-operation-at-a-time processes, every node carries a
-// batching + pipelining engine (batch.go): SubmitWrite/SubmitRead return
-// futures, concurrent submissions to one register coalesce into a single
-// execution of the protocol (one minted timestamp and one causal log chain
-// per batch), and different registers' rounds overlap, their broadcasts
-// group-committed into per-destination batch frames. See docs/adr/0001.
+// Every operation runs through one path, the node's batching + pipelining
+// engine (batch.go): SubmitWrite/SubmitRead return futures, concurrent
+// submissions to one register coalesce into a single execution of the
+// protocol (one minted timestamp and one causal log chain per batch), and
+// different registers' rounds overlap, their broadcasts group-committed into
+// per-destination batch frames. The paper's one-operation-at-a-time process
+// is the synchronous Write/Read: the same submission, awaited under the
+// node's operation mutex — a batch of one, which costs exactly the paper's
+// messages and logs. See docs/adr/0001 and docs/adr/0011.
 package core
 
 import (
@@ -183,8 +186,8 @@ type Node struct {
 	mm  *metrics.OpMeter
 	tr  *trace.Ring
 
-	// opMu serializes client operations: the paper's processes are
-	// sequential.
+	// opMu serializes the synchronous Write/Read calls — the paper's
+	// processes are sequential — around their submit + wait.
 	opMu sync.Mutex
 
 	mu    sync.Mutex
@@ -213,14 +216,6 @@ type Node struct {
 	// ob group-commits its round broadcasts into batch frames.
 	eng *engine
 	ob  *outbox
-
-	// wlocks serializes tag-minting write-protocol executions per register
-	// (reg -> *sync.Mutex): two concurrent executions at one node would
-	// both observe the same majority maximum and mint the same timestamp
-	// for different values. The synchronous path (already serial under
-	// opMu) and the engine's per-register dispatchers only ever contend
-	// here when both APIs write the same register at once.
-	wlocks sync.Map
 
 	// roundPool recycles per-round working sets (ack channel, scratch
 	// slices, retransmission timer); see roundState.

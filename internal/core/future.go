@@ -74,6 +74,12 @@ type Future struct {
 	wit tag.Tag
 	inc uint64
 	err error
+
+	// replied and abandoned are the hand-off between endOp and a synchronous
+	// caller that stops waiting (Node.await), both guarded by the owning
+	// node's mu: endOp sets replied when it records the history reply and
+	// records none once abandoned is set.
+	replied, abandoned bool
 }
 
 // newFuture takes a future from the pool and binds it to the operation. The
@@ -231,6 +237,7 @@ func (f *Future) Release() {
 	f.mu.Lock()
 	f.gen++
 	f.op, f.val, f.wit, f.inc, f.err = 0, nil, tag.Tag{}, 0, nil
+	f.replied, f.abandoned = false, false
 	f.ch = nil
 	f.mu.Unlock()
 	f.done.Store(false)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"recmem/internal/tag"
 	"recmem/internal/wire"
@@ -12,9 +11,8 @@ import (
 // This file implements first-class register handles: a RegisterRef resolves
 // everything per-register the node would otherwise look up on every
 // operation — the batching engine's shard and queue (maphash + map lookup)
-// and the per-register write-execution lock (sync.Map lookup) — exactly
-// once, so handle-based operations touch only pointer-stable state on the
-// hot path. It also implements the §VI read-consistency selection: the
+// — exactly once, so handle-based operations touch only pointer-stable state
+// on the hot path. It also implements the §VI read-consistency selection: the
 // regular register's read can be downgraded to a safe read served by the
 // writer alone.
 
@@ -56,20 +54,19 @@ func (nd *Node) checkReadMode(mode ReadMode) error {
 
 // RegisterRef is a node's cached handle on one register. Obtain one with
 // Node.RegisterRef and reuse it: all per-register resolution (engine shard,
-// submission queue, write lock) happened at creation, so the per-operation
-// string-map lookups of the Node-level API disappear from the hot path.
+// submission queue) happened at creation, so the per-operation string-map
+// lookups of the Node-level API disappear from the hot path.
 type RegisterRef struct {
 	nd  *Node
 	reg string
 	sh  *engineShard
 	q   *regQueue
-	wmu *sync.Mutex
 }
 
 // RegisterRef resolves a cached handle for the named register.
 func (nd *Node) RegisterRef(reg string) *RegisterRef {
 	sh, q := nd.eng.queueFor(reg)
-	return &RegisterRef{nd: nd, reg: reg, sh: sh, q: q, wmu: nd.wlock(reg)}
+	return &RegisterRef{nd: nd, reg: reg, sh: sh, q: q}
 }
 
 // Name returns the register name.
@@ -78,66 +75,43 @@ func (r *RegisterRef) Name() string { return r.reg }
 // Node returns the node the handle operates through.
 func (r *RegisterRef) Node() *Node { return r.nd }
 
-// Write is Node.Write through the cached handle; it additionally returns
-// the minted tag — the write's tag witness (zero on failure) — and the
+// Write submits the write through the handle's queue and waits for it under
+// the node's operation mutex — the paper's sequential process; see await for
+// what a ctx that ends leaves behind. It returns the operation id, the
+// minted tag — the write's tag witness (zero on failure) — and the
 // incarnation epoch the operation completed under (zero on failure).
 func (r *RegisterRef) Write(ctx context.Context, val []byte, obs OpObserver) (uint64, tag.Tag, uint64, error) {
-	nd := r.nd
-	if len(val) > wire.MaxValueSize {
-		return 0, tag.Tag{}, 0, wire.ErrValueTooLarge
-	}
-	if nd.kind == RegularSW && nd.id != RegularWriter {
-		return 0, tag.Tag{}, 0, ErrNotWriter
-	}
-	nd.opMu.Lock()
-	defer nd.opMu.Unlock()
-	val = append([]byte(nil), val...)
-	op, epoch, err := nd.beginOp(obs)
+	r.nd.opMu.Lock()
+	defer r.nd.opMu.Unlock()
+	fut, err := r.SubmitWrite(val, obs)
 	if err != nil {
 		return 0, tag.Tag{}, 0, err
 	}
-	wit, err := nd.writeProtocolMu(ctx, op, r.reg, val, false, r.wmu)
-	inc, err := nd.endOp(op, epoch, obs, err, nil, wit)
-	if err != nil {
-		return op, tag.Tag{}, 0, err
+	if err := r.nd.await(ctx, fut); err != nil {
+		return fut.op, tag.Tag{}, 0, err
 	}
-	return op, wit, inc, nil
+	return fut.op, fut.wit, fut.inc, nil
 }
 
-// Read is Node.Read through the cached handle, with a read-consistency
-// selection (ReadSafe and ReadRegular require the RegularSW algorithm); it
-// additionally returns the tag under which the returned value was adopted —
-// the read's tag witness (zero on failure or for the initial value ⊥) — and
-// the incarnation epoch the operation completed under (zero on failure).
+// Read is Write's counterpart, with a read-consistency selection (ReadSafe
+// and ReadRegular require the RegularSW algorithm); it additionally returns
+// the tag under which the returned value was adopted — the read's tag
+// witness (zero on failure or for the initial value ⊥).
 func (r *RegisterRef) Read(ctx context.Context, mode ReadMode, obs OpObserver) ([]byte, uint64, tag.Tag, uint64, error) {
-	nd := r.nd
-	if err := nd.checkReadMode(mode); err != nil {
-		return nil, 0, tag.Tag{}, 0, err
-	}
-	nd.opMu.Lock()
-	defer nd.opMu.Unlock()
-	op, epoch, err := nd.beginOp(obs)
+	r.nd.opMu.Lock()
+	defer r.nd.opMu.Unlock()
+	fut, err := r.SubmitRead(mode, obs)
 	if err != nil {
 		return nil, 0, tag.Tag{}, 0, err
 	}
-	var (
-		val []byte
-		wit tag.Tag
-	)
-	if mode == ReadSafe {
-		val, wit, err = nd.safeReadSW(ctx, op, r.reg, false)
-	} else {
-		val, wit, err = nd.readProtocol(ctx, op, r.reg, false)
+	if err := r.nd.await(ctx, fut); err != nil {
+		return nil, fut.op, tag.Tag{}, 0, err
 	}
-	inc, err := nd.endOp(op, epoch, obs, err, val, wit)
-	if err != nil {
-		return nil, op, tag.Tag{}, 0, err
-	}
-	return val, op, wit, inc, nil
+	return fut.val, fut.op, fut.wit, fut.inc, nil
 }
 
-// SubmitWrite is Node.SubmitWrite through the cached handle: the submission
-// goes straight onto the pre-resolved register queue.
+// SubmitWrite submits an asynchronous write (see Node.SubmitWrite) straight
+// onto the handle's pre-resolved register queue.
 func (r *RegisterRef) SubmitWrite(val []byte, obs OpObserver) (*Future, error) {
 	val = append([]byte(nil), val...) // copy once at the boundary
 	return r.SubmitWriteOwned(val, obs)
@@ -160,16 +134,16 @@ func (r *RegisterRef) SubmitWriteOwned(val []byte, obs OpObserver) (*Future, err
 		return nil, err
 	}
 	fut := newFuture(op)
-	nd.eng.enqueueResolved(r.sh, r.q, r.reg, newSub(false, val, obs, op, epoch, fut))
+	nd.eng.enqueue(r.sh, r.q, r.reg, newSub(false, val, obs, op, epoch, fut))
 	return fut, nil
 }
 
-// SubmitRead is Node.SubmitRead through the cached handle. Default and
+// SubmitRead submits an asynchronous read (see Node.SubmitRead). Default and
 // regular reads coalesce through the batching engine; safe reads bypass it —
 // they are a single 2-message exchange with the writer, so there is no
 // quorum round to share — and run on their own goroutine.
 func (r *RegisterRef) SubmitRead(mode ReadMode, obs OpObserver) (*Future, error) {
-	nd := r.nd
+	nd, reg := r.nd, r.reg
 	if err := nd.checkReadMode(mode); err != nil {
 		return nil, err
 	}
@@ -178,17 +152,18 @@ func (r *RegisterRef) SubmitRead(mode ReadMode, obs OpObserver) (*Future, error)
 		return nil, err
 	}
 	fut := newFuture(op)
+	s := newSub(true, nil, obs, op, epoch, fut)
 	if mode == ReadSafe {
 		go func() {
 			// Like engine rounds, the safe read aborts via crashCh on
 			// crash/close rather than through a context.
-			val, wit, err := nd.safeReadSW(context.Background(), op, r.reg, false)
-			inc, err2 := nd.endOp(op, epoch, obs, err, val, wit)
-			fut.complete(val, wit, inc, err2)
+			val, wit, err := nd.safeReadSW(context.Background(), op, reg)
+			nd.finish(s, val, wit, err)
+			putSub(s)
 		}()
 		return fut, nil
 	}
-	nd.eng.enqueueResolved(r.sh, r.q, r.reg, newSub(true, nil, obs, op, epoch, fut))
+	nd.eng.enqueue(r.sh, r.q, reg, s)
 	return fut, nil
 }
 
@@ -196,9 +171,9 @@ func (r *RegisterRef) SubmitRead(mode ReadMode, obs OpObserver) (*Future, error)
 // writer alone, requiring only the writer's acknowledgement. See ReadSafe
 // for why this is safe (and regular) yet blocks while the writer is down.
 // The returned tag is the writer's adopted tag — the read's tag witness.
-func (nd *Node) safeReadSW(ctx context.Context, op uint64, reg string, batched bool) ([]byte, tag.Tag, error) {
+func (nd *Node) safeReadSW(ctx context.Context, op uint64, reg string) ([]byte, tag.Tag, error) {
 	acks, err := nd.runRoundOpts(ctx, op, wire.Envelope{Kind: wire.KindRead, Reg: reg},
-		roundOpts{require: RegularWriter, to: RegularWriter, quorum: 1, batched: batched})
+		roundOpts{require: RegularWriter, to: RegularWriter, quorum: 1})
 	if err != nil {
 		return nil, tag.Tag{}, err
 	}

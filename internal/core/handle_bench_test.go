@@ -10,9 +10,8 @@ import (
 
 // The benchmark pair behind the Register-handle redesign: every Node-level
 // operation resolves its register by name — a maphash + map lookup in the
-// batching engine's shard (queueFor) and a sync.Map lookup for the write
-// lock (wlock) — while a RegisterRef resolved those pointers once at
-// creation. The pair measures exactly that per-operation resolution work
+// batching engine's shard (queueFor) — while a RegisterRef resolved those
+// pointers once at creation. The pair measures exactly that per-operation resolution work
 // over a realistic register population, isolated from the protocol rounds
 // (which are identical on both paths).
 
@@ -34,24 +33,21 @@ func benchNode(b *testing.B) (*Node, []string) {
 	regs := make([]string, benchRegisters)
 	for i := range regs {
 		regs[i] = fmt.Sprintf("register-%04d", i)
-		// Populate both maps, as a warmed-up node would be.
+		// Populate the queue map, as a warmed-up node would be.
 		nd.eng.queueFor(regs[i])
-		nd.wlock(regs[i])
 	}
 	return nd, regs
 }
 
 // BenchmarkStringLookup is the per-operation dispatch resolution of the
-// Node-level string API: shard hash + queue lookup + write-lock lookup on
-// every operation.
+// Node-level string API: shard hash + queue lookup on every operation.
 func BenchmarkStringLookup(b *testing.B) {
 	nd, regs := benchNode(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg := regs[i%benchRegisters]
 		sh, q := nd.eng.queueFor(reg)
-		mu := nd.wlock(reg)
-		if sh == nil || q == nil || mu == nil {
+		if sh == nil || q == nil {
 			b.Fatal("lost a register")
 		}
 	}
@@ -68,7 +64,7 @@ func BenchmarkRegisterHandle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := refs[i%benchRegisters]
-		if r.sh == nil || r.q == nil || r.wmu == nil {
+		if r.sh == nil || r.q == nil {
 			b.Fatal("lost a register")
 		}
 	}

@@ -77,6 +77,17 @@ func TestRecoveryRetrievesOnlyPending(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A write returns at a majority; let the replica under test drain its
+	// share too, or deliveries still queued at its listener would
+	// materialize their registers after the restart and be billed to it.
+	waitFor(t, time.Second, "replica adoption", func() bool {
+		for i := 0; i < 20; i++ {
+			if tc.disks[1].RecordStores(fmt.Sprintf("written/r%02d", i)) == 0 {
+				return false
+			}
+		}
+		return true
+	})
 	// Plant an interrupted write: the pre-log Fig. 4's recovery must finish.
 	pendingTag := tagOf(1000, 1, 0)
 	if err := tc.disks[1].Store("writing/pend", encodeTagged(pendingTag, []byte("resumed"))); err != nil {

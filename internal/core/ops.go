@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"recmem/internal/causal"
 	"recmem/internal/tag"
@@ -48,19 +47,50 @@ func (nd *Node) beginOp(obs OpObserver) (op uint64, epoch uint64, err error) {
 // returns the node's incarnation epoch, read under the same lock that proves
 // the crash generation never changed — so the whole operation ran within that
 // one incarnation, and the epoch is a truthful witness for remote observers.
-func (nd *Node) endOp(op, epoch uint64, obs OpObserver, err error, val []byte, wit tag.Tag) (uint64, error) {
+//
+// An operation whose synchronous caller gave up (await set the future's
+// abandoned flag under this same lock) completes silently: the caller was
+// told ctx.Err(), so the history must keep showing the invocation pending.
+func (nd *Node) endOp(s *batchSub, err error, val []byte, wit tag.Tag) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.state != stateUp || nd.epoch != epoch {
+	if nd.state != stateUp || nd.epoch != s.epoch {
 		return 0, ErrCrashed
 	}
-	if obs.OnReturn != nil {
-		obs.OnReturn(op, val, wit)
+	if !s.fut.abandoned {
+		s.fut.replied = true
+		if s.obs.OnReturn != nil {
+			s.obs.OnReturn(s.op, val, wit)
+		}
 	}
 	return nd.inc, nil
+}
+
+// await is the synchronous half of an operation: block until the submitted
+// operation completes or ctx ends. A caller whose ctx ends abandons the
+// operation, not just the wait — the engine still runs it to completion (or
+// to the next crash), but endOp will not record a reply for it, exactly what
+// an aborted round used to leave behind. If endOp already recorded the reply
+// the result is moments away and is returned instead of ctx.Err(), so the
+// caller never sees an error for an operation the history shows complete.
+func (nd *Node) await(ctx context.Context, fut *Future) error {
+	select {
+	case <-fut.Done():
+		return fut.err
+	case <-ctx.Done():
+	}
+	nd.mu.Lock()
+	abandon := !fut.replied
+	fut.abandoned = abandon
+	nd.mu.Unlock()
+	if abandon {
+		return ctx.Err()
+	}
+	<-fut.Done()
+	return fut.err
 }
 
 // Write emulates the register's write operation at this process. It blocks
@@ -68,24 +98,7 @@ func (nd *Node) endOp(op, epoch uint64, obs OpObserver, err error, val []byte, w
 // process does not crash and a majority is eventually permanently up) and
 // returns the operation id used for accounting.
 func (nd *Node) Write(ctx context.Context, reg string, val []byte, obs OpObserver) (uint64, error) {
-	if len(val) > wire.MaxValueSize {
-		return 0, wire.ErrValueTooLarge
-	}
-	if nd.kind == RegularSW && nd.id != RegularWriter {
-		// Rejected before the invocation exists: a non-writer never invokes
-		// a write on the single-writer register.
-		return 0, ErrNotWriter
-	}
-	nd.opMu.Lock()
-	defer nd.opMu.Unlock()
-	// Copy once at the boundary; the value is immutable inside the system.
-	val = append([]byte(nil), val...)
-	op, epoch, err := nd.beginOp(obs)
-	if err != nil {
-		return 0, err
-	}
-	wit, err := nd.writeProtocol(ctx, op, reg, val, false)
-	_, err = nd.endOp(op, epoch, obs, err, nil, wit)
+	op, _, _, err := nd.RegisterRef(reg).Write(ctx, val, obs)
 	return op, err
 }
 
@@ -93,39 +106,22 @@ func (nd *Node) Write(ctx context.Context, reg string, val []byte, obs OpObserve
 // sequence-number query round, the timestamp mint (algorithm-specific), an
 // optional writer pre-log (persistent: Fig. 4 line 12), and the propagation
 // round. The single-writer regular register branches to its one-round form.
-// With batched set, round broadcasts go through the node's outbox so that
-// concurrently pipelined registers share batch frames. The returned tag is
-// the minted timestamp — the write's tag witness (zero if the execution
-// failed before minting).
+// The returned tag is the minted timestamp — the write's tag witness (zero
+// if the execution failed before minting).
 //
-// The whole execution holds the node's per-register write lock: the minted
-// timestamp is derived from the queried majority maximum, so two concurrent
-// executions for one register (a synchronous Write racing a batch flush)
-// would mint the same timestamp for different values.
-func (nd *Node) writeProtocol(ctx context.Context, op uint64, reg string, val []byte, batched bool) (tag.Tag, error) {
-	return nd.writeProtocolMu(ctx, op, reg, val, batched, nd.wlock(reg))
-}
-
-// wlock resolves (creating on first use) the register's write-execution
-// lock. RegisterRef caches the result, skipping the sync.Map lookup per op.
-func (nd *Node) wlock(reg string) *sync.Mutex {
-	l, _ := nd.wlocks.LoadOrStore(reg, &sync.Mutex{})
-	return l.(*sync.Mutex)
-}
-
-// writeProtocolMu is writeProtocol with the per-register write lock already
-// resolved (the cached-handle fast path).
-func (nd *Node) writeProtocolMu(ctx context.Context, op uint64, reg string, val []byte, batched bool, mu *sync.Mutex) (tag.Tag, error) {
-	mu.Lock()
-	defer mu.Unlock()
+// Only the register's engine dispatcher calls this, one execution at a time:
+// the minted timestamp is derived from the queried majority maximum, so two
+// concurrent executions for one register would mint the same timestamp for
+// different values.
+func (nd *Node) writeProtocol(ctx context.Context, op uint64, reg string, val []byte) (tag.Tag, error) {
 	if nd.kind == RegularSW {
-		return nd.writeRegularSW(ctx, op, reg, val, batched)
+		return nd.writeRegularSW(ctx, op, reg, val)
 	}
 	depth := 0
 	if nd.kind == Naive {
 		// §I-C straw man: log the intent before doing anything.
 		payload := encodeTagged(tag.Tag{Writer: nd.id}, val)
-		if err := nd.storeLog(batched, recWStartPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(recWStartPrefix+reg, payload); err != nil {
 			return tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -133,7 +129,7 @@ func (nd *Node) writeProtocolMu(ctx context.Context, op uint64, reg string, val 
 	}
 
 	// Round 1: collect sequence numbers from a majority (Fig. 4 lines 7–10).
-	acks, err := nd.runRound(ctx, op, wire.Envelope{Kind: wire.KindSNQuery, Reg: reg, Depth: uint8(depth)}, -1, batched)
+	acks, err := nd.runRoundOpts(ctx, op, wire.Envelope{Kind: wire.KindSNQuery, Reg: reg, Depth: uint8(depth)}, broadcast)
 	if err != nil {
 		return tag.Tag{}, err
 	}
@@ -143,11 +139,10 @@ func (nd *Node) writeProtocolMu(ctx context.Context, op uint64, reg string, val 
 	// Writer pre-log (Fig. 4 line 12): the persistent algorithm's second
 	// causal log; it lets recovery finish the write and pins the minted
 	// timestamp so it can never be reused for a different value. One
-	// coalesced batch mints one tag, so this is the batch's single pre-log,
-	// issued through the batched durability path.
+	// coalesced batch mints one tag, so this is the batch's single pre-log.
 	if nd.kind == Persistent || nd.kind == Naive {
 		payload := encodeTagged(newTag, val)
-		if err := nd.storeLog(batched, recWritingPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(recWritingPrefix+reg, payload); err != nil {
 			return tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -155,9 +150,9 @@ func (nd *Node) writeProtocolMu(ctx context.Context, op uint64, reg string, val 
 	}
 
 	// Round 2: propagate the tagged value to a majority (Fig. 4 lines 13–15).
-	_, err = nd.runRound(ctx, op, wire.Envelope{
+	_, err = nd.runRoundOpts(ctx, op, wire.Envelope{
 		Kind: wire.KindWrite, Reg: reg, Tag: newTag, Value: val, Depth: uint8(depth),
-	}, -1, batched)
+	}, broadcast)
 	if err != nil {
 		return tag.Tag{}, err
 	}
@@ -198,17 +193,8 @@ func (nd *Node) hardenedRec(rec int32) int32 {
 // everywhere and nobody logs. A nil value with ok semantics maps to the
 // register's initial value ⊥.
 func (nd *Node) Read(ctx context.Context, reg string, obs OpObserver) ([]byte, uint64, error) {
-	nd.opMu.Lock()
-	defer nd.opMu.Unlock()
-	op, epoch, err := nd.beginOp(obs)
-	if err != nil {
-		return nil, 0, err
-	}
-	val, wit, err := nd.readProtocol(ctx, op, reg, false)
-	if _, err := nd.endOp(op, epoch, obs, err, val, wit); err != nil {
-		return nil, op, err
-	}
-	return val, op, nil
+	val, op, _, _, err := nd.RegisterRef(reg).Read(ctx, ReadDefault, obs)
+	return val, op, err
 }
 
 // writeRegularSW is the §VI single-writer write: no query round — the
@@ -220,7 +206,7 @@ func (nd *Node) Read(ctx context.Context, reg string, obs OpObserver) ([]byte, u
 // completed write, which keeps timestamps strictly monotone — unfinished
 // writes are out-minted by the recovery count exactly as in Fig. 5. One
 // causal log (all adopters log in parallel), 2 communication steps.
-func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val []byte, batched bool) (tag.Tag, error) {
+func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val []byte) (tag.Tag, error) {
 	if nd.id != RegularWriter {
 		return tag.Tag{}, ErrNotWriter
 	}
@@ -240,9 +226,9 @@ func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val [
 	// recovery count out-mints any write the last incarnation left
 	// unfinished.
 	newTag := own.Next(nd.id, int64(rec), nd.hardenedRec(rec))
-	if _, err := nd.runRound(ctx, op, wire.Envelope{
+	if _, err := nd.runRoundOpts(ctx, op, wire.Envelope{
 		Kind: wire.KindWrite, Reg: reg, Tag: newTag, Value: val,
-	}, nd.id, batched); err != nil {
+	}, roundOpts{require: nd.id, to: -1}); err != nil {
 		return tag.Tag{}, err
 	}
 	return newTag, nil
@@ -250,9 +236,9 @@ func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val [
 
 // readProtocol returns the read value together with the tag under which it
 // was adopted — the read's tag witness.
-func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string, batched bool) ([]byte, tag.Tag, error) {
+func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string) ([]byte, tag.Tag, error) {
 	// Round 1: collect tagged values from a majority.
-	acks, err := nd.runRound(ctx, op, wire.Envelope{Kind: wire.KindRead, Reg: reg}, -1, batched)
+	acks, err := nd.runRoundOpts(ctx, op, wire.Envelope{Kind: wire.KindRead, Reg: reg}, broadcast)
 	if err != nil {
 		return nil, tag.Tag{}, err
 	}
@@ -271,7 +257,7 @@ func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string, batched
 	if nd.kind == Naive {
 		// Straw man: the reader logs what it is about to write back.
 		payload := encodeTagged(best.Tag, best.Value)
-		if err := nd.storeLog(batched, recWStartPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(recWStartPrefix+reg, payload); err != nil {
 			return nil, tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -281,9 +267,9 @@ func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string, batched
 	// Round 2: write the value with the highest timestamp back to a
 	// majority, so the read's result is never lost even if the original
 	// writer's propagation had only partially completed.
-	_, err = nd.runRound(ctx, op, wire.Envelope{
+	_, err = nd.runRoundOpts(ctx, op, wire.Envelope{
 		Kind: wire.KindWriteBack, Reg: reg, Tag: best.Tag, Value: best.Value, Depth: uint8(depth),
-	}, -1, batched)
+	}, broadcast)
 	if err != nil {
 		return nil, tag.Tag{}, err
 	}

@@ -46,16 +46,13 @@ func WrittenRecordName(reg string) string { return recWrittenPrefix + reg }
 // for the same harness tooling as WrittenRecordName.
 func EncodeWrittenPayload(t tag.Tag, val []byte) []byte { return encodeTagged(t, val) }
 
-// storeLog persists one causal-log record. Operations running under the
-// batching engine go through the batched durability path, so the pre-logs of
-// concurrently pipelined registers coalesce into shared group commits on
-// engines that support them (stable.WALDisk, MemDisk's simulated disk); the
-// synchronous path keeps the paper's literal one-store call.
-func (nd *Node) storeLog(batched bool, record string, payload []byte) error {
-	if batched {
-		return nd.st.StoreBatch([]stable.Record{{Name: record, Data: payload}})
-	}
-	return nd.st.Store(record, payload)
+// storeLog persists one causal-log record of an operation's own log chain
+// through StoreBatch, so the pre-logs of concurrently pipelined registers
+// coalesce into shared group commits on engines that support them
+// (stable.WALDisk, MemDisk's simulated disk). A lone one-record batch costs
+// exactly one Store on every engine.
+func (nd *Node) storeLog(record string, payload []byte) error {
+	return nd.st.StoreBatch([]stable.Record{{Name: record, Data: payload}})
 }
 
 // encodeTagged serializes a (tag, value) pair for stable storage.

@@ -89,9 +89,9 @@ func (nd *Node) finishPendingWrites(ctx context.Context) error {
 		pending++
 		reg := strings.TrimPrefix(name, recWritingPrefix)
 		op := nd.newID()
-		if _, err := nd.round(ctx, op, wire.Envelope{
+		if _, err := nd.runRoundOpts(ctx, op, wire.Envelope{
 			Kind: wire.KindWrite, Reg: reg, Tag: t, Value: v,
-		}); err != nil {
+		}, broadcast); err != nil {
 			return err
 		}
 	}

@@ -7,39 +7,15 @@ import (
 	"recmem/internal/wire"
 )
 
-// round broadcasts req to all processes and blocks until acknowledgements
-// from a majority of distinct processes arrive — the paper's
-//
-//	repeat send(...) to all until receive(... ack) from ⌈(n+1)/2⌉ processes
-//
-// Over fair-lossy channels the broadcast is retransmitted periodically; the
-// collected acknowledgements are deduplicated by sender. The round aborts
-// with ErrCrashed if the process crashes, or with the context's error on
-// cancellation; it otherwise blocks for as long as a majority is
-// unreachable, which is exactly the robustness contract (operations by
-// processes that do not crash terminate once a majority is permanently up).
-func (nd *Node) round(ctx context.Context, op uint64, req wire.Envelope) (map[int32]wire.Envelope, error) {
-	return nd.runRound(ctx, op, req, -1, false)
-}
-
-// runRound generalizes round along two axes: if require is a valid process
-// id, the round does not complete until that process's acknowledgement is
-// among the collected majority (the RegularSW writer requires its own
-// acknowledgement, which certifies that its own listener has logged the new
-// timestamp — the synchronization that keeps the single writer's timestamps
-// strictly monotone across crashes); with batched set, broadcasts are routed
-// through the node's outbox so that sweeps of concurrently running rounds
-// (different registers of the batching engine) group-commit into
-// per-destination batch frames instead of going out as individual messages.
-func (nd *Node) runRound(ctx context.Context, op uint64, req wire.Envelope, require int32, batched bool) (map[int32]wire.Envelope, error) {
-	return nd.runRoundOpts(ctx, op, req, roundOpts{require: require, to: -1, batched: batched})
-}
-
-// roundOpts generalizes a round beyond the default broadcast-to-all,
-// majority-acknowledged shape.
+// roundOpts shapes a round beyond the default broadcast-to-all,
+// majority-acknowledged form.
 type roundOpts struct {
 	// require, if a valid process id, must be among the collected
-	// acknowledgements before the round completes (-1: any quorum).
+	// acknowledgements before the round completes (-1: any quorum). The
+	// RegularSW writer requires its own acknowledgement, which certifies that
+	// its own listener has logged the new timestamp — the synchronization
+	// that keeps the single writer's timestamps strictly monotone across
+	// crashes.
 	require int32
 	// to, if a valid process id, restricts the round to that single
 	// destination (-1: broadcast to all processes). The §VI safe read is a
@@ -48,12 +24,13 @@ type roundOpts struct {
 	// quorum overrides the number of distinct acknowledgements required
 	// (0: the majority ⌈(n+1)/2⌉).
 	quorum int
-	// batched routes the broadcasts through the node's outbox.
-	batched bool
 }
 
+// broadcast is the default round shape: to everyone, any majority.
+var broadcast = roundOpts{require: -1, to: -1}
+
 // roundState is the per-round working set — the acknowledgement channel, the
-// destination and sweep scratch slices, and the retransmission timer — pooled
+// sweep scratch slice, and the retransmission timer — pooled
 // per node so a round's setup allocates only its result map (which escapes to
 // the protocol layer). The channel is safe to recycle because routeAck sends
 // only while holding nd.mu: once the round deregisters its RPC under the same
@@ -61,7 +38,6 @@ type roundOpts struct {
 // leaves the channel empty for the next round.
 type roundState struct {
 	ch    chan wire.Envelope
-	dests []int32
 	sweep []wire.Envelope
 	timer *time.Timer
 }
@@ -97,7 +73,6 @@ func (nd *Node) putRound(rs *roundState) {
 		}
 		break
 	}
-	rs.dests = rs.dests[:0]
 	for i := range rs.sweep {
 		rs.sweep[i] = wire.Envelope{} // drop value references
 	}
@@ -105,7 +80,21 @@ func (nd *Node) putRound(rs *roundState) {
 	nd.roundPool.Put(rs)
 }
 
-// runRoundOpts is the fully general round executor; see round and roundOpts.
+// runRoundOpts sends req to the round's destinations and blocks until
+// acknowledgements from a quorum of distinct processes arrive — the paper's
+//
+//	repeat send(...) to all until receive(... ack) from ⌈(n+1)/2⌉ processes
+//
+// Over fair-lossy channels the sweep is retransmitted periodically; the
+// collected acknowledgements are deduplicated by sender. Every sweep is
+// staged through the node's outbox, so sweeps of concurrently running rounds
+// (different registers of the engine) group-commit into per-destination
+// batch frames, while a lone round's envelopes go out as the individual
+// messages the paper counts. The round aborts with ErrCrashed if the process
+// crashes, or with the context's error on cancellation; it otherwise blocks
+// for as long as a quorum is unreachable, which is exactly the robustness
+// contract (operations by processes that do not crash terminate once a
+// majority is permanently up).
 func (nd *Node) runRoundOpts(ctx context.Context, op uint64, req wire.Envelope, o roundOpts) (map[int32]wire.Envelope, error) {
 	rpc := nd.newID()
 	req.RPC = rpc
@@ -136,36 +125,24 @@ func (nd *Node) runRoundOpts(ctx context.Context, op uint64, req wire.Envelope, 
 		nd.putRound(rs)
 	}()
 
-	dests := rs.dests
+	// The sweep: req addressed to each destination, staged anew on every
+	// retransmission.
+	first, last := int32(0), int32(nd.n)-1
 	if o.to >= 0 {
-		dests = append(dests, o.to)
-	} else {
-		for to := int32(0); to < int32(nd.n); to++ {
-			dests = append(dests, to)
-		}
+		first, last = o.to, o.to
 	}
-	rs.dests = dests
+	sweep := rs.sweep
+	for to := first; to <= last; to++ {
+		req.To = to
+		sweep = append(sweep, req)
+	}
+	rs.sweep = sweep
 
 	acks := make(map[int32]wire.Envelope, nd.n)
 	sweeps := 0
 	for {
 		sweeps++
-		if o.batched {
-			sweep := rs.sweep[:0]
-			for _, to := range dests {
-				e := req
-				e.To = to
-				sweep = append(sweep, e)
-			}
-			rs.sweep = sweep
-			nd.ob.enqueue(sweep...)
-		} else {
-			for _, to := range dests {
-				e := req
-				e.To = to
-				nd.send(e)
-			}
-		}
+		nd.ob.enqueue(sweep...)
 	collect:
 		for {
 			select {
@@ -180,7 +157,7 @@ func (nd *Node) runRoundOpts(ctx context.Context, op uint64, req wire.Envelope, 
 							continue
 						}
 					}
-					nd.recordRound(op, sweeps*len(dests), sweeps-1)
+					nd.recordRound(op, sweeps*len(sweep), sweeps-1)
 					return acks, nil
 				}
 			case <-rs.timer.C:

@@ -142,7 +142,7 @@ func (m *Mesh) Recv() <-chan wire.Envelope { return m.recv }
 func (m *Mesh) Send(env wire.Envelope) {
 	env.From = m.id
 	if env.To == m.id {
-		m.deliver(env)
+		m.loopback(env)
 		return
 	}
 	f := getFrameBuf()
@@ -177,9 +177,7 @@ func (m *Mesh) SendBatch(envs []wire.Envelope) {
 		stamped[i] = env
 	}
 	if stamped[0].To == m.id {
-		for _, env := range stamped {
-			m.deliver(env)
-		}
+		m.loopback(stamped...)
 		return
 	}
 	for len(stamped) > 0 {
@@ -265,6 +263,20 @@ func (m *Mesh) deliver(env wire.Envelope) {
 	select {
 	case m.recv <- env:
 	default: // queue overflow: fair-lossy drop
+	}
+}
+
+// loopback delivers a process's messages to itself. Unlike the read loops,
+// which Close waits for, senders outlive the mesh: the closed check under
+// m.mu keeps a late send off the receive channel Close is closing.
+func (m *Mesh) loopback(envs ...wire.Envelope) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return
+	}
+	for _, env := range envs {
+		m.deliver(env)
 	}
 }
 

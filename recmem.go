@@ -444,7 +444,7 @@ var _ Client = (*Process)(nil)
 func (p *Process) ID() int { return int(p.id) }
 
 // Register resolves a first-class handle on the named register. The
-// dispatcher shard, submission queue and write lock are resolved here, once
+// dispatcher shard and submission queue are resolved here, once
 // — operations through the handle skip the per-operation string-map lookups
 // that Process.Write/Read pay, so hot paths should hold on to handles.
 func (p *Process) Register(name string) *Register {

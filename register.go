@@ -37,9 +37,9 @@ type EpochWitness interface {
 // Client (Process.Register or remote.Client.Register). The handle caches
 // everything per-register the backend would otherwise resolve on every
 // operation — for the simulated cluster that is the batching engine's
-// dispatcher shard and queue and the per-register write lock, so handle
-// operations skip the per-op string-map lookups of the Process-level
-// convenience methods. Handles are safe for concurrent use.
+// dispatcher shard and queue, so handle operations skip the per-op
+// string-map lookups of the Process-level convenience methods. Handles are
+// safe for concurrent use.
 type Register struct {
 	name string
 	b    RegisterBackend

@@ -5,8 +5,8 @@ package remote
 // protocol — the deployment shape of the paper's measurements, with the
 // wire as the instrument under test. All three report allocs/op
 // (-benchmem / b.ReportAllocs), so an allocation regression on the frame
-// path fails loudly in review; `make bench-remote` turns their output into
-// the BENCH_remote.json trajectory.
+// path fails loudly in review. End-to-end claims come from the deployed-shape
+// benchmark (bash bench/run.sh), not from these.
 
 import (
 	"context"
