@@ -20,8 +20,9 @@ bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
 
 # bench-disk compares the storage engines: per-record store cost and fsync
-# amortization (BenchmarkFileStore* vs BenchmarkWALStore*), feeding the
-# BENCH_*.json trajectories.
+# amortization (BenchmarkFileStore* vs BenchmarkWALStore*, the wal preset of
+# the segment log). A microbenchmark for working on internal/stable; claims
+# are made with bash bench/run.sh.
 bench-disk:
 	$(GO) test -bench 'Store' -benchtime=100x -run '^$$' ./internal/stable/
 

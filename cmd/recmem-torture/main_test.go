@@ -70,7 +70,7 @@ func TestTortureRoundCrashStop(t *testing.T) {
 	}
 }
 
-// TestTortureRoundWALFlaky is the WALDisk torture scenario: crash/recovery
+// TestTortureRoundWALFlaky is the wal-disk torture scenario: crash/recovery
 // injection over the log-structured engine with injected Store/StoreBatch
 // failures mid-group-commit. The atomicity check proves that a failed group
 // commit never acknowledged a lost log — a violation would surface as a

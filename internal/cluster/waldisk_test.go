@@ -72,7 +72,7 @@ func TestWALGroupCommitAmortizesFsyncs(t *testing.T) {
 		}
 	}
 
-	records, syncs := disk.Stores(), inner.(*stable.WALDisk).Syncs()
+	records, syncs := disk.Stores(), inner.(interface{ Syncs() int64 }).Syncs()
 	if records != k || syncs != 1 {
 		t.Fatalf("a %d-register frame cost %d records in %d fsyncs, want %d in 1 (FileDisk pays >= %d)",
 			k, records, syncs, k, k)

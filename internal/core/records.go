@@ -49,8 +49,8 @@ func EncodeWrittenPayload(t tag.Tag, val []byte) []byte { return encodeTagged(t,
 // storeLog persists one causal-log record of an operation's own log chain
 // through StoreBatch, so the pre-logs of concurrently pipelined registers
 // coalesce into shared group commits on engines that support them
-// (stable.WALDisk, MemDisk's simulated disk). A lone one-record batch costs
-// exactly one Store on every engine.
+// (stable.ShardedDisk, MemDisk's simulated disk). A lone one-record batch
+// costs exactly one Store on every engine.
 func (nd *Node) storeLog(record string, payload []byte) error {
 	return nd.st.StoreBatch([]stable.Record{{Name: record, Data: payload}})
 }

@@ -12,11 +12,12 @@ import (
 //   - BenchmarkFileStore / BenchmarkWALStore: one record per sync on both
 //     engines (a sequential caller gives group commit nothing to coalesce) —
 //     isolates the append-a-frame vs. replace-a-file overhead.
-//   - Benchmark*StoreParallel: concurrent callers; WALDisk's group-commit
-//     daemon coalesces everything pending at sync time into one fdatasync,
-//     FileDisk pays a full synchronous replacement each.
+//   - Benchmark*StoreParallel: concurrent callers; the wal preset's
+//     group-commit daemon coalesces everything pending at sync time into one
+//     fdatasync, FileDisk pays a full synchronous replacement each.
 //   - Benchmark*StoreBatch: the batched durability path (one coalesced
-//     engine batch = one StoreBatch call); WALDisk syncs once per batch.
+//     engine batch = one StoreBatch call); the wal preset syncs once per
+//     batch.
 func benchPayload() []byte {
 	p := make([]byte, 64)
 	for i := range p {
@@ -41,10 +42,7 @@ func BenchmarkFileStore(b *testing.B) {
 }
 
 func BenchmarkWALStore(b *testing.B) {
-	d, err := NewWALDisk(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := mustOpen(b, b.TempDir(), walPreset)
 	defer d.Close()
 	payload := benchPayload()
 	b.ResetTimer()
@@ -77,10 +75,7 @@ func BenchmarkFileStoreParallel(b *testing.B) {
 }
 
 func BenchmarkWALStoreParallel(b *testing.B) {
-	d, err := NewWALDisk(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := mustOpen(b, b.TempDir(), walPreset)
 	defer d.Close()
 	payload := benchPayload()
 	var reg atomic.Int32
@@ -125,10 +120,7 @@ func BenchmarkFileStoreBatch(b *testing.B) {
 }
 
 func BenchmarkWALStoreBatch(b *testing.B) {
-	d, err := NewWALDisk(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := mustOpen(b, b.TempDir(), walPreset)
 	defer d.Close()
 	recs := benchBatch()
 	b.ResetTimer()

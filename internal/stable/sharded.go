@@ -7,10 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,26 +22,26 @@ import (
 	"recmem/internal/spin"
 )
 
-// ShardedDisk is the third-generation storage engine: a sharded, compacting
-// store built for register namespaces far larger than what fits — or should
-// sit — in one process's memory. WALDisk already amortizes fsyncs, but both
-// its recovery time and its resident set grow linearly with the total
-// namespace: opening a WALDisk replays every record of a wholesale snapshot
-// into one map before the first Retrieve can be served, which is exactly
-// where crash-recovery systems die at scale ("replaying a 10 GB WAL before
-// opening the control port"). ShardedDisk bounds both:
+// ShardedDisk is the one log engine behind both -disk wal and -disk sharded:
+// a store of CRC-framed, append-only segment chains with group commit,
+// background compaction into an indexed snapshot, and an index-only reopen.
+// The two backend names are two presets of it (walPreset, shardedPreset) and
+// differ only in shard count and in how many values stay in memory:
 //
 //   - Records hash onto a fixed number of shards (the count is persisted in
-//     a MANIFEST so reopens agree). Each shard owns its own WAL segment
-//     chain and snapshot, and recovery opens all shards in parallel.
+//     a MANIFEST so reopens agree). Each shard owns its own segment chain,
+//     snapshot and group-commit daemon, and recovery opens all shards in
+//     parallel. With one shard a k-record batch is one write and one fsync;
+//     with several, shards index, commit and compact independently.
 //   - A shard snapshot ends in a sorted footer index (name → frame offset),
 //     so opening a shard reads the index and the small segment tail — not
 //     the values. What must be replayed before the store is serving again
 //     is bounded by the compaction policy, independent of namespace size.
 //   - Values are resident only while hot: an LRU per shard keeps at most
-//     ResidentRecords values in memory; everything else is cold-loaded from
-//     the snapshot or segment file on demand. The index (names + offsets)
-//     is the only per-record memory that scales with the namespace.
+//     residentRecords values in memory (the wal preset keeps every value it
+//     has touched); everything else is cold-loaded from the snapshot or
+//     segment file on demand. The index (names + offsets) is the only
+//     per-record memory that scales with the namespace.
 //   - Registers can be deleted: Delete appends a tombstone frame, and
 //     compaction drops tombstoned records from the next snapshot, so a
 //     churning namespace does not grow without bound.
@@ -60,14 +61,15 @@ import (
 //	  seg-00000001.wal  — CRC-framed append-only segments; highest id active
 //	shard-0001/ ...
 //
-// Store/StoreBatch group-commit per shard exactly like WALDisk: every group
-// pending at sync time shares one fdatasync of that shard's active segment.
-// A batch spanning shards commits per shard independently; on error none of
-// it is acknowledged (the Storage contract), and a shard whose sync fails
-// rolls back to its last good offset without touching its siblings.
+// Store/StoreBatch group-commit per shard: every group pending at sync time
+// shares one write and one fdatasync of that shard's active segment, and is
+// acknowledged — and becomes visible to Retrieve — only after it. A batch
+// spanning shards commits per shard independently; on error none of it is
+// acknowledged (the Storage contract), and a shard whose sync fails rolls
+// back to its last good offset without touching its siblings.
 type ShardedDisk struct {
 	dir    string
-	opts   ShardedOptions
+	cfg    engineConfig
 	shards []*shard
 
 	mu     sync.Mutex
@@ -95,57 +97,71 @@ var (
 	_ Deleter = (*ShardedDisk)(nil)
 )
 
-// ShardedOptions tunes a ShardedDisk. The zero value selects the defaults;
-// negative values disable the corresponding trigger.
-type ShardedOptions struct {
-	// Shards is the number of shards (default 8). The count chosen when the
-	// directory is first created is persisted in its MANIFEST and wins over
-	// this option on reopen — records must keep hashing to the same shard.
-	Shards int
-	// SegmentBytes seals the active segment once it grows past this size
-	// (default 256 KiB; negative lets the active segment grow unbounded,
-	// which also disables compaction since only sealed segments compact).
-	SegmentBytes int64
-	// CompactBytes triggers a shard compaction when its sealed segments
-	// exceed this many bytes (default 1 MiB; negative disables the size
-	// trigger).
-	CompactBytes int64
-	// CompactAge triggers a compaction when the oldest sealed segment is
-	// older than this (default 1 minute; negative disables the age trigger).
-	CompactAge time.Duration
-	// CloseCompactBytes runs a final compaction on a clean Close when a
-	// shard holds at least this many uncompacted bytes (default 64 KiB;
-	// negative disables), so a cleanly restarted process reopens from the
-	// index alone. A crash skips it, and replay stays bounded by the
-	// size/age triggers above.
-	CloseCompactBytes int64
-	// ResidentRecords caps the number of record values each shard keeps in
-	// memory (default 4096 per shard; negative is unbounded). Evicted values
-	// cold-load from the shard's snapshot or segment files on Retrieve.
-	ResidentRecords int
-	// GatherWindow is the per-shard group-commit gather window, as in
-	// WALOptions (default 20 µs; negative disables the wait).
-	GatherWindow time.Duration
+// engineConfig is everything one opening of the engine can differ in.
+// Production passes exactly the two presets below; tests copy one and shrink
+// its thresholds so seals and compactions happen after a handful of stores.
+type engineConfig struct {
+	// shards is the shard count of a new directory. The count persisted in
+	// an existing MANIFEST wins — records must keep hashing to their shard.
+	shards int
+	// residentRecords caps the record values each shard keeps in memory;
+	// evicted values cold-load on Retrieve. 0 keeps every value resident.
+	residentRecords int
+	// segmentBytes seals the active segment once it grows past this size.
+	segmentBytes int64
+	// compactBytes triggers a shard compaction when its sealed segments
+	// exceed this many bytes.
+	compactBytes int64
+	// compactAge triggers a compaction when the oldest sealed segment is
+	// older than this (0: no age trigger).
+	compactAge time.Duration
+	// closeCompactBytes runs a final compaction on a clean Close when a
+	// shard holds at least this many uncompacted bytes (0: never), so a
+	// cleanly restarted process reopens from the index alone. A crash skips
+	// it, and replay stays bounded by the size/age triggers above.
+	closeCompactBytes int64
 }
+
+// preset is the production tuning: what a crash leaves to replay is at most
+// the sealed chain (compactBytes plus one segment) and the active segment.
+func preset(shards, residentRecords int) engineConfig {
+	return engineConfig{
+		shards:            shards,
+		residentRecords:   residentRecords,
+		segmentBytes:      256 << 10,
+		compactBytes:      1 << 20,
+		compactAge:        time.Minute,
+		closeCompactBytes: 64 << 10,
+	}
+}
+
+var (
+	// walPreset is -disk wal: one shard, so a k-record batch costs one fsync
+	// stream, and every value read or written since open stays in memory.
+	walPreset = preset(1, 0)
+	// shardedPreset is -disk sharded: eight index partitions that commit and
+	// compact independently, and a bounded resident set per shard.
+	shardedPreset = preset(8, 4096)
+)
 
 const (
 	manifestName = "MANIFEST"
 	shardSnap    = "snapshot.rec"
 
-	defaultShards            = 8
-	defaultSegmentBytes      = 256 << 10
-	defaultCompactBytes      = 1 << 20
-	defaultCompactAge        = time.Minute
-	defaultCloseCompactBytes = 64 << 10
-	defaultResidentRecords   = 4096
+	// gatherWindow is how long a committer waits after waking before it
+	// drains its queue, so stores racing in from concurrent rounds land in
+	// the same group — noise against a real fdatasync.
+	gatherWindow = 20 * time.Microsecond
 
 	// Frame kinds: a stored value or a tombstone.
 	kindSet  = 0
 	kindTomb = 1
 
-	// shardFrameMeta is the payload overhead before the data: kind byte +
-	// name length.
-	shardFrameMeta = 5
+	// frameHeader is the per-frame overhead: payload length + CRC32.
+	frameHeader = 8
+	// frameMeta is the payload overhead before the data: kind byte + name
+	// length.
+	frameMeta = 5
 
 	// snapFooterLen is the fixed trailer of a shard snapshot:
 	// u64 index offset | u64 watermark | u32 CRC32(index) | u32 magic.
@@ -153,30 +169,15 @@ const (
 	snapMagic     = 0x52534e50 // "RSNP"
 )
 
-func (o ShardedOptions) withDefaults() ShardedOptions {
-	if o.Shards <= 0 {
-		o.Shards = defaultShards
-	}
-	if o.SegmentBytes == 0 {
-		o.SegmentBytes = defaultSegmentBytes
-	}
-	if o.CompactBytes == 0 {
-		o.CompactBytes = defaultCompactBytes
-	}
-	if o.CompactAge == 0 {
-		o.CompactAge = defaultCompactAge
-	}
-	if o.CloseCompactBytes == 0 {
-		o.CloseCompactBytes = defaultCloseCompactBytes
-	}
-	if o.ResidentRecords == 0 {
-		o.ResidentRecords = defaultResidentRecords
-	}
-	if o.GatherWindow == 0 {
-		o.GatherWindow = defaultGatherWindow
-	}
-	return o
-}
+var (
+	// errLogBroken wraps the write failure that wedged a shard's log.
+	errLogBroken = errors.New("stable: log broken by earlier write failure")
+	// errCorrupt is damage to bytes that were written in full and made
+	// durable before anything depended on them — a snapshot, or a sealed
+	// segment. Unlike a torn tail it cannot be cut off without dropping
+	// acknowledged records, so it fails the open.
+	errCorrupt = errors.New("stable: corrupted store")
+)
 
 // shardKey returns the hash key of a record name: the part after the first
 // '/'. Register emulations name their records role/register ("written/x",
@@ -189,10 +190,14 @@ func shardKey(name string) string {
 	return name
 }
 
+// shardFor hashes the record's key onto a shard with 32-bit FNV-1a.
 func (d *ShardedDisk) shardFor(name string) *shard {
-	h := fnv.New32a()
-	io.WriteString(h, shardKey(name))
-	return d.shards[h.Sum32()%uint32(len(d.shards))]
+	key := shardKey(name)
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return d.shards[h%uint32(len(d.shards))]
 }
 
 // recLoc locates one record's latest frame: segment id (0 = the shard
@@ -214,11 +219,21 @@ type segInfo struct {
 	sealedAt time.Time
 }
 
-// shardReq is one submitted group waiting for a shard's committer.
+// shardReq is one submitted group waiting for its shard's committer; tomb
+// makes every record of it a deletion.
 type shardReq struct {
+	sh   *shard
 	recs []Record
-	tomb []bool
+	tomb bool
 	done chan error
+}
+
+// pendingRec is one record of a group in flight: what commit publishes once
+// the group is durable.
+type pendingRec struct {
+	name string
+	data []byte
+	loc  recLoc
 }
 
 // resVal is one resident value in a shard's LRU.
@@ -270,32 +285,29 @@ type shard struct {
 	sealedSize int64
 	compacting bool
 
+	// Committer-owned scratch, reused from one group commit to the next.
+	frames  []byte
+	pending []pendingRec
+
 	notify chan struct{}
 	quit   chan struct{}
 	done   chan struct{}
 	compWG sync.WaitGroup
 }
 
-// NewShardedDisk opens (creating if necessary) a sharded store rooted at dir
-// with default options.
-func NewShardedDisk(dir string) (*ShardedDisk, error) {
-	return OpenShardedDisk(dir, ShardedOptions{})
-}
-
-// OpenShardedDisk is NewShardedDisk with explicit options. All shards open
-// in parallel: each reads its snapshot's footer index and replays only its
-// segment tail, so open time is bounded by the compaction policy rather
-// than the namespace size.
-func OpenShardedDisk(dir string, opts ShardedOptions) (*ShardedDisk, error) {
-	opts = opts.withDefaults()
+// openEngine opens (creating if necessary) the store rooted at dir. All
+// shards open in parallel: each reads its snapshot's footer index and replays
+// only its segment tail, so open time is bounded by the compaction policy
+// rather than the namespace size.
+func openEngine(dir string, cfg engineConfig) (*ShardedDisk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("stable: create dir: %w", err)
 	}
-	n, err := loadManifest(dir, opts.Shards)
+	n, err := loadManifest(dir, cfg.shards)
 	if err != nil {
 		return nil, err
 	}
-	d := &ShardedDisk{dir: dir, opts: opts, shards: make([]*shard, n)}
+	d := &ShardedDisk{dir: dir, cfg: cfg, shards: make([]*shard, n)}
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
@@ -332,8 +344,9 @@ func OpenShardedDisk(dir string, opts ShardedOptions) (*ShardedDisk, error) {
 }
 
 // loadManifest reads the persisted shard count, creating the manifest with
-// want shards on first open. The persisted count always wins: records must
-// keep hashing onto the shard that holds them.
+// want shards on first open — unless dir holds the retired layout. The
+// persisted count always wins: records must keep hashing onto the shard that
+// holds them.
 func loadManifest(dir string, want int) (int, error) {
 	path := filepath.Join(dir, manifestName)
 	data, err := os.ReadFile(path)
@@ -346,6 +359,14 @@ func loadManifest(dir string, want int) (int, error) {
 	}
 	if !errors.Is(err, os.ErrNotExist) {
 		return 0, fmt.Errorf("stable: read manifest: %w", err)
+	}
+	// The single-log engine this one replaced kept wal.log and snapshot.rec
+	// at the top level. Creating a manifest beside them would present an
+	// empty store over someone's data.
+	for _, old := range []string{"wal.log", shardSnap} {
+		if _, err := os.Stat(filepath.Join(dir, old)); err == nil {
+			return 0, fmt.Errorf("stable: %s holds %s in the retired single-log wal format, which this version cannot read", dir, old)
+		}
 	}
 	tmp, err := os.CreateTemp(dir, "manifest-*")
 	if err != nil {
@@ -381,9 +402,11 @@ func syncDir(dir string) {
 // open loads one shard: stray compaction temp files are removed, the
 // snapshot's footer index is mapped (no values), segments covered by the
 // snapshot watermark are garbage from an interrupted compaction and are
-// deleted, and the remaining segment tail replays into the overlay with a
-// per-segment torn-frame cutoff. The highest surviving segment becomes the
-// active one.
+// deleted, and the remaining segment tail replays into the overlay. Only the
+// highest segment can end in an unacknowledged group — a segment is sealed
+// right after a group in it was acknowledged — so only there is a malformed
+// frame a torn tail to cut off; anywhere else it hides acknowledged records
+// behind it and fails the open. The highest segment becomes the active one.
 func (sh *shard) open() error {
 	if err := os.MkdirAll(sh.dir, 0o755); err != nil {
 		return fmt.Errorf("stable: create shard dir: %w", err)
@@ -408,72 +431,92 @@ func (sh *shard) open() error {
 			if id <= sh.watermark {
 				// Covered by the snapshot: leftover input of a compaction
 				// that crashed between rename and deletion.
-				os.Remove(filepath.Join(sh.dir, e.Name()))
+				os.Remove(sh.segPath(id))
 				continue
 			}
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	for i, id := range ids {
-		path := filepath.Join(sh.dir, fmt.Sprintf("seg-%08d.wal", id))
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		f, err := os.OpenFile(sh.segPath(id), os.O_RDWR, 0o644)
 		if err != nil {
 			return fmt.Errorf("stable: open segment: %w", err)
 		}
-		good, err := sh.replaySegment(f, id)
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("stable: stat segment: %w", err)
+		}
+		log, err := readSegment(f, fi.Size())
 		if err != nil {
 			f.Close()
 			return fmt.Errorf("stable: replay segment %d: %w", id, err)
 		}
-		if fi, err := f.Stat(); err == nil && fi.Size() > good {
+		good := replayFrames(log, func(kind byte, name, _ []byte, off int64, flen int32) {
+			sh.over[string(name)] = recLoc{seg: id, off: off, flen: flen, tomb: kind == kindTomb}
+		})
+		if i < len(ids)-1 {
+			if good < fi.Size() {
+				f.Close()
+				return fmt.Errorf("%w: sealed segment %s has a malformed frame at offset %d", errCorrupt, sh.segPath(id), good)
+			}
+			sh.sealed = append(sh.sealed, &segInfo{id: id, f: f, size: good, sealedAt: fi.ModTime()})
+			sh.sealedSize += good
+			continue
+		}
+		if good < fi.Size() {
 			if err := f.Truncate(good); err != nil {
 				f.Close()
 				return fmt.Errorf("stable: truncate torn tail: %w", err)
 			}
 		}
-		if i == len(ids)-1 {
-			if _, err := f.Seek(good, io.SeekStart); err != nil {
-				f.Close()
-				return fmt.Errorf("stable: seek segment end: %w", err)
-			}
-			sh.active, sh.activeID, sh.good = f, id, good
-		} else {
-			fi, _ := f.Stat()
-			sealedAt := time.Now()
-			if fi != nil {
-				sealedAt = fi.ModTime()
-			}
-			sh.sealed = append(sh.sealed, &segInfo{id: id, f: f, size: good, sealedAt: sealedAt})
-			sh.sealedSize += good
+		if _, err := f.Seek(good, io.SeekStart); err != nil {
+			f.Close()
+			return fmt.Errorf("stable: seek segment end: %w", err)
 		}
+		sh.active, sh.activeID, sh.good = f, id, good
 	}
 	if sh.active == nil {
-		id := sh.watermark + 1
-		if n := len(sh.sealed); n > 0 {
-			id = sh.sealed[n-1].id + 1
-		}
-		if err := sh.newActive(id); err != nil {
+		// No segment survives (new shard, or a clean Close compacted them
+		// all); ids restart above the watermark.
+		f, err := sh.createSegment(sh.watermark + 1)
+		if err != nil {
 			return err
 		}
+		sh.active, sh.activeID = f, sh.watermark+1
 	}
 	return nil
 }
 
-func (sh *shard) newActive(id uint64) error {
-	f, err := os.OpenFile(filepath.Join(sh.dir, fmt.Sprintf("seg-%08d.wal", id)),
-		os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("stable: create segment: %w", err)
+func (sh *shard) segPath(id uint64) string {
+	return filepath.Join(sh.dir, fmt.Sprintf("seg-%08d.wal", id))
+}
+
+// readSegment returns the first size bytes of a segment file.
+func readSegment(f *os.File, size int64) ([]byte, error) {
+	log := make([]byte, size)
+	if _, err := f.ReadAt(log, 0); err != nil {
+		return nil, err
 	}
-	sh.active, sh.activeID, sh.good = f, id, 0
-	return nil
+	return log, nil
+}
+
+// createSegment creates an empty segment file and makes its name durable: a
+// group acknowledged in it must not vanish with the directory entry.
+func (sh *shard) createSegment(id uint64) (*os.File, error) {
+	f, err := os.OpenFile(sh.segPath(id), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("stable: create segment: %w", err)
+	}
+	syncDir(sh.dir)
+	return f, nil
 }
 
 // openSnapshot maps the snapshot's footer index without touching the data
 // region. A malformed snapshot is real corruption — it was written in full
-// and renamed atomically — and fails the open, like WALDisk.
+// and renamed atomically — and fails the open.
 func (sh *shard) openSnapshot() error {
 	f, err := os.Open(filepath.Join(sh.dir, shardSnap))
 	if errors.Is(err, os.ErrNotExist) {
@@ -493,7 +536,7 @@ func (sh *shard) openSnapshot() error {
 
 // readSnapIndex reads and validates a snapshot's index block and footer.
 func readSnapIndex(f *os.File) (raw []byte, offs []int32, watermark uint64, err error) {
-	corrupt := errors.New("stable: corrupted shard snapshot")
+	corrupt := fmt.Errorf("%w: shard snapshot %s", errCorrupt, f.Name())
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, nil, 0, err
@@ -582,53 +625,37 @@ func (sh *shard) lookup(name string) (recLoc, bool) {
 	return sh.baseLookup(name)
 }
 
-// replaySegment scans one segment, folding every well-formed frame into the
-// overlay, and returns the offset after the last good frame (the torn-frame
-// cutoff of this shard).
-func (sh *shard) replaySegment(f *os.File, id uint64) (int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	return replayShardFrames(f, func(kind byte, name string, data []byte, off int64, flen int32) {
-		if kind == kindTomb {
-			sh.over[name] = recLoc{seg: id, off: off, flen: flen, tomb: true}
-		} else {
-			sh.over[name] = recLoc{seg: id, off: off, flen: flen}
-		}
-	})
-}
-
-// run is the shard's group-commit daemon: same contract as WALDisk's, plus
-// seal and compaction checks after each flush and a periodic age check.
+// run is the shard's group-commit daemon: it drains everything queued since
+// the last flush and commits it as one write + one sync, then checks whether
+// to seal the segment and whether a compaction is due (also on a periodic
+// tick, for the age trigger).
 func (sh *shard) run() {
 	defer close(sh.done)
-	var ticker *time.Ticker
 	var tick <-chan time.Time
-	if sh.d.opts.CompactAge > 0 {
-		period := sh.d.opts.CompactAge / 4
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
-		ticker = time.NewTicker(period)
-		tick = ticker.C
+	if age := sh.d.cfg.compactAge; age > 0 {
+		ticker := time.NewTicker(max(age/4, time.Millisecond))
 		defer ticker.Stop()
+		tick = ticker.C
 	}
 	for {
 		var closing bool
 		select {
 		case <-sh.notify:
-			if sh.d.opts.GatherWindow > 0 {
-				select {
-				case <-sh.quit:
-					closing = true
-				default:
-					spin.Sleep(sh.d.opts.GatherWindow)
-				}
+			// Give stores racing in from concurrent rounds a beat to join
+			// this group before the drain; Close flushes immediately.
+			select {
+			case <-sh.quit:
+				closing = true
+			default:
+				spin.Sleep(gatherWindow)
 			}
 		case <-tick:
 		case <-sh.quit:
 			closing = true
 		}
+		// Everything enqueued before Close flipped the closed flag is in the
+		// queue by now (enqueue and flag share the mutex), so one final
+		// drain commits all accepted groups.
 		sh.mu.Lock()
 		reqs := sh.queue
 		sh.queue = nil
@@ -647,70 +674,67 @@ func (sh *shard) run() {
 // commit appends every group's frames to the active segment with one write,
 // syncs once, publishes the new locations and resident values, and
 // acknowledges the waiters. On failure nothing is acknowledged and the
-// segment rolls back to its last good offset — siblings shards are
-// untouched by construction.
+// segment rolls back to its last good offset so later groups are not hidden
+// behind torn bytes — sibling shards are untouched by construction.
 func (sh *shard) commit(reqs []*shardReq) {
 	if sh.broken != nil {
 		for _, r := range reqs {
-			r.done <- fmt.Errorf("%w: %w", errWALBroken, sh.broken)
+			r.done <- fmt.Errorf("%w: %w", errLogBroken, sh.broken)
 		}
 		return
 	}
-	var buf bytes.Buffer
-	type pending struct {
-		name string
-		data []byte
-		loc  recLoc
-	}
-	var locs []pending
-	count := 0
+	frames, pending := sh.frames[:0], sh.pending[:0]
 	for _, r := range reqs {
-		for i, rec := range r.recs {
-			kind := byte(kindSet)
-			if r.tomb != nil && r.tomb[i] {
-				kind = kindTomb
-			}
-			off := sh.good + int64(buf.Len())
-			flen := appendShardFrame(&buf, kind, rec.Name, rec.Data)
-			locs = append(locs, pending{name: rec.Name, data: rec.Data,
-				loc: recLoc{seg: sh.activeID, off: off, flen: flen, tomb: kind == kindTomb}})
-			count++
+		kind := byte(kindSet)
+		if r.tomb {
+			kind = kindTomb
+		}
+		for _, rec := range r.recs {
+			start := len(frames)
+			frames = appendFrame(frames, kind, rec.Name, rec.Data)
+			pending = append(pending, pendingRec{name: rec.Name, data: rec.Data, loc: recLoc{
+				seg: sh.activeID, off: sh.good + int64(start), flen: int32(len(frames) - start), tomb: r.tomb}})
 		}
 	}
-	_, err := sh.active.Write(buf.Bytes())
+	_, err := sh.active.Write(frames)
 	if err == nil {
 		err = sh.sync()
 	}
-	if err != nil {
-		if terr := sh.active.Truncate(sh.good); terr != nil {
-			sh.broken = terr
-		} else if _, serr := sh.active.Seek(sh.good, io.SeekStart); serr != nil {
-			sh.broken = serr
-		}
-		for _, r := range reqs {
-			r.done <- err
-		}
-		return
-	}
-	sh.d.syncs.Add(1)
-	sh.d.batches.Add(1)
-	sh.d.appended.Add(int64(count))
+	if err == nil {
+		sh.d.syncs.Add(1)
+		sh.d.batches.Add(1)
+		sh.d.appended.Add(int64(len(pending)))
 
-	sh.mu.Lock()
-	sh.good += int64(buf.Len())
-	for _, p := range locs {
-		sh.over[p.name] = p.loc
-		if p.loc.tomb {
-			sh.d.tombstones.Add(1)
-			sh.dropResident(p.name)
-		} else {
-			sh.putResident(p.name, p.data)
+		sh.mu.Lock()
+		sh.good += int64(len(frames))
+		for _, p := range pending {
+			sh.over[p.name] = p.loc
+			if p.loc.tomb {
+				sh.d.tombstones.Add(1)
+				sh.dropResident(p.name)
+			} else {
+				sh.putResident(p.name, p.data)
+			}
 		}
+		sh.mu.Unlock()
+	} else if terr := sh.active.Truncate(sh.good); terr != nil {
+		// The tail is suspect and cannot be rolled back: the log is wedged
+		// and every future store reports it.
+		sh.broken = terr
+	} else if _, serr := sh.active.Seek(sh.good, io.SeekStart); serr != nil {
+		sh.broken = serr
 	}
-	sh.mu.Unlock()
 	for _, r := range reqs {
-		r.done <- nil
+		r.done <- err
 	}
+	// Keep the scratch for the next group, but neither an outsized buffer
+	// nor references to values the resident cache may evict.
+	clear(pending)
+	sh.pending = pending
+	if cap(frames) > 1<<20 {
+		frames = nil
+	}
+	sh.frames = frames
 }
 
 func (sh *shard) sync() error {
@@ -722,24 +746,23 @@ func (sh *shard) sync() error {
 
 // maybeSeal retires the active segment once it passes the size threshold.
 // Sealed segments keep their file handles open so cold loads survive a
-// concurrent compaction unlinking the path.
+// concurrent compaction unlinking the path. The successor is created (and
+// its name made durable) off the lock; if that fails the shard keeps its
+// valid active segment and refuses further commits.
 func (sh *shard) maybeSeal() {
-	if sh.d.opts.SegmentBytes <= 0 || sh.good < sh.d.opts.SegmentBytes {
+	if sh.good < sh.d.cfg.segmentBytes {
 		return
 	}
+	next, err := sh.createSegment(sh.activeID + 1)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if err != nil {
+		sh.broken = err
+		return
+	}
 	sh.sealed = append(sh.sealed, &segInfo{id: sh.activeID, f: sh.active, size: sh.good, sealedAt: time.Now()})
 	sh.sealedSize += sh.good
-	if err := sh.newActive(sh.activeID + 1); err != nil {
-		sh.broken = err
-		// Undo the seal so the shard still points at a valid active file for
-		// the error paths; the broken flag stops further commits anyway.
-		last := sh.sealed[len(sh.sealed)-1]
-		sh.sealed = sh.sealed[:len(sh.sealed)-1]
-		sh.sealedSize -= last.size
-		sh.active, sh.activeID, sh.good = last.f, last.id, last.size
-	}
+	sh.active, sh.activeID, sh.good = next, sh.activeID+1, 0
 }
 
 // maybeCompact launches a background compaction when the sealed chain trips
@@ -750,12 +773,9 @@ func (sh *shard) maybeCompact() {
 	if sh.compacting || sh.broken != nil || len(sh.sealed) == 0 {
 		return
 	}
-	opts := sh.d.opts
-	due := opts.CompactBytes > 0 && sh.sealedSize >= opts.CompactBytes
-	if !due && opts.CompactAge > 0 && time.Since(sh.sealed[0].sealedAt) >= opts.CompactAge {
-		due = true
-	}
-	if !due {
+	cfg := sh.d.cfg
+	if sh.sealedSize < cfg.compactBytes &&
+		(cfg.compactAge == 0 || time.Since(sh.sealed[0].sealedAt) < cfg.compactAge) {
 		return
 	}
 	segs := make([]*segInfo, len(sh.sealed))
@@ -774,12 +794,7 @@ func (sh *shard) maybeCompact() {
 func (sh *shard) compact(segs []*segInfo) {
 	defer sh.compWG.Done()
 	watermark := segs[len(segs)-1].id
-	merged, err := sh.mergedState(segs)
-	if err != nil {
-		sh.abandonCompaction()
-		return
-	}
-	tmpName, raw, offs, err := writeSnapshot(sh.dir, merged, watermark)
+	tmpName, raw, offs, err := sh.writeSnapshot(segs, watermark)
 	if err != nil {
 		sh.abandonCompaction()
 		return
@@ -823,7 +838,7 @@ func (sh *shard) compact(segs []*segInfo) {
 	}
 	for i, seg := range segs {
 		seg.f.Close()
-		os.Remove(filepath.Join(sh.dir, fmt.Sprintf("seg-%08d.wal", seg.id)))
+		os.Remove(sh.segPath(seg.id))
 		if hook := sh.d.compactHook; i == 0 && hook != nil && !hook(sh.id, "deleted") {
 			return
 		}
@@ -843,102 +858,142 @@ func (sh *shard) abandonCompaction() {
 	sh.mu.Unlock()
 }
 
-// mergedState replays the snapshot's data region and the sealed segments in
-// order, returning the surviving records. Tombstones drop records outright:
-// the inputs cover every older copy, so nothing can resurrect them.
-func (sh *shard) mergedState(segs []*segInfo) (map[string][]byte, error) {
-	merged := make(map[string][]byte)
+// writeSnapshot writes the merge of the current snapshot and segs to a temp
+// file in the shard directory: data frames in name order (so a sequential
+// scan of the sorted index preads forward), then the index block, then the
+// footer. It returns the temp path and the new index for the in-memory swap.
+//
+// Nothing is re-parsed into records: the index and the overlay already say
+// where each name's latest frame lies, so the merge walks those two sorted
+// lists and copies the winning frames — each checked against its CRC and its
+// name on the way, so damage fails the compaction instead of being laundered
+// into a fresh snapshot. The old snapshot streams in offset order (which is
+// name order); the sealed segments, bounded by the compaction threshold, are
+// read whole. An overlay entry newer than segs (a later segment holds the
+// name's latest frame) is left to replay and to the next compaction; the
+// older copy this snapshot may carry for it stays shadowed by that entry.
+func (sh *shard) writeSnapshot(segs []*segInfo, watermark uint64) (tmpName string, raw []byte, offs []int32, err error) {
+	type entry struct {
+		name string
+		loc  recLoc
+	}
 	sh.mu.Lock()
-	snapF := sh.snapF
-	var dataLen int64
-	if snapF != nil && len(sh.baseOffs) > 0 {
-		// The data region ends where the index begins.
-		last := sh.baseOffs[len(sh.baseOffs)-1]
-		_, loc := indexEntry(sh.baseRaw, last)
-		dataLen = loc.off + int64(loc.flen)
+	snapF, baseRaw, baseOffs := sh.snapF, sh.baseRaw, sh.baseOffs
+	newer := make([]entry, 0, len(sh.over))
+	for name, loc := range sh.over {
+		if loc.seg <= watermark {
+			newer = append(newer, entry{name, loc})
+		}
 	}
 	sh.mu.Unlock()
-	apply := func(kind byte, name string, data []byte, _ int64, _ int32) {
-		if kind == kindTomb {
-			delete(merged, name)
-		} else {
-			merged[name] = data
-		}
-	}
-	if snapF != nil && dataLen > 0 {
-		if _, err := replayShardFrames(io.NewSectionReader(snapF, 0, dataLen), apply); err != nil {
-			return nil, err
-		}
-	}
+	slices.SortFunc(newer, func(a, b entry) int { return strings.Compare(a.name, b.name) })
+	logs := make(map[uint64][]byte, len(segs))
 	for _, seg := range segs {
-		if _, err := replayShardFrames(io.NewSectionReader(seg.f, 0, seg.size), apply); err != nil {
-			return nil, err
+		if logs[seg.id], err = readSegment(seg.f, seg.size); err != nil {
+			return "", nil, nil, err
 		}
 	}
-	return merged, nil
-}
 
-// writeSnapshot writes a shard snapshot to a temp file in dir: data frames
-// in name order (so a sequential scan of the sorted index preads forward),
-// then the index block, then the footer. Returns the temp path and the
-// parsed index for the in-memory swap.
-func writeSnapshot(dir string, recs map[string][]byte, watermark uint64) (tmpName string, raw []byte, offs []int32, err error) {
-	names := make([]string, 0, len(recs))
-	for name := range recs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	tmp, err := os.CreateTemp(dir, "snap-tmp-*")
+	tmp, err := os.CreateTemp(sh.dir, "snap-tmp-*")
 	if err != nil {
 		return "", nil, nil, err
 	}
-	tmpName = tmp.Name()
-	fail := func(err error) (string, []byte, []int32, error) {
-		tmp.Close()
-		os.Remove(tmpName)
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	w := bufio.NewWriterSize(tmp, 64<<10)
+	raw = make([]byte, 0, len(baseRaw)+32*len(newer))
+	offs = make([]int32, 0, len(baseOffs)+len(newer))
+	var dataLen int64
+	// put copies one frame to the data region and indexes it under the name
+	// it carries, which it returns for the caller to hold against the name
+	// the frame was looked up by.
+	put := func(frame []byte) (name []byte, err error) {
+		kind, name, _, flen := parseFrame(frame)
+		if flen != len(frame) || kind != kindSet {
+			return nil, errCorrupt
+		}
+		offs = append(offs, int32(len(raw)))
+		raw = binary.BigEndian.AppendUint32(raw, uint32(len(name)))
+		raw = append(raw, name...)
+		raw = binary.BigEndian.AppendUint64(raw, uint64(dataLen))
+		raw = binary.BigEndian.AppendUint32(raw, uint32(len(frame)))
+		dataLen += int64(len(frame))
+		_, err = w.Write(frame)
+		return name, err
+	}
+
+	var old *bufio.Reader // the current snapshot's data region, read forward
+	var oldPos int64
+	var frame, name []byte
+	if snapF != nil {
+		old = bufio.NewReaderSize(io.NewSectionReader(snapF, 0, math.MaxInt64), 64<<10)
+	}
+	for bi, ni := 0, 0; bi < len(baseOffs) || ni < len(newer); {
+		var baseName []byte
+		var baseLoc recLoc
+		if bi < len(baseOffs) {
+			baseName, baseLoc = indexEntry(baseRaw, baseOffs[bi])
+		}
+		if bi < len(baseOffs) && (ni == len(newer) || string(baseName) < newer[ni].name) {
+			// Only the snapshot has this name: carry its frame over.
+			bi++
+			if _, err = old.Discard(int(baseLoc.off - oldPos)); err != nil {
+				return "", nil, nil, err
+			}
+			frame = slices.Grow(frame[:0], int(baseLoc.flen))[:baseLoc.flen]
+			if _, err = io.ReadFull(old, frame); err != nil {
+				return "", nil, nil, err
+			}
+			oldPos = baseLoc.off + int64(baseLoc.flen)
+			if name, err = put(frame); err == nil && !bytes.Equal(name, baseName) {
+				err = errCorrupt
+			}
+			if err != nil {
+				return "", nil, nil, err
+			}
+			continue
+		}
+		if bi < len(baseOffs) && string(baseName) == newer[ni].name {
+			bi++ // superseded (or deleted) by the segments
+		}
+		e := newer[ni]
+		ni++
+		if e.loc.tomb {
+			continue
+		}
+		if name, err = put(logs[e.loc.seg][e.loc.off : e.loc.off+int64(e.loc.flen)]); err == nil && string(name) != e.name {
+			err = errCorrupt
+		}
+		if err != nil {
+			return "", nil, nil, err
+		}
+	}
+
+	if _, err = w.Write(raw); err != nil {
 		return "", nil, nil, err
 	}
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	var frame bytes.Buffer
-	var off int64
-	var idx bytes.Buffer
-	for _, name := range names {
-		frame.Reset()
-		flen := appendShardFrame(&frame, kindSet, name, recs[name])
-		if _, err := w.Write(frame.Bytes()); err != nil {
-			return fail(err)
-		}
-		offs = append(offs, int32(idx.Len()))
-		binary.Write(&idx, binary.BigEndian, uint32(len(name)))
-		idx.WriteString(name)
-		binary.Write(&idx, binary.BigEndian, uint64(off))
-		binary.Write(&idx, binary.BigEndian, uint32(flen))
-		off += int64(flen)
-	}
-	raw = idx.Bytes()
-	if _, err := w.Write(raw); err != nil {
-		return fail(err)
-	}
 	var foot [snapFooterLen]byte
-	binary.BigEndian.PutUint64(foot[0:], uint64(off))
+	binary.BigEndian.PutUint64(foot[0:], uint64(dataLen))
 	binary.BigEndian.PutUint64(foot[8:], watermark)
 	binary.BigEndian.PutUint32(foot[16:], crc32.ChecksumIEEE(raw))
 	binary.BigEndian.PutUint32(foot[20:], snapMagic)
-	if _, err := w.Write(foot[:]); err != nil {
-		return fail(err)
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+	if _, err = w.Write(foot[:]); err != nil {
 		return "", nil, nil, err
 	}
-	return tmpName, raw, offs, nil
+	if err = w.Flush(); err != nil {
+		return "", nil, nil, err
+	}
+	if err = tmp.Sync(); err != nil {
+		return "", nil, nil, err
+	}
+	if err = tmp.Close(); err != nil {
+		return "", nil, nil, err
+	}
+	return tmp.Name(), raw, offs, nil
 }
 
 // Store implements Storage: a single-record group.
@@ -956,7 +1011,7 @@ func (d *ShardedDisk) StoreBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	return d.submit(recs, nil)
+	return d.submit(recs, false)
 }
 
 // Delete durably removes a record: a tombstone frame is appended to the
@@ -965,10 +1020,14 @@ func (d *ShardedDisk) StoreBatch(recs []Record) error {
 // the dead bytes from its snapshot. Deleting an absent record is a no-op
 // that still logs a tombstone. Implements Deleter.
 func (d *ShardedDisk) Delete(record string) error {
-	return d.submit([]Record{{Name: record}}, []bool{true})
+	return d.submit([]Record{{Name: record}}, true)
 }
 
-func (d *ShardedDisk) submit(recs []Record, tomb []bool) error {
+// submit partitions recs (deletions when tomb) into one group per shard,
+// queues each and waits for all of them. The values are copied here, once:
+// the committer hands the copies to the resident cache when the group is
+// durable, after the caller has its buffers back.
+func (d *ShardedDisk) submit(recs []Record, tomb bool) error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -976,29 +1035,24 @@ func (d *ShardedDisk) submit(recs []Record, tomb []bool) error {
 	}
 	d.mu.Unlock()
 
-	groups := make(map[*shard]*shardReq, 1)
-	order := make([]*shard, 0, 1)
-	for i, r := range recs {
+	var groups []*shardReq
+	for _, r := range recs {
 		sh := d.shardFor(r.Name)
-		g := groups[sh]
-		if g == nil {
-			g = &shardReq{done: make(chan error, 1)}
-			groups[sh] = g
-			order = append(order, sh)
+		i := slices.IndexFunc(groups, func(g *shardReq) bool { return g.sh == sh })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, &shardReq{sh: sh, tomb: tomb, done: make(chan error, 1)})
 		}
-		cp := make([]byte, len(r.Data))
-		copy(cp, r.Data)
-		g.recs = append(g.recs, Record{Name: r.Name, Data: cp})
-		g.tomb = append(g.tomb, tomb != nil && tomb[i])
+		groups[i].recs = append(groups[i].recs, Record{Name: r.Name, Data: bytes.Clone(r.Data)})
 	}
-	for _, sh := range order {
-		if err := sh.enqueue(groups[sh]); err != nil {
-			groups[sh].done <- err
+	for _, g := range groups {
+		if err := g.sh.enqueue(g); err != nil {
+			g.done <- err
 		}
 	}
 	var firstErr error
-	for _, sh := range order {
-		if err := <-groups[sh].done; err != nil && firstErr == nil {
+	for _, g := range groups {
+		if err := <-g.done; err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -1046,12 +1100,11 @@ func (d *ShardedDisk) Retrieve(record string) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	sh.putResident(record, data)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, true, nil
+	return bytes.Clone(data), true, nil
 }
 
-// readFrame cold-loads one frame. Caller holds sh.mu.
+// readFrame cold-loads one frame's value, in a buffer the caller owns.
+// Caller holds sh.mu.
 func (sh *shard) readFrame(loc recLoc, want string) ([]byte, error) {
 	var f *os.File
 	switch {
@@ -1074,12 +1127,9 @@ func (sh *shard) readFrame(loc recLoc, want string) ([]byte, error) {
 	if _, err := f.ReadAt(buf, loc.off); err != nil {
 		return nil, fmt.Errorf("stable: cold read %q: %w", want, err)
 	}
-	kind, name, data, err := decodeShardFrame(buf)
-	if err != nil {
-		return nil, fmt.Errorf("stable: cold read %q: %w", want, err)
-	}
-	if name != want || kind != kindSet {
-		return nil, fmt.Errorf("stable: cold read %q found %q (kind %d)", want, name, kind)
+	kind, name, data, flen := parseFrame(buf)
+	if flen != len(buf) || kind != kindSet || string(name) != want {
+		return nil, fmt.Errorf("%w: cold read of %q finds no such frame at segment %d offset %d", errCorrupt, want, loc.seg, loc.off)
 	}
 	return data, nil
 }
@@ -1167,7 +1217,7 @@ func (sh *shard) scanLocked(prefix string, fn func(string) error) error {
 // in-flight compactions finish, and — when a shard holds enough uncompacted
 // bytes — a final compaction folds its segments into the snapshot so the
 // next open is an index read. Close is idempotent; content remains
-// retrievable by a new ShardedDisk over the same directory.
+// retrievable by a new open of the same directory.
 func (d *ShardedDisk) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -1196,14 +1246,14 @@ func (d *ShardedDisk) Close() error {
 
 // closeCompact is the clean-shutdown compaction: seal the active segment
 // and merge everything into the snapshot, provided the shard holds at least
-// CloseCompactBytes of uncompacted data. Runs single-threaded after the
+// closeCompactBytes of uncompacted data. Runs single-threaded after the
 // committer and any background compaction have exited.
 func (sh *shard) closeCompact() {
-	min := sh.d.opts.CloseCompactBytes
-	if min < 0 || sh.broken != nil {
+	min := sh.d.cfg.closeCompactBytes
+	if min == 0 || sh.broken != nil {
 		return
 	}
-	if sh.sealedSize+sh.good < min || sh.sealedSize+sh.good == 0 {
+	if sh.sealedSize+sh.good < min {
 		return
 	}
 	if sh.good > 0 {
@@ -1236,27 +1286,20 @@ func (sh *shard) closeFiles() {
 
 // --- resident-value LRU (caller holds sh.mu) ---
 
+// putResident caches a value the caller hands over (it must not alias a
+// buffer anyone else writes), evicting the least recently used beyond the
+// cap.
 func (sh *shard) putResident(name string, data []byte) {
-	cap := sh.d.opts.ResidentRecords
-	if cap < 0 {
-		cap = int(^uint(0) >> 1)
-	}
-	if cap == 0 {
-		return
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	if v, ok := sh.res[name]; ok {
-		v.data = cp
+		v.data = data
 		sh.touchResident(v)
 		return
 	}
-	v := &resVal{name: name, data: cp}
+	v := &resVal{name: name, data: data}
 	sh.res[name] = v
 	sh.lruPushFront(v)
-	for len(sh.res) > cap {
-		tail := sh.lruTail
-		sh.dropResident(tail.name)
+	for cap := sh.d.cfg.residentRecords; cap > 0 && len(sh.res) > cap; {
+		sh.dropResident(sh.lruTail.name)
 		sh.d.evictions.Add(1)
 	}
 }
@@ -1310,7 +1353,8 @@ func (sh *shard) lruUnlink(v *resVal) {
 func (d *ShardedDisk) Shards() int { return len(d.shards) }
 
 // Syncs returns the number of per-shard group-commit syncs issued — the
-// engine's fsync bill, comparable to WALDisk.Syncs.
+// engine's fsync bill. Compare against AppendedRecords to read off the
+// amortization factor; FileDisk pays two fsyncs per record.
 func (d *ShardedDisk) Syncs() int64 { return d.syncs.Load() }
 
 // Batches returns the number of commit groups flushed across all shards.
@@ -1320,18 +1364,18 @@ func (d *ShardedDisk) Batches() int64 { return d.batches.Load() }
 func (d *ShardedDisk) AppendedRecords() int64 { return d.appended.Load() }
 
 // Compactions returns the number of completed shard compactions (including
-// the clean-shutdown pass). Implements CompactionStats.
+// the clean-shutdown pass).
 func (d *ShardedDisk) Compactions() int64 { return d.compactions.Load() }
 
 // Tombstones returns the number of tombstone frames durably appended by
-// Delete. Implements CompactionStats.
+// Delete.
 func (d *ShardedDisk) Tombstones() int64 { return d.tombstones.Load() }
 
 // Evictions returns the number of resident values dropped by the LRU.
 func (d *ShardedDisk) Evictions() int64 { return d.evictions.Load() }
 
 // ResidentValues returns the number of record values currently held in
-// memory across all shards — the quantity ResidentRecords bounds.
+// memory across all shards — the quantity residentRecords bounds.
 func (d *ShardedDisk) ResidentValues() int {
 	total := 0
 	for _, sh := range d.shards {
@@ -1344,91 +1388,62 @@ func (d *ShardedDisk) ResidentValues() int {
 
 // --- frame codec ---
 
-// appendShardFrame encodes one record as a CRC-framed segment entry and
-// returns the frame length:
+// appendFrame appends one record to buf as a CRC-framed entry:
 //
 //	u32 payload length | u32 CRC32(payload) | payload
 //	payload = u8 kind | u32 name length | name | data
-func appendShardFrame(buf *bytes.Buffer, kind byte, name string, data []byte) int32 {
-	payload := make([]byte, 0, shardFrameMeta+len(name)+len(data))
-	payload = append(payload, kind)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(name)))
-	payload = append(payload, name...)
-	payload = append(payload, data...)
-	var hdr [walFrameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	return int32(walFrameHeader + len(payload))
+func appendFrame(buf []byte, kind byte, name string, data []byte) []byte {
+	start := len(buf)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(frameMeta+len(name)+len(data)))
+	buf = append(buf, 0, 0, 0, 0) // the CRC, once the payload is in place
+	buf = append(buf, kind)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(name)))
+	buf = append(buf, name...)
+	buf = append(buf, data...)
+	binary.BigEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+frameHeader:]))
+	return buf
 }
 
-// decodeShardFrame decodes one complete frame as laid out by
-// appendShardFrame.
-var errBadFrame = errors.New("stable: malformed shard frame")
-
-func decodeShardFrame(frame []byte) (kind byte, name string, data []byte, err error) {
-	if len(frame) < walFrameHeader+shardFrameMeta {
-		return 0, "", nil, errBadFrame
+// parseFrame is the one frame reader. It decodes the frame that starts at
+// log[0] and returns its parts, which alias log, and its length. flen is 0
+// when log does not start with a well-formed frame: too short for the length
+// it claims (a length field is never trusted further than the bytes at
+// hand), failing its CRC, or with a payload that is not kind + name + data.
+func parseFrame(log []byte) (kind byte, name, data []byte, flen int) {
+	if len(log) < frameHeader+frameMeta {
+		return 0, nil, nil, 0
 	}
-	n := binary.BigEndian.Uint32(frame[0:])
-	sum := binary.BigEndian.Uint32(frame[4:])
-	if int(n) != len(frame)-walFrameHeader {
-		return 0, "", nil, errBadFrame
+	n := uint64(binary.BigEndian.Uint32(log[0:]))
+	if n < frameMeta || n > uint64(len(log)-frameHeader) {
+		return 0, nil, nil, 0
 	}
-	payload := frame[walFrameHeader:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, "", nil, errBadFrame
+	payload := log[frameHeader : frameHeader+n]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(log[4:]) {
+		return 0, nil, nil, 0
 	}
-	kind = payload[0]
-	nameLen := binary.BigEndian.Uint32(payload[1:])
-	if int(nameLen) > len(payload)-shardFrameMeta {
-		return 0, "", nil, errBadFrame
+	nameEnd := frameMeta + uint64(binary.BigEndian.Uint32(payload[1:]))
+	if payload[0] > kindTomb || nameEnd > n {
+		return 0, nil, nil, 0
 	}
-	name = string(payload[shardFrameMeta : shardFrameMeta+nameLen])
-	data = payload[shardFrameMeta+nameLen:]
-	return kind, name, data, nil
+	return payload[0], payload[frameMeta:nameEnd], payload[nameEnd:], frameHeader + int(n)
 }
 
-// replayShardFrames reads frames from r, calling apply with each frame's
-// kind, name, data, start offset, and length. A short, oversized or
-// CRC-failing frame ends the replay without error — the torn tail of an
-// unacknowledged group commit; the returned offset is the cutoff.
-func replayShardFrames(r io.Reader, apply func(kind byte, name string, data []byte, off int64, flen int32)) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var good int64
-	for {
-		var hdr [walFrameHeader]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return good, nil
-			}
-			return good, err
+// replayFrames states the recovery contract of the log, once: it walks log
+// frame by frame, handing apply each well-formed frame's parts (aliasing
+// log), start offset and length, and stops at the first frame that is not —
+// it trusts everything before that frame, applies nothing after it, and
+// never invents data. The returned offset is where it stopped: len(log) for
+// a clean log, else the cutoff of a torn tail — what a crash in the middle
+// of an unacknowledged group commit leaves behind.
+func replayFrames(log []byte, apply func(kind byte, name, data []byte, off int64, flen int32)) int64 {
+	good := 0
+	for good < len(log) {
+		kind, name, data, flen := parseFrame(log[good:])
+		if flen == 0 {
+			break
 		}
-		n := binary.BigEndian.Uint32(hdr[0:])
-		sum := binary.BigEndian.Uint32(hdr[4:])
-		if n < shardFrameMeta || n > walMaxPayload {
-			return good, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return good, nil
-			}
-			return good, err
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return good, nil
-		}
-		kind := payload[0]
-		nameLen := binary.BigEndian.Uint32(payload[1:])
-		if kind > kindTomb || int(nameLen) > len(payload)-shardFrameMeta {
-			return good, nil
-		}
-		name := string(payload[shardFrameMeta : shardFrameMeta+nameLen])
-		data := payload[shardFrameMeta+nameLen:]
-		flen := int32(walFrameHeader + n)
-		apply(kind, name, data, good, flen)
-		good += int64(flen)
+		apply(kind, name, data, int64(good), int32(flen))
+		good += flen
 	}
+	return int64(good)
 }

@@ -7,52 +7,74 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// shardedTestOpts is the base tuning for tests that need seals and
-// compactions after a handful of stores: tiny segments, no age trigger (the
-// trigger under test is explicit), no close-time compaction unless a test
-// opts in.
-func shardedTestOpts() ShardedOptions {
-	return ShardedOptions{
-		Shards:            2,
-		SegmentBytes:      256,
-		CompactBytes:      512,
-		CompactAge:        -1,
-		CloseCompactBytes: -1,
-	}
+// shrunk is the base tuning for tests that need seals and compactions after
+// a handful of stores: the preset's shape with tiny segments, no age trigger
+// (the trigger under test is explicit) and no close-time compaction unless a
+// test opts in.
+func shrunk(preset engineConfig) engineConfig {
+	preset.segmentBytes, preset.compactBytes = 256, 512
+	preset.compactAge, preset.closeCompactBytes = 0, 0
+	return preset
 }
 
-func TestShardedSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenShardedDisk(dir, shardedTestOpts())
+// shardedTestConfig is shrunk(shardedPreset) on two shards.
+func shardedTestConfig() engineConfig {
+	cfg := shrunk(shardedPreset)
+	cfg.shards = 2
+	return cfg
+}
+
+// forBothPresets runs fn once per backend name, on the shrunk preset.
+func forBothPresets(t *testing.T, fn func(t *testing.T, cfg engineConfig)) {
+	t.Run("wal", func(t *testing.T) { fn(t, shrunk(walPreset)) })
+	t.Run("sharded", func(t *testing.T) { fn(t, shardedTestConfig()) })
+}
+
+func mustOpen(t testing.TB, dir string, cfg engineConfig) *ShardedDisk {
+	t.Helper()
+	d, err := openEngine(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string][]byte)
+	return d
+}
+
+// The wal rows run on the production preset: one shard, real thresholds.
+func TestWALSurvivesReopen(t *testing.T)     { testSurvivesReopen(t, walPreset) }
+func TestShardedSurvivesReopen(t *testing.T) { testSurvivesReopen(t, shardedTestConfig()) }
+
+// testSurvivesReopen: everything acknowledged is there after a reopen, and
+// the reopen itself reads no value — only the first Retrieve does.
+func testSurvivesReopen(t *testing.T, cfg engineConfig) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, cfg)
+	want := map[string][]byte{"written/reg with spaces/☃": []byte("v")}
 	for i := 0; i < 40; i++ {
-		name := fmt.Sprintf("written/r%02d", i)
-		val := []byte(fmt.Sprintf("value-%d", i))
-		if err := d.Store(name, val); err != nil {
+		want[fmt.Sprintf("written/r%02d", i)] = []byte(fmt.Sprintf("value-%d", i))
+	}
+	for name, val := range want {
+		if err := d.Store(name, []byte("overwritten")); err != nil {
 			t.Fatal(err)
 		}
-		want[name] = val
-	}
-	if err := d.Store("incarnation", []byte{9}); err != nil {
-		t.Fatal(err)
+		if err := d.StoreBatch([]Record{{Name: name, Data: val}, {Name: "incarnation", Data: []byte{9}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenShardedDisk(dir, shardedTestOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := mustOpen(t, dir, cfg)
 	defer d2.Close()
+	if n := d2.ResidentValues(); n != 0 {
+		t.Fatalf("reopen loaded %d values; it must read the index and the segment tail only", n)
+	}
 	for name, val := range want {
 		data, ok, err := d2.Retrieve(name)
 		if err != nil || !ok || !bytes.Equal(data, val) {
@@ -69,14 +91,11 @@ func TestShardedSurvivesReopen(t *testing.T) {
 }
 
 // TestShardedManifestPinsShardCount: the shard count chosen at creation is
-// persisted, so a reopen with a different option still hashes every record
-// onto the shard that holds it.
+// persisted, so a reopen under a different configured count still hashes
+// every record onto the shard that holds it.
 func TestShardedManifestPinsShardCount(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenShardedDisk(dir, ShardedOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustOpen(t, dir, shardedTestConfig())
 	for i := 0; i < 10; i++ {
 		if err := d.Store(fmt.Sprintf("written/r%d", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -85,10 +104,7 @@ func TestShardedManifestPinsShardCount(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenShardedDisk(dir, ShardedOptions{Shards: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := mustOpen(t, dir, shardedPreset)
 	defer d2.Close()
 	if d2.Shards() != 2 {
 		t.Fatalf("reopen has %d shards, want the persisted 2", d2.Shards())
@@ -122,53 +138,65 @@ func storeUntilCompacted(t *testing.T, d *ShardedDisk, names int) map[string][]b
 }
 
 // TestShardedCompactionConcurrentWithServing: compaction merges sealed
-// segments into the snapshot while stores and retrieves keep running, and no
-// acknowledged value is lost or aged backwards.
+// segments into the snapshot while stores and retrieves keep running, no
+// acknowledged value is lost or aged backwards, and the segments it consumed
+// are gone from the disk — the log does not grow with history.
 func TestShardedCompactionConcurrentWithServing(t *testing.T) {
-	opts := shardedTestOpts()
-	opts.Shards = 1 // one shard so the sealed chain grows fast
-	d, err := OpenShardedDisk(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	forBothPresets(t, func(t *testing.T, cfg engineConfig) {
+		dir := t.TempDir()
+		d := mustOpen(t, dir, cfg)
+		defer d.Close()
 
-	stop := make(chan struct{})
-	var readerErr atomic.Value
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+		stop := make(chan struct{})
+		var readerErr atomic.Value
+		go func() {
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := d.Retrieve("written/r00"); err != nil {
+					readerErr.Store(err)
+					return
+				}
 			}
-			if _, _, err := d.Retrieve("written/r00"); err != nil {
-				readerErr.Store(err)
-				return
+		}()
+		want := storeUntilCompacted(t, d, 16)
+		close(stop)
+		if err, _ := readerErr.Load().(error); err != nil {
+			t.Fatalf("concurrent retrieve failed: %v", err)
+		}
+		for name, val := range want {
+			data, ok, err := d.Retrieve(name)
+			if err != nil || !ok || !bytes.Equal(data, val) {
+				t.Fatalf("%s after compaction = %q ok=%v err=%v, want %q", name, data, ok, err, val)
 			}
 		}
-	}()
-	want := storeUntilCompacted(t, d, 16)
-	close(stop)
-	if err, _ := readerErr.Load().(error); err != nil {
-		t.Fatalf("concurrent retrieve failed: %v", err)
-	}
-	if d.Compactions() == 0 {
-		t.Fatal("no compaction ran")
-	}
-	for name, val := range want {
-		data, ok, err := d.Retrieve(name)
-		if err != nil || !ok || !bytes.Equal(data, val) {
-			t.Fatalf("%s after compaction = %q ok=%v err=%v, want %q", name, data, ok, err, val)
+		names, err := d.Records("written/")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	names, err := d.Records("written/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != len(want) {
-		t.Fatalf("Records found %d names, want %d", len(names), len(want))
-	}
+		if len(names) != len(want) {
+			t.Fatalf("Records found %d names, want %d", len(names), len(want))
+		}
+		for _, sh := range d.shards {
+			sh.mu.Lock()
+			wm := sh.watermark
+			sh.mu.Unlock()
+			if wm == 0 {
+				continue // this shard has not compacted yet
+			}
+			if _, err := os.Stat(filepath.Join(sh.dir, shardSnap)); err != nil {
+				t.Fatalf("compacted shard has no snapshot: %v", err)
+			}
+			for id := uint64(1); id <= wm; id++ {
+				if _, err := os.Stat(sh.segPath(id)); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("segment %d survived the compaction that covers it: %v", id, err)
+				}
+			}
+		}
+	})
 }
 
 // TestShardedCloseCompaction: a clean Close folds segments into the
@@ -176,12 +204,9 @@ func TestShardedCompactionConcurrentWithServing(t *testing.T) {
 // chains — recovery does not replay values.
 func TestShardedCloseCompaction(t *testing.T) {
 	dir := t.TempDir()
-	opts := shardedTestOpts()
-	opts.CloseCompactBytes = 1
-	d, err := OpenShardedDisk(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := shardedTestConfig()
+	cfg.closeCompactBytes = 1
+	d := mustOpen(t, dir, cfg)
 	want := make(map[string][]byte)
 	for i := 0; i < 32; i++ {
 		name := fmt.Sprintf("written/r%02d", i)
@@ -209,10 +234,7 @@ func TestShardedCloseCompaction(t *testing.T) {
 		t.Fatalf("no shard snapshots written: %v %v", snaps, err)
 	}
 
-	d2, err := OpenShardedDisk(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := mustOpen(t, dir, cfg)
 	defer d2.Close()
 	for name, val := range want {
 		data, ok, err := d2.Retrieve(name)
@@ -224,13 +246,10 @@ func TestShardedCloseCompaction(t *testing.T) {
 
 func TestShardedDeleteTombstone(t *testing.T) {
 	dir := t.TempDir()
-	compacting := shardedTestOpts()
-	compacting.CloseCompactBytes = 1
+	compacting := shardedTestConfig()
+	compacting.closeCompactBytes = 1
 
-	d, err := OpenShardedDisk(dir, compacting)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustOpen(t, dir, compacting)
 	for _, name := range []string{"written/a", "written/b", "written/c"} {
 		if err := d.Store(name, []byte("v-"+name)); err != nil {
 			t.Fatal(err)
@@ -242,10 +261,7 @@ func TestShardedDeleteTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, err = OpenShardedDisk(dir, shardedTestOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = mustOpen(t, dir, shardedTestConfig())
 	if err := d.Delete("written/b"); err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +286,7 @@ func TestShardedDeleteTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, err = OpenShardedDisk(dir, compacting)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = mustOpen(t, dir, compacting)
 	if _, ok, _ := d.Retrieve("written/b"); ok {
 		t.Fatal("deleted record resurrected by replay")
 	}
@@ -285,10 +298,7 @@ func TestShardedDeleteTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, err = OpenShardedDisk(dir, shardedTestOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = mustOpen(t, dir, shardedTestConfig())
 	defer d.Close()
 	data, ok, err := d.Retrieve("written/b")
 	if err != nil || !ok || string(data) != "reborn" {
@@ -298,13 +308,10 @@ func TestShardedDeleteTombstone(t *testing.T) {
 
 func TestShardedEvictionColdLoad(t *testing.T) {
 	dir := t.TempDir()
-	opts := shardedTestOpts()
-	opts.ResidentRecords = 8
-	opts.CloseCompactBytes = 1
-	d, err := OpenShardedDisk(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := shardedTestConfig()
+	cfg.residentRecords = 8
+	cfg.closeCompactBytes = 1
+	d := mustOpen(t, dir, cfg)
 	want := make(map[string][]byte)
 	for i := 0; i < 64; i++ {
 		name := fmt.Sprintf("written/r%02d", i)
@@ -318,7 +325,7 @@ func TestShardedEvictionColdLoad(t *testing.T) {
 		t.Fatalf("%d resident values, want at most %d", got, max)
 	}
 	if d.Evictions() == 0 {
-		t.Fatal("no evictions despite exceeding ResidentRecords")
+		t.Fatal("no evictions despite exceeding residentRecords")
 	}
 	// Every evicted value cold-loads from its segment frame.
 	for name, val := range want {
@@ -332,10 +339,7 @@ func TestShardedEvictionColdLoad(t *testing.T) {
 	}
 
 	// After a compacting close, cold loads come from the snapshot instead.
-	d2, err := OpenShardedDisk(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := mustOpen(t, dir, cfg)
 	defer d2.Close()
 	for name, val := range want {
 		data, ok, err := d2.Retrieve(name)
@@ -351,175 +355,316 @@ func TestShardedEvictionColdLoad(t *testing.T) {
 // TestShardedCrashDuringCompaction: a crash between any two steps of a
 // compaction — temp snapshot written, renamed over the old one, consumed
 // segments partially deleted — must reopen to exactly the acknowledged
-// state. The hook abandons the compaction mid-flight, leaving the files a
-// SIGKILL at that instant would leave.
+// state, on either preset. The hook abandons the compaction mid-flight,
+// leaving the files a SIGKILL at that instant would leave.
 func TestShardedCrashDuringCompaction(t *testing.T) {
 	for _, stage := range []string{"written", "renamed", "deleted"} {
 		t.Run(stage, func(t *testing.T) {
-			dir := t.TempDir()
-			d, err := OpenShardedDisk(dir, shardedTestOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fired := make(chan struct{}, 1)
-			d.compactHook = func(_ int, s string) bool {
-				if s == stage {
+			forBothPresets(t, func(t *testing.T, cfg engineConfig) {
+				dir := t.TempDir()
+				d := mustOpen(t, dir, cfg)
+				fired := make(chan struct{}, 1)
+				d.compactHook = func(_ int, s string) bool {
+					if s == stage {
+						select {
+						case fired <- struct{}{}:
+						default:
+						}
+						return false
+					}
+					return true
+				}
+				want := make(map[string][]byte)
+				deadline := time.Now().Add(10 * time.Second)
+				i := 0
+			drive:
+				for {
+					name := fmt.Sprintf("written/r%02d", i%16)
+					val := append([]byte(fmt.Sprintf("v%d-", i)), bytes.Repeat([]byte("x"), 48)...)
+					if err := d.Store(name, val); err != nil {
+						t.Fatal(err)
+					}
+					want[name] = val
+					i++
 					select {
-					case fired <- struct{}{}:
+					case <-fired:
+						break drive
 					default:
 					}
-					return false
+					if time.Now().After(deadline) {
+						t.Fatal("compaction never reached the crash stage")
+					}
 				}
-				return true
-			}
+				// A few more acknowledged stores land after the "crash".
+				for j := 0; j < 4; j++ {
+					name := fmt.Sprintf("written/after%d", j)
+					val := []byte(fmt.Sprintf("post-crash-%d", j))
+					if err := d.Store(name, val); err != nil {
+						t.Fatal(err)
+					}
+					want[name] = val
+				}
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				d2, err := openEngine(dir, cfg)
+				if err != nil {
+					t.Fatalf("reopen after crash at %q: %v", stage, err)
+				}
+				defer d2.Close()
+				for name, val := range want {
+					data, ok, err := d2.Retrieve(name)
+					if err != nil || !ok || !bytes.Equal(data, val) {
+						t.Fatalf("%s after crash at %q = %q ok=%v err=%v, want %q", name, stage, data, ok, err, val)
+					}
+				}
+				names, err := d2.Records("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(names) != len(want) {
+					t.Fatalf("store holds %d records after crash at %q, want %d", len(names), stage, len(want))
+				}
+			})
+		})
+	}
+}
+
+// highestSegments returns each shard's highest-numbered segment: the only
+// one that can end in an unacknowledged group.
+func highestSegments(t *testing.T, dir string) []string {
+	t.Helper()
+	shards, err := filepath.Glob(filepath.Join(dir, "shard-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, sh := range shards {
+		segs, err := filepath.Glob(filepath.Join(sh, "seg-*.wal"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("shard %s has no segments: %v", sh, err)
+		}
+		out = append(out, segs[len(segs)-1]) // Glob sorts; ids are zero-padded
+	}
+	return out
+}
+
+func appendTo(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestWALTornTailTruncated(t *testing.T)    { testTornTail(t, walPreset) }
+func TestShardedTornTailPerShard(t *testing.T) { testTornTail(t, shardedTestConfig()) }
+
+// testTornTail: garbage after the last acknowledged frame of a shard's
+// highest segment — the classic torn write of a crash mid-group-commit — is
+// cut off at open, shard by shard; everything acknowledged before it
+// survives, nothing in it is replayed, and the log accepts appends again.
+func testTornTail(t *testing.T, cfg engineConfig) {
+	badCRC := appendFrame(nil, kindSet, "written/evil", []byte("zz"))
+	badCRC[len(badCRC)-1] ^= 0xff
+	for name, torn := range map[string][]byte{
+		"short-header":  {0x00, 0x00},
+		"short-payload": {0x00, 0x00, 0x40, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x01, 0x02},
+		"bad-crc":       badCRC,
+		"absurd-length": {0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := mustOpen(t, dir, cfg)
 			want := make(map[string][]byte)
-			deadline := time.Now().Add(10 * time.Second)
-			i := 0
-		drive:
-			for {
-				name := fmt.Sprintf("written/r%02d", i%16)
-				val := append([]byte(fmt.Sprintf("v%d-", i)), bytes.Repeat([]byte("x"), 48)...)
-				if err := d.Store(name, val); err != nil {
+			for i := 0; i < 16; i++ {
+				name := fmt.Sprintf("written/r%02d", i)
+				want[name] = []byte(fmt.Sprintf("value-%d", i))
+				if err := d.Store(name, want[name]); err != nil {
 					t.Fatal(err)
 				}
-				want[name] = val
-				i++
-				select {
-				case <-fired:
-					break drive
-				default:
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("compaction never reached the crash stage")
-				}
-			}
-			// A few more acknowledged stores land after the "crash".
-			for j := 0; j < 4; j++ {
-				name := fmt.Sprintf("written/after%d", j)
-				val := []byte(fmt.Sprintf("post-crash-%d", j))
-				if err := d.Store(name, val); err != nil {
-					t.Fatal(err)
-				}
-				want[name] = val
 			}
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-
-			d2, err := OpenShardedDisk(dir, shardedTestOpts())
-			if err != nil {
-				t.Fatalf("reopen after crash at %q: %v", stage, err)
+			for _, seg := range highestSegments(t, dir) {
+				appendTo(t, seg, torn)
 			}
-			defer d2.Close()
+
+			d2, err := openEngine(dir, cfg)
+			if err != nil {
+				t.Fatalf("open over torn tails: %v", err)
+			}
 			for name, val := range want {
 				data, ok, err := d2.Retrieve(name)
 				if err != nil || !ok || !bytes.Equal(data, val) {
-					t.Fatalf("%s after crash at %q = %q ok=%v err=%v, want %q", name, stage, data, ok, err, val)
+					t.Fatalf("%s after torn tail = %q ok=%v err=%v, want %q", name, data, ok, err, val)
 				}
 			}
-			names, err := d2.Records("")
-			if err != nil {
+			if _, ok, _ := d2.Retrieve("written/evil"); ok {
+				t.Fatal("torn frame was replayed")
+			}
+			// The shard accepts appends again past the cutoff, and they last.
+			if err := d2.Store("written/r00", []byte("fresh")); err != nil {
+				t.Fatalf("store after torn-tail cutoff: %v", err)
+			}
+			if err := d2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if len(names) != len(want) {
-				t.Fatalf("store holds %d records after crash at %q, want %d", len(names), stage, len(want))
+			d3 := mustOpen(t, dir, cfg)
+			defer d3.Close()
+			if data, ok, _ := d3.Retrieve("written/r00"); !ok || string(data) != "fresh" {
+				t.Fatalf("append after the cutoff lost: %q ok=%v", data, ok)
 			}
 		})
 	}
 }
 
-// TestShardedTornTailPerShard: garbage after the last acknowledged frame of
-// a shard's active segment — the torn write of a crash mid-group-commit —
-// is cut off at open, shard by shard, without touching siblings.
-func TestShardedTornTailPerShard(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenShardedDisk(dir, shardedTestOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string][]byte)
-	for i := 0; i < 16; i++ {
-		name := fmt.Sprintf("written/r%02d", i)
-		val := []byte(fmt.Sprintf("value-%d", i))
-		if err := d.Store(name, val); err != nil {
+// TestSealedSegmentCorruptFailsOpen: only the highest segment can hold an
+// unacknowledged group, so a malformed frame in any other segment is not a
+// torn tail. Cutting it off would silently drop the acknowledged records
+// behind it; the open must fail instead, like a bad snapshot.
+func TestSealedSegmentCorruptFailsOpen(t *testing.T) {
+	forBothPresets(t, func(t *testing.T, cfg engineConfig) {
+		cfg.compactBytes = 1 << 30 // keep the sealed chain on disk
+		dir := t.TempDir()
+		d := mustOpen(t, dir, cfg)
+		for i := 0; i < 64; i++ {
+			if err := d.Store(fmt.Sprintf("written/r%02d", i), bytes.Repeat([]byte{byte(i)}, 48)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
-		want[name] = val
+		sealed := filepath.Join(dir, "shard-0000", "seg-00000001.wal")
+		log, err := os.ReadFile(sealed)
+		if err != nil || len(log) < 256 {
+			t.Fatalf("first segment was not sealed at the threshold: %d bytes, %v", len(log), err)
+		}
+		log[len(log)/2] ^= 0x01
+		if err := os.WriteFile(sealed, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if d2, err := openEngine(dir, cfg); !errors.Is(err, errCorrupt) {
+			if err == nil {
+				d2.Close()
+			}
+			t.Fatalf("open over a bit-flipped sealed segment = %v, want errCorrupt", err)
+		}
+		if after, _ := os.ReadFile(sealed); !bytes.Equal(after, log) {
+			t.Fatal("the failed open modified the sealed segment")
+		}
+	})
+}
+
+// TestWALRejectsCorruptSnapshot: snapshots are written in full and renamed
+// atomically, so any damage to the footer or the index it points at is real
+// corruption and must fail the open instead of silently dropping state.
+func TestWALRejectsCorruptSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := shrunk(walPreset)
+	cfg.closeCompactBytes = 1
+	d := mustOpen(t, dir, cfg)
+	for i := 0; i < 8; i++ {
+		if err := d.Store(fmt.Sprintf("written/r%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "seg-*.wal"))
+	path := filepath.Join(dir, "shard-0000", shardSnap)
+	snap, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatalf("close-compaction wrote no snapshot: %v", err)
+	}
+	flip := func(i int) []byte {
+		b := bytes.Clone(snap)
+		b[i] ^= 0x01
+		return b
+	}
+	for name, damaged := range map[string][]byte{
+		"garbage":         []byte("garbage"),
+		"footer-magic":    flip(len(snap) - 1),
+		"footer-checksum": flip(len(snap) - 5),
+		"index-offset":    flip(len(snap) - snapFooterLen + 7),
+		"index-entry":     flip(len(snap) - snapFooterLen - 1),
+		"cut-short":       snap[:len(snap)-3],
+	} {
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if d2, err := openEngine(dir, cfg); !errors.Is(err, errCorrupt) {
+			if err == nil {
+				d2.Close()
+			}
+			t.Fatalf("%s: open over a damaged snapshot = %v, want errCorrupt", name, err)
+		}
+	}
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	torn := 0
-	for _, seg := range segs {
-		fi, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() == 0 {
-			continue
-		}
-		f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A plausible-looking frame header followed by a truncated payload.
-		if _, err := f.Write([]byte{0x00, 0x00, 0x40, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		torn++
-	}
-	if torn == 0 {
-		t.Fatal("no non-empty segments to tear; test is vacuous")
-	}
-
-	d2, err := OpenShardedDisk(dir, shardedTestOpts())
-	if err != nil {
-		t.Fatalf("reopen with torn tails: %v", err)
-	}
+	d2 := mustOpen(t, dir, cfg)
 	defer d2.Close()
-	for name, val := range want {
-		data, ok, err := d2.Retrieve(name)
-		if err != nil || !ok || !bytes.Equal(data, val) {
-			t.Fatalf("%s after torn tail = %q ok=%v err=%v, want %q", name, data, ok, err, val)
-		}
-	}
-	// The shard accepts appends again past the cutoff.
-	if err := d2.Store("written/r00", []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	data, ok, err := d2.Retrieve("written/r00")
-	if err != nil || !ok || string(data) != "fresh" {
-		t.Fatalf("store after torn-tail cutoff = %q ok=%v err=%v", data, ok, err)
+	if names, err := d2.Records("written/"); err != nil || len(names) != 8 {
+		t.Fatalf("intact snapshot reopened with %v, err=%v", names, err)
 	}
 }
 
-// TestShardedSyncFailureRollsBackShard: a failed segment sync is not
-// acknowledged and rolls its shard back to the last good offset; sibling
-// shards keep committing, and the failed shard accepts stores again once
-// its disk recovers.
-func TestShardedSyncFailureRollsBackShard(t *testing.T) {
-	dir := t.TempDir()
-	opts := shardedTestOpts()
-	opts.Shards = 4
-	d, err := OpenShardedDisk(dir, opts)
-	if err != nil {
-		t.Fatal(err)
+// TestRetiredLayoutRefused: a directory written by the retired single-log
+// engine (wal.log + a top-level snapshot.rec, no MANIFEST) must not open as
+// an empty store over someone's data.
+func TestRetiredLayoutRefused(t *testing.T) {
+	for _, old := range []string{"wal.log", "snapshot.rec"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, old), []byte("old frames"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenBackend("wal", dir, Profile{})
+		if err == nil {
+			d.Close()
+			t.Fatalf("opened an empty store beside %s", old)
+		}
+		if !strings.Contains(err.Error(), "retired") || !strings.Contains(err.Error(), old) {
+			t.Fatalf("error does not name the retired format and %s: %v", old, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
+			t.Fatal("refused open left a MANIFEST behind")
+		}
 	}
+}
+
+func TestWALSyncFailureNotAcknowledged(t *testing.T) { testSyncFailure(t, walPreset) }
+func TestShardedSyncFailureRollsBackShard(t *testing.T) {
+	cfg := shardedTestConfig()
+	cfg.shards = 4
+	testSyncFailure(t, cfg)
+}
+
+// testSyncFailure: a group whose segment sync fails is not acknowledged, is
+// invisible to Retrieve and does not survive reopen — the store never lies
+// about durability. Its shard rolls back to the last good offset and accepts
+// stores again once the disk recovers; sibling shards keep committing.
+func testSyncFailure(t *testing.T, cfg engineConfig) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, cfg)
 
 	victim := "written/victim"
 	victimShard := d.shardFor(victim).id
 	other := ""
-	for i := 0; other == ""; i++ {
-		name := fmt.Sprintf("written/other%d", i)
-		if d.shardFor(name).id != victimShard {
+	for i := 0; other == "" && cfg.shards > 1; i++ {
+		if name := fmt.Sprintf("written/other%d", i); d.shardFor(name).id != victimShard {
 			other = name
 		}
+	}
+	if err := d.Store(victim, []byte("first")); err != nil {
+		t.Fatal(err)
 	}
 	var failing atomic.Bool
 	failing.Store(true)
@@ -534,11 +679,13 @@ func TestShardedSyncFailureRollsBackShard(t *testing.T) {
 	if err := d.Store(victim, []byte("doomed")); !errors.Is(err, boom) {
 		t.Fatalf("store on failing shard returned %v, want injected failure", err)
 	}
-	if _, ok, err := d.Retrieve(victim); err != nil || ok {
-		t.Fatalf("unacknowledged store visible: ok=%v err=%v", ok, err)
+	if data, ok, err := d.Retrieve(victim); err != nil || !ok || string(data) != "first" {
+		t.Fatalf("unacknowledged store visible: %q ok=%v err=%v", data, ok, err)
 	}
-	if err := d.Store(other, []byte("fine")); err != nil {
-		t.Fatalf("sibling shard affected by victim's sync failure: %v", err)
+	if other != "" {
+		if err := d.Store(other, []byte("fine")); err != nil {
+			t.Fatalf("sibling shard affected by victim's sync failure: %v", err)
+		}
 	}
 
 	failing.Store(false)
@@ -549,31 +696,25 @@ func TestShardedSyncFailureRollsBackShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := OpenShardedDisk(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := mustOpen(t, dir, cfg)
 	defer d2.Close()
 	data, ok, err := d2.Retrieve(victim)
 	if err != nil || !ok || string(data) != "second" {
 		t.Fatalf("victim after reopen = %q ok=%v err=%v, want %q", data, ok, err, "second")
 	}
-	if data, ok, _ := d2.Retrieve(other); !ok || string(data) != "fine" {
-		t.Fatalf("sibling record lost: %q ok=%v", data, ok)
-	}
-	if _, ok, _ := d2.Retrieve("written/doomed"); ok {
-		t.Fatal("rolled-back frame replayed")
+	if other != "" {
+		if data, ok, _ := d2.Retrieve(other); !ok || string(data) != "fine" {
+			t.Fatalf("sibling record lost: %q ok=%v", data, ok)
+		}
 	}
 }
 
-// TestShardedGroupCommitCoalesces mirrors TestWALGroupCommitCoalesces on a
-// single shard: concurrent stores share fsyncs.
+// TestShardedGroupCommitCoalesces: concurrent stores pending while a sync is
+// in flight join the next group, so the sync count stays well below the
+// record count — the whole point of the engine. One shard (the wal preset),
+// because stores to different shards have no sync to share.
 func TestShardedGroupCommitCoalesces(t *testing.T) {
-	opts := ShardedOptions{Shards: 1, CompactAge: -1, CloseCompactBytes: -1}
-	d, err := OpenShardedDisk(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustOpen(t, t.TempDir(), walPreset)
 	defer d.Close()
 	const writers, stores = 8, 40
 	var wg sync.WaitGroup
@@ -600,21 +741,23 @@ func TestShardedGroupCommitCoalesces(t *testing.T) {
 	t.Logf("%d records in %d syncs (%.1f records/sync)", appended, syncs, float64(appended)/float64(syncs))
 }
 
-// TestShardedFlakyCrashReplay is the crash-replay torture with the register
+func TestWALFlakyCrashReplay(t *testing.T)     { testFlakyCrashReplay(t, walPreset) }
+func TestShardedFlakyCrashReplay(t *testing.T) { testFlakyCrashReplay(t, shardedPreset) }
+
+// testFlakyCrashReplay is the crash-replay torture with the register
 // lifecycle in the mix: stores, batches and deletes fail with probability
-// 0.3; whatever was acknowledged — including deletions — must be exactly
-// the state after reopen. A Flaky fault fails the whole group before it
-// reaches the engine, so the acknowledged map is the exact expected state.
-func TestShardedFlakyCrashReplay(t *testing.T) {
+// 0.3 while tiny thresholds keep seals and compactions running underneath;
+// whatever was acknowledged — including deletions — must be exactly the
+// state after a reopen on the production preset. A Flaky fault fails the
+// whole group before it reaches the engine, so the acknowledged map is the
+// exact expected state.
+func testFlakyCrashReplay(t *testing.T, preset engineConfig) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			opts := ShardedOptions{Shards: 4, SegmentBytes: 512, CompactBytes: 1024, CompactAge: -1}
-			d, err := OpenShardedDisk(dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl := NewFlaky(d, 0.3, seed)
+			cfg := preset
+			cfg.segmentBytes, cfg.compactBytes, cfg.compactAge = 512, 1024, 0
+			fl := NewFlaky(mustOpen(t, dir, cfg), 0.3, seed)
 			rng := rand.New(rand.NewSource(seed * 77))
 			state := make(map[string][]byte)
 			touched := make(map[string]bool)
@@ -662,7 +805,7 @@ func TestShardedFlakyCrashReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			d2, err := NewShardedDisk(dir)
+			d2, err := openEngine(dir, preset)
 			if err != nil {
 				t.Fatalf("reopen after flaky run: %v", err)
 			}
@@ -691,36 +834,58 @@ func TestShardedFlakyCrashReplay(t *testing.T) {
 	}
 }
 
-// TestShardedCountingSurfacesCompactionStats: the Counting wrapper exposes
-// the engine's compaction and tombstone counters (and counts deletes), so
-// protocol-level tests can assert compaction actually ran.
-func TestShardedCountingSurfacesCompactionStats(t *testing.T) {
-	opts := shardedTestOpts()
-	opts.Shards = 1
-	inner, err := OpenShardedDisk(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCountingDelete: the Counting wrapper hands Delete through to an engine
+// with a register lifecycle and counts it; over one without, it refuses.
+func TestCountingDelete(t *testing.T) {
+	inner := mustOpen(t, t.TempDir(), shardedTestConfig())
 	c := NewCounting(inner)
 	defer c.Close()
-	storeUntilCompacted(t, inner, 16)
 	if err := c.Delete("written/r00"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Compactions() == 0 {
-		t.Fatal("Counting did not surface the compaction")
+	if inner.Tombstones() != 1 || c.Deletes() != 1 {
+		t.Fatalf("tombstones=%d deletes=%d, want 1 and 1", inner.Tombstones(), c.Deletes())
 	}
-	if c.Tombstones() != 1 || c.Deletes() != 1 {
-		t.Fatalf("tombstones=%d deletes=%d, want 1 and 1", c.Tombstones(), c.Deletes())
-	}
-
-	// A backend without a lifecycle: Delete refuses, stats read zero.
 	plain := NewCounting(NewMemDisk(Profile{}))
 	defer plain.Close()
 	if err := plain.Delete("x"); !errors.Is(err, ErrNoDelete) {
 		t.Fatalf("Delete on memdisk = %v, want ErrNoDelete", err)
 	}
-	if plain.Compactions() != 0 || plain.Tombstones() != 0 {
-		t.Fatal("lifecycle stats nonzero on a backend without them")
-	}
+}
+
+// FuzzReplayFrames holds the one frame reader to the recovery contract on
+// arbitrary bytes: no panic; every frame it reports lies inside the input,
+// back to back from offset 0, and re-encodes to exactly the bytes at its
+// offset (nothing invented, so what it hands out is bounded by the input);
+// the returned offset is the end of the last reported frame; and it stopped
+// there because the input ended or the next bytes are not a frame — nothing
+// after the first bad frame is applied.
+func FuzzReplayFrames(f *testing.F) {
+	valid := appendFrame(nil, kindSet, "written/a", []byte("v1"))
+	valid = appendFrame(valid, kindTomb, "written/b", nil)
+	valid = appendFrame(valid, kindSet, "recovered", bytes.Repeat([]byte{7}, 300))
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(valid)
+	f.Add(valid[:len(valid)-9])
+	f.Add(flipped)
+	f.Add(append(bytes.Clone(valid[:30]), 0xff, 0xff, 0xff, 0xf0, 0, 0, 0, 0, 1, 2, 3))
+	f.Fuzz(func(t *testing.T, log []byte) {
+		next := int64(0)
+		good := replayFrames(log, func(kind byte, name, data []byte, off int64, flen int32) {
+			if off != next || off+int64(flen) > int64(len(log)) {
+				t.Fatalf("frame at %d+%d, want it at %d within %d bytes", off, flen, next, len(log))
+			}
+			if again := appendFrame(nil, kind, string(name), data); !bytes.Equal(again, log[off:off+int64(flen)]) {
+				t.Fatalf("frame at %d reported as kind %d %q %x, which encodes to other bytes", off, kind, name, data)
+			}
+			next = off + int64(flen)
+		})
+		if good != next {
+			t.Fatalf("replay stopped at %d, last reported frame ends at %d", good, next)
+		}
+		if _, _, _, flen := parseFrame(log[good:]); flen != 0 {
+			t.Fatalf("replay stopped at %d of %d before a well-formed frame", good, len(log))
+		}
+	})
 }

@@ -14,18 +14,16 @@
 // Records are named; register emulations use one record per role per
 // register ("written/x", "writing/x", "recovered").
 //
-// A third implementation, WALDisk (wal.go), is the second-generation engine:
-// a single append-only log with CRC-framed records, a group-commit daemon
-// that coalesces concurrent stores into one fdatasync, and periodic
-// snapshot + truncation. All implementations additionally expose the batched
-// durability path StoreBatch, which WALDisk turns into one log append + one
-// sync per batch.
-//
-// The fourth, ShardedDisk (sharded.go), is the scale engine: records hash
-// onto per-shard segment chains with background compaction, an indexed
-// snapshot so recovery reads offsets instead of values, tombstoned deletes
-// (Deleter), and LRU value eviction so the resident set is bounded
-// independently of the namespace.
+// A third implementation, ShardedDisk (sharded.go), is the log engine behind
+// two backend names: CRC-framed append-only segment chains, a group-commit
+// daemon per shard that coalesces concurrent stores into one fdatasync,
+// background compaction into an indexed snapshot so reopening reads offsets
+// instead of values, and tombstoned deletes (Deleter). "wal" is its one-shard
+// preset — a k-record batch is one log append + one sync, and every touched
+// value stays in memory; "sharded" is its eight-shard preset with LRU value
+// eviction, so the resident set is bounded independently of the namespace
+// (docs/adr/0012). All implementations expose the batched durability path
+// StoreBatch.
 package stable
 
 import (
@@ -58,7 +56,7 @@ type Storage interface {
 	Store(record string, data []byte) error
 	// StoreBatch durably saves all records as one group: it returns nil only
 	// after every record is stable. Implementations with a native group
-	// commit (WALDisk, MemDisk's simulated disk) pay the synchronous-write
+	// commit (ShardedDisk, MemDisk's simulated disk) pay the synchronous-write
 	// cost once for the whole batch; others fall back to sequential Store
 	// calls via BatchOf. When a batch contains several records with the same
 	// name, the last one wins. On error none of the batch is acknowledged —
@@ -72,7 +70,7 @@ type Storage interface {
 	Records(prefix string) ([]string, error)
 	// Close releases resources. The stored content remains retrievable by a
 	// new Storage opened over the same substrate (MemDisk: same object;
-	// FileDisk: same directory; WALDisk: same directory).
+	// FileDisk, ShardedDisk: same directory).
 	Close() error
 }
 
@@ -137,16 +135,6 @@ type Deleter interface {
 	Delete(record string) error
 }
 
-// CompactionStats is the optional observability extension of log-structured
-// engines: how many compaction passes rewrote the store, and how many
-// tombstones were durably appended. WALDisk counts its wholesale
-// snapshot+truncate passes as compactions (it has no tombstones);
-// ShardedDisk counts per-shard merges.
-type CompactionStats interface {
-	Compactions() int64
-	Tombstones() int64
-}
-
 // Backends lists the selectable storage engines, in presentation order.
 func Backends() []string { return []string{"mem", "file", "wal", "sharded"} }
 
@@ -162,10 +150,10 @@ func ValidBackend(name string) bool {
 }
 
 // OpenBackend opens the named storage engine: "mem" (or "") is a MemDisk
-// with the given latency profile; "file" is a FileDisk, "wal" a WALDisk and
-// "sharded" a ShardedDisk, all rooted at dir. This is the single switch the
-// cluster, the benchmarks and the torture driver share, so every layer
-// accepts the same -disk names.
+// with the given latency profile; "file" is a FileDisk; "wal" and "sharded"
+// are the one-shard and the eight-shard preset of ShardedDisk; all rooted at
+// dir. This is the single switch the cluster, the benchmarks and the torture
+// driver share, so every layer accepts the same -disk names.
 func OpenBackend(backend, dir string, prof Profile) (Storage, error) {
 	switch backend {
 	case "", "mem":
@@ -173,9 +161,9 @@ func OpenBackend(backend, dir string, prof Profile) (Storage, error) {
 	case "file":
 		return NewFileDisk(dir)
 	case "wal":
-		return NewWALDisk(dir)
+		return openEngine(dir, walPreset)
 	case "sharded":
-		return NewShardedDisk(dir)
+		return openEngine(dir, shardedPreset)
 	default:
 		return nil, fmt.Errorf("stable: unknown backend %q (want mem, file, wal, or sharded)", backend)
 	}
@@ -247,7 +235,7 @@ func (d *MemDisk) Store(record string, data []byte) error {
 // StoreBatch implements Storage with a simulated group commit: the batch
 // pays one StoreDelay (one "fsync") plus the bandwidth term for the combined
 // payload, instead of one StoreDelay per record — the simulated-disk
-// counterpart of WALDisk's group-commit daemon, which is what lets the
+// counterpart of ShardedDisk's group-commit daemon, which is what lets the
 // fsync-amortization experiments run on the calibrated in-memory testbed.
 func (d *MemDisk) StoreBatch(recs []Record) error {
 	if len(recs) == 0 {
@@ -621,7 +609,7 @@ func (c *Counting) Batches() int {
 // Commits returns the number of durability points observed: one per Store
 // call plus one per StoreBatch call. On an engine without cross-call group
 // commit this is its flush bill (FileDisk pays two fsyncs per point);
-// WALDisk may merge many commits into one fdatasync — compare with its
+// ShardedDisk may merge many commits into one fdatasync — compare with its
 // Syncs counter to read off the amortization.
 func (c *Counting) Commits() int {
 	c.mu.Lock()
@@ -686,23 +674,4 @@ func (c *Counting) Deletes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.deletes
-}
-
-// Compactions surfaces the inner engine's CompactionStats (0 when the
-// backend has none), so tests can assert a compaction actually ran through
-// the wrapper. Implements CompactionStats.
-func (c *Counting) Compactions() int64 {
-	if s, ok := c.inner.(CompactionStats); ok {
-		return s.Compactions()
-	}
-	return 0
-}
-
-// Tombstones surfaces the inner engine's tombstone count (0 when the
-// backend has none). Implements CompactionStats.
-func (c *Counting) Tombstones() int64 {
-	if s, ok := c.inner.(CompactionStats); ok {
-		return s.Tombstones()
-	}
-	return 0
 }

@@ -24,20 +24,8 @@ func storageFactories(t *testing.T) map[string]func() Storage {
 			}
 			return d
 		},
-		"waldisk": func() Storage {
-			d, err := NewWALDisk(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
-		"sharded": func() Storage {
-			d, err := NewShardedDisk(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
+		"waldisk": func() Storage { return mustOpen(t, t.TempDir(), walPreset) },
+		"sharded": func() Storage { return mustOpen(t, t.TempDir(), shardedPreset) },
 	}
 }
 
