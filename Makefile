@@ -66,8 +66,9 @@ kill-mesh:
 	SMOKE_KILL_ONLY=1 ./scripts/smoke-mesh.sh
 
 # escapes diffs the compiler's escape analysis over the hot-path packages
-# (internal/core, remote) against scripts/escape-allowlist.txt: a new heap
-# escape on the dispatch/round path fails locally; CI runs it non-blocking.
+# (internal/core, internal/frame, internal/nettcp, remote) against
+# scripts/escape-allowlist.txt: a new heap escape on the dispatch, round or
+# send path fails locally; CI runs it non-blocking.
 escapes:
 	./scripts/check-escapes.sh
 

@@ -11,14 +11,13 @@
 package nettcp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
+	"recmem/internal/frame"
 	"recmem/internal/transport"
 	"recmem/internal/wire"
 )
@@ -27,57 +26,23 @@ import (
 // values for many registers, small enough to reject garbage length prefixes.
 const maxFrame = 16 << 20
 
-// maxPooledFrame caps the capacity a recycled send buffer may retain: a
-// rare giant batch frame reverts to the allocator instead of pinning its
-// memory in the pool forever.
-const maxPooledFrame = 1 << 20
+// One value each in every deployment, test and benchmark, so constants: a
+// dial or a single write taking longer drops the frames it carried (and, for
+// the write, the connection, redialed lazily); the receive queue drops on
+// overflow.
+const (
+	dialTimeout  = 2 * time.Second
+	writeTimeout = 2 * time.Second
+	queueLen     = 4096
+)
 
-// frameBuf is a reusable send-path frame buffer.
-type frameBuf struct{ b []byte }
-
-// framePool recycles send-path frame buffers, so the steady-state encode
-// path allocates nothing: the frame (length prefix included) is appended
-// into a recycled buffer and handed straight to the socket.
-var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 4096)} }}
-
-func getFrameBuf() *frameBuf { return framePool.Get().(*frameBuf) }
-
-func putFrameBuf(f *frameBuf) {
-	if cap(f.b) > maxPooledFrame {
-		return
-	}
-	f.b = f.b[:0]
-	framePool.Put(f)
-}
-
-// Options tunes a mesh.
-type Options struct {
-	// DialTimeout bounds connection establishment (default 2 s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds a single frame write (default 2 s); a timed-out
-	// connection is dropped and redialed lazily.
-	WriteTimeout time.Duration
-	// QueueLen is the receive queue length (default 4096).
-	QueueLen int
-}
-
-func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 2 * time.Second
-	}
-	if o.QueueLen <= 0 {
-		o.QueueLen = 4096
-	}
-	return o
-}
+// Options is empty: nothing about a mesh is tunable. The type stays only
+// because the frozen benchmark (bench/tracenode.go) names it in Listen.
+type Options struct{}
 
 // Mesh is one process's attachment to the TCP mesh.
 type Mesh struct {
 	id   int32
-	opts Options
 	ln   net.Listener
 	recv chan wire.Envelope
 
@@ -90,9 +55,44 @@ type Mesh struct {
 	wg sync.WaitGroup
 }
 
+// peerConn is the sending side of the link to one peer: a frame.Writer over
+// a lazily dialed connection. Senders encode into the writer and flush
+// inline, so frames queued while one sender's write is in flight — the
+// listener's acks, the outbox flusher's batches — leave in the next write
+// instead of queueing on a lock. No goroutine belongs to a peer.
 type peerConn struct {
-	mu   sync.Mutex
+	m  *Mesh
+	id int32
+	w  *frame.Writer // over the peerConn itself
+
+	mu   sync.Mutex // conn: the one flusher against Close
 	conn net.Conn
+}
+
+// Write is the writer's socket: it dials on demand, at the address SetPeers
+// last gave the peer, and on any failure drops the bytes and the connection
+// — fair-lossy, the round will retransmit. It never reports an error, so the
+// writer never turns sticky and the next flush redials.
+func (pc *peerConn) Write(p []byte) (int, error) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.conn == nil {
+		addr, ok := pc.m.addr(pc.id)
+		if !ok {
+			return len(p), nil
+		}
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+		if err != nil {
+			return len(p), nil
+		}
+		pc.conn = conn
+	}
+	_ = pc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if _, err := pc.conn.Write(p); err != nil {
+		pc.conn.Close()
+		pc.conn = nil
+	}
+	return len(p), nil
 }
 
 var _ transport.Endpoint = (*Mesh)(nil)
@@ -100,17 +100,15 @@ var _ transport.Endpoint = (*Mesh)(nil)
 // Listen starts a mesh endpoint for process id on the given address (e.g.
 // "127.0.0.1:0"). Peers must be provided with SetPeers before the first
 // Send.
-func Listen(id int32, addr string, opts Options) (*Mesh, error) {
+func Listen(id int32, addr string, _ Options) (*Mesh, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("nettcp: listen: %w", err)
 	}
-	opts = opts.withDefaults()
 	m := &Mesh{
 		id:       id,
-		opts:     opts,
 		ln:       ln,
-		recv:     make(chan wire.Envelope, opts.QueueLen),
+		recv:     make(chan wire.Envelope, queueLen),
 		conns:    make(map[int32]*peerConn),
 		accepted: make(map[net.Conn]struct{}),
 	}
@@ -138,35 +136,30 @@ func (m *Mesh) ID() int32 { return m.id }
 func (m *Mesh) Recv() <-chan wire.Envelope { return m.recv }
 
 // Send implements transport.Endpoint: best-effort, never blocks beyond the
-// write timeout, drops on any failure.
+// dial and write timeouts, drops on any failure.
 func (m *Mesh) Send(env wire.Envelope) {
 	env.From = m.id
 	if env.To == m.id {
 		m.loopback(env)
 		return
 	}
-	f := getFrameBuf()
-	defer putFrameBuf(f)
-	frame, err := appendEnvelopeFrame(f.b[:0], env)
-	if err != nil {
+	pc := m.peer(env.To)
+	if pc == nil {
 		return
 	}
-	f.b = frame
-	m.writeFrame(env.To, frame)
+	if pc.w.Append(maxFrame, func(b []byte) ([]byte, error) { return wire.AppendEncode(b, env) }) == nil {
+		_ = pc.w.Flush()
+	}
 }
 
 var _ transport.BatchSender = (*Mesh)(nil)
 
-// maxBatchBody bounds one batch frame's encoded body so that it always fits
-// under the receiver's maxFrame limit (with room for the length prefix): a
-// frame the receiver rejects would be rebuilt identically by every
-// retransmission sweep and never get through.
-const maxBatchBody = maxFrame - 4
-
 // SendBatch implements transport.BatchSender: all envelopes (one
-// destination) travel in length-prefixed batch frames — one write system
-// call per frame instead of one per envelope. Bursts whose encoding would
-// exceed the receiver's frame limit are split across several frames.
+// destination) travel in batch frames — one write system call for the lot
+// instead of one per envelope. Bursts whose encoding would exceed the
+// receiver's frame limit are split across several frames: a frame the
+// receiver rejects would be rebuilt identically by every retransmission
+// sweep and never get through.
 func (m *Mesh) SendBatch(envs []wire.Envelope) {
 	if len(envs) == 0 {
 		return
@@ -180,83 +173,56 @@ func (m *Mesh) SendBatch(envs []wire.Envelope) {
 		m.loopback(stamped...)
 		return
 	}
+	pc := m.peer(stamped[0].To)
+	if pc == nil {
+		return
+	}
 	for len(stamped) > 0 {
-		chunk := len(stamped)
-		if chunk > wire.MaxBatchLen {
-			chunk = wire.MaxBatchLen
-		}
-		if wire.BatchSize(stamped[:chunk]) > maxBatchBody {
+		chunk := min(len(stamped), wire.MaxBatchLen)
+		if wire.BatchSize(stamped[:chunk]) > maxFrame {
 			for chunk = 1; chunk < len(stamped); chunk++ {
-				if wire.BatchSize(stamped[:chunk+1]) > maxBatchBody {
+				if wire.BatchSize(stamped[:chunk+1]) > maxFrame {
 					break
 				}
 			}
 		}
-		m.sendBatchFrame(stamped[:chunk])
+		part := stamped[:chunk]
 		stamped = stamped[chunk:]
+		_ = pc.w.Append(maxFrame, func(b []byte) ([]byte, error) {
+			if len(part) == 1 {
+				return wire.AppendEncode(b, part[0])
+			}
+			return wire.AppendEncodeBatch(b, part)
+		})
 	}
+	_ = pc.w.Flush()
 }
 
-// sendBatchFrame transmits one batch (or single-envelope) frame, built in a
-// recycled buffer with the length prefix reserved up front — no
-// encode-then-copy step.
-func (m *Mesh) sendBatchFrame(envs []wire.Envelope) {
-	f := getFrameBuf()
-	defer putFrameBuf(f)
-	var frame []byte
-	var err error
-	if len(envs) == 1 {
-		frame, err = appendEnvelopeFrame(f.b[:0], envs[0])
-	} else {
-		frame = append(f.b[:0], 0, 0, 0, 0)
-		frame, err = wire.AppendEncodeBatch(frame, envs)
-		if err == nil {
-			binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-		}
-	}
-	if err != nil {
-		return
-	}
-	f.b = frame
-	m.writeFrame(envs[0].To, frame)
-}
-
-// writeFrame transmits one length-prefixed frame to peer id, dialing lazily
-// and dropping the connection (and the frame) on any failure.
-func (m *Mesh) writeFrame(id int32, frame []byte) {
-	pc, addr, ok := m.peer(id)
-	if !ok {
-		return
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.conn == nil {
-		conn, err := net.DialTimeout("tcp", addr, m.opts.DialTimeout)
-		if err != nil {
-			return // fair-lossy: the round will retransmit
-		}
-		pc.conn = conn
-	}
-	_ = pc.conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
-	if _, err := pc.conn.Write(frame); err != nil {
-		pc.conn.Close()
-		pc.conn = nil
-	}
-}
-
-// peer returns the connection slot and address for process id.
-func (m *Mesh) peer(id int32) (*peerConn, string, bool) {
+// peer returns the sending side for process id, nil for an unknown peer or
+// a closed mesh.
+func (m *Mesh) peer(id int32) *peerConn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed || id < 0 || int(id) >= len(m.peers) {
-		return nil, "", false
+		return nil
 	}
 	pc := m.conns[id]
 	if pc == nil {
-		pc = &peerConn{}
+		pc = &peerConn{m: m, id: id}
+		pc.w = frame.NewWriter(pc, nil)
 		m.conns[id] = pc
 	}
-	return pc, m.peers[id], true
+	return pc
+}
+
+// addr resolves a peer's current address at dial time.
+func (m *Mesh) addr(id int32) (string, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed || int(id) >= len(m.peers) {
+		return "", false
+	}
+	return m.peers[id], true
 }
 
 func (m *Mesh) deliver(env wire.Envelope) {
@@ -308,25 +274,15 @@ func (m *Mesh) readLoop(conn net.Conn) {
 		delete(m.accepted, conn)
 		m.mu.Unlock()
 	}()
-	var lenBuf [4]byte
-	// The payload buffer is reused across frames: wire.Decode copies the
-	// register name and value out of it, so nothing decoded aliases it once
-	// deliver returns.
-	var payload []byte
+	// One buffer is reused across frames: wire.Decode copies the register
+	// name and value out of it, so nothing decoded aliases it once deliver
+	// returns.
+	rb := frame.Get()
+	defer frame.Put(rb)
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxFrame {
-			return // protocol violation; drop the connection
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			return
+		payload, err := frame.Read(conn, rb, maxFrame)
+		if err != nil {
+			return // EOF or a protocol violation; drop the connection
 		}
 		if wire.IsBatch(payload) {
 			envs, err := wire.DecodeBatch(payload)
@@ -379,18 +335,4 @@ func (m *Mesh) Close() error {
 		return err
 	}
 	return nil
-}
-
-// appendEnvelopeFrame appends env as a length-prefixed frame: the 4-byte
-// slot is reserved first and patched after the in-place encode, so the body
-// is written exactly once.
-func appendEnvelopeFrame(buf []byte, env wire.Envelope) ([]byte, error) {
-	mark := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf, err := wire.AppendEncode(buf, env)
-	if err != nil {
-		return nil, err
-	}
-	binary.BigEndian.PutUint32(buf[mark:], uint32(len(buf)-mark-4))
-	return buf, nil
 }

@@ -1,13 +1,20 @@
 package nettcp
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
+	"io"
+	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"recmem/internal/core"
+	"recmem/internal/frame"
 	"recmem/internal/stable"
+	"recmem/internal/tag"
 	"recmem/internal/wire"
 )
 
@@ -95,6 +102,135 @@ func TestSendToDeadPeerDropsThenRecovers(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no delivery after peer restart")
 		}
+	}
+}
+
+// gateConn is a peer connection whose Write blocks on a gate, so a test can
+// hold one sender mid-write while others send behind it. Only the methods a
+// peerConn calls are implemented.
+type gateConn struct {
+	net.Conn
+	entered chan struct{} // signalled when a Write starts
+	release chan struct{} // each Write waits for one token
+	mu      sync.Mutex
+	writes  [][]byte
+}
+
+func (c *gateConn) Write(p []byte) (int, error) {
+	c.entered <- struct{}{}
+	<-c.release
+	c.mu.Lock()
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	c.mu.Unlock()
+	return len(p), nil
+}
+
+func (c *gateConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *gateConn) Close() error                     { return nil }
+
+// TestSendsCoalesceBehindStalledWrite: senders to one peer never queue on a
+// lock behind another sender's write — a Send and a SendBatch issued while
+// the first write is stalled return at once and leave together in ONE
+// further write, as intact frames.
+func TestSendsCoalesceBehindStalledWrite(t *testing.T) {
+	m := newMeshes(t, 2)[0]
+	gc := &gateConn{entered: make(chan struct{}), release: make(chan struct{})}
+	pc := m.peer(1)
+	pc.mu.Lock()
+	pc.conn = gc
+	pc.mu.Unlock()
+
+	first := make(chan struct{})
+	go func() {
+		m.Send(wire.Envelope{Kind: wire.KindWrite, To: 1, RPC: 1, Reg: "first"})
+		close(first)
+	}()
+	<-gc.entered // the first sender is mid-write
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		m.Send(wire.Envelope{Kind: wire.KindWriteAck, To: 1, RPC: 2, Reg: "ack"})
+	}()
+	go func() {
+		defer wg.Done()
+		m.SendBatch([]wire.Envelope{
+			{Kind: wire.KindRead, To: 1, RPC: 3, Reg: "b0"},
+			{Kind: wire.KindRead, To: 1, RPC: 4, Reg: "b1"},
+		})
+	}()
+	wg.Wait() // both returned while the socket is still stalled
+
+	gc.release <- struct{}{}
+	<-gc.entered
+	gc.release <- struct{}{}
+	<-first
+
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	if len(gc.writes) != 2 {
+		t.Fatalf("3 sends took %d socket writes, want 2 (the first, then the other two together)", len(gc.writes))
+	}
+	var rpcs []uint64
+	r, rb := bytes.NewReader(gc.writes[1]), new(frame.Buf)
+	for r.Len() > 0 {
+		payload, err := frame.Read(r, rb, maxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire.IsBatch(payload) {
+			envs, err := wire.DecodeBatch(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, env := range envs {
+				rpcs = append(rpcs, env.RPC)
+			}
+			continue
+		}
+		env, err := wire.Decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rpcs = append(rpcs, env.RPC)
+	}
+	if len(rpcs) != 3 || rpcs[0]+rpcs[1]+rpcs[2] != 2+3+4 {
+		t.Fatalf("coalesced write carried RPCs %v, want 2, 3 and 4", rpcs)
+	}
+}
+
+// TestWireBytesUnchanged pins the mesh's bytes on the wire against constants
+// captured before framing moved to internal/frame: a node built from either
+// side of that change reads the other's frames.
+func TestWireBytesUnchanged(t *testing.T) {
+	const (
+		envelope = "00000047010300000000000000010000000000000007000000000000000b0200000000000000090000000200000003000a0000000c676f6c64656e2f726567676f6c64656e2076616c7565"
+		batch    = "00000085b1000200000047010300000000000000010000000000000007000000000000000b0200000000000000090000000200000003000a0000000c676f6c64656e2f726567676f6c64656e2076616c756500000033010500000000000000010000000000000008000000000000000c00000000000000000000000000000000000002000000007232"
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	m := newMeshes(t, 1)[0]
+	m.SetPeers([]string{m.Addr(), ln.Addr().String()})
+	env := wire.Envelope{Kind: wire.KindWrite, To: 1, RPC: 7, Op: 11, Depth: 2,
+		Tag: tag.Tag{Seq: 9, Writer: 2, Rec: 3}, Reg: "golden/reg", Value: []byte("golden value")}
+	m.Send(env)
+	m.SendBatch([]wire.Envelope{env, {Kind: wire.KindRead, To: 1, RPC: 8, Op: 12, Reg: "r2"}})
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := make([]byte, (len(envelope)+len(batch))/2)
+	if _, err := io.ReadFull(conn, got); err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != envelope+batch {
+		t.Fatalf("wire bytes changed:\n got %x\nwant %s%s", got, envelope, batch)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"recmem"
 	"recmem/internal/core"
+	"recmem/internal/frame"
 	"recmem/internal/tag"
 )
 
@@ -95,16 +96,6 @@ type Options struct {
 	// dedicated goroutine — a blocking callback delays later notifications,
 	// never operations.
 	OnStateChange func(state ConnState, cause error)
-	// Conns is the number of TCP connections the client stripes registers
-	// across (default 1: the single pipelined connection). More than one is
-	// the opt-in knob for more than one core of server ingest: each
-	// connection runs its own read loop and write coalescer, and every
-	// register is pinned to one connection by a hash of its name, so the
-	// per-register submission order the engine's coalescing relies on is
-	// preserved. Control operations (Ping, Info, Crash, Recover) and
-	// OnStateChange notifications ride the primary connection; each stripe
-	// redials — and can turn terminal — independently.
-	Conns int
 }
 
 func (o Options) withDefaults() Options {
@@ -144,15 +135,10 @@ type Client struct {
 	addr string
 	opts Options
 
-	// stripes is the fan-out table when Options.Conns > 1: stripes[0] is
-	// this client, the rest are secondary single-connection clients. Set
-	// once by Dial, immutable after — stripeFor reads it without the lock.
-	stripes []*Client
-
 	mu       sync.Mutex
-	conn     net.Conn    // nil while disconnected (redialer running)
-	cw       *connWriter // write coalescer for conn; replaced per connection
-	gen      uint64      // bumped per established connection; stales old readLoops
+	conn     net.Conn      // nil while disconnected (redialer running)
+	cw       *frame.Writer // coalescing writer on conn; replaced per connection
+	gen      uint64        // bumped per established connection; stales old readLoops
 	pending  map[uint64]*call
 	nextID   uint64
 	sticky   error // terminal error; set once
@@ -214,43 +200,14 @@ var (
 
 // Dial connects to a recmem-node control port and runs the version/Info
 // handshake, so a successful Dial proves the peer speaks this protocol
-// version and reports its node identity (see Info). With Options.Conns > 1
-// it opens that many connections and stripes registers across them by name
-// (see Options.Conns); a failure dialing any stripe fails the whole Dial.
+// version and reports its node identity (see Info).
 func Dial(addr string, opts Options) (*Client, error) {
-	opts = opts.withDefaults()
-	c, err := dialSingle(addr, opts)
+	c := &Client{addr: addr, opts: opts.withDefaults(), pending: make(map[uint64]*call)}
+	conn, cw, info, err := c.connect()
 	if err != nil {
 		return nil, err
 	}
-	if opts.Conns <= 1 {
-		return c, nil
-	}
-	c.stripes = make([]*Client, opts.Conns)
-	c.stripes[0] = c
-	sopts := opts
-	sopts.Conns = 1
-	sopts.OnStateChange = nil // lifecycle notifications ride the primary
-	for i := 1; i < opts.Conns; i++ {
-		s, err := dialSingle(addr, sopts)
-		if err != nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("remote: dial stripe %d/%d: %w", i+1, opts.Conns, err)
-		}
-		c.stripes[i] = s
-	}
-	return c, nil
-}
-
-// dialSingle dials one connection and builds a single-connection client
-// around it.
-func dialSingle(addr string, opts Options) (*Client, error) {
-	c := &Client{addr: addr, opts: opts, pending: make(map[uint64]*call)}
-	conn, info, err := c.connect()
-	if err != nil {
-		return nil, err
-	}
-	c.conn, c.cw, c.info, c.haveInfo = conn, newConnWriter(conn), info, true
+	c.conn, c.cw, c.info, c.haveInfo = conn, cw, info, true
 	go c.readLoop(conn, c.gen)
 	return c, nil
 }
@@ -259,21 +216,22 @@ func dialSingle(addr string, opts Options) (*Client, error) {
 func (c *Client) Addr() string { return c.addr }
 
 // connect dials the node and runs the handshake; it owns the returned
-// connection until the caller installs it.
-func (c *Client) connect() (net.Conn, Info, error) {
+// connection and its writer until the caller installs them.
+func (c *Client) connect() (net.Conn, *frame.Writer, Info, error) {
 	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 	if err != nil {
-		return nil, Info{}, fmt.Errorf("remote: dial %s: %w", c.addr, err)
+		return nil, nil, Info{}, fmt.Errorf("remote: dial %s: %w", c.addr, err)
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true) // pipelined request/response traffic
 	}
-	info, err := handshake(conn, c.opts.DialTimeout)
+	cw := frame.NewWriter(conn, nil)
+	info, err := handshake(conn, cw, c.opts.DialTimeout)
 	if err != nil {
 		_ = conn.Close()
-		return nil, Info{}, err
+		return nil, nil, Info{}, err
 	}
-	return conn, info, nil
+	return conn, cw, info, nil
 }
 
 // handshake runs the version/Info exchange on a fresh connection before it
@@ -282,21 +240,23 @@ func (c *Client) connect() (net.Conn, Info, error) {
 // version mismatch surfaces here (the reply fails to decode with
 // ErrBadVersion), making incompatible peers a dial-time error instead of a
 // per-operation one.
-func handshake(conn net.Conn, timeout time.Duration) (Info, error) {
-	body, err := encodeRequest(request{Kind: reqInfo})
-	if err != nil {
-		return Info{}, err
-	}
+func handshake(conn net.Conn, cw *frame.Writer, timeout time.Duration) (Info, error) {
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	if err := writeFrame(conn, body); err != nil {
-		return Info{}, fmt.Errorf("remote: handshake: %w", err)
+	err := cw.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendRequest(b, request{Kind: reqInfo}) })
+	if err == nil {
+		err = cw.Flush()
 	}
-	respBody, err := readFrame(conn)
 	if err != nil {
 		return Info{}, fmt.Errorf("remote: handshake: %w", err)
 	}
-	resp, err := decodeResponse(respBody)
+	rb := frame.Get()
+	defer frame.Put(rb)
+	body, err := frame.Read(conn, rb, MaxFrame)
+	if err != nil {
+		return Info{}, fmt.Errorf("remote: handshake: %w", err)
+	}
+	resp, err := decodeResponse(body)
 	if err != nil {
 		return Info{}, fmt.Errorf("remote: handshake: %w", err)
 	}
@@ -495,31 +455,23 @@ func (c *Client) send(req request) (*call, error) {
 	c.pending[cl.id] = cl
 	c.mu.Unlock()
 
-	// The frame is built in a recycled buffer; cw.write copies it into the
-	// coalescer's pending batch before returning, so the buffer goes back to
-	// the pool immediately — the steady-state send path allocates nothing
-	// beyond the call bookkeeping.
-	f := getFrame()
-	frame, err := appendRequestFrame(f.b[:0], req)
+	// The request is encoded straight into the writer's pending batch; this
+	// goroutine then flushes it unless a flush already in flight will.
+	err := cw.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendRequest(b, req) })
 	if err != nil {
-		putFrame(f)
 		if c.deregister(cl) {
 			*cl = call{} // never escaped; recycle directly
 			callPool.Put(cl)
 		}
 		return nil, err
 	}
-	f.b = frame
-	err = cw.write(frame)
-	putFrame(f)
-	if err != nil {
+	if err := cw.Flush(); err != nil {
 		// The frame may have partially reached the server before the write
 		// failed: the operation's fate is unknown. connFailed resolves every
 		// pending call of this connection — ours included — with
 		// recmem.ErrCrashed, so the outcome routes through the future like
 		// any other lost-connection operation.
 		c.connFailed(gen, fmt.Errorf("remote: write: %w", err))
-		return cl, nil
 	}
 	return cl, nil
 }
@@ -529,10 +481,10 @@ func (c *Client) send(req request) (*call, error) {
 // reused across frames: decodeResponse copies the value and message out, so
 // nothing handed to a call aliases it.
 func (c *Client) readLoop(conn net.Conn, gen uint64) {
-	rbuf := make([]byte, 0, 4096)
+	rb := frame.Get()
+	defer frame.Put(rb)
 	for {
-		body, next, err := readFrameReuse(conn, rbuf)
-		rbuf = next
+		body, err := frame.Read(conn, rb, MaxFrame)
 		if err != nil {
 			c.connFailed(gen, fmt.Errorf("remote: connection: %w", err))
 			_ = conn.Close()
@@ -640,7 +592,7 @@ func (c *Client) redialLoop() {
 		}
 		c.mu.Unlock()
 
-		conn, info, err := c.connect()
+		conn, cw, info, err := c.connect()
 		if err == nil {
 			c.mu.Lock()
 			if c.sticky != nil {
@@ -670,7 +622,7 @@ func (c *Client) redialLoop() {
 					c.addr, was.Epoch, info.Epoch))
 				return
 			}
-			c.conn, c.cw, c.info, c.haveInfo = conn, newConnWriter(conn), info, true
+			c.conn, c.cw, c.info, c.haveInfo = conn, cw, info, true
 			c.gen++
 			gen := c.gen
 			c.notifyLocked(StateConnected, nil)
@@ -732,11 +684,6 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	c.terminate(ErrClosed)
-	for _, s := range c.stripes {
-		if s != nil && s != c {
-			_ = s.Close()
-		}
-	}
 	return nil
 }
 
@@ -763,26 +710,9 @@ func errorFromCode(kind reqKind, code errCode, msg string) error {
 }
 
 // Register resolves a handle on the named register; the request template
-// (encoded name, consistency validation) is fixed once per handle. With
-// Options.Conns > 1 the handle is pinned to one connection by a hash of the
-// name, so every operation on a register rides one pipeline and keeps its
-// submission order.
+// (encoded name, consistency validation) is fixed once per handle.
 func (c *Client) Register(name string) *recmem.Register {
-	s := c.stripeFor(name)
-	return recmem.NewRegister(name, &remoteRegister{c: s, name: name})
-}
-
-// stripeFor maps a register name to its connection (FNV-1a over the name);
-// a single-connection client maps everything to itself.
-func (c *Client) stripeFor(name string) *Client {
-	if len(c.stripes) == 0 {
-		return c
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(name[i])) * 16777619
-	}
-	return c.stripes[h%uint32(len(c.stripes))]
+	return recmem.NewRegister(name, &remoteRegister{c: c, name: name})
 }
 
 // do sends a request and waits it out, recycling the call once its Wait

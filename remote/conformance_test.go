@@ -56,27 +56,6 @@ var backends = []backendCase{
 			return []recmem.Client{mesh.dial(t, 0), mesh.dial(t, 1), mesh.dial(t, 2)}
 		},
 	},
-	{
-		// The TCP client again, with registers striped across three
-		// connections per client (Options.Conns): the fan-out must be
-		// behaviorally invisible — same conformance surface, one pipeline per
-		// register.
-		name: "remote-striped",
-		make: func(t *testing.T, algo recmem.Algorithm) []recmem.Client {
-			t.Helper()
-			mesh := startMesh(t, 3, algoKind(algo))
-			clients := make([]recmem.Client, 3)
-			for i := range clients {
-				c, err := Dial(mesh.controlAddr(i), Options{Conns: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { c.Close() })
-				clients[i] = c
-			}
-			return clients
-		},
-	},
 }
 
 // TestConformance runs every behavioral check against every backend.

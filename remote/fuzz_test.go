@@ -1,10 +1,11 @@
 package remote
 
-// Fuzzers for the frame reader and both body decoders: arbitrary bytes must
-// never panic them, the pooled/reusing variants must agree byte-for-byte
-// with their allocating originals, and anything that decodes must survive a
+// Fuzzers for the ingest loop and both body decoders: arbitrary bytes must
+// never panic them, the reusing variants must agree byte-for-byte with their
+// allocating originals, and anything that decodes must survive a
 // re-encode/decode round trip unchanged — the property that keeps the
 // append-style encoders and the copy-out decoders honest with each other.
+// The frame reader alone is fuzzed in internal/frame (FuzzRead).
 
 import (
 	"bytes"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"recmem/internal/frame"
 	"recmem/internal/tag"
 )
 
@@ -34,13 +36,23 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}) // oversized length prefix
 	f.Add([]byte{0, 0})                         // truncated prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, err := readFrame(bytes.NewReader(data))
-		rbody, _, rerr := readFrameReuse(bytes.NewReader(data), nil)
-		if (err == nil) != (rerr == nil) {
-			t.Fatalf("readFrame err=%v, readFrameReuse err=%v", err, rerr)
-		}
-		if err == nil && !bytes.Equal(body, rbody) {
-			t.Fatalf("readFrame body %x, readFrameReuse body %x", body, rbody)
+		// The server's ingest loop over an arbitrary stream: frames are read
+		// into one reused buffer and decoded until the stream ends. Every
+		// body must be exactly the bytes behind its prefix.
+		r := bytes.NewReader(data)
+		rb := new(frame.Buf)
+		names := map[string]string{}
+		for off := 0; ; {
+			body, err := frame.Read(r, rb, MaxFrame)
+			if err != nil {
+				return
+			}
+			if !bytes.Equal(body, data[off+4:off+4+len(body)]) {
+				t.Fatalf("frame at offset %d: body %x", off, body)
+			}
+			off += 4 + len(body)
+			_, _ = decodeRequestReuse(body, names)
+			_, _ = decodeResponse(body)
 		}
 	})
 }

@@ -1,11 +1,12 @@
 package remote
 
 // Regression tests for the buffer-ownership rules of the pooled frame path
-// (docs/adr/0007): whatever a decoder hands across the API boundary must be
-// an owned copy that survives the frame buffer's reuse and recycling, the
-// client's write coalescer must deliver an intact frame stream in fewer
-// socket writes than frames, and the server's reply group-commit must be
-// observable through WriterStats.
+// (docs/adr/0007, 0013): whatever a decoder hands across the API boundary
+// must be an owned copy that survives the frame buffer's reuse and
+// recycling, the client's send path must deliver an intact frame stream in
+// fewer socket writes than frames, and the server's reply group-commit must
+// be observable through WriterStats. The writer itself is tested in
+// internal/frame.
 
 import (
 	"bytes"
@@ -18,6 +19,7 @@ import (
 
 	"recmem"
 	"recmem/internal/core"
+	"recmem/internal/frame"
 	"recmem/internal/tag"
 )
 
@@ -61,62 +63,48 @@ func TestDecodedRequestSurvivesBufferReuse(t *testing.T) {
 // out again, and is overwritten by the next frame.
 func TestDecodedReadValueSurvivesFrameRecycling(t *testing.T) {
 	want := bytes.Repeat([]byte("value-A!"), 8)
-	f := getFrame()
-	frame, err := appendResponseFrame(f.b[:0], response{Kind: reqRead, ID: 1, Op: 1,
-		Present: true, Value: want, Tag: tag.Tag{Seq: 1, Writer: 0, Rec: 1}, Epoch: 1})
+	var stream bytes.Buffer
+	w := frame.NewWriter(&stream, nil)
+	for i, val := range [][]byte{want, bytes.Repeat([]byte{0xEE}, len(want)+16)} {
+		r := response{Kind: reqRead, ID: uint64(i), Op: 1, Present: true, Value: val,
+			Tag: tag.Tag{Seq: 1, Writer: 0, Rec: 1}, Epoch: 1}
+		if err := w.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendResponse(b, r) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	rb := frame.Get()
+	body, err := frame.Read(&stream, rb, MaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.b = frame
-	resp, err := decodeResponse(frame[4:])
+	resp, err := decodeResponse(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	putFrame(f)
+	// The second frame overwrites the shared read buffer; the first frame's
+	// decoded value must not notice.
+	if _, err := frame.Read(&stream, rb, MaxFrame); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resp.Value, want) {
+		t.Fatalf("decoded read value aliases the reused read buffer: %q", resp.Value)
+	}
 
 	// Recycle the buffer and clobber its whole capacity, as the next frame
 	// built in it would.
-	g := getFrame()
-	clobber := g.b[:cap(g.b)]
-	for i := range clobber {
-		clobber[i] = 0xFF
+	frame.Put(rb)
+	g := frame.Get()
+	g.B = g.B[:cap(g.B)]
+	for i := range g.B {
+		g.B[i] = 0xFF
 	}
-	g.b = clobber
-	putFrame(g)
-
+	frame.Put(g)
 	if !bytes.Equal(resp.Value, want) {
 		t.Fatalf("decoded read value aliases the recycled frame buffer: %q", resp.Value)
-	}
-
-	// Same property through readFrameReuse: the second frame overwrites the
-	// shared read buffer; the first frame's decoded value must not notice.
-	var stream bytes.Buffer
-	first, err := appendResponseFrame(nil, response{Kind: reqRead, ID: 2, Op: 2,
-		Present: true, Value: want, Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := appendResponseFrame(nil, response{Kind: reqRead, ID: 3, Op: 3,
-		Present: true, Value: bytes.Repeat([]byte{0xEE}, len(want)+16), Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream.Write(first)
-	stream.Write(second)
-	buf := make([]byte, 0, 16)
-	body, buf, err := readFrameReuse(&stream, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeResponse(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readFrameReuse(&stream, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Value, want) {
-		t.Fatalf("decoded read value aliases the reused read buffer: %q", got.Value)
 	}
 }
 
@@ -147,34 +135,32 @@ func (c *gateConn) SetDeadline(time.Time) error      { return nil }
 func (c *gateConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *gateConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestConnWriterCoalesces pins the leader/follower contract: frames queued
-// while the leader's write is on the wire ride the next sweep as ONE socket
-// write, and the byte stream stays an intact, ordered frame sequence.
+// TestConnWriterCoalesces pins the client's send path on its connection
+// writer: send encodes into the writer and flushes inline, so requests
+// submitted while the first sender's write is on the wire return at once and
+// ride the next sweep as ONE socket write, and the byte stream stays an
+// intact, ordered frame sequence.
 func TestConnWriterCoalesces(t *testing.T) {
 	conn := &gateConn{entered: make(chan struct{}), release: make(chan struct{})}
-	w := newConnWriter(conn)
-
-	mkframe := func(id uint64) []byte {
-		frame, err := appendRequestFrame(nil, request{Kind: reqWrite, ID: id, Reg: "r", Value: []byte("v")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return frame
+	c := &Client{conn: conn, cw: frame.NewWriter(conn, nil), pending: make(map[uint64]*call)}
+	send := func() error {
+		_, err := c.send(request{Kind: reqWrite, Reg: "r", Value: []byte("v")})
+		return err
 	}
 
 	errc := make(chan error, 1)
-	go func() { errc <- w.write(mkframe(1)) }()
-	<-conn.entered // the leader is mid-write with frame 1
+	go func() { errc <- send() }()
+	<-conn.entered // the leader is mid-write with request 1
 
 	// Followers: both return immediately, leaving their frames queued.
-	if err := w.write(mkframe(2)); err != nil {
+	if err := send(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.write(mkframe(3)); err != nil {
+	if err := send(); err != nil {
 		t.Fatal(err)
 	}
 
-	conn.release <- struct{}{} // finish frame 1; the leader sweeps 2+3
+	conn.release <- struct{}{} // finish request 1; the leader sweeps 2+3
 	<-conn.entered             // the leader is mid-write with the burst
 	conn.release <- struct{}{}
 	if err := <-errc; err != nil {
@@ -213,7 +199,7 @@ func TestConnWriterCoalesces(t *testing.T) {
 func TestServerReplyGroupCommit(t *testing.T) {
 	s := &Server{}
 	conn := &gateConn{entered: make(chan struct{}), release: make(chan struct{})}
-	c := &srvConn{s: s, conn: conn, wake: make(chan struct{}, 1)}
+	c := &srvConn{conn: conn, w: frame.NewWriter(conn, &s.wstats), wake: make(chan struct{}, 1)}
 	const queued = 5
 	for i := 1; i <= queued; i++ {
 		c.reply(response{Kind: reqPing, ID: uint64(i)})

@@ -11,7 +11,8 @@
 // same pipelining and coalescing the simulated cluster's batching engine
 // provides, because the server dispatches every operation through it.
 //
-// Frame and body layout (all integers big-endian):
+// Frame and body layout (all integers big-endian; the framing itself lives
+// in internal/frame):
 //
 //	frame    := u32 bodyLen | body            (bodyLen ≤ MaxFrame)
 //	request  := u8 version | u8 kind | u64 id | u32 deadline_us |
@@ -60,8 +61,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
+	"recmem/internal/frame"
 	"recmem/internal/tag"
 	"recmem/internal/wire"
 )
@@ -134,7 +135,7 @@ const (
 // Protocol errors.
 var (
 	// ErrFrameTooLarge is returned when a frame exceeds MaxFrame.
-	ErrFrameTooLarge = errors.New("remote: frame exceeds MaxFrame")
+	ErrFrameTooLarge = frame.ErrTooLarge
 	// ErrBadVersion is returned for an unknown protocol version byte.
 	ErrBadVersion = errors.New("remote: unknown protocol version")
 	// ErrBadFrame is returned for a structurally malformed frame body.
@@ -208,8 +209,7 @@ func encodeRequest(r request) ([]byte, error) {
 }
 
 // appendRequest appends the request body to buf and returns the extended
-// slice: the allocation-free form of encodeRequest for the pooled send
-// paths.
+// slice: what the client hands to its connection's frame.Writer.
 func appendRequest(buf []byte, r request) ([]byte, error) {
 	if len(r.Value) > wire.MaxValueSize {
 		return nil, wire.ErrValueTooLarge
@@ -284,8 +284,7 @@ func encodeResponse(r response) ([]byte, error) {
 }
 
 // appendResponse appends the response body to buf and returns the extended
-// slice: the allocation-free form of encodeResponse for the pooled reply
-// path.
+// slice: what the server hands to a connection's frame.Writer.
 func appendResponse(buf []byte, r response) ([]byte, error) {
 	buf = append(buf, Version, byte(r.Kind)|respFlag)
 	buf = binary.BigEndian.AppendUint64(buf, r.ID)
@@ -407,40 +406,4 @@ func decodeResponse(buf []byte) (response, error) {
 		return r, ErrBadFrame
 	}
 	return r, nil
-}
-
-// writeFrame writes one length-prefixed frame as a single Write, staging
-// the prefix and body in a recycled buffer instead of a per-call
-// allocation. The hot paths skip it entirely (they build prefixed frames in
-// place with appendRequestFrame/appendResponseFrame); it remains for the
-// cold paths — handshake, tests.
-func writeFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	f := getFrame()
-	defer putFrame(f)
-	frame := binary.BigEndian.AppendUint32(f.b[:0], uint32(len(body)))
-	frame = append(frame, body...)
-	f.b = frame
-	_, err := w.Write(frame)
-	return err
-}
-
-// readFrame reads one length-prefixed frame body. A short or oversized
-// frame is an error, never a silent truncation.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
 }

@@ -2,11 +2,14 @@ package remote
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 
+	"recmem/internal/frame"
 	"recmem/internal/tag"
 	"recmem/internal/wire"
 )
@@ -111,8 +114,23 @@ func TestCodecRejections(t *testing.T) {
 	}
 }
 
-// TestFrameIO checks the length-prefixed framing, including the size cap
-// and short reads.
+// writeFrame and readFrame are the tests' one-frame-at-a-time forms of the
+// framing the package gets from internal/frame, under the control port's
+// limit.
+func writeFrame(w io.Writer, body []byte) error {
+	fw := frame.NewWriter(w, nil)
+	if err := fw.Append(MaxFrame, func(b []byte) ([]byte, error) { return append(b, body...), nil }); err != nil {
+		return err
+	}
+	return fw.Flush()
+}
+
+func readFrame(r io.Reader) ([]byte, error) {
+	return frame.Read(r, new(frame.Buf), MaxFrame)
+}
+
+// TestFrameIO checks the control port's framing limits: MaxFrame on both
+// sides, and short reads.
 func TestFrameIO(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, []byte("abc")); err != nil {
@@ -136,6 +154,34 @@ func TestFrameIO(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 10, 'x', 'y'})
 	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("truncated frame accepted")
+	}
+}
+
+// TestWireBytesUnchanged pins the control port's bytes on the wire against
+// constants captured before framing moved to internal/frame: a client and a
+// node built from either side of that change interoperate.
+func TestWireBytesUnchanged(t *testing.T) {
+	const (
+		reqHex  = "0000002b03020102030405060708000005dc01000a0000000c676f6c64656e2f726567676f6c64656e2076616c7565"
+		respHex = "0000003c0383111213141516171800000000000000004d010000000000000009000000020000000300000000000000050000000c676f6c64656e2076616c7565"
+	)
+	var buf bytes.Buffer
+	w := frame.NewWriter(&buf, nil)
+	req := request{Kind: reqWrite, ID: 0x0102030405060708, DeadlineUS: 1500, Consistency: 1,
+		Reg: "golden/reg", Value: []byte("golden value")}
+	resp := response{Kind: reqRead, ID: 0x1112131415161718, Op: 77, Present: true,
+		Value: []byte("golden value"), Tag: tag.Tag{Seq: 9, Writer: 2, Rec: 3}, Epoch: 5}
+	if err := w.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendRequest(b, req) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendResponse(b, resp) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != reqHex+respHex {
+		t.Fatalf("wire bytes changed:\n got %s\nwant %s%s", got, reqHex, respHex)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"recmem/internal/core"
+	"recmem/internal/frame"
 	"recmem/internal/wire"
 )
 
@@ -40,11 +41,6 @@ type ServerOptions struct {
 	// fault-injection testing.
 	FreezeEpoch bool
 }
-
-// maxBurstBytes bounds the writer's reply-coalescing buffer: a burst
-// reaching it flushes immediately, so group-commit never trades one syscall
-// for unbounded staging memory.
-const maxBurstBytes = 256 << 10
 
 func (o ServerOptions) withDefaults() ServerOptions {
 	if o.OpTimeout <= 0 {
@@ -79,12 +75,11 @@ type Server struct {
 	// once at Serve time.
 	frozenEpoch uint64
 
-	// writeBursts counts the gathered socket writes the connection writers
-	// issued; writeFrames the response frames those writes carried. The
-	// frames/bursts ratio is the reply group-commit amortization — the
-	// socket-side analogue of the WAL's records-per-fsync (docs/adr/0007).
-	writeBursts atomic.Uint64
-	writeFrames atomic.Uint64
+	// wstats is shared by every connection's writer: the socket writes they
+	// issued and the response frames those carried. Frames/Bursts is the
+	// reply group-commit amortization — the socket-side analogue of the
+	// log's records-per-fsync (docs/adr/0007, 0013).
+	wstats frame.Stats
 
 	// wheel is the single per-server deadline wheel; the dispatch counters
 	// below observe the callback completion path (docs/adr/0010):
@@ -110,7 +105,7 @@ type Server struct {
 // load frames/bursts grows with the burst size, under one-at-a-time load it
 // stays 1.
 func (s *Server) WriterStats() (bursts, frames uint64) {
-	return s.writeBursts.Load(), s.writeFrames.Load()
+	return s.wstats.Bursts.Load(), s.wstats.Frames.Load()
 }
 
 // DispatchStats reports the callback-completion counters (docs/adr/0010):
@@ -207,35 +202,31 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// srvConn is one connection's server-side state: the socket plus the reply
-// queue its writer goroutine drains. The queue is a mutex-guarded slice with
-// a capacity-1 wake channel rather than a buffered channel on purpose:
-// replies are now enqueued by the engine's completion callback
+// srvConn is one connection's server-side state: the socket, the writer
+// replies are encoded into, and the wake channel of the goroutine that
+// flushes it. Replies are queued by the engine's completion callback
 // (docs/adr/0010), which runs inline in a dispatch loop and must NEVER block
-// on a slow client — enqueueing is always non-blocking, and the queue's
-// growth is bounded by the client's own in-flight ops.
+// on a slow client: reply only appends under the writer's mutex, which is
+// never held across a socket write, and what is queued is bounded by the
+// client's own in-flight ops.
 type srvConn struct {
-	s    *Server
 	conn net.Conn
-
-	mu     sync.Mutex
-	queue  []response
-	spare  []response // recycled drain buffer, swapped with queue by the writer
-	closed bool       // writer gone; late replies are dropped
-	wake   chan struct{}
+	w    *frame.Writer
+	wake chan struct{}
 }
 
-// reply enqueues a response for the connection writer. Never blocks; replies
-// after the writer exited (dead connection) are dropped, exactly as the
-// socket would have dropped them.
+// reply encodes r into the connection's pending batch and wakes the writer
+// goroutine. Never blocks and never touches the socket; replies after the
+// writer exited (dead connection) are dropped, exactly as the socket would
+// have dropped them.
 func (c *srvConn) reply(r response) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
+	err := c.w.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendResponse(b, r) })
+	if err != nil {
+		// Unencodable response (oversized value): answer with an error
+		// response instead; this encode cannot fail.
+		r = response{Kind: r.Kind, ID: r.ID, Code: codeGeneric, Msg: err.Error()}
+		_ = c.w.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendResponse(b, r) })
 	}
-	c.queue = append(c.queue, r)
-	c.mu.Unlock()
 	select {
 	case c.wake <- struct{}{}:
 	default:
@@ -258,7 +249,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 
-	c := &srvConn{s: s, conn: conn, wake: make(chan struct{}, 1)}
+	c := &srvConn{conn: conn, w: frame.NewWriter(conn, &s.wstats), wake: make(chan struct{}, 1)}
 	connDone := make(chan struct{})
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
@@ -271,11 +262,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	// copies the value out, the intern table owns each register name once),
 	// so a busy connection's steady-state receive path allocates only the
 	// value copy that crosses into the engine.
-	rbuf := make([]byte, 0, 4096)
+	rb := frame.Get()
+	defer frame.Put(rb)
 	names := make(map[string]string)
 	for {
-		body, next, err := readFrameReuse(conn, rbuf)
-		rbuf = next
+		body, err := frame.Read(conn, rb, MaxFrame)
 		if err != nil {
 			break
 		}
@@ -297,81 +288,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	writerWG.Wait()
 }
 
-// writeLoop is one connection's writer: it group-commits replies onto the
-// socket. Every wakeup drains ALL queued responses in one gulp, encodes them
-// back to back into one recycled buffer (length prefixes reserved in place),
-// and issues ONE gathered write — one syscall per burst of out-of-order
-// replies instead of one per reply, mirroring the WAL's fsync group-commit.
-// Bursts flush early past maxBurstBytes so a pileup of maximal read replies
-// cannot balloon the staging buffer. It returns when connDone closes or a
-// write fails (closing conn to unblock the read loop); on exit it marks the
-// connection closed so late completion callbacks drop their replies instead
-// of growing a queue nobody drains.
+// writeLoop is one connection's writer goroutine: every wakeup flushes the
+// connection's frame.Writer, which puts everything queued on the socket in
+// one write and goes again for whatever the completion callbacks queued
+// meanwhile — one syscall per burst of out-of-order replies, mirroring the
+// log's fsync group commit. It returns when connDone closes or a write
+// fails (closing conn to unblock the read loop), and closes the writer so
+// late completion callbacks drop their replies instead of queueing for
+// nobody.
 func (c *srvConn) writeLoop(connDone <-chan struct{}) {
-	defer func() {
-		c.mu.Lock()
-		c.closed = true
-		c.queue, c.spare = nil, nil
-		c.mu.Unlock()
-	}()
-	wbuf := getFrame()
-	defer putFrame(wbuf)
+	defer c.w.Close()
 	for {
 		select {
 		case <-c.wake:
 		case <-connDone:
 			return
 		}
-		for {
-			c.mu.Lock()
-			batch := c.queue
-			c.queue = c.spare
-			c.spare = nil
-			c.mu.Unlock()
-			if len(batch) == 0 {
-				break
-			}
-			frame := wbuf.b[:0]
-			frames := uint64(0)
-			for i := range batch {
-				var err error
-				frame, err = appendResponseFrame(frame, batch[i])
-				if err != nil {
-					// Unencodable response (oversized value): answer with
-					// an error response instead; this encode cannot fail.
-					frame, _ = appendResponseFrame(frame, response{
-						Kind: batch[i].Kind, ID: batch[i].ID, Code: codeGeneric, Msg: err.Error(),
-					})
-				}
-				frames++
-				if len(frame) >= maxBurstBytes {
-					c.s.writeBursts.Add(1)
-					c.s.writeFrames.Add(frames)
-					frames = 0
-					if _, err := c.conn.Write(frame); err != nil {
-						_ = c.conn.Close() // unblocks the read loop
-						return
-					}
-					frame = frame[:0]
-				}
-			}
-			wbuf.b = frame[:0]
-			if len(frame) > 0 {
-				c.s.writeBursts.Add(1)
-				c.s.writeFrames.Add(frames)
-				if _, err := c.conn.Write(frame); err != nil {
-					_ = c.conn.Close() // unblocks the read loop
-					return
-				}
-			}
-			for i := range batch {
-				batch[i] = response{} // drop value references before recycling
-			}
-			c.mu.Lock()
-			if c.spare == nil {
-				c.spare = batch[:0]
-			}
-			c.mu.Unlock()
+		if c.w.Flush() != nil {
+			_ = c.conn.Close() // unblocks the read loop
+			return
 		}
 	}
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check-escapes.sh — heap-escape regression gate for the hot-path packages.
 #
-# Runs the compiler's escape analysis (-gcflags=-m) over internal/core and
-# remote, normalizes every "escapes to heap" / "moved to heap" diagnostic to
+# Runs the compiler's escape analysis (-gcflags=-m) over internal/core,
+# internal/frame, internal/nettcp and remote, normalizes every "escapes to heap" / "moved to heap" diagnostic to
 # "file: expression" (dropping line/column, which drift with every edit),
 # and diffs the set against scripts/escape-allowlist.txt.
 #
@@ -16,7 +16,7 @@ set -euo pipefail
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
 allowlist="scripts/escape-allowlist.txt"
-pkgs=(./internal/core/ ./remote/)
+pkgs=(./internal/core/ ./internal/frame/ ./internal/nettcp/ ./remote/)
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -25,7 +25,8 @@ trap 'rm -rf "$tmp"' EXIT
 # cached packages still report.
 go build -a -gcflags='-m' "${pkgs[@]}" 2>&1 |
     grep -E 'escapes to heap|moved to heap' |
-    sed -E 's/^([^:]+):[0-9]+:[0-9]+: (.*) (escapes to heap|moved to heap)$/\1: \2/' |
+    sed -E -e 's/^([^:]+):[0-9]+:[0-9]+: (.*) escapes to heap$/\1: \2/' \
+        -e 's/^([^:]+):[0-9]+:[0-9]+: (moved to heap: .*)$/\1: \2/' |
     sort -u > "$tmp/current.txt"
 
 grep -vE '^\s*(#|$)' "$allowlist" | sort -u > "$tmp/allowed.txt"
