@@ -1,13 +1,8 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseInts(t *testing.T) {
@@ -68,71 +63,17 @@ func TestRunTinySweep(t *testing.T) {
 }
 
 func TestRunRejectsBadArgs(t *testing.T) {
-	if err := run([]string{"-experiment", "nope"}); err == nil {
-		t.Fatal("accepted unknown experiment")
+	// batch, disks and namespace were experiments once (docs/adr/0014).
+	for _, name := range []string{"nope", "batch", "disks", "namespace"} {
+		err := run([]string{"-experiment", name})
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Fatalf("-experiment %s: err = %v, want unknown experiment", name, err)
+		}
 	}
 	if err := run([]string{"-ns", "zebra"}); err == nil {
 		t.Fatal("accepted bad -ns")
 	}
 	if err := run([]string{"-sizes", "-1"}); err == nil {
 		t.Fatal("accepted bad -sizes")
-	}
-}
-
-// TestAppendBenchEntryRejectsForeignSchema pins the trajectory-file
-// contract: an unknown schema is an error, never silently rewritten.
-func TestAppendBenchEntryRejectsForeignSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_namespace.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"other/v9"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := appendTrajectory(path, nsSchema, nsEntry{}); err == nil {
-		t.Fatal("foreign schema accepted")
-	}
-}
-
-// TestNamespaceBench runs a miniature register-count sweep over both
-// engines and checks the trajectory file it appends: verified probes, both
-// backends per count, pinned schema.
-func TestNamespaceBench(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	var out strings.Builder
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_namespace.json")
-	cfg := namespaceConfig{
-		Registers: []int{400}, ValueBytes: 64, Batch: 16,
-		JSONPath: jsonPath, Commit: "test", Out: &out,
-	}
-	if err := namespaceBench(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, backend := range nsBackends {
-		if !strings.Contains(out.String(), backend) {
-			t.Fatalf("output missing backend %s: %q", backend, out.String())
-		}
-	}
-
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f trajectoryFile[nsEntry]
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatalf("trajectory file: %v", err)
-	}
-	if f.Schema != nsSchema || len(f.Entries) != 1 {
-		t.Fatalf("trajectory = schema %q, %d entries", f.Schema, len(f.Entries))
-	}
-	entry := f.Entries[0]
-	if len(entry.Rows) != 2*len(cfg.Registers) {
-		t.Fatalf("entry has %d rows, want one per backend per count: %+v", len(entry.Rows), entry)
-	}
-	for _, row := range entry.Rows {
-		if row.LoadOpsPerSec <= 0 || row.RecoveryMS <= 0 || row.ProbeUS <= 0 || row.DiskBytes <= 0 {
-			t.Fatalf("row not measured: %+v", row)
-		}
-		if row.LoadOps != 400+400/4 {
-			t.Fatalf("row loaded %d ops, want population + churn: %+v", row.LoadOps, row)
-		}
 	}
 }

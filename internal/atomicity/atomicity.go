@@ -16,7 +16,7 @@
 //     appears before the subsequent *write reply* of the same process
 //     (allowing the paper's "overlapping writes" after a crash).
 //
-// Two observations make the search tractable without losing completeness:
+// Three observations make the search tractable without losing completeness:
 //
 //  1. Pending reads can always be dropped: keeping a completed read only adds
 //     constraints, so if any completion linearizes, the one without the read
@@ -25,6 +25,10 @@
 //     position the criterion allows is optimal: moving a reply later only
 //     removes precedence edges, so if any placement linearizes, the latest
 //     placement does.
+//  3. A read that nothing un-dealt precedes and that returns the current
+//     value can be linearized at once: it changes no state, so any witness
+//     can be reordered to put it first. The search never branches on reads;
+//     it stays exponential only in mutually concurrent writes.
 //
 // The remaining choice — keep or drop each pending write — is folded into the
 // sequential-witness search itself: a pending write may be "dropped" at any
@@ -128,7 +132,9 @@ type searchOp struct {
 	optional bool  // pending write: may be dropped instead of linearized
 }
 
-func checkRegister(h history.History, reg string, mode Mode) error {
+// searchOps prepares a single-register history for the witness search:
+// pending operations completed as the mode allows, in invocation order.
+func searchOps(h history.History, mode Mode) []searchOp {
 	all := h.Operations()
 	ops := make([]searchOp, 0, len(all))
 	for _, op := range all {
@@ -145,12 +151,16 @@ func checkRegister(h history.History, reg string, mode Mode) error {
 		ops = append(ops, s)
 	}
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].inv < ops[j].inv })
-	if ok := sequentialWitnessExists(ops, history.Bottom); !ok {
+	return ops
+}
+
+func checkRegister(h history.History, reg string, mode Mode) error {
+	if ok := sequentialWitnessExists(searchOps(h, mode), history.Bottom); !ok {
 		return &Violation{
 			Mode:   mode,
 			Reg:    reg,
 			Reason: "no legal sequential history is equivalent to any allowed completion",
-			Ops:    all,
+			Ops:    h.Operations(),
 		}
 	}
 	return nil
@@ -225,6 +235,18 @@ func sequentialWitnessExists(ops []searchOp, initial string) bool {
 	rec = func(value string, remaining int) bool {
 		if remaining == 0 {
 			return true
+		}
+		// An unblocked read of the current value goes first without
+		// branching: nothing un-dealt precedes it and it changes no state,
+		// so any witness from here can be reordered to start with it. What
+		// is left to branch over is the order of concurrent writes.
+		for i := 0; i < n; i++ {
+			if !isDealt(i) && !ops[i].isWrite && ops[i].value == value && !blocked(i) {
+				set(i)
+				ok := rec(value, remaining-1)
+				clear(i)
+				return ok
+			}
 		}
 		k := key(mask, value)
 		if _, ok := seen[k]; ok {

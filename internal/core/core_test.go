@@ -410,8 +410,16 @@ func TestPersistentRecoveryFinishesPendingWrite(t *testing.T) {
 // TestTransientRecoveryDoesNotFinishWrites: Fig. 5 has no write-back at
 // recovery; an unpropagated value stays invisible (which transient
 // atomicity allows) and the recovery counter grows instead.
+//
+// Retransmission is off for this test: every sweep is staged through the
+// outbox, so a retransmission of v2 staged around the crash can be flushed
+// after the filter is lifted and node 0 is back up. v2 becoming visible that
+// way is legal (fair-lossy channels, transient atomicity) but it is not the
+// recovery procedure finishing the write, which is what this test asserts.
+// The sibling filter-then-crash tests either never bring the writer back or
+// assert nothing a late v2 would change.
 func TestTransientRecoveryDoesNotFinishWrites(t *testing.T) {
-	tc := newTestCluster(t, 5, Transient, Options{}, netsim.Options{})
+	tc := newTestCluster(t, 5, Transient, Options{RetransmitEvery: time.Hour}, netsim.Options{})
 	if _, err := tc.write(0, "x", "v1"); err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,8 @@ import (
 //     fields. The mutex guards only the cold edges — callback registration
 //     racing completion, and the recycle bookkeeping.
 //   - Futures come from a sync.Pool. Release returns one after its operation
-//     completed; releasing bumps the future's generation counter, so a
-//     handle held across a recycle is detectably stale: the gen-checked
-//     accessor (Result) refuses to expose the next operation's outcome to a
-//     holder of a previous generation. The done channel is per-generation,
-//     allocated on the submitter's goroutine in newFuture — off the engine's
-//     critical path.
+//     completed. The done channel is per-use, allocated on the submitter's
+//     goroutine in newFuture — off the engine's critical path.
 //
 // Ownership rule: Release may only be called by the future's sole owner,
 // after completion. The engine itself never releases — the submitter owns
@@ -47,7 +43,7 @@ var futurePool = sync.Pool{New: func() any { return &Future{} }}
 
 // closedCh is the pre-closed channel Done returns for already-completed
 // futures, so a waiter that arrives after completion never touches the
-// per-generation channel (which a Release may have already dropped).
+// per-use channel (which a Release may have already dropped).
 var closedCh = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
@@ -61,10 +57,9 @@ var closedCh = func() chan struct{} {
 type Future struct {
 	op   uint64
 	done atomic.Bool
-	ch   chan struct{} // per-generation; allocated in newFuture, dropped on Release
+	ch   chan struct{} // per-use; allocated in newFuture, dropped on Release
 
-	mu   sync.Mutex // guards cb/cbID, gen, and the recycle zeroing
-	gen  uint64     // bumped on every Release; stale-handle detector
+	mu   sync.Mutex // guards cb/cbID and the recycle zeroing
 	cb   func(*Future, any)
 	cbID any
 
@@ -83,11 +78,8 @@ type Future struct {
 }
 
 // newFuture takes a future from the pool and binds it to the operation. The
-// generation survives from the previous use — that is the point: a stale
-// handle from the last operation observes a generation mismatch, never this
-// operation's result. The done channel is allocated here, on the
-// submitter's goroutine, so neither waiters nor the completing engine
-// goroutine ever pay for it.
+// done channel is allocated here, on the submitter's goroutine, so neither
+// waiters nor the completing engine goroutine ever pay for it.
 func newFuture(op uint64) *Future {
 	f := futurePool.Get().(*Future)
 	f.op = op
@@ -101,19 +93,9 @@ func newFuture(op uint64) *Future {
 // is created.
 func (f *Future) Op() uint64 { return f.op }
 
-// Generation returns the future's pool generation. Capture it at submission
-// time to use the gen-checked accessor (Result) from code that may outlive
-// the future's release — a stale generation can never observe a recycled
-// operation's outcome.
-func (f *Future) Generation() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.gen
-}
-
 // Done returns a channel closed when the operation completes. A future that
 // already completed answers with a shared pre-closed channel; a pending one
-// hands out its per-generation channel, closed by complete.
+// hands out its per-use channel, closed by complete.
 func (f *Future) Done() <-chan struct{} {
 	if f.done.Load() {
 		return closedCh
@@ -162,20 +144,6 @@ func (f *Future) Incarnation() (epoch uint64, ok bool) {
 	return f.inc, f.err == nil && f.inc != 0
 }
 
-// Result is the generation-checked read of a completed operation's outcome:
-// it exposes the future's state only to a holder of the current generation,
-// and only once the operation completed. A handle that captured gen before
-// a Release observes ok=false forever after — it can never read the
-// recycled future's next operation.
-func (f *Future) Result(gen uint64) (val []byte, wit tag.Tag, inc uint64, err error, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.gen != gen || !f.done.Load() {
-		return nil, tag.Tag{}, 0, nil, false
-	}
-	return f.val, f.wit, f.inc, f.err, true
-}
-
 // OnDone registers cb to run exactly once when the operation completes,
 // with the future and arg — fired from complete on the engine goroutine, or
 // immediately on this goroutine if the operation already finished. The
@@ -206,7 +174,7 @@ func (f *Future) OnDone(cb func(*Future, any), arg any) {
 
 // complete resolves the future: record the outcome, release blocked
 // waiters, fire the registered callback. Called exactly once per
-// generation, on the engine goroutine that executed the operation. The
+// use, on the engine goroutine that executed the operation. The
 // result fields are published by the done store (release) and the channel
 // close; the mutex is taken only to hand off the callback.
 func (f *Future) complete(val []byte, wit tag.Tag, inc uint64, err error) {
@@ -226,16 +194,14 @@ func (f *Future) complete(val []byte, wit tag.Tag, inc uint64, err error) {
 }
 
 // Release returns a completed future to the pool. Only the future's sole
-// owner may call it, and only after completion; the generation bump is what
-// turns any leftover alias into a detectably stale handle instead of a
-// silent reader of the next operation. Releasing a pending future is a
+// owner may call it, and only after completion: any leftover alias would
+// silently read the next operation. Releasing a pending future is a
 // programming error.
 func (f *Future) Release() {
 	if !f.done.Load() {
 		panic("core: Release of a pending Future")
 	}
 	f.mu.Lock()
-	f.gen++
 	f.op, f.val, f.wit, f.inc, f.err = 0, nil, tag.Tag{}, 0, nil
 	f.replied, f.abandoned = false, false
 	f.ch = nil

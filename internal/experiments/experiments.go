@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -30,16 +29,10 @@ import (
 	"recmem/internal/core"
 	"recmem/internal/netsim"
 	"recmem/internal/stable"
-	"recmem/internal/workload"
 )
 
 // Algorithms compared in Figure 6, in the paper's order.
 var Algorithms = []core.AlgorithmKind{core.CrashStop, core.Transient, core.Persistent}
-
-// BatchAlgorithms compared in the batching experiment: every multi-writer
-// kind, including the log-every-step ablation (batching amortizes its extra
-// logs the hardest).
-var BatchAlgorithms = []core.AlgorithmKind{core.CrashStop, core.Transient, core.Persistent, core.Naive}
 
 // Options configures an experiment run.
 type Options struct {
@@ -63,19 +56,6 @@ type Options struct {
 	// Ns are the cluster sizes for Fig6a (default 2…9, the paper's "up to
 	// nine workstations").
 	Ns []int
-	// Batch is the per-client submission window of the batching experiment
-	// (default 32): how many operations each client keeps in flight through
-	// the asynchronous API.
-	Batch int
-	// Pipeline is the number of independent registers of the batching
-	// experiment (default 4): registers whose quorum rounds the engine
-	// overlaps.
-	Pipeline int
-	// DiskBackend selects the stable-storage engine of the batch and disk
-	// experiments: "mem" (default — the simulated disk with the calibrated
-	// Disk profile), "file", or "wal". The real engines live in fresh
-	// temporary directories per run.
-	DiskBackend string
 }
 
 // withDefaults fills unset options.
@@ -100,14 +80,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Ns) == 0 {
 		o.Ns = []int{2, 3, 4, 5, 6, 7, 8, 9}
-	}
-	if o.Batch < 2 {
-		// A window below 2 never engages the asynchronous path and would
-		// silently compare the synchronous API against itself.
-		o.Batch = 32
-	}
-	if o.Pipeline < 1 {
-		o.Pipeline = 4
 	}
 	return o
 }
@@ -211,257 +183,6 @@ func Fig6b(ctx context.Context, opts Options) ([]Point, error) {
 		}
 	}
 	return out, nil
-}
-
-// BatchPoint compares one algorithm's throughput with and without the
-// batching + pipelining engine.
-type BatchPoint struct {
-	Algorithm core.AlgorithmKind
-	// UnbatchedOps and BatchedOps are completed operations per second for
-	// the sequential closed-loop clients and for the windowed asynchronous
-	// clients respectively.
-	UnbatchedOps, BatchedOps float64
-	// Speedup is BatchedOps / UnbatchedOps.
-	Speedup float64
-}
-
-// MeasureBatch drives the same write workload (opts.Writes operations at
-// each of n processes over opts.Pipeline registers, on the calibrated LAN
-// testbed) twice: once through the synchronous one-at-a-time API and once
-// through the asynchronous submission API with a window of opts.Batch
-// operations per client — measuring how far coalesced quorum rounds and
-// pipelined registers move the throughput ceiling.
-func MeasureBatch(ctx context.Context, kind core.AlgorithmKind, n int, opts Options) (BatchPoint, error) {
-	opts = opts.withDefaults()
-	run := func(async int) (float64, error) {
-		cfg := cluster.Config{
-			N:         n,
-			Algorithm: kind,
-			Node:      core.Options{RetransmitEvery: 250 * time.Millisecond},
-			Net:       netsim.Options{Profile: opts.Net},
-			Disk:      opts.Disk,
-		}
-		if opts.DiskBackend != "" && opts.DiskBackend != "mem" {
-			dir, err := os.MkdirTemp("", "recmem-disk-*")
-			if err != nil {
-				return 0, err
-			}
-			defer os.RemoveAll(dir)
-			cfg.DiskBackend, cfg.DiskDir = opts.DiskBackend, dir
-		}
-		c, err := cluster.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Close()
-		regs := make([]string, opts.Pipeline)
-		for i := range regs {
-			regs[i] = fmt.Sprintf("r%d", i)
-		}
-		mix := workload.Mix{Registers: regs, Async: async}
-		procs := workload.AllProcs(n)
-		// Warm every protocol path once.
-		workload.Run(ctx, c, procs, opts.Warmup, mix, 1)
-		start := time.Now()
-		res := workload.Run(ctx, c, procs, opts.Writes, mix, 2)
-		elapsed := time.Since(start)
-		if res.Errors > 0 {
-			return 0, fmt.Errorf("%d workload errors", res.Errors)
-		}
-		done := res.Writes + res.Reads
-		if done == 0 || elapsed <= 0 {
-			return 0, fmt.Errorf("no completed operations")
-		}
-		return float64(done) / elapsed.Seconds(), nil
-	}
-	p := BatchPoint{Algorithm: kind}
-	for pass := 0; pass < opts.Passes; pass++ {
-		if pass > 0 {
-			time.Sleep(50 * time.Millisecond)
-		}
-		unb, err := run(0)
-		if err != nil {
-			return p, fmt.Errorf("unbatched: %w", err)
-		}
-		bat, err := run(opts.Batch)
-		if err != nil {
-			return p, fmt.Errorf("batched: %w", err)
-		}
-		if unb > p.UnbatchedOps {
-			p.UnbatchedOps = unb
-		}
-		if bat > p.BatchedOps {
-			p.BatchedOps = bat
-		}
-	}
-	p.Speedup = p.BatchedOps / p.UnbatchedOps
-	return p, nil
-}
-
-// Batch sweeps the batched-vs-unbatched comparison over every multi-writer
-// algorithm kind at n = 5.
-func Batch(ctx context.Context, opts Options) ([]BatchPoint, error) {
-	opts = opts.withDefaults()
-	var out []BatchPoint
-	for _, kind := range BatchAlgorithms {
-		p, err := MeasureBatch(ctx, kind, 5, opts)
-		if err != nil {
-			return out, fmt.Errorf("batch %v: %w", kind, err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// DiskPoint compares one stable-storage engine under the same coalesced
-// batched workload: the fsync-amortization experiment. Records is the
-// number of causal-log records the protocol persisted (summed over all
-// nodes), Commits the durability points it issued (Store calls plus
-// StoreBatch groups — what a group-commit-free engine flushes), and Syncs
-// the flushes the engine actually performed: Commits for mem (each commit
-// pays one simulated λ), 2 × Records for file (every record is a temp-file
-// fsync plus a directory fsync), and the group-commit daemons' counts for
-// wal and sharded.
-type DiskPoint struct {
-	Backend string
-	Ops     float64
-	Records int
-	Commits int
-	Syncs   int64
-}
-
-// RecordsPerSync is the amortization factor: causal-log records made
-// durable per disk flush.
-func (p DiskPoint) RecordsPerSync() float64 {
-	if p.Syncs == 0 {
-		return 0
-	}
-	return float64(p.Records) / float64(p.Syncs)
-}
-
-// MeasureDisk drives the batched write workload of MeasureBatch over the
-// named storage engine and reports throughput plus the engine's sync bill.
-func MeasureDisk(ctx context.Context, kind core.AlgorithmKind, n int, backend string, opts Options) (DiskPoint, error) {
-	opts = opts.withDefaults()
-	p := DiskPoint{Backend: backend}
-
-	var dir string
-	if backend != "mem" {
-		var err error
-		dir, err = os.MkdirTemp("", "recmem-disk-*")
-		if err != nil {
-			return p, err
-		}
-		defer os.RemoveAll(dir)
-	}
-	counts := make([]*stable.Counting, n)
-	// Log-structured engines report their own fsync bill.
-	syncers := make([]interface{ Syncs() int64 }, n)
-	c, err := cluster.New(cluster.Config{
-		N:         n,
-		Algorithm: kind,
-		Node:      core.Options{RetransmitEvery: 250 * time.Millisecond},
-		Net:       netsim.Options{Profile: opts.Net},
-		DiskFactory: func(id int32) (stable.Storage, error) {
-			inner, err := stable.OpenBackend(backend, fmt.Sprintf("%s/node%d", dir, id), opts.Disk)
-			if err != nil {
-				return nil, err
-			}
-			if s, ok := inner.(interface{ Syncs() int64 }); ok {
-				syncers[id] = s
-			}
-			counts[id] = stable.NewCounting(inner)
-			return counts[id], nil
-		},
-	})
-	if err != nil {
-		return p, err
-	}
-	defer c.Close()
-
-	regs := make([]string, opts.Pipeline)
-	for i := range regs {
-		regs[i] = fmt.Sprintf("r%d", i)
-	}
-	mix := workload.Mix{Registers: regs, Async: opts.Batch}
-	procs := workload.AllProcs(n)
-	workload.Run(ctx, c, procs, opts.Warmup, mix, 1)
-	warmRecords, warmCommits := 0, 0
-	var warmSyncs int64
-	for i, ct := range counts {
-		warmRecords += ct.Stores()
-		warmCommits += ct.Commits()
-		if syncers[i] != nil {
-			warmSyncs += syncers[i].Syncs()
-		}
-	}
-	start := time.Now()
-	res := workload.Run(ctx, c, procs, opts.Writes, mix, 2)
-	elapsed := time.Since(start)
-	if res.Errors > 0 {
-		return p, fmt.Errorf("%d workload errors", res.Errors)
-	}
-	done := res.Writes + res.Reads
-	if done == 0 || elapsed <= 0 {
-		return p, fmt.Errorf("no completed operations")
-	}
-	p.Ops = float64(done) / elapsed.Seconds()
-	for i, ct := range counts {
-		p.Records += ct.Stores()
-		p.Commits += ct.Commits()
-		if syncers[i] != nil {
-			p.Syncs += syncers[i].Syncs()
-		}
-	}
-	p.Records -= warmRecords
-	p.Commits -= warmCommits
-	switch backend {
-	case "mem":
-		p.Syncs = int64(p.Commits)
-	case "file":
-		p.Syncs = 2 * int64(p.Records)
-	default:
-		p.Syncs -= warmSyncs
-	}
-	return p, nil
-}
-
-// Disks sweeps the fsync-amortization comparison over every storage engine
-// at n = 5 with the persistent algorithm — the kind with the heaviest log
-// bill, where the engine choice moves the needle most.
-func Disks(ctx context.Context, opts Options) ([]DiskPoint, error) {
-	opts = opts.withDefaults()
-	var out []DiskPoint
-	for _, backend := range stable.Backends() {
-		p, err := MeasureDisk(ctx, core.Persistent, 5, backend, opts)
-		if err != nil {
-			return out, fmt.Errorf("disks %s: %w", backend, err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// PrintDisks renders the engine comparison: one line per backend.
-func PrintDisks(w io.Writer, points []DiskPoint) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "backend\tbatched(op/s)\trecords\tcommits\tsyncs\trecords/sync")
-	for _, p := range points {
-		fmt.Fprintf(tw, "%s\t%.0f\t%d\t%d\t%d\t%.1f\n",
-			p.Backend, p.Ops, p.Records, p.Commits, p.Syncs, p.RecordsPerSync())
-	}
-	tw.Flush()
-}
-
-// PrintBatch renders the throughput comparison: one line per algorithm.
-func PrintBatch(w io.Writer, points []BatchPoint) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "algorithm\tunbatched(op/s)\tbatched(op/s)\tspeedup")
-	for _, p := range points {
-		fmt.Fprintf(tw, "%v\t%.0f\t%.0f\t%.1fx\n",
-			p.Algorithm, p.UnbatchedOps, p.BatchedOps, p.Speedup)
-	}
-	tw.Flush()
 }
 
 // PrintFig6a renders the sweep as the rows of Figure 6 (top): one line per

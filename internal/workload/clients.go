@@ -13,99 +13,21 @@ import (
 
 // This file retargets the workload driver at the backend-agnostic
 // recmem.Client interface: RunClients drives any client set — the
-// simulated cluster's processes (through the Clients adapter) or a live
+// simulated cluster's processes (Clients) or a live
 // TCP mesh (remote.Dial) — with identical scenario code, and ClientFaults
 // injects crash/recovery faults through the same interface. The cluster-
 // specific Run in workload.go is a thin wrapper over these.
 
-// Clients adapts the listed processes of a simulated cluster to
-// recmem.Client, attributing operations and faults to the processes
-// exactly like the Cluster-level API (histories stay verifiable).
+// Clients returns the listed processes of a simulated cluster as
+// recmem.Clients: the same *recmem.Process an application gets from
+// recmem.Cluster.Process, so operations and faults are attributed to the
+// processes exactly like the Cluster-level API (histories stay verifiable).
 func Clients(c *cluster.Cluster, procs []int32) []recmem.Client {
 	out := make([]recmem.Client, len(procs))
 	for i, p := range procs {
-		out[i] = &clusterClient{c: c, proc: p}
+		out[i] = recmem.NewProcess(c, p)
 	}
 	return out
-}
-
-// clusterClient is one process of a simulated cluster as a recmem.Client.
-type clusterClient struct {
-	c    *cluster.Cluster
-	proc int32
-
-	mu   sync.Mutex
-	regs map[string]*recmem.Register
-}
-
-var _ recmem.Client = (*clusterClient)(nil)
-
-func (cc *clusterClient) Register(name string) *recmem.Register {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.regs == nil {
-		cc.regs = make(map[string]*recmem.Register)
-	}
-	r := cc.regs[name]
-	if r == nil {
-		r = recmem.NewRegister(name, &clusterRegister{h: cc.c.Handle(cc.proc, name)})
-		cc.regs[name] = r
-	}
-	return r
-}
-
-func (cc *clusterClient) Crash(_ context.Context) error {
-	if !cc.c.Crash(cc.proc) {
-		return recmem.ErrDown
-	}
-	return nil
-}
-
-func (cc *clusterClient) Recover(ctx context.Context) error {
-	return cc.c.Recover(ctx, cc.proc)
-}
-
-func (cc *clusterClient) Close() error { return nil }
-
-// clusterRegister is the cluster-handle RegisterBackend: the driver twin of
-// the root package's Process backend (which internal code cannot
-// construct), sharing the OpOptions.ReadMode mapping with it.
-type clusterRegister struct {
-	h *cluster.Handle
-}
-
-var _ recmem.RegisterBackend = (*clusterRegister)(nil)
-
-func (b *clusterRegister) Read(ctx context.Context, o recmem.OpOptions) ([]byte, recmem.OpID, error) {
-	m, err := o.ReadMode()
-	if err != nil {
-		return nil, 0, err
-	}
-	val, rep, err := b.h.Read(ctx, m)
-	if o.Witness != nil {
-		*o.Witness = rep.Tag
-	}
-	return val, recmem.OpID(rep.Op), err
-}
-
-func (b *clusterRegister) Write(ctx context.Context, val []byte, o recmem.OpOptions) (recmem.OpID, error) {
-	rep, err := b.h.Write(ctx, val)
-	if o.Witness != nil {
-		*o.Witness = rep.Tag
-	}
-	return recmem.OpID(rep.Op), err
-}
-
-func (b *clusterRegister) SubmitRead(o recmem.OpOptions) (recmem.Future, error) {
-	m, err := o.ReadMode()
-	if err != nil {
-		return nil, err
-	}
-	return b.h.SubmitRead(m)
-}
-
-func (b *clusterRegister) SubmitWrite(val []byte, o recmem.OpOptions) (recmem.Future, error) {
-	return b.h.SubmitWrite(val)
 }
 
 // RunClients drives opsPerClient operations at each client — one

@@ -11,9 +11,8 @@ import (
 	"recmem/internal/workload"
 )
 
-// TestRunClientsOverClusterAdapter drives RunClients through the Clients
-// adapter and checks the histories verify exactly like the proc-based Run:
-// the adapter is the sim's recmem.Client face.
+// TestRunClientsOverClusterAdapter drives RunClients over Clients and checks
+// the histories verify exactly like the proc-based Run.
 func TestRunClientsOverClusterAdapter(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		N:         3,
@@ -106,23 +105,42 @@ func TestClientFaultsRefusesTotalCrash(t *testing.T) {
 	}
 }
 
-// TestAdapterRegisterCaching pins that the adapter hands out one handle per
-// register name (the cached-resolution contract).
-func TestAdapterRegisterCaching(t *testing.T) {
+// TestClientsReportEpochOnSyncOps: a synchronous operation through Clients
+// carries the serving node's incarnation epoch, like a submitted one, so a
+// recorded sim run sees one epoch per incarnation whichever API issued it.
+func TestClientsReportEpochOnSyncOps(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
-		N:         1,
-		Algorithm: core.CrashStop,
+		N:         3,
+		Algorithm: core.Persistent,
 		Node:      core.Options{RetransmitEvery: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	client := workload.Clients(c, []int32{0})[0]
-	if client.Register("x") != client.Register("x") {
-		t.Fatal("adapter did not cache the register handle")
+	if err := client.Crash(ctx); err != nil {
+		t.Fatal(err)
 	}
-	var _ recmem.Client = client
+	if err := client.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := c.Node(0).IncarnationEpoch()
+	if want == 0 {
+		t.Fatal("recovered node reports epoch 0")
+	}
+	var wep, rep uint64
+	if err := client.Register("x").Write(ctx, []byte("v"), recmem.WithEpoch(&wep)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Register("x").Read(ctx, recmem.WithEpoch(&rep)); err != nil {
+		t.Fatal(err)
+	}
+	if wep != want || rep != want {
+		t.Fatalf("sync write/read epochs = %d/%d, want %d", wep, rep, want)
+	}
 }
 
 // TestRunClientsRecorded drives the identical scenario with Mix.Record and

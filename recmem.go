@@ -350,7 +350,14 @@ func (c *Cluster) Process(id int) *Process {
 	if id < 0 || id >= c.inner.N() {
 		panic(fmt.Sprintf("recmem: process %d out of range [0,%d)", id, c.inner.N()))
 	}
-	return &Process{c: c.inner, id: int32(id)}
+	return NewProcess(c.inner, int32(id))
+}
+
+// NewProcess returns the client handle of process id of a simulated cluster
+// that in-module drivers (the workload package, recmem-torture) built
+// directly; applications get theirs from Cluster.Process.
+func NewProcess(c *cluster.Cluster, id int32) *Process {
+	return &Process{c: c, id: id}
 }
 
 // DefaultCriterion returns the criterion the algorithm guarantees.
@@ -481,8 +488,9 @@ func (p *Process) Read(ctx context.Context, register string) ([]byte, error) {
 //
 // Verify still checks histories containing submitted operations, but its
 // witness search is exponential in the number of mutually concurrent
-// operations per register: runs meant for verification should keep async
-// bursts small (tens, not thousands, in flight per register).
+// writes per register (reads do not branch it): runs meant for verification
+// should keep async bursts small (tens, not thousands, in flight per
+// register).
 func (p *Process) SubmitWrite(register string, val []byte) (*WriteFuture, error) {
 	f, err := p.c.SubmitWrite(p.id, register, val)
 	if err != nil {
