@@ -152,8 +152,11 @@ func startNode(cfg nodeConfig) (*nodeServer, error) {
 		}
 	}
 
+	// OneRoundReads is not a flag: the deployed-shape benchmark decided it
+	// (docs/adr/0015), and a read that observes disagreement still runs the
+	// paper's two rounds on its own.
 	node, err := core.NewNode(int32(cfg.id), len(cfg.peers), kind,
-		core.Options{RetransmitEvery: cfg.retransmit, HardenedTags: cfg.hardened},
+		core.Options{RetransmitEvery: cfg.retransmit, HardenedTags: cfg.hardened, OneRoundReads: true},
 		core.Deps{Endpoint: mesh, Storage: disk, IDs: &atomic.Uint64{}},
 	)
 	if err != nil {
@@ -277,7 +280,7 @@ func run(args []string) error {
 		fmt.Printf("recmem-node %d: %v, shutting down\n", *id, sig)
 	case <-ns.Done():
 	}
-	fmt.Println(shutdownBanner(*id, ns.srv))
+	fmt.Println(shutdownBanner(*id, ns.srv) + readRoundsBanner(ns.node))
 	return nil
 }
 
@@ -294,4 +297,12 @@ func shutdownBanner(id int, srv *remote.Server) string {
 	}
 	return fmt.Sprintf("recmem-node %d: dispatch in-flight=%d callback-completions=%d deadline-drops=%d reply-frames=%d reply-bursts=%d (%.1f frames/burst)",
 		id, inflight, completions, deadlines, frames, bursts, ratio)
+}
+
+// readRoundsBanner is the shutdown line's tail: how many read executions this
+// node ran that returned after one round and how many ran the write-back
+// (docs/adr/0015) — the one-round hit rate under whatever load the node saw.
+func readRoundsBanner(node *core.Node) string {
+	one, two := node.ReadRounds()
+	return fmt.Sprintf(" one-round-reads=%d two-round-reads=%d", one, two)
 }

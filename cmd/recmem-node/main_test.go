@@ -286,3 +286,36 @@ func TestShutdownBanner(t *testing.T) {
 		t.Fatalf("banner completions = %d (err %v), want ≥%d: %q", completions, err, ops, banner)
 	}
 }
+
+// TestReadRoundsBanner: the node runs one-round reads (docs/adr/0015) and the
+// shutdown line's tail reports which path its reads took. On a single-process
+// node the majority is the node itself, so every read agrees.
+func TestReadRoundsBanner(t *testing.T) {
+	ns, err := startNode(nodeConfig{
+		id: 0, peers: []string{"127.0.0.1:0"}, control: "127.0.0.1:0",
+		algorithm: "persistent", disk: "mem", opTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ns.Close)
+	c, err := remote.Dial(ns.ControlAddr(), remote.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	x := c.Register("x")
+	if err := x.Write(ctx, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if got, err := x.Read(ctx); err != nil || string(got) != "v" {
+			t.Fatalf("read = %q, %v", got, err)
+		}
+	}
+	if got, want := readRoundsBanner(ns.node), " one-round-reads=3 two-round-reads=0"; got != want {
+		t.Fatalf("banner tail %q, want %q", got, want)
+	}
+}

@@ -103,6 +103,7 @@ type options struct {
 	regs     int
 	async    int
 	hardened bool
+	oneRound bool
 	faultFor time.Duration
 	traceCap int
 	disk     string
@@ -135,6 +136,7 @@ func run(args []string) error {
 		regs       = fs.Int("registers", 2, "number of registers")
 		async      = fs.Int("async", 0, "submission window per client (>= 2 engages the batching engine)")
 		hardened   = fs.Bool("hardened", false, "use hardened tags for the transient algorithm")
+		oneRound   = fs.Bool("one-round-reads", false, "simulated rounds: reads whose majority already agrees on one logged tag return after one round (docs/adr/0015); recmem-node always runs them")
 		faultFor   = fs.Duration("faults", time.Second, "fault-injection duration per round")
 		traceCap   = fs.Int("trace", 0, "protocol trace capacity; dumped when a violation is found (0 = off)")
 		disk       = fs.String("disk", "mem", "stable-storage engine: mem, file, wal, or sharded")
@@ -159,7 +161,7 @@ func run(args []string) error {
 	}
 	o := options{
 		kind: kind, n: *n, ops: *ops, seed: *seed, loss: *loss, dup: *dup,
-		reads: *reads, regs: *regs, async: *async, hardened: *hardened,
+		reads: *reads, regs: *regs, async: *async, hardened: *hardened, oneRound: *oneRound,
 		faultFor: *faultFor, traceCap: *traceCap, disk: *disk, diskFail: *diskFail,
 		verify: *verify, populate: *populate,
 	}
@@ -336,6 +338,7 @@ func tortureRound(o options) error {
 		Node: core.Options{
 			RetransmitEvery: 5 * time.Millisecond,
 			HardenedTags:    o.hardened,
+			OneRoundReads:   o.oneRound,
 		},
 		Net:           netsim.Options{LossRate: o.loss, DupRate: o.dup, Seed: o.seed},
 		TraceCapacity: o.traceCap,

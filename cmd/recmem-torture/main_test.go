@@ -193,12 +193,14 @@ func TestRemoteRoundVerifyCatchesStaleMesh(t *testing.T) {
 }
 
 func TestRunFullFlow(t *testing.T) {
-	err := run([]string{
-		"-algorithm", "persistent", "-n", "3", "-ops", "5",
-		"-rounds", "2", "-seed", "11", "-faults", "50ms",
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, extra := range [][]string{nil, {"-one-round-reads"}} {
+		err := run(append([]string{
+			"-algorithm", "persistent", "-n", "3", "-ops", "5",
+			"-rounds", "2", "-seed", "11", "-faults", "50ms",
+		}, extra...))
+		if err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
 	}
 }
 

@@ -25,6 +25,13 @@ type opBill struct {
 	rounds, sends, depth, logs int
 }
 
+// billCase is one algorithm's row of the cost table: what a lone write and
+// a lone quiescent read cost.
+type billCase struct {
+	kind        core.AlgorithmKind
+	write, read opBill
+}
+
 // TestBatchOfOneIsFigure6: on a quiescent n=5 cluster a synchronous write
 // and read — each a batch of one on the engine path — cost exactly the
 // messages and logs of the paper's algorithms (Fig. 6: 2 rounds of n
@@ -33,10 +40,7 @@ type opBill struct {
 // single-record store.
 func TestBatchOfOneIsFigure6(t *testing.T) {
 	const n = 5
-	cases := []struct {
-		kind        core.AlgorithmKind
-		write, read opBill
-	}{
+	cases := []billCase{
 		{core.CrashStop, opBill{2, 2 * n, 0, 0}, opBill{2, 2 * n, 0, 0}},
 		{core.Transient, opBill{2, 2 * n, 1, n}, opBill{2, 2 * n, 0, 0}},
 		{core.Persistent, opBill{2, 2 * n, 2, 1 + n}, opBill{2, 2 * n, 0, 0}},
@@ -47,72 +51,103 @@ func TestBatchOfOneIsFigure6(t *testing.T) {
 		{core.RegularSW, opBill{1, n, 1, n}, opBill{1, n, 0, 0}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.kind.String(), func(t *testing.T) {
-			var disks []*stable.Counting
-			c := newCluster(t, cluster.Config{
-				N: n, Algorithm: tc.kind,
-				// No operation here waits on a lost message; a slow machine
-				// must not add a retransmission sweep to the bill.
-				Node: core.Options{RetransmitEvery: time.Minute},
-				DiskFactory: func(int32) (stable.Storage, error) {
-					d := stable.NewCounting(stable.NewMemDisk(stable.Profile{}))
-					disks = append(disks, d)
-					return d, nil
-				},
-			})
-			ctx := testCtx(t)
-			stored := func() (records, commits int) {
-				for _, d := range disks {
-					records += d.Stores()
-					commits += d.Commits()
-				}
-				return records, commits
-			}
-			// check waits for the operation's stragglers (replicas beyond
-			// the majority adopt and log after it returned), then compares
-			// its bill with the paper's.
-			check := func(name string, op uint64, want opBill, wantStored int) {
-				t.Helper()
-				waitUntil(t, 5*time.Second, name+"'s last log", func() bool { return c.LogCost(op).Logs >= want.logs })
-				if got, want := c.MsgTrace(op), (metrics.OpTrace{Rounds: want.rounds, Sends: want.sends}); got != want {
-					t.Errorf("%s messages = %+v, want %+v", name, got, want)
-				}
-				if got := c.LogCost(op); got.Logs != want.logs || got.CausalDepth != want.depth {
-					t.Errorf("%s logs = %+v, want %d logs of causal depth %d", name, got, want.logs, want.depth)
-				}
-				if records, commits := stored(); records != wantStored || commits != wantStored {
-					t.Errorf("after %s: %d records in %d store calls, want %d single-record stores",
-						name, records, commits, wantStored)
-				}
-			}
+		t.Run(tc.kind.String(), func(t *testing.T) { billOfOne(t, n, core.Options{}, tc) })
+	}
 
-			w, err := c.Write(ctx, core.RegularWriter, "x", []byte("v"))
-			if err != nil {
-				t.Fatal(err)
+	// With Options.OneRoundReads (docs/adr/0015) the quiescent read of the
+	// three atomic algorithms finds its majority agreeing and stops after the
+	// query round: n messages, still no log. Naive and RegularSW ignore the
+	// option, and no write row moves.
+	oneRound := []billCase{
+		{core.CrashStop, opBill{2, 2 * n, 0, 0}, opBill{1, n, 0, 0}},
+		{core.Transient, opBill{2, 2 * n, 1, n}, opBill{1, n, 0, 0}},
+		{core.Persistent, opBill{2, 2 * n, 2, 1 + n}, opBill{1, n, 0, 0}},
+		{core.Naive, opBill{2, 2 * n, 4, 2 + 2*n}, opBill{2, 2 * n, 2, 1 + n}},
+		{core.RegularSW, opBill{1, n, 1, n}, opBill{1, n, 0, 0}},
+	}
+	t.Run("one-round-reads", func(t *testing.T) {
+		for i, tc := range oneRound {
+			if off := cases[i]; tc.kind != off.kind || tc.write != off.write {
+				t.Fatalf("row %d = %+v against %+v: the option must not move a write bill", i, tc, off)
 			}
-			// Quiescence: every replica has adopted, so the read's write-back
-			// replaces nothing anywhere.
-			waitUntil(t, 5*time.Second, "adoption everywhere", func() bool {
-				for p := int32(0); p < n; p++ {
-					if _, val, _ := c.Node(p).RegisterState("x"); string(val) != "v" {
-						return false
-					}
-				}
-				return true
-			})
-			check("write", w.Op, tc.write, tc.write.logs)
+			t.Run(tc.kind.String(), func(t *testing.T) { billOfOne(t, n, core.Options{OneRoundReads: true}, tc) })
+		}
+	})
+}
 
-			val, r, err := c.Read(ctx, 1, "x")
-			if err != nil || string(val) != "v" {
-				t.Fatalf("read = %q, %v", val, err)
-			}
-			check("read", r.Op, tc.read, tc.write.logs+tc.read.logs)
-			check("write, after the read", w.Op, tc.write, tc.write.logs+tc.read.logs)
+// billOfOne runs one synchronous write, then one quiescent read, on a fresh
+// n-process cluster and compares their bills with tc's.
+func billOfOne(t *testing.T, n int, opts core.Options, tc billCase) {
+	var disks []*stable.Counting
+	// No operation here waits on a lost message; a slow machine must not add
+	// a retransmission sweep to the bill.
+	opts.RetransmitEvery = time.Minute
+	c := newCluster(t, cluster.Config{
+		N: n, Algorithm: tc.kind, Node: opts,
+		DiskFactory: func(int32) (stable.Storage, error) {
+			d := stable.NewCounting(stable.NewMemDisk(stable.Profile{}))
+			disks = append(disks, d)
+			return d, nil
+		},
+	})
+	ctx := testCtx(t)
+	stored := func() (records, commits int) {
+		for _, d := range disks {
+			records += d.Stores()
+			commits += d.Commits()
+		}
+		return records, commits
+	}
+	// check waits for the operation's stragglers (replicas beyond the
+	// majority adopt and log after it returned), then compares its bill with
+	// the paper's.
+	check := func(name string, op uint64, want opBill, wantStored int) {
+		t.Helper()
+		waitUntil(t, 5*time.Second, name+"'s last log", func() bool { return c.LogCost(op).Logs >= want.logs })
+		if got, want := c.MsgTrace(op), (metrics.OpTrace{Rounds: want.rounds, Sends: want.sends}); got != want {
+			t.Errorf("%s messages = %+v, want %+v", name, got, want)
+		}
+		if got := c.LogCost(op); got.Logs != want.logs || got.CausalDepth != want.depth {
+			t.Errorf("%s logs = %+v, want %d logs of causal depth %d", name, got, want.logs, want.depth)
+		}
+		if records, commits := stored(); records != wantStored || commits != wantStored {
+			t.Errorf("after %s: %d records in %d store calls, want %d single-record stores",
+				name, records, commits, wantStored)
+		}
+	}
 
-			if st := c.NetStats(); st.BatchFrames != 0 {
-				t.Errorf("network = %+v, want plain messages only, no batch frame", st)
-			}
-		})
+	w, err := c.Write(ctx, core.RegularWriter, "x", []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Quiescence: every replica has adopted, so the read's write-back
+	// replaces nothing anywhere.
+	waitAdopted(t, c, "x", "v")
+	check("write", w.Op, tc.write, tc.write.logs)
+
+	val, r, err := c.Read(ctx, 1, "x")
+	if err != nil || string(val) != "v" {
+		t.Fatalf("read = %q, %v", val, err)
+	}
+	check("read", r.Op, tc.read, tc.write.logs+tc.read.logs)
+	check("write, after the read", w.Op, tc.write, tc.write.logs+tc.read.logs)
+
+	// ReadRounds counts what OneRoundReads decided, nothing else: RegularSW's
+	// read, one round by definition, is in neither count.
+	wantOne, wantTwo := uint64(0), uint64(0)
+	switch {
+	case tc.kind == core.RegularSW:
+	case tc.read.rounds == 1:
+		wantOne = 1
+	default:
+		wantTwo = 1
+	}
+	if one, two := c.Node(1).ReadRounds(); one != wantOne || two != wantTwo {
+		t.Errorf("reader's ReadRounds = %d one-round, %d two-round; want %d, %d", one, two, wantOne, wantTwo)
+	}
+
+	if st := c.NetStats(); st.BatchFrames != 0 {
+		t.Errorf("network = %+v, want plain messages only, no batch frame", st)
 	}
 }
 

@@ -19,7 +19,10 @@
 //     baseline showing why minimizing causal logs matters.
 //
 // Every operation uses two request/acknowledgement rounds (4 communication
-// steps), exactly as in [2]: minimizing logs costs no extra messages.
+// steps), exactly as in [2]: minimizing logs costs no extra messages. The
+// one extension beyond the paper is Options.OneRoundReads, which lets a
+// read whose majority already agrees on one logged tag skip the write-back
+// round (docs/adr/0015).
 //
 // All algorithms are multi-register: each register name runs an independent
 // instance of the protocol multiplexed over the same channels and stable
@@ -107,6 +110,21 @@ type Options struct {
 	// closing the tag-collision window of the literal Figure 5 (DESIGN.md
 	// §7). Off by default: the default is the paper's algorithm.
 	HardenedTags bool
+	// OneRoundReads lets an atomic read return after its query round when
+	// every acknowledgement of the majority it heard carries the same full
+	// tag (Seq, Writer, Rec): the value is then already logged at a majority
+	// — each replica stored written/<reg> before it adopted the tag it
+	// reports, and a process's durable tag only grows across crashes — which
+	// is exactly the post-condition of the write-back round, so the round is
+	// skipped: 2 communication steps, n messages, no log (docs/adr/0015).
+	// Any disagreement falls back to the write-back, which is when the
+	// paper's reader would have caused a log. Applies to CrashStop, Transient
+	// and Persistent; Naive (log-every-step is its point), RegularSW (already
+	// one round) and UnsafeNoReadLog (replicas adopt write-backs they never
+	// logged) ignore it. Off by default: the default is the paper's
+	// algorithm, which Figure 6 measures; recmem-node always sets it because
+	// the deployed-shape benchmark measured it (docs/adr/0015, Measured).
+	OneRoundReads bool
 	// UnsafeNoReadLog disables logging when handling a read's write-back
 	// round. This deliberately re-introduces the Theorem 2 impossibility
 	// (reads that leave no stable trace) and exists only to demonstrate the
@@ -221,6 +239,12 @@ type Node struct {
 	// slices, retransmission timer); see roundState.
 	roundPool sync.Pool
 
+	// oneRound is Options.OneRoundReads resolved against the algorithm and
+	// the ablations; readsOne counts the read executions it completed after
+	// one round, readsTwo those that ran the write-back (ReadRounds).
+	oneRound           bool
+	readsOne, readsTwo atomic.Uint64
+
 	listenerDone chan struct{}
 }
 
@@ -260,6 +284,8 @@ func NewNode(id int32, n int, kind AlgorithmKind, opts Options, deps Deps) (*Nod
 		crashCh:      make(chan struct{}),
 		listenerDone: make(chan struct{}),
 	}
+	nd.oneRound = opts.OneRoundReads && !opts.UnsafeNoReadLog &&
+		(kind == CrashStop || kind == Transient || kind == Persistent)
 	// Mint the boot's incarnation epoch: one past whatever the last boot
 	// persisted (a cold start on empty storage gets 1). Recoveries mint
 	// further epochs via mintIncarnation; this first one is persisted there
@@ -378,8 +404,11 @@ func (nd *Node) regView(reg string) (regState, uint64, error) {
 	}
 	if cur, ok := nd.regs[reg]; ok {
 		// A concurrent adoption (or another materializer) beat the load; its
-		// view is at least as fresh — adopters insert before they store, so
-		// anything this load missed is already in the map.
+		// view is at least as fresh. Adopters store before they insert — the
+		// volatile view never runs ahead of the written/ record;
+		// OneRoundReads depends on it — and they materialize the entry
+		// before that store begins, so a load that raced one lands here
+		// rather than inserting a record whose store has not returned.
 		return cur, epoch, nil
 	}
 	nd.regs[reg] = rs
@@ -394,6 +423,14 @@ func (nd *Node) IncarnationEpoch() uint64 {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	return nd.inc
+}
+
+// ReadRounds reports how many read executions OneRoundReads completed after
+// one round (the majority agreed) and how many ran the write-back round.
+// RegularSW reads, one round by definition, are in neither count. A coalesced
+// batch of reads is one execution.
+func (nd *Node) ReadRounds() (one, two uint64) {
+	return nd.readsOne.Load(), nd.readsTwo.Load()
 }
 
 // RecoveryCount returns the volatile copy of the persisted recovery counter

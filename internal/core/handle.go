@@ -21,7 +21,8 @@ type ReadMode int
 
 const (
 	// ReadDefault is the algorithm's native read: the two-round atomic read
-	// for the atomic emulations, the one-round majority read for RegularSW.
+	// for the atomic emulations (one round under Options.OneRoundReads when
+	// the majority agrees), the one-round majority read for RegularSW.
 	ReadDefault ReadMode = iota
 	// ReadRegular explicitly requests the regular read (RegularSW only);
 	// identical to ReadDefault under that algorithm.

@@ -141,6 +141,8 @@ func (nd *Node) handleSNQuery(env wire.Envelope) {
 // handleRead implements Fig. 4 lines 28–30: reply with the current tagged
 // value, materialized from stable storage if this incarnation has not
 // touched the register yet (absent record = zero state, the paper's ⊥).
+// Under the logging algorithms the tag it reports is always one the written/
+// record already carries (see handleWrite), which OneRoundReads relies on.
 func (nd *Node) handleRead(env wire.Envelope) {
 	cur, _, err := nd.regView(env.Reg)
 	if err != nil {
@@ -157,7 +159,10 @@ func (nd *Node) handleRead(env wire.Envelope) {
 // is higher than the local one, log the new value and adopt it, then
 // acknowledge. Logging happens before the volatile update and before the
 // acknowledgement — a crash between them behaves like a crash just after
-// the log, which the algorithm tolerates.
+// the log, which the algorithm tolerates. The order is load-bearing beyond
+// the write's own ack: the volatile view never runs ahead of the written/
+// record; OneRoundReads depends on it (a read ack served from this view must
+// not name a tag this process could forget).
 func (nd *Node) handleWrite(env wire.Envelope) {
 	cur, epoch, err := nd.regView(env.Reg)
 	if err != nil {
@@ -271,9 +276,11 @@ func (nd *Node) handleWriteGroup(envs []wire.Envelope) {
 		}
 	}
 
-	// Apply the volatile adoptions, then acknowledge every envelope of the
-	// group: the logged winners with their deepened causal depth, the rest
-	// exactly as if they had been delivered after the winner.
+	// Apply the volatile adoptions — only now, after StoreBatch returned: the
+	// volatile view never runs ahead of the written/ record; OneRoundReads
+	// depends on it — then acknowledge every envelope of the group: the
+	// logged winners with their deepened causal depth, the rest exactly as
+	// if they had been delivered after the winner.
 	nd.mu.Lock()
 	if nd.epoch != epoch || !nd.servingLocked() {
 		nd.mu.Unlock()

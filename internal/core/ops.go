@@ -190,8 +190,9 @@ func (nd *Node) hardenedRec(rec int32) int32 {
 // majority for tagged values, pick the highest, and write it back to a
 // majority before returning it (Fig. 4 lines 31–39). In the absence of
 // concurrent writes the write-back finds the timestamp already adopted
-// everywhere and nobody logs. A nil value with ok semantics maps to the
-// register's initial value ⊥.
+// everywhere and nobody logs — and with Options.OneRoundReads a read whose
+// majority already agrees on one tag skips that round altogether. A nil
+// value with ok semantics maps to the register's initial value ⊥.
 func (nd *Node) Read(ctx context.Context, reg string, obs OpObserver) ([]byte, uint64, error) {
 	val, op, _, _, err := nd.RegisterRef(reg).Read(ctx, ReadDefault, obs)
 	return val, op, err
@@ -249,7 +250,16 @@ func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string) ([]byte
 	// require reads to "write", which is exactly why the paper concludes
 	// weaker registers are not worth emulating where logging dominates:
 	// the atomic read also logs nothing unless it observes concurrency.
+	//
+	// OneRoundReads extends that observation from logs to messages: a
+	// majority that already agrees on best.Tag holds it logged — a replica
+	// never reports a tag its written/ record does not carry — which is the
+	// state the write-back round exists to establish (docs/adr/0015).
 	if nd.kind == RegularSW {
+		return best.Value, best.Tag, nil
+	}
+	if nd.oneRound && acksAgree(acks, best.Tag) {
+		nd.readsOne.Add(1)
 		return best.Value, best.Tag, nil
 	}
 
@@ -273,5 +283,6 @@ func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string) ([]byte
 	if err != nil {
 		return nil, tag.Tag{}, err
 	}
+	nd.readsTwo.Add(1)
 	return best.Value, best.Tag, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"recmem/internal/tag"
 	"recmem/internal/wire"
 )
 
@@ -208,4 +209,17 @@ func bestAck(acks map[int32]wire.Envelope) wire.Envelope {
 		}
 	}
 	return best
+}
+
+// acksAgree reports whether every acknowledgement carries exactly the tag t
+// (all of Seq, Writer and Rec) — the OneRoundReads condition. A broadcast
+// round returns as soon as a majority answered, so this is "the majority the
+// read heard is unanimous".
+func acksAgree(acks map[int32]wire.Envelope, t tag.Tag) bool {
+	for _, a := range acks {
+		if a.Tag != t {
+			return false
+		}
+	}
+	return true
 }

@@ -813,14 +813,37 @@ var _ recmem.RegisterBackend = (*remoteRegister)(nil)
 
 // opDeadlineUS resolves the per-op deadline shipped to the server; like
 // deadlineUS, oversized deadlines clamp to the field's maximum. Only the
-// zero value means "no deadline": a negative (already-expired) deadline
-// ships the minimum representable bound (1µs) — the old `<= 0` guard
-// silently converted a dead operation into an unbounded one.
+// zero value means "no deadline". A negative (already-expired) deadline
+// never gets this far on the operation path — admit rejects it before a
+// frame is built — so a dead operation is neither shipped as unbounded nor
+// raced against its own reply.
 func opDeadlineUS(o recmem.OpOptions) uint32 {
 	if o.Deadline == 0 {
 		return 0
 	}
 	return clampUS(o.Deadline.Microseconds())
+}
+
+// admit is the client-side admission check: an operation whose per-op
+// deadline has already expired is rejected with context.DeadlineExceeded
+// before a frame is sent. Nothing reaches the node, so no invocation is
+// recorded there and the operation provably never executes — a reply can no
+// longer beat the expired deadline and turn the failure into a success.
+func admit(o recmem.OpOptions) error {
+	if o.Deadline < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// reject fails a synchronous operation before any frame was sent — its
+// context already done (an expired WithDeadline arrives as one), or refused
+// at submission — zeroing the WithWitness/WithEpoch captures like any failed
+// operation.
+func reject(o recmem.OpOptions, err error) error {
+	setWitness(o, nil, err)
+	setEpoch(o, nil, err)
+	return err
 }
 
 // Read and Write are the synchronous sole-owner paths: the call never
@@ -829,9 +852,12 @@ func opDeadlineUS(o recmem.OpOptions) uint32 {
 // they release it to the pool — a steady-state synchronous op recycles its
 // call object end to end.
 func (r *remoteRegister) Read(ctx context.Context, o recmem.OpOptions) ([]byte, recmem.OpID, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, reject(o, err)
+	}
 	fut, err := r.SubmitRead(o)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, reject(o, err)
 	}
 	val, err := fut.Wait(ctx)
 	setWitness(o, fut, err)
@@ -842,9 +868,12 @@ func (r *remoteRegister) Read(ctx context.Context, o recmem.OpOptions) ([]byte, 
 }
 
 func (r *remoteRegister) Write(ctx context.Context, val []byte, o recmem.OpOptions) (recmem.OpID, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, reject(o, err)
+	}
 	fut, err := r.SubmitWrite(val, o)
 	if err != nil {
-		return 0, err
+		return 0, reject(o, err)
 	}
 	_, err = fut.Wait(ctx)
 	setWitness(o, fut, err)
@@ -887,11 +916,17 @@ func (r *remoteRegister) SubmitRead(o recmem.OpOptions) (recmem.Future, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := admit(o); err != nil {
+		return nil, err
+	}
 	return r.c.send(request{Kind: reqRead, Reg: r.name,
 		Consistency: uint8(mode), DeadlineUS: opDeadlineUS(o)})
 }
 
 func (r *remoteRegister) SubmitWrite(val []byte, o recmem.OpOptions) (recmem.Future, error) {
+	if err := admit(o); err != nil {
+		return nil, err
+	}
 	return r.c.send(request{Kind: reqWrite, Reg: r.name,
 		Value: val, DeadlineUS: opDeadlineUS(o)})
 }

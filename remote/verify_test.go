@@ -479,27 +479,73 @@ func TestFrozenEpochFailsVerification(t *testing.T) {
 
 // TestFailedOpZeroesWitness: a failed operation must leave the WithWitness
 // capture zero, not the previous operation's tag — the simulator backend
-// already guarantees this; the remote backend must match (regression).
+// already guarantees this; the remote backend must match (regression). The
+// failing operations carry an already-expired deadline, which is an admission
+// rejection at the client: no frame is sent, so no reply can race the expired
+// deadline into a success (the old flake, `expired write = <nil>`) and the
+// rejected write never takes effect.
 func TestFailedOpZeroesWitness(t *testing.T) {
 	mesh := startMesh(t, 3, core.Persistent)
 	ctx := testCtx(t)
 	c := mesh.dial(t, 0)
+	x := c.Register("x")
 
 	var wit recmem.Tag
-	if err := c.Register("x").Write(ctx, []byte("v"), recmem.WithWitness(&wit)); err != nil {
+	var ep uint64
+	if err := x.Write(ctx, []byte("v"), recmem.WithWitness(&wit), recmem.WithEpoch(&ep)); err != nil {
 		t.Fatal(err)
 	}
-	if wit.IsZero() {
-		t.Fatal("successful write reported no witness")
+	if wit.IsZero() || ep == 0 {
+		t.Fatalf("successful write reported witness %v, epoch %d", wit, ep)
 	}
-	// Reuse the same capture variable on an operation that must fail.
-	err := c.Register("x").Write(ctx, []byte("late"),
-		recmem.WithWitness(&wit), recmem.WithDeadline(-time.Second))
+	// replied counts the operations the node has answered, either way; both
+	// counters move before the reply is queued.
+	replied := func() uint64 {
+		_, completions, deadlines := mesh.servers[0].DispatchStats()
+		return completions + deadlines
+	}
+	before := replied()
+
+	// Reuse the same capture variables on operations that must fail.
+	err := x.Write(ctx, []byte("late"),
+		recmem.WithWitness(&wit), recmem.WithEpoch(&ep), recmem.WithDeadline(-time.Second))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired write = %v", err)
 	}
-	if !wit.IsZero() {
-		t.Fatalf("failed write left stale witness %v", wit)
+	if !wit.IsZero() || ep != 0 {
+		t.Fatalf("failed write left stale witness %v, epoch %d", wit, ep)
+	}
+	if _, err := x.SubmitWrite([]byte("late"), recmem.WithDeadline(-time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired submitted write = %v", err)
+	}
+
+	val, err := x.Read(ctx, recmem.WithWitness(&wit), recmem.WithEpoch(&ep))
+	if err != nil || string(val) != "v" {
+		t.Fatalf("read after the rejected writes = %q, %v; want \"v\" (a rejected write must never execute)", val, err)
+	}
+	if wit.IsZero() || ep == 0 {
+		t.Fatalf("successful read reported witness %v, epoch %d", wit, ep)
+	}
+	val, err = x.Read(ctx, recmem.WithWitness(&wit), recmem.WithEpoch(&ep), recmem.WithDeadline(-time.Second))
+	if !errors.Is(err, context.DeadlineExceeded) || val != nil {
+		t.Fatalf("expired read = %q, %v", val, err)
+	}
+	if !wit.IsZero() || ep != 0 {
+		t.Fatalf("failed read left stale witness %v, epoch %d", wit, ep)
+	}
+	if _, err := x.SubmitRead(recmem.WithDeadline(-time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired submitted read = %v", err)
+	}
+	// A caller context that is already done is refused the same way.
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := x.Write(done, []byte("late"), recmem.WithWitness(&wit)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("write under a cancelled context = %v", err)
+	}
+
+	// Only the one successful read reached the node since the first write.
+	if got := replied() - before; got != 1 {
+		t.Fatalf("node answered %d operations since the first write, want 1: a rejected operation was sent", got)
 	}
 }
 

@@ -13,6 +13,10 @@
 # simulator serves works — and is verifiably correct — against a live TCP
 # deployment that really dies and really recovers.
 #
+# recmem-node runs one-round reads (docs/adr/0015), and the verified mesh's
+# shutdown banners must show both read paths taken: the agreeing majority's
+# one round and the two-round fallback a read racing a write takes.
+#
 # SMOKE_VERIFY_ONLY=1 skips the client-CLI exercises and the kill round and
 # runs only the verification half (make verify-mesh).
 # SMOKE_KILL_ONLY=1 runs only the kill-restart round (make kill-mesh).
@@ -155,6 +159,37 @@ fi
 echo "== VERIFIED torture round against the live mesh (crash/recover + model check)"
 "$BIN/recmem-torture" -remote "127.0.0.1:$C0,127.0.0.1:$C1,127.0.0.1:$C2" \
     -ops 30 -rounds 1 -async 8 -faults 500ms -seed 7 -verify
+
+echo "== VERIFIED contended round: every client reads and writes ONE register, so reads race writes"
+"$BIN/recmem-torture" -remote "127.0.0.1:$C0,127.0.0.1:$C1,127.0.0.1:$C2" \
+    -ops 60 -rounds 1 -registers 1 -reads 0.5 -async 4 -faults 300ms -seed 8 -verify
+
+echo "== the verified mesh's shutdown banners: which read path its reads took"
+# SIGTERM the three nodes; ONE and TWO are the mesh-wide counts of read
+# executions that returned after one round and that ran the write-back.
+kill "${pids[@]:0:3}" 2>/dev/null || true
+wait "${pids[@]:0:3}" 2>/dev/null || true
+ONE=0 TWO=0
+for i in 0 1 2; do
+    banner=$(grep -h "one-round-reads=" "$WORK/n$i.log") || {
+        echo "node n$i shut down without its read-rounds banner" >&2
+        cat "$WORK/n$i.log" >&2
+        exit 1
+    }
+    echo "   $banner"
+    ONE=$((ONE + $(echo "$banner" | sed -E 's/.* one-round-reads=([0-9]+).*/\1/')))
+    TWO=$((TWO + $(echo "$banner" | sed -E 's/.* two-round-reads=([0-9]+).*/\1/')))
+done
+# Reads racing writes fall back to the write-back only when a read's two
+# first acks straddle a write — a handful per round on loopback, sometimes
+# none. The certain one is the CLI half's read at the just-recovered node 1,
+# whose own stale ack is one of the two: without that half only the one-round
+# path is required.
+if [ "$ONE" -eq 0 ] || { [ "$TWO" -eq 0 ] && [ "${SMOKE_VERIFY_ONLY:-0}" != "1" ]; }; then
+    echo "verified mesh took $ONE one-round and $TWO two-round reads; want both paths" >&2
+    exit 1
+fi
+echo "   one-round hit rate: $ONE of $((ONE + TWO)) read executions"
 
 if [ "${SMOKE_VERIFY_ONLY:-0}" != "1" ]; then
     kill_rounds
