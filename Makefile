@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-disk bench-handle bench-namespace escapes smoke verify-mesh kill-mesh fmt vet docs-check ci scenarios
+.PHONY: all build test race bench bench-disk bench-smoke bench-handle bench-namespace escapes smoke verify-mesh kill-mesh fmt vet docs-check ci scenarios
 
 all: build
 
@@ -21,12 +21,23 @@ race:
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
 
-# bench-disk compares the storage engines: per-record store cost and fsync
-# amortization (BenchmarkFileStore* vs BenchmarkWALStore*, the wal preset of
-# the segment log). A microbenchmark for working on internal/stable; claims
-# are made with bash bench/run.sh.
+# bench-disk is the microbenchmark for working on internal/stable: the wal
+# preset's per-record store cost and fsync amortization (BenchmarkWALStore,
+# ...Parallel, ...Batch; read syncs/op). Claims are made with
+# bash bench/run.sh.
 bench-disk:
 	$(GO) test -bench 'Store' -benchtime=100x -run '^$$' ./internal/stable/
+
+# bench-smoke checks the benchmark contract before the pipeline does: bench/
+# compiles against this tree's internals and recmem-node's flags but is frozen
+# outside a [benchmark] PR, so a source PR that renames what it uses breaks
+# the run, not the build. All four BENCHMARK.json workloads for 3 s each
+# (~35 s); every contract line must read "correct":true and "failed":0.
+bench-smoke:
+	@out=$$(bash bench/run.sh -seconds 3) || { echo "$$out"; echo "bench-smoke: bench/run.sh failed"; exit 1; }; \
+	echo "$$out" | grep '^{"correct"'; \
+	n=$$(echo "$$out" | grep '^{"correct":true' | grep -c '"failed":0[,}]'); \
+	if [ "$$n" -ne 4 ]; then echo "bench-smoke: $$n of 4 contract lines are correct with failed=0"; exit 1; fi
 
 # bench-handle measures the per-operation register resolution of the
 # string-keyed Node API (shard hash + queue-map lookup) against a cached
@@ -93,4 +104,4 @@ scenarios:
 	$(GO) test -run Scenario -v ./internal/cluster/...
 
 # ci is exactly what .github/workflows/ci.yml runs on every push.
-ci: build vet fmt docs-check test
+ci: build vet fmt docs-check test bench-smoke

@@ -9,7 +9,9 @@
 // with remote.Dial — the returned client is a recmem.Client, interchangeable
 // with the in-process simulation.
 //
-// A three-process register on one machine:
+// A three-process register on one machine, each process logging to the wal
+// preset of the log engine under its -dir (the default -disk; sharded is the
+// preset for large namespaces, mem a volatile stand-in that needs no -dir):
 //
 //	recmem-node -id 0 -peers :7100,:7101,:7102 -control :7200 -dir /tmp/n0 &
 //	recmem-node -id 1 -peers :7100,:7101,:7102 -control :7201 -dir /tmp/n1 &
@@ -87,23 +89,6 @@ func (ns *nodeServer) Close() {
 	}
 }
 
-func algorithmByName(name string) (core.AlgorithmKind, error) {
-	switch name {
-	case "crash-stop":
-		return core.CrashStop, nil
-	case "transient":
-		return core.Transient, nil
-	case "persistent":
-		return core.Persistent, nil
-	case "naive":
-		return core.Naive, nil
-	case "regular":
-		return core.RegularSW, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (crash-stop, transient, persistent, naive, regular)", name)
-	}
-}
-
 // startNode validates the configuration and brings the node up; it returns
 // as soon as the mesh and the control port are listening.
 func startNode(cfg nodeConfig) (*nodeServer, error) {
@@ -116,7 +101,7 @@ func startNode(cfg nodeConfig) (*nodeServer, error) {
 	if cfg.control == "" {
 		return nil, fmt.Errorf("need -control")
 	}
-	kind, err := algorithmByName(cfg.algorithm)
+	kind, err := core.ParseAlgorithm(cfg.algorithm)
 	if err != nil {
 		return nil, err
 	}
@@ -133,24 +118,17 @@ func startNode(cfg nodeConfig) (*nodeServer, error) {
 	}
 	mesh.SetPeers(cfg.peers)
 
+	// mem is the volatile stand-in for tests and demos: it survives
+	// Crash/Recover but not a process restart, and needs no -dir.
 	var disk stable.Storage
 	if kind.Recovers() {
-		if cfg.disk == "mem" {
-			// Volatile stand-in for tests and demos: survives Crash/Recover
-			// but not a process restart.
-			disk = stable.NewMemDisk(stable.Profile{})
-		} else {
-			if cfg.dir == "" {
-				mesh.Close()
-				return nil, fmt.Errorf("algorithm %v needs -dir for stable storage", kind)
-			}
-			disk, err = stable.OpenBackend(cfg.disk, cfg.dir, stable.Profile{})
-			if err != nil {
-				mesh.Close()
-				return nil, err
-			}
+		disk, err = stable.OpenBackend(cfg.disk, cfg.dir, stable.Profile{})
+		if err != nil {
+			mesh.Close()
+			return nil, fmt.Errorf("-disk %s -dir %q: %w", cfg.disk, cfg.dir, err)
 		}
 	}
+	_, volatile := disk.(*stable.MemDisk)
 
 	// OneRoundReads is not a flag: the deployed-shape benchmark decided it
 	// (docs/adr/0015), and a read that observes disagreement still runs the
@@ -177,7 +155,7 @@ func startNode(cfg nodeConfig) (*nodeServer, error) {
 	// a pending write blocks here until a majority of peers is reachable,
 	// exactly as Recover would.
 	var bootRecovery time.Duration
-	if kind.Recovers() && cfg.disk != "mem" {
+	if kind.Recovers() && !volatile {
 		start := time.Now()
 		if err := bootRecover(node, cfg.recoverTimeout); err != nil {
 			node.Close()
@@ -221,15 +199,16 @@ func bootRecover(node *core.Node, timeout time.Duration) error {
 	return node.Recover(ctx, nil, nil)
 }
 
-func run(args []string) error {
+// parseFlags turns the command line into a nodeConfig.
+func parseFlags(args []string) (nodeConfig, error) {
 	fs := flag.NewFlagSet("recmem-node", flag.ContinueOnError)
 	var (
 		id          = fs.Int("id", 0, "this process's id (index into -peers)")
 		peersFlag   = fs.String("peers", "", "comma-separated listen addresses of all processes")
 		control     = fs.String("control", "", "address of the client control port")
 		dir         = fs.String("dir", "", "stable-storage directory (required for crash-recovery algorithms with a real -disk)")
-		algorithm   = fs.String("algorithm", "persistent", "crash-stop, transient, persistent, naive, or regular")
-		disk        = fs.String("disk", "file", "stable-storage engine: mem, file, wal, or sharded")
+		algorithm   = fs.String("algorithm", "persistent", "crash-stop, transient, persistent, naive, or regular-sw")
+		disk        = fs.String("disk", "wal", "stable-storage engine: "+strings.Join(stable.Backends(), ", "))
 		hardened    = fs.Bool("hardened", false, "hardened tags for the transient algorithm")
 		retransmit  = fs.Duration("retransmit", 100*time.Millisecond, "protocol retransmission period")
 		opTimeout   = fs.Duration("op-timeout", time.Minute, "server-side bound on one operation")
@@ -238,23 +217,31 @@ func run(args []string) error {
 		freezeEpoch = fs.Bool("freeze-epoch", false, "FAULT INJECTION: report the startup incarnation epoch in every reply forever, hiding later crashes from the epoch-based crash inference — a deliberately dishonest node for exercising recmem-torture -verify")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nodeConfig{}, err
 	}
-	ns, err := startNode(nodeConfig{
+	return nodeConfig{
 		id: *id, peers: strings.Split(*peersFlag, ","), control: *control,
 		dir: *dir, algorithm: *algorithm, disk: *disk, hardened: *hardened,
 		retransmit: *retransmit, opTimeout: *opTimeout, recoverTimeout: *recTimeout,
 		staleReads: *staleReads, freezeEpoch: *freezeEpoch,
-	})
+	}, nil
+}
+
+func run(args []string) error {
+	cfg, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	ns, err := startNode(cfg)
 	if err != nil {
 		return err
 	}
 	defer ns.Close()
 	dishonest := ""
-	if *staleReads {
+	if cfg.staleReads {
 		dishonest = " [DISHONEST: -stale-reads]"
 	}
-	if *freezeEpoch {
+	if cfg.freezeEpoch {
 		dishonest += " [DISHONEST: -freeze-epoch]"
 	}
 	recovered := ""
@@ -268,7 +255,7 @@ func run(args []string) error {
 			ns.bootRecovery.Round(time.Microsecond), stats.PendingWrites, ns.node.RecoveryCount())
 	}
 	fmt.Printf("recmem-node %d (%v, %s disk, epoch %d) serving protocol on %s, control on %s%s%s\n",
-		*id, ns.node.Algorithm(), *disk, ns.node.IncarnationEpoch(), ns.mesh.Addr(), ns.ControlAddr(), dishonest, recovered)
+		cfg.id, ns.node.Algorithm(), cfg.disk, ns.node.IncarnationEpoch(), ns.mesh.Addr(), ns.ControlAddr(), dishonest, recovered)
 
 	// A signal is the deployment's shutdown path: drain through Close and
 	// leave the dispatch accounting on stdout, so an operator (or the smoke
@@ -277,10 +264,10 @@ func run(args []string) error {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
-		fmt.Printf("recmem-node %d: %v, shutting down\n", *id, sig)
+		fmt.Printf("recmem-node %d: %v, shutting down\n", cfg.id, sig)
 	case <-ns.Done():
 	}
-	fmt.Println(shutdownBanner(*id, ns.srv) + readRoundsBanner(ns.node))
+	fmt.Println(shutdownBanner(cfg.id, ns.srv) + readRoundsBanner(ns.node))
 	return nil
 }
 

@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +83,20 @@ func TestControlProtocol(t *testing.T) {
 	}
 }
 
+// TestAlgorithmNamesBoot: every name a node reports over Info — regular-sw
+// included, which the node's own name table used to reject — is a name
+// -algorithm accepts.
+func TestAlgorithmNamesBoot(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, name := range []string{"crash-stop", "transient", "persistent", "naive", "regular-sw"} {
+		info, err := startTestNode(t, name).Info(ctx)
+		if err != nil || info.Algorithm != name {
+			t.Fatalf("-algorithm %s: node reports %+v, %v", name, info, err)
+		}
+	}
+}
+
 // TestWALBackedNode runs a node on the WAL storage engine.
 func TestWALBackedNode(t *testing.T) {
 	ns, err := startNode(nodeConfig{
@@ -138,6 +155,50 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestDefaultDiskIsWAL pins what a node started without -disk opens: the wal
+// preset of the log engine (a MANIFEST appears under -dir), which refuses a
+// directory still holding the retired file backend's records instead of
+// coming up empty over them.
+func TestDefaultDiskIsWAL(t *testing.T) {
+	start := func(dir string) (*nodeServer, error) {
+		cfg, err := parseFlags([]string{"-peers", "127.0.0.1:0", "-control", "127.0.0.1:0", "-dir", dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return startNode(cfg)
+	}
+	fresh := t.TempDir()
+	ns, err := start(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns.Close()
+	if _, err := os.Stat(filepath.Join(fresh, "MANIFEST")); err != nil {
+		t.Fatalf("default -disk left no log-engine MANIFEST: %v", err)
+	}
+
+	old := t.TempDir()
+	rec := hex.EncodeToString([]byte("written/x")) + ".rec"
+	if err := os.WriteFile(filepath.Join(old, rec), []byte("acknowledged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ns, err = start(old)
+	if err == nil {
+		ns.Close()
+		t.Fatal("node came up empty over a retired file-backend directory")
+	}
+	if !strings.Contains(err.Error(), "retired file backend") {
+		t.Fatalf("error does not name the retired backend: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(old, "MANIFEST")); err == nil {
+		t.Fatal("refused start left a MANIFEST behind")
+	}
+	if err := run([]string{"-peers", "127.0.0.1:0", "-control", "127.0.0.1:0", "-dir", old, "-disk", "file"}); err == nil ||
+		!strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("-disk file: %v", err)
+	}
+}
+
 // TestRestartRecovery proves a recmem-node restart is the paper's
 // crash+recover: the process's volatile state dies with it (here: the first
 // nodeServer is torn down without any protocol-level Crash/Recover), and a
@@ -147,7 +208,7 @@ func TestRunValidation(t *testing.T) {
 func TestRestartRecovery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	for _, disk := range []string{"wal", "file"} {
+	for _, disk := range []string{"wal", "sharded"} {
 		t.Run(disk, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := nodeConfig{

@@ -39,8 +39,8 @@
 //	recmem-torture -remote :7200,:7201,:7202 -verify \
 //	    -kill 'recmem-node -id 0 ...;;recmem-node -id 1 ...;;recmem-node -id 2 ...'
 //
-// -disk selects the stable-storage engine (mem, file, wal, or sharded — the
-// log-structured group-commit engine). -diskfail wraps every disk in a
+// -disk selects the stable-storage engine (mem, or wal / sharded — the two
+// presets of the log-structured group-commit engine). -diskfail wraps every disk in a
 // stable.Flaky that fails Store/StoreBatch with the given probability: a
 // replica whose group commit fails acknowledges nothing, so the checkers
 // prove that injected mid-group-commit failures never let an acknowledged
@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"recmem"
-	"recmem/internal/atomicity"
 	"recmem/internal/cluster"
 	"recmem/internal/core"
 	"recmem/internal/netsim"
@@ -73,21 +72,6 @@ func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "recmem-torture:", err)
 		os.Exit(1)
-	}
-}
-
-func algorithmByName(name string) (core.AlgorithmKind, error) {
-	switch name {
-	case "crash-stop":
-		return core.CrashStop, nil
-	case "transient":
-		return core.Transient, nil
-	case "persistent":
-		return core.Persistent, nil
-	case "naive":
-		return core.Naive, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (crash-stop, transient, persistent, naive)", name)
 	}
 }
 
@@ -125,7 +109,7 @@ type options struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("recmem-torture", flag.ContinueOnError)
 	var (
-		algorithm  = fs.String("algorithm", "persistent", "crash-stop, transient, persistent, or naive")
+		algorithm  = fs.String("algorithm", "persistent", "simulated rounds: crash-stop, transient, persistent, or naive (a -remote mesh reports its own)")
 		n          = fs.Int("n", 5, "number of processes")
 		ops        = fs.Int("ops", 100, "operations per process per round")
 		rounds     = fs.Int("rounds", 5, "independent torture rounds")
@@ -139,7 +123,7 @@ func run(args []string) error {
 		oneRound   = fs.Bool("one-round-reads", false, "simulated rounds: reads whose majority already agrees on one logged tag return after one round (docs/adr/0015); recmem-node always runs them")
 		faultFor   = fs.Duration("faults", time.Second, "fault-injection duration per round")
 		traceCap   = fs.Int("trace", 0, "protocol trace capacity; dumped when a violation is found (0 = off)")
-		disk       = fs.String("disk", "mem", "stable-storage engine: mem, file, wal, or sharded")
+		disk       = fs.String("disk", "mem", "stable-storage engine: "+strings.Join(stable.Backends(), ", "))
 		diskFail   = fs.Float64("diskfail", 0, "injected Store/StoreBatch failure rate [0,1)")
 		remoteFlag = fs.String("remote", "", "comma-separated recmem-node control addresses: drive a live mesh instead of the simulator")
 		verify     = fs.Bool("verify", false, "with -remote: record per-client histories, merge them by wall clock + tag witness, and model-check the round (docs/adr/0004)")
@@ -152,7 +136,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kind, err := algorithmByName(*algorithm)
+	kind, err := core.ParseAlgorithm(*algorithm)
 	if err != nil {
 		return err
 	}
@@ -171,6 +155,11 @@ func run(args []string) error {
 		for _, addr := range strings.Split(*remoteFlag, ",") {
 			o.remote = append(o.remote, strings.TrimSpace(addr))
 		}
+	}
+	if kind == core.RegularSW && len(o.remote) == 0 {
+		// The simulated scenario writes from every client; the single-writer
+		// register would refuse all but process 0's.
+		return fmt.Errorf("-algorithm %v: simulated rounds write from every process", kind)
 	}
 	if o.verify && len(o.remote) == 0 {
 		return fmt.Errorf("-verify applies to -remote runs (simulated rounds always verify)")
@@ -261,19 +250,8 @@ func run(args []string) error {
 		return nil
 	}
 	fmt.Printf("all %d rounds passed: %s emulation upheld %s\n",
-		*rounds, kind, modeFor(kind))
+		*rounds, kind, recmem.CriterionFor(kind))
 	return nil
-}
-
-func modeFor(kind core.AlgorithmKind) atomicity.Mode {
-	switch kind {
-	case core.CrashStop:
-		return atomicity.Linearizable
-	case core.Transient:
-		return atomicity.Transient
-	default:
-		return atomicity.Persistent
-	}
 }
 
 // mixFor builds the operation mix both backends drive.
@@ -343,27 +321,22 @@ func tortureRound(o options) error {
 		Net:           netsim.Options{LossRate: o.loss, DupRate: o.dup, Seed: o.seed},
 		TraceCapacity: o.traceCap,
 	}
-	var diskDir string
-	if o.disk != "mem" {
-		var err error
-		diskDir, err = os.MkdirTemp("", "recmem-torture-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(diskDir)
+	// Every engine opens through the one switch; mem leaves the directory
+	// empty.
+	diskDir, err := os.MkdirTemp("", "recmem-torture-*")
+	if err != nil {
+		return err
 	}
-	if o.disk != "mem" || o.diskFail > 0 {
-		seed := o.seed
-		cfg.DiskFactory = func(id int32) (stable.Storage, error) {
-			s, err := stable.OpenBackend(o.disk, fmt.Sprintf("%s/node%d", diskDir, id), stable.Profile{})
-			if err != nil {
-				return nil, err
-			}
-			if o.diskFail > 0 {
-				s = stable.NewFlaky(s, o.diskFail, seed+int64(id)*104_729)
-			}
-			return s, nil
+	defer os.RemoveAll(diskDir)
+	cfg.DiskFactory = func(id int32) (stable.Storage, error) {
+		s, err := stable.OpenBackend(o.disk, fmt.Sprintf("%s/node%d", diskDir, id), stable.Profile{})
+		if err != nil {
+			return nil, err
 		}
+		if o.diskFail > 0 {
+			s = stable.NewFlaky(s, o.diskFail, o.seed+int64(id)*104_729)
+		}
+		return s, nil
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {
@@ -395,7 +368,7 @@ func tortureRound(o options) error {
 	}
 	fmt.Printf("  %d writes, %d reads, %d interrupted, %d crashes injected\n",
 		res.Writes, res.Reads, res.Interrupted, crashes)
-	if err := c.Check(modeFor(o.kind)); err != nil {
+	if err := recmem.VerifyHistory(c.History(), recmem.CriterionFor(o.kind)); err != nil {
 		// A real violation: dump the protocol trace if one was kept.
 		if c.DumpTrace(os.Stderr) {
 			fmt.Fprintln(os.Stderr, "--- protocol trace above ---")
@@ -705,10 +678,11 @@ func verifyRemote(ctx context.Context, group *recmem.RecordingGroup, node *remot
 	if err != nil {
 		return fmt.Errorf("verify: info: %w", err)
 	}
-	cr, err := criterionFor(info.Algorithm)
+	kind, err := core.ParseAlgorithm(info.Algorithm)
 	if err != nil {
-		return err
+		return fmt.Errorf("verify: mesh reports: %w", err)
 	}
+	cr := recmem.CriterionFor(kind)
 	merged, err := group.Merged()
 	if err != nil {
 		return fmt.Errorf("verify: merge: %w", err)
@@ -718,21 +692,4 @@ func verifyRemote(ctx context.Context, group *recmem.RecordingGroup, node *remot
 	}
 	fmt.Printf("  verified %d merged events against %v\n", len(merged), cr)
 	return nil
-}
-
-// criterionFor maps the algorithm a node reports to the criterion it
-// promises.
-func criterionFor(algorithm string) (recmem.Criterion, error) {
-	switch algorithm {
-	case "crash-stop":
-		return recmem.Linearizability, nil
-	case "transient":
-		return recmem.TransientAtomicity, nil
-	case "persistent", "naive":
-		return recmem.PersistentAtomicity, nil
-	case "regular-sw":
-		return recmem.Regularity, nil
-	default:
-		return 0, fmt.Errorf("verify: mesh reports unknown algorithm %q", algorithm)
-	}
 }

@@ -14,18 +14,20 @@ import (
 	"recmem/remote"
 )
 
+// TestAlgorithmByName: -algorithm resolves through core.ParseAlgorithm, and
+// the single-writer register — which parses, under both spellings — is
+// refused for simulated rounds by torture's own check.
 func TestAlgorithmByName(t *testing.T) {
 	for _, name := range []string{"crash-stop", "transient", "persistent", "naive"} {
-		kind, err := algorithmByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if kind.String() != name {
+		if kind := mustKind(t, name); kind.String() != name {
 			t.Fatalf("%s mapped to %v", name, kind)
 		}
 	}
-	if _, err := algorithmByName("paxos"); err == nil {
-		t.Fatal("accepted unknown algorithm")
+	for _, name := range []string{"regular-sw", "regular"} {
+		err := run([]string{"-algorithm", name, "-rounds", "1"})
+		if err == nil || !strings.Contains(err.Error(), "simulated rounds") {
+			t.Fatalf("-algorithm %s: %v", name, err)
+		}
 	}
 }
 
@@ -212,7 +214,7 @@ func TestRunRejectsBadAlgorithm(t *testing.T) {
 
 func mustKind(t *testing.T, name string) core.AlgorithmKind {
 	t.Helper()
-	kind, err := algorithmByName(name)
+	kind, err := core.ParseAlgorithm(name)
 	if err != nil {
 		t.Fatal(err)
 	}

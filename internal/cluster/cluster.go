@@ -43,13 +43,12 @@ type Config struct {
 	// Disk is the simulated stable-storage latency profile. Ignored when
 	// DiskFactory is set or DiskBackend selects a real engine.
 	Disk stable.Profile
-	// DiskBackend selects each process's stable-storage engine when
-	// DiskFactory is not set: "mem" (default — the simulated disk with the
-	// Disk profile), "file" (one file per record), "wal" (the log-structured
-	// group-commit engine), or "sharded" (the sharded compacting engine for
-	// large namespaces). The real engines live under DiskDir/node<i>.
+	// DiskBackend names each process's stable-storage engine when DiskFactory
+	// is not set, as stable.OpenBackend spells it: "mem" (default — the
+	// simulated disk with the Disk profile), or "wal" / "sharded", the two
+	// presets of the log engine, which live under DiskDir/node<i>.
 	DiskBackend string
-	// DiskDir roots the file, wal and sharded backends; required for them.
+	// DiskDir roots the wal and sharded backends; required for them.
 	DiskDir string
 	// DiskFactory, if set, overrides DiskBackend and supplies each process's
 	// stable storage. The storage must survive Crash/Recover cycles.
@@ -105,18 +104,14 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.N; i++ {
 		var disk stable.Storage
 		if cfg.Algorithm.Recovers() {
-			switch {
-			case cfg.DiskFactory != nil:
+			if cfg.DiskFactory != nil {
 				disk, err = cfg.DiskFactory(int32(i))
-			case cfg.DiskBackend != "" && cfg.DiskBackend != "mem":
-				if cfg.DiskDir == "" {
-					err = fmt.Errorf("backend %q needs DiskDir", cfg.DiskBackend)
-				} else {
-					disk, err = stable.OpenBackend(cfg.DiskBackend,
-						filepath.Join(cfg.DiskDir, fmt.Sprintf("node%d", i)), cfg.Disk)
+			} else {
+				dir := ""
+				if cfg.DiskDir != "" {
+					dir = filepath.Join(cfg.DiskDir, fmt.Sprintf("node%d", i))
 				}
-			default:
-				disk = stable.NewMemDisk(cfg.Disk)
+				disk, err = stable.OpenBackend(cfg.DiskBackend, dir, cfg.Disk)
 			}
 			if err != nil {
 				c.Close()
@@ -282,24 +277,6 @@ func (c *Cluster) DumpTrace(w io.Writer) bool {
 	return true
 }
 
-// DefaultMode returns the consistency criterion the cluster's algorithm
-// promises: linearizability for the crash-stop baseline (under crash-stop
-// faults), transient atomicity for Fig. 5, persistent atomicity for Fig. 4
-// and the naive adaptation.
-func (c *Cluster) DefaultMode() atomicity.Mode {
-	switch c.cfg.Algorithm {
-	case core.CrashStop:
-		return atomicity.Linearizable
-	case core.Transient, core.RegularSW:
-		// RegularSW's atomicity-family envelope is transient (it shares
-		// Fig. 5's recovery-counter mechanism); its real criterion is
-		// regularity — see VerifyDefault.
-		return atomicity.Transient
-	default:
-		return atomicity.Persistent
-	}
-}
-
 // Check verifies the recorded history against the given criterion.
 func (c *Cluster) Check(mode atomicity.Mode) error {
 	return atomicity.Check(c.History(), mode)
@@ -317,16 +294,6 @@ func (c *Cluster) CheckRegular() error {
 // (§VI), with the same virtual-client attribution as CheckRegular.
 func (c *Cluster) CheckSafe() error {
 	return atomicity.CheckSafeSWFrom(c.History(), int32(c.cfg.N))
-}
-
-// VerifyDefault checks the history against the criterion the cluster's
-// algorithm promises: its atomicity mode, or single-writer regularity for
-// the RegularSW extension.
-func (c *Cluster) VerifyDefault() error {
-	if c.cfg.Algorithm == core.RegularSW {
-		return c.CheckRegular()
-	}
-	return c.Check(c.DefaultMode())
 }
 
 // Close shuts down all nodes, the network, and the disks.

@@ -3,11 +3,11 @@ package cluster_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"recmem"
 	"recmem/internal/atomicity"
 	"recmem/internal/cluster"
 	"recmem/internal/core"
@@ -40,6 +40,16 @@ func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	t.Cleanup(cancel)
 	return ctx
+}
+
+// verifyDefault checks c's history against the criterion its algorithm
+// promises — recmem.CriterionFor, the one table.
+func verifyDefault(c *cluster.Cluster) error {
+	cr := recmem.CriterionFor(c.Algorithm())
+	if cr == recmem.Regularity {
+		return c.CheckRegular()
+	}
+	return recmem.VerifyHistory(c.History(), cr)
 }
 
 func allKinds() []core.AlgorithmKind {
@@ -76,7 +86,7 @@ func TestWriteReadAndHistory(t *testing.T) {
 			if ops[1].Value != "v1" {
 				t.Fatalf("read op value = %q", ops[1].Value)
 			}
-			if err := c.Check(c.DefaultMode()); err != nil {
+			if err := verifyDefault(c); err != nil {
 				t.Fatalf("check: %v", err)
 			}
 		})
@@ -194,21 +204,6 @@ func TestPerOpAccounting(t *testing.T) {
 	}
 }
 
-func TestDefaultModes(t *testing.T) {
-	want := map[core.AlgorithmKind]atomicity.Mode{
-		core.CrashStop:  atomicity.Linearizable,
-		core.Transient:  atomicity.Transient,
-		core.Persistent: atomicity.Persistent,
-		core.Naive:      atomicity.Persistent,
-	}
-	for kind, mode := range want {
-		c := newCluster(t, testConfig(1, kind))
-		if got := c.DefaultMode(); got != mode {
-			t.Fatalf("%v: mode = %v, want %v", kind, got, mode)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := cluster.New(cluster.Config{N: 0, Algorithm: core.Persistent}); err == nil {
 		t.Fatal("accepted N=0")
@@ -227,16 +222,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestFileDiskCluster(t *testing.T) {
-	dir := t.TempDir()
-	c := newCluster(t, cluster.Config{
-		N:         3,
-		Algorithm: core.Persistent,
-		Node:      core.Options{RetransmitEvery: 10 * time.Millisecond},
-		DiskFactory: func(id int32) (stable.Storage, error) {
-			return stable.NewFileDisk(fmt.Sprintf("%s/node%d", dir, id))
-		},
-	})
+// TestWALDiskCluster: crash all → recover all → read back, on real files.
+func TestWALDiskCluster(t *testing.T) {
+	cfg := testConfig(3, core.Persistent)
+	cfg.DiskBackend, cfg.DiskDir = "wal", t.TempDir()
+	c := newCluster(t, cfg)
 	ctx := testCtx(t)
 	if _, err := c.Write(ctx, 0, "x", []byte("on-disk")); err != nil {
 		t.Fatal(err)
@@ -283,7 +273,7 @@ func TestWorkloadNoFaults(t *testing.T) {
 			if res.Writes+res.Reads != 100 {
 				t.Fatalf("completed %d ops, want 100", res.Writes+res.Reads)
 			}
-			if err := c.Check(c.DefaultMode()); err != nil {
+			if err := verifyDefault(c); err != nil {
 				t.Fatalf("check: %v", err)
 			}
 			// Every algorithm is linearizable when nothing crashes.
@@ -325,7 +315,8 @@ func runFaultyWorkload(t *testing.T, cfg cluster.Config, mode atomicity.Mode, se
 	defer stopFaults()
 	faultsDone := make(chan int, 1)
 	go func() {
-		faultsDone <- c.RandomFaults(faultCtx, cluster.FaultOptions{Seed: seed, MeanInterval: 15 * time.Millisecond})
+		faultsDone <- workload.ClientFaults(faultCtx, workload.Clients(c, workload.AllProcs(cfg.N)),
+			workload.ClientFaultOptions{Seed: seed, MeanInterval: 15 * time.Millisecond})
 	}()
 
 	res := workload.Run(ctx, c, workload.AllProcs(cfg.N), 30,

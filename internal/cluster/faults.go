@@ -3,109 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
-	"time"
 
 	"recmem/internal/core"
 )
-
-// FaultOptions configures random crash/recovery injection.
-type FaultOptions struct {
-	// Seed seeds the injector's private random source.
-	Seed int64
-	// MaxDown bounds how many processes may be simultaneously unavailable
-	// (crashed or still recovering). Defaults to n - ⌈(n+1)/2⌉, which keeps
-	// a majority permanently up — the paper's liveness assumption.
-	MaxDown int
-	// MeanInterval is the average pause between fault actions (default 5 ms).
-	MeanInterval time.Duration
-	// CrashBias is the probability of choosing a crash over a recovery when
-	// both are possible (default 0.5).
-	CrashBias float64
-}
-
-// RandomFaults injects random crashes and recoveries until ctx is done, then
-// waits for in-flight recoveries and returns the number of crashes injected.
-// It never exceeds opts.MaxDown simultaneously unavailable processes, so
-// operations keep terminating throughout.
-func (c *Cluster) RandomFaults(ctx context.Context, opts FaultOptions) int {
-	if opts.MaxDown <= 0 {
-		opts.MaxDown = c.cfg.N - (c.cfg.N+2)/2
-	}
-	if opts.MaxDown <= 0 {
-		return 0 // nothing can safely crash
-	}
-	if opts.MeanInterval <= 0 {
-		opts.MeanInterval = 5 * time.Millisecond
-	}
-	if opts.CrashBias <= 0 || opts.CrashBias >= 1 {
-		opts.CrashBias = 0.5
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	var (
-		mu          sync.Mutex
-		unavailable = make(map[int32]bool) // crashed or recovering
-		recovering  = make(map[int32]bool)
-		wg          sync.WaitGroup
-		crashes     int
-	)
-	for ctx.Err() == nil {
-		d := time.Duration(rng.Int63n(int64(2*opts.MeanInterval) + 1))
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		mu.Lock()
-		var crashable, recoverable []int32
-		for p := int32(0); p < int32(c.cfg.N); p++ {
-			switch {
-			case !unavailable[p]:
-				crashable = append(crashable, p)
-			case !recovering[p]:
-				recoverable = append(recoverable, p)
-			}
-		}
-		canCrash := len(unavailable) < opts.MaxDown && len(crashable) > 0
-		canRecover := len(recoverable) > 0
-		switch {
-		case canCrash && (!canRecover || rng.Float64() < opts.CrashBias):
-			p := crashable[rng.Intn(len(crashable))]
-			unavailable[p] = true
-			mu.Unlock()
-			if c.Crash(p) {
-				crashes++
-			} else {
-				mu.Lock()
-				delete(unavailable, p)
-				mu.Unlock()
-			}
-		case canRecover:
-			p := recoverable[rng.Intn(len(recoverable))]
-			recovering[p] = true
-			mu.Unlock()
-			wg.Add(1)
-			go func(p int32) {
-				defer wg.Done()
-				err := c.Recover(ctx, p)
-				mu.Lock()
-				delete(recovering, p)
-				if err == nil {
-					delete(unavailable, p)
-				}
-				mu.Unlock()
-			}(p)
-		default:
-			mu.Unlock()
-		}
-	}
-	wg.Wait()
-	return crashes
-}
 
 // RecoverAll recovers every crashed process, blocking until done. Used to
 // end a faulty run in a healthy state.

@@ -215,7 +215,7 @@ func TestAbandonedSynchronousCall(t *testing.T) {
 			if want := map[history.OpType]string{history.Write: "late", history.Read: "v0"}[tc.typ]; string(val) != want {
 				t.Fatalf("read after the drain = %q, want %q", val, want)
 			}
-			if err := c.VerifyDefault(); err != nil {
+			if err := verifyDefault(c); err != nil {
 				t.Fatalf("history with the abandoned invocation pending: %v", err)
 			}
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"recmem/internal/cluster"
 	"recmem/internal/core"
 	"recmem/internal/workload"
 )
@@ -20,7 +19,7 @@ func TestRegularClusterBasics(t *testing.T) {
 	if err != nil || string(val) != "v1" {
 		t.Fatalf("read = %q, %v", val, err)
 	}
-	if err := c.VerifyDefault(); err != nil {
+	if err := c.CheckRegular(); err != nil {
 		t.Fatalf("regular verification: %v", err)
 	}
 	if err := c.CheckSafe(); err != nil {
@@ -86,7 +85,8 @@ func TestRegularWorkloadUnderCrashRecovery(t *testing.T) {
 	defer stopFaults()
 	faultsDone := make(chan int, 1)
 	go func() {
-		faultsDone <- c.RandomFaults(faultCtx, cluster.FaultOptions{Seed: 77, MeanInterval: 15 * time.Millisecond})
+		faultsDone <- workload.ClientFaults(faultCtx, workload.Clients(c, workload.AllProcs(5)),
+			workload.ClientFaultOptions{Seed: 77, MeanInterval: 15 * time.Millisecond})
 	}()
 
 	writerDone := make(chan workload.Result, 1)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"recmem/internal/atomicity"
 	"recmem/internal/core"
 	"recmem/internal/stable"
 	"recmem/internal/tag"
@@ -33,8 +34,8 @@ func (e *frameEndpoint) Send(env wire.Envelope) {
 // TestWALGroupCommitAmortizesFsyncs is the acceptance gate of the storage
 // engine, stated on one replica's own counters: a batch frame carrying the
 // propagation rounds of k registers is adopted through ONE StoreBatch, which
-// the wal backend makes durable with ONE fsync — where FileDisk, one
-// synchronously replaced file per record, pays at least k. The frame is
+// the wal backend makes durable with ONE fsync — where one synchronous write
+// per record would pay k. The frame is
 // delivered before the node starts listening, so how rounds happen to
 // coalesce on a loaded machine (which decided the old two-run comparison)
 // plays no part: k records per sync is structural for a k-register frame.
@@ -74,8 +75,8 @@ func TestWALGroupCommitAmortizesFsyncs(t *testing.T) {
 
 	records, syncs := disk.Stores(), inner.(interface{ Syncs() int64 }).Syncs()
 	if records != k || syncs != 1 {
-		t.Fatalf("a %d-register frame cost %d records in %d fsyncs, want %d in 1 (FileDisk pays >= %d)",
-			k, records, syncs, k, k)
+		t.Fatalf("a %d-register frame cost %d records in %d fsyncs, want %d in 1",
+			k, records, syncs, k)
 	}
 }
 
@@ -125,7 +126,7 @@ func TestClusterWALBackendVerifies(t *testing.T) {
 	if val, _, err := c.Read(ctx, 0, "x"); err != nil || string(val) != "v4" {
 		t.Fatalf("read after wal recovery = %q err=%v", val, err)
 	}
-	if err := c.VerifyDefault(); err != nil {
+	if err := c.Check(atomicity.Persistent); err != nil {
 		t.Fatal(err)
 	}
 }

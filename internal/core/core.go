@@ -43,6 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,6 +96,23 @@ func (k AlgorithmKind) String() string {
 	default:
 		return fmt.Sprintf("AlgorithmKind(%d)", int(k))
 	}
+}
+
+// ParseAlgorithm is the inverse of String — the one place an algorithm name
+// becomes a kind, shared by the CLIs' -algorithm flags and by drivers reading
+// the name a node reports. "regular" is the older CLI spelling of RegularSW.
+func ParseAlgorithm(name string) (AlgorithmKind, error) {
+	if name == "regular" {
+		return RegularSW, nil
+	}
+	var names []string
+	for k := CrashStop; k <= RegularSW; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+		names = append(names, k.String())
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // Recovers reports whether the algorithm supports crash-recovery.

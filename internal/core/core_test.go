@@ -635,6 +635,25 @@ func TestNewNodeValidation(t *testing.T) {
 	nd.Close()
 }
 
+// TestParseAlgorithm: every kind round-trips name → kind → name, the older
+// "regular" spelling still resolves, and anything else is an error.
+func TestParseAlgorithm(t *testing.T) {
+	for _, kind := range []AlgorithmKind{CrashStop, Transient, Persistent, Naive, RegularSW} {
+		got, err := ParseAlgorithm(kind.String())
+		if err != nil || got != kind {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v", kind.String(), got, err)
+		}
+	}
+	if got, err := ParseAlgorithm("regular"); err != nil || got != RegularSW {
+		t.Fatalf(`ParseAlgorithm("regular") = %v, %v`, got, err)
+	}
+	for _, bad := range []string{"", "paxos", AlgorithmKind(99).String()} {
+		if _, err := ParseAlgorithm(bad); err == nil {
+			t.Fatalf("ParseAlgorithm(%q) accepted", bad)
+		}
+	}
+}
+
 func TestObserverCallbacks(t *testing.T) {
 	tc := newTestCluster(t, 3, Persistent, Options{}, netsim.Options{})
 	var invoked, returned atomic.Uint64

@@ -65,7 +65,7 @@ func TestIncarnationEpochSurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer nw.Close()
-		disk, err := stable.NewFileDisk(dir)
+		disk, err := stable.OpenBackend("wal", dir, stable.Profile{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,39 +6,22 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for the storage engines, run by `make bench-disk`. The
-// interesting comparison is per-durable-record cost:
+// Micro-benchmarks for the wal preset of the log engine, run by
+// `make bench-disk`. The figure to read is syncs/op, the fsync bill per
+// durable record:
 //
-//   - BenchmarkFileStore / BenchmarkWALStore: one record per sync on both
-//     engines (a sequential caller gives group commit nothing to coalesce) —
-//     isolates the append-a-frame vs. replace-a-file overhead.
-//   - Benchmark*StoreParallel: concurrent callers; the wal preset's
-//     group-commit daemon coalesces everything pending at sync time into one
-//     fdatasync, FileDisk pays a full synchronous replacement each.
-//   - Benchmark*StoreBatch: the batched durability path (one coalesced
-//     engine batch = one StoreBatch call); the wal preset syncs once per
-//     batch.
+//   - BenchmarkWALStore: a sequential caller gives group commit nothing to
+//     coalesce — one append + one fdatasync per record, the paper's λ.
+//   - BenchmarkWALStoreParallel: concurrent callers; the group-commit daemon
+//     coalesces everything pending at sync time into one fdatasync.
+//   - BenchmarkWALStoreBatch: the batched durability path (one coalesced
+//     engine batch = one StoreBatch call), one sync per batch.
 func benchPayload() []byte {
 	p := make([]byte, 64)
 	for i := range p {
 		p[i] = byte(i)
 	}
 	return p
-}
-
-func BenchmarkFileStore(b *testing.B) {
-	d, err := NewFileDisk(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	payload := benchPayload()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := d.Store("written/x", payload); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkWALStore(b *testing.B) {
@@ -52,26 +35,6 @@ func BenchmarkWALStore(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(d.Syncs())/float64(b.N), "syncs/op")
-}
-
-func BenchmarkFileStoreParallel(b *testing.B) {
-	d, err := NewFileDisk(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	payload := benchPayload()
-	var reg atomic.Int32
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		name := fmt.Sprintf("written/r%d", reg.Add(1))
-		for pb.Next() {
-			if err := d.Store(name, payload); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
 }
 
 func BenchmarkWALStoreParallel(b *testing.B) {
@@ -102,21 +65,6 @@ func benchBatch() []Record {
 		recs[i] = Record{Name: fmt.Sprintf("written/r%d", i), Data: benchPayload()}
 	}
 	return recs
-}
-
-func BenchmarkFileStoreBatch(b *testing.B) {
-	d, err := NewFileDisk(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	recs := benchBatch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := d.StoreBatch(recs); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkWALStoreBatch(b *testing.B) {

@@ -300,6 +300,9 @@ type shard struct {
 // only its segment tail, so open time is bounded by the compaction policy
 // rather than the namespace size.
 func openEngine(dir string, cfg engineConfig) (*ShardedDisk, error) {
+	if dir == "" {
+		return nil, errors.New("stable: the log engine (wal, sharded) needs a directory")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("stable: create dir: %w", err)
 	}
@@ -361,11 +364,19 @@ func loadManifest(dir string, want int) (int, error) {
 		return 0, fmt.Errorf("stable: read manifest: %w", err)
 	}
 	// The single-log engine this one replaced kept wal.log and snapshot.rec
-	// at the top level. Creating a manifest beside them would present an
-	// empty store over someone's data.
-	for _, old := range []string{"wal.log", shardSnap} {
-		if _, err := os.Stat(filepath.Join(dir, old)); err == nil {
+	// at the top level, and the retired file backend one <hex>.rec per
+	// record. Creating a manifest beside them would present an empty store
+	// over someone's data.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, fmt.Errorf("stable: read dir: %w", err)
+	}
+	for _, e := range entries {
+		switch old := e.Name(); {
+		case old == "wal.log" || old == shardSnap:
 			return 0, fmt.Errorf("stable: %s holds %s in the retired single-log wal format, which this version cannot read", dir, old)
+		case strings.HasSuffix(old, ".rec"):
+			return 0, fmt.Errorf("stable: %s holds %s, a record of the retired file backend (one file per record), which this version cannot read", dir, old)
 		}
 	}
 	tmp, err := os.CreateTemp(dir, "manifest-*")
@@ -1354,7 +1365,7 @@ func (d *ShardedDisk) Shards() int { return len(d.shards) }
 
 // Syncs returns the number of per-shard group-commit syncs issued — the
 // engine's fsync bill. Compare against AppendedRecords to read off the
-// amortization factor; FileDisk pays two fsyncs per record.
+// amortization factor.
 func (d *ShardedDisk) Syncs() int64 { return d.syncs.Load() }
 
 // Batches returns the number of commit groups flushed across all shards.

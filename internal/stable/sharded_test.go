@@ -2,6 +2,7 @@ package stable
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -618,24 +619,33 @@ func TestWALRejectsCorruptSnapshot(t *testing.T) {
 }
 
 // TestRetiredLayoutRefused: a directory written by the retired single-log
-// engine (wal.log + a top-level snapshot.rec, no MANIFEST) must not open as
-// an empty store over someone's data.
+// engine (wal.log + a top-level snapshot.rec, no MANIFEST) or by the retired
+// file backend (one top-level <hex>.rec per record) must not open as an empty
+// store over someone's data.
 func TestRetiredLayoutRefused(t *testing.T) {
-	for _, old := range []string{"wal.log", "snapshot.rec"} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, old), []byte("old frames"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		d, err := OpenBackend("wal", dir, Profile{})
-		if err == nil {
-			d.Close()
-			t.Fatalf("opened an empty store beside %s", old)
-		}
-		if !strings.Contains(err.Error(), "retired") || !strings.Contains(err.Error(), old) {
-			t.Fatalf("error does not name the retired format and %s: %v", old, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
-			t.Fatal("refused open left a MANIFEST behind")
+	for _, tc := range []struct{ old, names string }{
+		{"wal.log", "single-log wal"},
+		{"snapshot.rec", "single-log wal"},
+		{hex.EncodeToString([]byte("written/x")) + ".rec", "file backend"},
+	} {
+		for _, engine := range []string{"wal", "sharded"} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, tc.old), []byte("old bytes"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := OpenBackend(engine, dir, Profile{})
+			if err == nil {
+				d.Close()
+				t.Fatalf("%s opened an empty store beside %s", engine, tc.old)
+			}
+			for _, want := range []string{"retired", tc.names, tc.old} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s beside %s: error does not say %q: %v", engine, tc.old, want, err)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
+				t.Fatalf("%s beside %s: refused open left a MANIFEST behind", engine, tc.old)
+			}
 		}
 	}
 }

@@ -1,38 +1,37 @@
 // Package stable models the paper's stable storage: every process owns a
 // store that survives its crashes, accessed through the primitives store and
-// retrieve (§II). Two implementations are provided:
+// retrieve (§II). There are two engines:
 //
-//   - MemDisk: an in-memory crash-survivable store with a configurable
-//     synchronous write latency — the paper's λ (logging a few bytes on their
-//     IDE disks costs ≈ 0.2 ms, about twice a message transit) plus a
-//     bandwidth term for the payload-size experiment (Fig. 6 bottom).
-//   - FileDisk: real files written synchronously (the paper: "files written
-//     to disk synchronously so that the operating system writes the data to
-//     disk immediately instead of buffering" — buffering would violate even
-//     transient atomicity).
+//   - MemDisk ("mem"): an in-memory crash-survivable store with a
+//     configurable synchronous write latency — the paper's λ (logging a few
+//     bytes on their IDE disks costs ≈ 0.2 ms, about twice a message transit)
+//     plus a bandwidth term for the payload-size experiment (Fig. 6 bottom).
+//   - ShardedDisk (sharded.go), the durable log engine behind two backend
+//     names: CRC-framed append-only segment chains, a group-commit daemon per
+//     shard that coalesces concurrent stores into one fdatasync, background
+//     compaction into an indexed snapshot so reopening reads offsets instead
+//     of values, and tombstoned deletes (Deleter). "wal" is its one-shard
+//     preset — a lone Store is one append + one fdatasync, the paper's "file
+//     written to disk synchronously so that the operating system writes the
+//     data to disk immediately instead of buffering" (buffering would violate
+//     even transient atomicity); a k-record batch is still one append + one
+//     sync, and every touched value stays in memory. "sharded" is its
+//     eight-shard preset with LRU value eviction, so the resident set is
+//     bounded independently of the namespace (docs/adr/0012).
+//
+// The model only asks that a store is durable before it is acknowledged, not
+// how the directory is laid out; the one-file-per-record backend that used to
+// sit beside the log engine is retired (docs/adr/0016), and the log engine
+// refuses a directory that still holds its files.
 //
 // Records are named; register emulations use one record per role per
-// register ("written/x", "writing/x", "recovered").
-//
-// A third implementation, ShardedDisk (sharded.go), is the log engine behind
-// two backend names: CRC-framed append-only segment chains, a group-commit
-// daemon per shard that coalesces concurrent stores into one fdatasync,
-// background compaction into an indexed snapshot so reopening reads offsets
-// instead of values, and tombstoned deletes (Deleter). "wal" is its one-shard
-// preset — a k-record batch is one log append + one sync, and every touched
-// value stays in memory; "sharded" is its eight-shard preset with LRU value
-// eviction, so the resident set is bounded independently of the namespace
-// (docs/adr/0012). All implementations expose the batched durability path
-// StoreBatch.
+// register ("written/x", "writing/x", "recovered"). Both engines expose the
+// batched durability path StoreBatch.
 package stable
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -55,10 +54,9 @@ type Storage interface {
 	// content. It returns only after the data is stable (synchronous write).
 	Store(record string, data []byte) error
 	// StoreBatch durably saves all records as one group: it returns nil only
-	// after every record is stable. Implementations with a native group
-	// commit (ShardedDisk, MemDisk's simulated disk) pay the synchronous-write
-	// cost once for the whole batch; others fall back to sequential Store
-	// calls via BatchOf. When a batch contains several records with the same
+	// after every record is stable. Both engines pay the synchronous-write
+	// cost once for the whole batch (ShardedDisk's group commit, MemDisk's
+	// simulated one). When a batch contains several records with the same
 	// name, the last one wins. On error none of the batch is acknowledged —
 	// individual records may or may not have become durable.
 	StoreBatch(recs []Record) error
@@ -70,21 +68,8 @@ type Storage interface {
 	Records(prefix string) ([]string, error)
 	// Close releases resources. The stored content remains retrievable by a
 	// new Storage opened over the same substrate (MemDisk: same object;
-	// FileDisk, ShardedDisk: same directory).
+	// ShardedDisk: same directory).
 	Close() error
-}
-
-// BatchOf implements StoreBatch as sequential Store calls — the adapter for
-// backends without a native group commit (FileDisk's file-per-record layout
-// has nothing to amortize; wrappers delegate per record so their per-store
-// semantics apply uniformly).
-func BatchOf(s Storage, recs []Record) error {
-	for _, r := range recs {
-		if err := s.Store(r.Name, r.Data); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Scanner is the optional streaming-enumeration extension of Storage: Scan
@@ -136,7 +121,7 @@ type Deleter interface {
 }
 
 // Backends lists the selectable storage engines, in presentation order.
-func Backends() []string { return []string{"mem", "file", "wal", "sharded"} }
+func Backends() []string { return []string{"mem", "wal", "sharded"} }
 
 // ValidBackend reports whether name selects a storage engine — the shared
 // flag validation of the CLIs.
@@ -150,22 +135,21 @@ func ValidBackend(name string) bool {
 }
 
 // OpenBackend opens the named storage engine: "mem" (or "") is a MemDisk
-// with the given latency profile; "file" is a FileDisk; "wal" and "sharded"
-// are the one-shard and the eight-shard preset of ShardedDisk; all rooted at
-// dir. This is the single switch the cluster, the benchmarks and the torture
-// driver share, so every layer accepts the same -disk names.
+// with the given latency profile; "wal" and "sharded" are the one-shard and
+// the eight-shard preset of ShardedDisk, rooted at dir. This is the only
+// place a name turns into an engine: the cluster, the node, the benchmarks
+// and the torture driver all call it, so every layer accepts the same -disk
+// names.
 func OpenBackend(backend, dir string, prof Profile) (Storage, error) {
 	switch backend {
 	case "", "mem":
 		return NewMemDisk(prof), nil
-	case "file":
-		return NewFileDisk(dir)
 	case "wal":
 		return openEngine(dir, walPreset)
 	case "sharded":
 		return openEngine(dir, shardedPreset)
 	default:
-		return nil, fmt.Errorf("stable: unknown backend %q (want mem, file, wal, or sharded)", backend)
+		return nil, fmt.Errorf("stable: unknown backend %q (want mem, wal, or sharded)", backend)
 	}
 }
 
@@ -328,168 +312,6 @@ func (d *MemDisk) Reopen() {
 	d.mu.Unlock()
 }
 
-// FileDisk is a Storage backed by one file per record in a directory,
-// written synchronously (write to temp file, fsync, rename, fsync dir) so
-// that acknowledged stores survive process and OS crashes.
-type FileDisk struct {
-	dir string
-
-	mu     sync.Mutex
-	closed bool
-}
-
-var _ Storage = (*FileDisk)(nil)
-
-// NewFileDisk opens (creating if necessary) a file-backed store rooted at
-// dir.
-func NewFileDisk(dir string) (*FileDisk, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("stable: create dir: %w", err)
-	}
-	return &FileDisk{dir: dir}, nil
-}
-
-// encodeName maps an arbitrary record name to a safe file name.
-func encodeName(record string) string {
-	return hex.EncodeToString([]byte(record)) + ".rec"
-}
-
-func decodeName(file string) (string, bool) {
-	base, ok := strings.CutSuffix(file, ".rec")
-	if !ok {
-		return "", false
-	}
-	raw, err := hex.DecodeString(base)
-	if err != nil {
-		return "", false
-	}
-	return string(raw), true
-}
-
-// Store implements Storage with an atomic, durable file replacement.
-func (d *FileDisk) Store(record string, data []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	final := filepath.Join(d.dir, encodeName(record))
-	tmp, err := os.CreateTemp(d.dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("stable: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("stable: write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("stable: fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("stable: close: %w", err)
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("stable: rename: %w", err)
-	}
-	if dirF, err := os.Open(d.dir); err == nil {
-		_ = dirF.Sync()
-		dirF.Close()
-	}
-	return nil
-}
-
-// StoreBatch implements Storage; the file-per-record layout has no shared
-// sync to amortize, so each record pays its own synchronous replacement.
-func (d *FileDisk) StoreBatch(recs []Record) error {
-	return BatchOf(d, recs)
-}
-
-// Retrieve implements Storage.
-func (d *FileDisk) Retrieve(record string) ([]byte, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, false, ErrClosed
-	}
-	data, err := os.ReadFile(filepath.Join(d.dir, encodeName(record)))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("stable: read: %w", err)
-	}
-	return data, true, nil
-}
-
-// Records implements Storage.
-func (d *FileDisk) Records(prefix string) ([]string, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, ErrClosed
-	}
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, fmt.Errorf("stable: list: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		name, ok := decodeName(e.Name())
-		if ok && strings.HasPrefix(name, prefix) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Scan implements Scanner: directory entries are read and decoded in bounded
-// chunks, so even a namespace-sized directory never materializes as one name
-// list. fn runs under the store lock and must not call back into the store.
-func (d *FileDisk) Scan(prefix string, fn func(string) error) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	dirF, err := os.Open(d.dir)
-	if err != nil {
-		return fmt.Errorf("stable: scan: %w", err)
-	}
-	defer dirF.Close()
-	for {
-		entries, err := dirF.ReadDir(256)
-		for _, e := range entries {
-			name, ok := decodeName(e.Name())
-			if ok && strings.HasPrefix(name, prefix) {
-				if err := fn(name); err != nil {
-					return err
-				}
-			}
-		}
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("stable: scan: %w", err)
-		}
-	}
-}
-
-// Close implements Storage.
-func (d *FileDisk) Close() error {
-	d.mu.Lock()
-	d.closed = true
-	d.mu.Unlock()
-	return nil
-}
-
 // Counting wraps a Storage and counts operations; tests use it to assert
 // log-complexity invariants independently of the protocol-level causal
 // meter.
@@ -607,10 +429,9 @@ func (c *Counting) Batches() int {
 }
 
 // Commits returns the number of durability points observed: one per Store
-// call plus one per StoreBatch call. On an engine without cross-call group
-// commit this is its flush bill (FileDisk pays two fsyncs per point);
-// ShardedDisk may merge many commits into one fdatasync — compare with its
-// Syncs counter to read off the amortization.
+// call plus one per StoreBatch call. ShardedDisk may merge many commits into
+// one fdatasync — compare with its Syncs counter to read off the
+// amortization.
 func (c *Counting) Commits() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,13 +16,6 @@ func storageFactories(t *testing.T) map[string]func() Storage {
 	t.Helper()
 	return map[string]func() Storage{
 		"memdisk": func() Storage { return NewMemDisk(Profile{}) },
-		"filedisk": func() Storage {
-			d, err := NewFileDisk(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
 		"waldisk": func() Storage { return mustOpen(t, t.TempDir(), walPreset) },
 		"sharded": func() Storage { return mustOpen(t, t.TempDir(), shardedPreset) },
 	}
@@ -69,21 +61,31 @@ func TestRecordsPrefix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
 			defer s.Close()
-			for _, rec := range []string{"written/b", "written/a", "writing/a", "recovered"} {
+			for _, rec := range []string{"written/b", "written/ab", "written/a", "writing/a", "recovered"} {
 				if err := s.Store(rec, []byte("x")); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got, err := s.Records("written/")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != 2 || got[0] != "written/a" || got[1] != "written/b" {
-				t.Fatalf("Records = %v", got)
-			}
-			all, err := s.Records("")
-			if err != nil || len(all) != 4 {
-				t.Fatalf("Records(\"\") = %v err=%v", all, err)
+			// Prefixes select on the whole record name: names that extend
+			// each other, a prefix that is not a whole path segment, no match.
+			for _, tc := range []struct {
+				prefix string
+				want   []string
+			}{
+				{"written/", []string{"written/a", "written/ab", "written/b"}},
+				{"written/a", []string{"written/a", "written/ab"}},
+				{"writ", []string{"writing/a", "written/a", "written/ab", "written/b"}},
+				{"recovered", []string{"recovered"}},
+				{"written/zzz", nil},
+				{"", []string{"recovered", "writing/a", "written/a", "written/ab", "written/b"}},
+			} {
+				got, err := s.Records(tc.prefix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, tc.want) {
+					t.Fatalf("Records(%q) = %v, want %v", tc.prefix, got, tc.want)
+				}
 			}
 		})
 	}
@@ -307,40 +309,12 @@ func TestMemDiskSurvivesReopen(t *testing.T) {
 	}
 }
 
-func TestFileDiskSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	d, err := NewFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Store("written/reg with spaces/☃", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-
-	// A new FileDisk over the same directory sees the record: this is the
-	// crash-recovery property (stable storage outlives the process).
-	d2, err := NewFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	data, ok, err := d2.Retrieve("written/reg with spaces/☃")
-	if err != nil || !ok || !bytes.Equal(data, []byte("v")) {
-		t.Fatalf("after reopen: %q ok=%v err=%v", data, ok, err)
-	}
-	recs, err := d2.Records("written/")
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("Records = %v err=%v", recs, err)
-	}
-}
-
 // TestIncarnationRecordSurvivesReopen pins the stable-storage leg of the
 // incarnation-epoch contract (docs/adr/0006): the "incarnation" record a
 // node mints during recovery must survive a process restart on every
 // persistent backend, or the next boot would reuse a burned epoch.
 func TestIncarnationRecordSurvivesReopen(t *testing.T) {
-	for _, engine := range []string{"file", "wal", "sharded"} {
+	for _, engine := range []string{"wal", "sharded"} {
 		t.Run(engine, func(t *testing.T) {
 			dir := t.TempDir()
 			d, err := OpenBackend(engine, dir, Profile{})
@@ -422,119 +396,6 @@ func TestCounting(t *testing.T) {
 	}
 }
 
-// TestFileDiskRecordsIgnoresForeignFiles: the record enumeration must skip
-// files the disk did not write — leftover temp files from an interrupted
-// Store, and anything a human dropped into the directory.
-func TestFileDiskRecordsIgnoresForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	d, err := NewFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for _, rec := range []string{"written/a", "writing/a"} {
-		if err := d.Store(rec, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, stray := range []string{"tmp-123456", "README.txt", "zz!!.rec"} {
-		if err := os.WriteFile(filepath.Join(dir, stray), []byte("junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := d.Records("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "writing/a" || got[1] != "written/a" {
-		t.Fatalf("Records = %v, want the two stored records only", got)
-	}
-	if got, err := d.Records("written/zzz"); err != nil || len(got) != 0 {
-		t.Fatalf("Records(no match) = %v err=%v", got, err)
-	}
-}
-
-// TestFileDiskPrefixEnumeration: prefixes select on the decoded record name,
-// including names that extend each other and prefixes that are not a whole
-// path segment.
-func TestFileDiskPrefixEnumeration(t *testing.T) {
-	d, err := NewFileDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for _, rec := range []string{"written/a", "written/ab", "written/b", "writing/a", "recovered"} {
-		if err := d.Store(rec, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cases := []struct {
-		prefix string
-		want   []string
-	}{
-		{"written/", []string{"written/a", "written/ab", "written/b"}},
-		{"written/a", []string{"written/a", "written/ab"}},
-		{"writ", []string{"writing/a", "written/a", "written/ab", "written/b"}},
-		{"recovered", []string{"recovered"}},
-	}
-	for _, tc := range cases {
-		got, err := d.Records(tc.prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(tc.want) {
-			t.Fatalf("Records(%q) = %v, want %v", tc.prefix, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("Records(%q) = %v, want %v", tc.prefix, got, tc.want)
-			}
-		}
-	}
-}
-
-// TestFileDiskReopenAfterClose: a closed FileDisk keeps rejecting
-// operations, while a new FileDisk over the same directory recovers the
-// full state — enumeration, content, and the ability to store again.
-func TestFileDiskReopenAfterClose(t *testing.T) {
-	dir := t.TempDir()
-	d, err := NewFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Store("written/x", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The closed handle stays closed even after the substrate is reopened.
-	d2, err := NewFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if err := d.Store("written/x", []byte("v2")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Store on closed handle: %v", err)
-	}
-	if _, err := d.Records(""); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Records on closed handle: %v", err)
-	}
-	recs, err := d2.Records("written/")
-	if err != nil || len(recs) != 1 || recs[0] != "written/x" {
-		t.Fatalf("reopened Records = %v err=%v", recs, err)
-	}
-	if data, ok, err := d2.Retrieve("written/x"); err != nil || !ok || !bytes.Equal(data, []byte("v1")) {
-		t.Fatalf("reopened Retrieve = %q ok=%v err=%v", data, ok, err)
-	}
-	if err := d2.Store("written/x", []byte("v3")); err != nil {
-		t.Fatal(err)
-	}
-	if data, _, _ := d2.Retrieve("written/x"); !bytes.Equal(data, []byte("v3")) {
-		t.Fatalf("store after reopen = %q", data)
-	}
-}
-
 func TestConcurrentStores(t *testing.T) {
 	for name, mk := range storageFactories(t) {
 		t.Run(name, func(t *testing.T) {
@@ -562,22 +423,6 @@ func TestConcurrentStores(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestEncodeDecodeName(t *testing.T) {
-	for _, name := range []string{"", "a", "written/x", "weird/☃ name"} {
-		enc := encodeName(name)
-		dec, ok := decodeName(enc)
-		if !ok || dec != name {
-			t.Fatalf("round trip %q -> %q -> %q ok=%v", name, enc, dec, ok)
-		}
-	}
-	if _, ok := decodeName("notarecord.txt"); ok {
-		t.Fatal("decoded a non-record file name")
-	}
-	if _, ok := decodeName("zz!!.rec"); ok {
-		t.Fatal("decoded invalid hex")
 	}
 }
 

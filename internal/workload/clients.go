@@ -37,9 +37,6 @@ func Clients(c *cluster.Cluster, procs []int32) []recmem.Client {
 // early when ctx is done. The scenario is backend-agnostic: pass the
 // simulated cluster's clients (Clients) or remote.Dial'ed connections.
 func RunClients(ctx context.Context, clients []recmem.Client, opsPerClient int, mix Mix, seed int64) Result {
-	if mix.Record != nil {
-		clients = RecordClients(mix.Record, clients)
-	}
 	regs := mix.Registers
 	if len(regs) == 0 {
 		regs = []string{"x"}
@@ -217,11 +214,13 @@ func crashClientAfterAbort(ctx context.Context, client recmem.Client) {
 	}
 }
 
-// RecordClients wraps every client through the group for history recording
-// (recmem.RecordingGroup.Wrap is idempotent, so a workload driver and a
-// fault injector recording the same clients share one wrapper per client).
-// The returned slice preserves order: client i records as process i when
-// the group is fresh.
+// RecordClients wraps every client through the group for history recording,
+// so a run yields per-client histories that merge into a verifiable global
+// one (docs/adr/0004) — the way live-mesh runs, which have no global
+// observer, get checked. Hand the returned clients to both RunClients and
+// ClientFaults, or the merged history misses the injected crashes. The
+// returned slice preserves order: client i records as process i when the
+// group is fresh.
 func RecordClients(g *recmem.RecordingGroup, clients []recmem.Client) []recmem.Client {
 	out := make([]recmem.Client, len(clients))
 	for i, c := range clients {
@@ -241,11 +240,6 @@ type ClientFaultOptions struct {
 	// MeanInterval is the average pause between fault actions (default
 	// 5 ms).
 	MeanInterval time.Duration
-	// Record, when non-nil, wraps the injected clients through the group so
-	// crash and recovery events land in the recorded histories — required
-	// whenever the workload itself records (see Mix.Record), or the merged
-	// history would miss the faults.
-	Record *recmem.RecordingGroup
 }
 
 // ClientFaults injects random crashes and recoveries through the Client
@@ -253,9 +247,6 @@ type ClientFaultOptions struct {
 // returns the number of crashes injected. It works identically against the
 // simulated cluster and a live mesh.
 func ClientFaults(ctx context.Context, clients []recmem.Client, opts ClientFaultOptions) int {
-	if opts.Record != nil {
-		clients = RecordClients(opts.Record, clients)
-	}
 	n := len(clients)
 	if opts.MaxDown <= 0 {
 		opts.MaxDown = n - (n+2)/2

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"recmem"
+	"recmem/internal/atomicity"
 	"recmem/internal/cluster"
 	"recmem/internal/core"
 	"recmem/internal/workload"
@@ -35,7 +36,7 @@ func TestRunClientsOverClusterAdapter(t *testing.T) {
 	if got := len(c.History().Operations()); got != 36 {
 		t.Fatalf("history has %d operations, want 36", got)
 	}
-	if err := c.VerifyDefault(); err != nil {
+	if err := c.Check(atomicity.Persistent); err != nil {
 		t.Fatalf("client-driven history does not verify: %v", err)
 	}
 }
@@ -80,7 +81,7 @@ func TestClientFaultsKeepsMajority(t *testing.T) {
 			t.Fatalf("process %d still down after ClientFaults returned", p)
 		}
 	}
-	if err := c.Check(c.DefaultMode()); err != nil {
+	if err := c.Check(atomicity.Persistent); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,9 +144,10 @@ func TestClientsReportEpochOnSyncOps(t *testing.T) {
 	}
 }
 
-// TestRunClientsRecorded drives the identical scenario with Mix.Record and
-// ClientFaultOptions.Record set: both observers — the cluster's global
-// recorder and the merged per-client recordings — must verify the run.
+// TestRunClientsRecorded drives the identical scenario through recording
+// clients (RecordClients, handed to the workload and the fault injector
+// alike): both observers — the cluster's global recorder and the merged
+// per-client recordings — must verify the run.
 func TestRunClientsRecorded(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		N:         3,
@@ -160,18 +162,18 @@ func TestRunClientsRecorded(t *testing.T) {
 	defer cancel()
 
 	group := recmem.NewRecordingGroup()
-	clients := workload.Clients(c, workload.AllProcs(3))
+	clients := workload.RecordClients(group, workload.Clients(c, workload.AllProcs(3)))
 
 	faultCtx, stopFaults := context.WithTimeout(ctx, 300*time.Millisecond)
 	defer stopFaults()
 	faultsDone := make(chan int, 1)
 	go func() {
 		faultsDone <- workload.ClientFaults(faultCtx, clients, workload.ClientFaultOptions{
-			Seed: 9, MeanInterval: 10 * time.Millisecond, Record: group,
+			Seed: 9, MeanInterval: 10 * time.Millisecond,
 		})
 	}()
 	res := workload.RunClients(ctx, clients, 15,
-		workload.Mix{ReadFraction: 0.5, Registers: []string{"a", "b"}, Record: group}, 2)
+		workload.Mix{ReadFraction: 0.5, Registers: []string{"a", "b"}}, 2)
 	<-faultsDone
 	if err := c.RecoverAll(ctx); err != nil {
 		t.Fatal(err)
@@ -193,7 +195,7 @@ func TestRunClientsRecorded(t *testing.T) {
 	if err := group.Verify(recmem.PersistentAtomicity); err != nil {
 		t.Fatalf("merged recording: %v", err)
 	}
-	if err := c.VerifyDefault(); err != nil {
+	if err := c.Check(atomicity.Persistent); err != nil {
 		t.Fatalf("global observer: %v", err)
 	}
 }
@@ -214,8 +216,8 @@ func TestRunClientsRecordedAsync(t *testing.T) {
 	defer cancel()
 
 	group := recmem.NewRecordingGroup()
-	res := workload.RunClients(ctx, workload.Clients(c, workload.AllProcs(3)), 12,
-		workload.Mix{ReadFraction: 0.4, Async: 4, Record: group}, 3)
+	clients := workload.RecordClients(group, workload.Clients(c, workload.AllProcs(3)))
+	res := workload.RunClients(ctx, clients, 12, workload.Mix{ReadFraction: 0.4, Async: 4}, 3)
 	if res.Errors != 0 {
 		t.Fatalf("result = %+v", res)
 	}

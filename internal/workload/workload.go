@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"recmem"
 	"recmem/internal/cluster"
 )
 
@@ -40,15 +39,6 @@ type Mix struct {
 	// its operation only by crashing, which keeps the recorded history
 	// well-formed (the pending invocation is followed by a crash event).
 	Forgive func(error) bool
-	// Record, when non-nil, drives every client through a recording wrapper
-	// of the group (RecordClients), so the run yields per-client histories
-	// that merge into a verifiable global one (docs/adr/0004) — the way
-	// live-mesh runs, which have no global observer, get checked. Pass the
-	// same group to ClientFaultOptions.Record so injected crash/recovery
-	// events are recorded too; after the run, Record.Histories() returns
-	// the per-client histories and Record.Verify(criterion) the merged
-	// verdict.
-	Record *recmem.RecordingGroup
 }
 
 // Result summarizes a driven workload.

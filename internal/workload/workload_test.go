@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"recmem/internal/atomicity"
 	"recmem/internal/cluster"
 	"recmem/internal/core"
 	"recmem/internal/workload"
@@ -119,7 +120,7 @@ func TestRunToleratesCrashes(t *testing.T) {
 	if res.Interrupted == 0 {
 		t.Log("no operation was interrupted (timing); still fine")
 	}
-	if err := c.Check(c.DefaultMode()); err != nil {
+	if err := c.Check(atomicity.Persistent); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,7 +167,7 @@ func TestRunAsyncCompletesAndVerifies(t *testing.T) {
 	if got := len(c.History().Operations()); got != 24 {
 		t.Fatalf("history has %d operations, want 24", got)
 	}
-	if err := c.VerifyDefault(); err != nil {
+	if err := c.Check(atomicity.Persistent); err != nil {
 		t.Fatalf("async workload history does not verify: %v", err)
 	}
 }

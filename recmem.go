@@ -206,18 +206,12 @@ func WithDisk(storeDelay time.Duration, bytesPerSec float64) Option {
 	})
 }
 
-// WithFileStorage stores each process's stable state in dir/node<i>, using
-// real files with synchronous writes instead of the simulated disk: one file
-// per record, replaced atomically — two fsyncs per causal log.
-func WithFileStorage(dir string) Option {
-	return optionFunc(func(c *config) { c.diskBackend = "file"; c.diskDir = dir })
-}
-
-// WithWALStorage stores each process's stable state in dir/node<i> on the
-// log-structured engine: one append-only CRC-framed log whose group-commit
-// daemon coalesces the causal logs of concurrent rounds into shared
-// fdatasyncs, with periodic snapshot + truncation. The fastest real-disk
-// backend; see docs/adr/0002-wal-group-commit-storage.md.
+// WithWALStorage stores each process's stable state in dir/node<i> on real
+// files instead of the simulated disk, using the log engine's one-shard
+// preset: one append-only CRC-framed log whose group-commit daemon coalesces
+// the causal logs of concurrent rounds into shared fdatasyncs, with periodic
+// snapshot + truncation. A lone store is one append + one fdatasync — the
+// paper's "file written synchronously". See docs/adr/0012-one-log-engine.md.
 func WithWALStorage(dir string) Option {
 	return optionFunc(func(c *config) { c.diskBackend = "wal"; c.diskDir = dir })
 }
@@ -360,26 +354,31 @@ func NewProcess(c *cluster.Cluster, id int32) *Process {
 	return &Process{c: c, id: id}
 }
 
-// DefaultCriterion returns the criterion the algorithm guarantees.
-func (c *Cluster) DefaultCriterion() Criterion {
-	if c.algo == RegularRegister {
-		return Regularity
-	}
-	switch c.inner.DefaultMode() {
-	case atomicity.Linearizable:
+// CriterionFor returns the criterion an algorithm guarantees — the one
+// kind-to-criterion table, shared by Cluster.Verify and the in-module drivers
+// (recmem-torture checks a live mesh against the algorithm its nodes report):
+// linearizability for the crash-stop baseline (under crash-stop faults),
+// transient atomicity for Fig. 5, persistent atomicity for Fig. 4 and the
+// naive adaptation, single-writer regularity for the §VI extension.
+func CriterionFor(kind core.AlgorithmKind) Criterion {
+	switch kind {
+	case core.CrashStop:
 		return Linearizability
-	case atomicity.Transient:
+	case core.Transient:
 		return TransientAtomicity
+	case core.RegularSW:
+		return Regularity
 	default:
 		return PersistentAtomicity
 	}
 }
 
+// DefaultCriterion returns the criterion the algorithm guarantees.
+func (c *Cluster) DefaultCriterion() Criterion { return CriterionFor(c.algo.kind()) }
+
 // Verify checks the recorded history of the cluster against the algorithm's
 // own criterion. It returns nil if the run was correct.
-func (c *Cluster) Verify() error {
-	return c.inner.VerifyDefault()
-}
+func (c *Cluster) Verify() error { return c.VerifyCriterion(c.DefaultCriterion()) }
 
 // VerifyCriterion checks the recorded history against an explicit criterion.
 func (c *Cluster) VerifyCriterion(cr Criterion) error {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"recmem"
+	"recmem/internal/core"
 )
 
 func testCtx(t *testing.T) context.Context {
@@ -163,17 +164,28 @@ func TestVerifyCriteria(t *testing.T) {
 	}
 }
 
+// TestDefaultCriteria is the algorithm table test: every algorithm maps,
+// through the one kind-to-criterion table, to the criterion Cluster.Verify
+// checks.
 func TestDefaultCriteria(t *testing.T) {
 	want := map[recmem.Algorithm]recmem.Criterion{
 		recmem.CrashStop:        recmem.Linearizability,
 		recmem.TransientAtomic:  recmem.TransientAtomicity,
 		recmem.PersistentAtomic: recmem.PersistentAtomicity,
 		recmem.NaiveLogging:     recmem.PersistentAtomicity,
+		recmem.RegularRegister:  recmem.Regularity,
 	}
 	for algo, cr := range want {
 		c := newTestCluster(t, 1, algo)
 		if got := c.DefaultCriterion(); got != cr {
 			t.Fatalf("%v: criterion %v, want %v", algo, got, cr)
+		}
+		kind, err := core.ParseAlgorithm(algo.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := recmem.CriterionFor(kind); got != cr {
+			t.Fatalf("%v: CriterionFor(%v) = %v, want %v", algo, kind, got, cr)
 		}
 	}
 }
@@ -197,30 +209,40 @@ func TestProcessPanicsOutOfRange(t *testing.T) {
 	c.Process(7)
 }
 
-func TestFileStorageOption(t *testing.T) {
-	dir := t.TempDir()
-	c := newTestCluster(t, 3, recmem.PersistentAtomic, recmem.WithFileStorage(dir))
-	ctx := testCtx(t)
-	if err := c.Process(0).Write(ctx, "x", []byte("persisted")); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 3; p++ {
-		_ = c.Process(p).Crash(ctx)
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < 3; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			if err := c.Process(p).Recover(ctx); err != nil {
-				t.Errorf("recover %d: %v", p, err)
+// TestStorageOptions: crash all → recover all → read back on real files,
+// under both presets of the log engine.
+func TestStorageOptions(t *testing.T) {
+	for name, storage := range map[string]func(string) recmem.Option{
+		"wal": recmem.WithWALStorage, "sharded": recmem.WithShardedStorage,
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := newTestCluster(t, 3, recmem.PersistentAtomic, storage(t.TempDir()))
+			ctx := testCtx(t)
+			if err := c.Process(0).Write(ctx, "x", []byte("persisted")); err != nil {
+				t.Fatal(err)
 			}
-		}(p)
-	}
-	wg.Wait()
-	got, err := c.Process(2).Read(ctx, "x")
-	if err != nil || string(got) != "persisted" {
-		t.Fatalf("read = %q, %v", got, err)
+			for p := 0; p < 3; p++ {
+				_ = c.Process(p).Crash(ctx)
+			}
+			var wg sync.WaitGroup
+			for p := 0; p < 3; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					if err := c.Process(p).Recover(ctx); err != nil {
+						t.Errorf("recover %d: %v", p, err)
+					}
+				}(p)
+			}
+			wg.Wait()
+			got, err := c.Process(2).Read(ctx, "x")
+			if err != nil || string(got) != "persisted" {
+				t.Fatalf("read = %q, %v", got, err)
+			}
+			if err := c.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
