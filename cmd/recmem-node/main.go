@@ -267,7 +267,7 @@ func run(args []string) error {
 		fmt.Printf("recmem-node %d: %v, shutting down\n", cfg.id, sig)
 	case <-ns.Done():
 	}
-	fmt.Println(shutdownBanner(cfg.id, ns.srv) + readRoundsBanner(ns.node))
+	fmt.Println(shutdownBanner(cfg.id, ns.srv) + readRoundsBanner(ns.node) + adoptionsBanner(ns.node))
 	return nil
 }
 
@@ -292,4 +292,16 @@ func shutdownBanner(id int, srv *remote.Server) string {
 func readRoundsBanner(node *core.Node) string {
 	one, two := node.ReadRounds()
 	return fmt.Sprintf(" one-round-reads=%d two-round-reads=%d", one, two)
+}
+
+// adoptionsBanner follows readRoundsBanner: how many written/ group commits
+// this node's replica side made and how many records they carried
+// (docs/adr/0017) — records per group is the replica-side group-commit ratio.
+func adoptionsBanner(node *core.Node) string {
+	groups, records := node.Adoptions()
+	ratio := 0.0
+	if groups > 0 {
+		ratio = float64(records) / float64(groups)
+	}
+	return fmt.Sprintf(" adoption-groups=%d adoption-records=%d (%.1f records/group)", groups, records, ratio)
 }

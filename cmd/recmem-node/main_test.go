@@ -349,7 +349,8 @@ func TestShutdownBanner(t *testing.T) {
 }
 
 // TestReadRoundsBanner: the node runs one-round reads (docs/adr/0015) and the
-// shutdown line's tail reports which path its reads took. On a single-process
+// shutdown line's tail reports which path its reads took, then the replica's
+// group commits. On a single-process
 // node the majority is the node itself, so every read agrees.
 func TestReadRoundsBanner(t *testing.T) {
 	ns, err := startNode(nodeConfig{
@@ -378,5 +379,10 @@ func TestReadRoundsBanner(t *testing.T) {
 	}
 	if got, want := readRoundsBanner(ns.node), " one-round-reads=3 two-round-reads=0"; got != want {
 		t.Fatalf("banner tail %q, want %q", got, want)
+	}
+	// The one write was adopted by the node's one replica: one group commit
+	// of one record (docs/adr/0017).
+	if got, want := adoptionsBanner(ns.node), " adoption-groups=1 adoption-records=1 (1.0 records/group)"; got != want {
+		t.Fatalf("adoptions banner %q, want %q", got, want)
 	}
 }

@@ -263,6 +263,19 @@ type Node struct {
 	oneRound           bool
 	readsOne, readsTwo atomic.Uint64
 
+	// The adopter (listener.go): adoptQ[adoptHead:] holds the write
+	// envelopes the listener handed over and adopting is true while the
+	// adopter goroutine runs, all under mu; adoptBatch and adoptReplies are
+	// the adopter's own group and reply scratch. adoptGroups and
+	// adoptRecords count the written/ group commits and the records they
+	// carried (Adoptions).
+	adoptQ                    []wire.Envelope
+	adoptHead                 int
+	adopting                  bool
+	adoptBatch                [listenerGatherLimit]wire.Envelope
+	adoptReplies              []wire.Envelope
+	adoptGroups, adoptRecords atomic.Uint64
+
 	listenerDone chan struct{}
 }
 
@@ -451,6 +464,14 @@ func (nd *Node) ReadRounds() (one, two uint64) {
 	return nd.readsOne.Load(), nd.readsTwo.Load()
 }
 
+// Adoptions reports how many written/ group commits this node's replica side
+// made and how many records they carried: records per group is the
+// replica-side group-commit ratio (docs/adr/0017). Naive's per-step stores
+// count as groups of one.
+func (nd *Node) Adoptions() (groups, records uint64) {
+	return nd.adoptGroups.Load(), nd.adoptRecords.Load()
+}
+
 // RecoveryCount returns the volatile copy of the persisted recovery counter
 // (transient algorithm).
 func (nd *Node) RecoveryCount() int32 {
@@ -497,6 +518,7 @@ func (nd *Node) Crash(onEvent func()) bool {
 	nd.crashCh = make(chan struct{})
 	nd.regs = make(map[string]regState)
 	nd.rec = 0
+	nd.dropAdoptionsLocked()
 	nd.traceEvent("crash", "volatile state wiped")
 	if onEvent != nil {
 		onEvent()
@@ -559,6 +581,7 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 			nd.crashCh = make(chan struct{})
 			nd.regs = make(map[string]regState)
 			nd.rec = 0
+			nd.dropAdoptionsLocked()
 			nd.traceEvent("recover-abort", err.Error())
 			if onAbort != nil {
 				onAbort()
@@ -591,6 +614,7 @@ func (nd *Node) Close() {
 		close(nd.crashCh)
 		nd.crashCh = make(chan struct{})
 	}
+	nd.dropAdoptionsLocked()
 	nd.mu.Unlock()
 }
 

@@ -1,17 +1,29 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"recmem/internal/causal"
 	"recmem/internal/stable"
+	"recmem/internal/transport"
 	"recmem/internal/wire"
 )
 
 // listenerGatherLimit bounds how many already-delivered envelopes the
-// listener folds into one handling group. Gathering is non-blocking — it
-// only picks up what the transport has buffered, typically the contents of
-// one batch frame — so it adds no latency, and the bound keeps a single
-// group's StoreBatch from growing without limit under sustained load.
+// listener folds into one handling group, and how many queued write
+// envelopes the adopter folds into one StoreBatch. Gathering is non-blocking
+// — it only picks up what the transport has buffered, typically the contents
+// of one batch frame — so it adds no latency, and the bound keeps a single
+// group's reply burst and a single group commit from growing without limit
+// under sustained load.
 const listenerGatherLimit = 128
+
+// adoptQueueLimit bounds the adopter's queue at the mesh's receive bound
+// (nettcp's 4096-envelope queue): write envelopes beyond it are dropped —
+// fair-lossy, the rounds retransmit — so a slow disk cannot grow the
+// replica's memory without limit.
+const adoptQueueLimit = 4096
 
 // listen is the node's message listener — the paper's dedicated listener
 // thread ("every workstation … one thread that listens for and executes read
@@ -20,23 +32,28 @@ const listenerGatherLimit = 128
 // callers' goroutines and rendezvous with the listener through the pending
 // acknowledgement channels.
 //
-// The listener is group-commit aware: everything already delivered (the
-// envelopes of a batch frame land back to back) is gathered and the write
-// adoptions of the whole group are persisted through one StoreBatch — one
-// coalesced engine batch arriving as one frame costs one disk flush instead
-// of one per register (see handleWriteGroup).
+// The listener never waits on the disk (docs/adr/0017): it routes
+// acknowledgements and answers SNQuery/Read inline — Fig. 4's read logs
+// nothing — and hands the write kinds to the node's one adopter goroutine,
+// which persists them (adopt). Everything already delivered (the envelopes of
+// a batch frame land back to back) is gathered into one group, and the
+// replies one handled group produced leave as one batch frame per
+// destination. The naive ablation keeps its stores inline: a store per step
+// is its point.
 func (nd *Node) listen() {
 	defer close(nd.listenerDone)
+	// Listener-owned scratch, reused across groups.
+	var group, replies []wire.Envelope
 	for env := range nd.ep.Recv() {
-		group := nd.gather(env)
-		nd.handleGroup(group)
+		group = nd.gather(append(group[:0], env))
+		replies = nd.sendReplies(nd.handleGroup(group, replies))
+		clear(group) // drop value references before reuse
 	}
 }
 
-// gather returns first plus every envelope the transport has already
+// gather appends to group every envelope the transport has already
 // delivered, up to the group limit. It never blocks.
-func (nd *Node) gather(first wire.Envelope) []wire.Envelope {
-	group := []wire.Envelope{first}
+func (nd *Node) gather(group []wire.Envelope) []wire.Envelope {
 	for len(group) < listenerGatherLimit {
 		select {
 		case env, ok := <-nd.ep.Recv():
@@ -52,11 +69,12 @@ func (nd *Node) gather(first wire.Envelope) []wire.Envelope {
 }
 
 // handleGroup dispatches one gathered delivery group: acknowledgements are
-// routed as they appear, query kinds are handled individually (they never
-// log outside the naive ablation), and the write kinds are folded into one
-// group-committed adoption.
-func (nd *Node) handleGroup(group []wire.Envelope) {
-	var writes []wire.Envelope
+// routed as they appear, query kinds are answered individually (they never
+// log outside the naive ablation), and the write kinds — compacted in place
+// to the front of group — go to the adopter as one batch (inline for Naive).
+// The replies are appended to out.
+func (nd *Node) handleGroup(group, out []wire.Envelope) []wire.Envelope {
+	writes := group[:0]
 	for _, env := range group {
 		if env.Kind.IsAck() {
 			nd.routeAck(env)
@@ -67,16 +85,114 @@ func (nd *Node) handleGroup(group []wire.Envelope) {
 		}
 		switch env.Kind {
 		case wire.KindSNQuery:
-			nd.handleSNQuery(env)
+			out = nd.handleSNQuery(env, out)
 		case wire.KindRead:
-			nd.handleRead(env)
+			out = nd.handleRead(env, out)
 		case wire.KindWrite, wire.KindWriteBack:
 			writes = append(writes, env)
 		}
 	}
-	if len(writes) > 0 {
-		nd.handleWriteGroup(writes)
+	if len(writes) == 0 {
+		return out
 	}
+	if nd.kind == Naive {
+		nd.mu.Lock()
+		epoch := nd.epoch
+		nd.mu.Unlock()
+		return nd.handleWriteGroup(writes, epoch, out)
+	}
+	nd.enqueueAdoptions(writes)
+	return out
+}
+
+// enqueueAdoptions hands write envelopes to the adopter, starting it if none
+// is running — the on-demand pattern of engine.enqueue and outbox.enqueue.
+// A process that is not serving drops them (a delivery to a down process),
+// and so does a full queue (fair-lossy; the rounds retransmit).
+func (nd *Node) enqueueAdoptions(writes []wire.Envelope) {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	if !nd.servingLocked() {
+		return
+	}
+	live := len(nd.adoptQ) - nd.adoptHead
+	writes = writes[:min(len(writes), adoptQueueLimit-live)]
+	if nd.adoptHead > 0 && len(nd.adoptQ)+len(writes) > cap(nd.adoptQ) {
+		// Reuse the consumed front before the buffer would grow.
+		n := copy(nd.adoptQ, nd.adoptQ[nd.adoptHead:])
+		clear(nd.adoptQ[n:])
+		nd.adoptQ, nd.adoptHead = nd.adoptQ[:n], 0
+	}
+	nd.adoptQ = append(nd.adoptQ, writes...)
+	if !nd.adopting && len(nd.adoptQ) > nd.adoptHead {
+		nd.adopting = true
+		go nd.adopt()
+	}
+}
+
+// adopt is the node's one adopter: it takes the queue's oldest envelopes, at
+// most listenerGatherLimit at a time, and runs handleWriteGroup over them —
+// one StoreBatch — until the queue drains. Being the only goroutine that
+// stores written/ (Naive aside), it keeps the stores in delivery order and
+// never overlaps two of them; the volatile view still moves only after each
+// StoreBatch returned, so the store-then-adopt invariant OneRoundReads rests
+// on (docs/adr/0015) holds as it did on the listener. Writes queued behind a
+// running store join the next group — replica-side group commit. Crash
+// empties the queue (volatile state) but leaves a running adopter to finish
+// its held group; the group carries the epoch it was taken under, so the
+// epoch check drops it unacknowledged and nothing taken before a crash is
+// adopted after the recovery. The flag keeps a second adopter from starting
+// meanwhile. The queue is one buffer consumed from a head index, so a
+// backlog is held once, not twice.
+func (nd *Node) adopt() {
+	for {
+		nd.mu.Lock()
+		q := nd.adoptQ[nd.adoptHead:]
+		if len(q) == 0 {
+			nd.adoptQ, nd.adoptHead = nd.adoptQ[:0], 0
+			nd.adopting = false
+			nd.mu.Unlock()
+			return
+		}
+		batch := nd.adoptBatch[:copy(nd.adoptBatch[:], q)]
+		clear(q[:len(batch)]) // drop value references in the queue
+		nd.adoptHead += len(batch)
+		epoch := nd.epoch
+		nd.mu.Unlock()
+		nd.adoptReplies = nd.sendReplies(nd.handleWriteGroup(batch, epoch, nd.adoptReplies))
+		clear(batch)
+	}
+}
+
+// dropAdoptionsLocked discards the adopter's queue: a crash loses volatile
+// state, and queued deliveries are volatile. Callers hold nd.mu.
+func (nd *Node) dropAdoptionsLocked() {
+	clear(nd.adoptQ)
+	nd.adoptQ, nd.adoptHead = nd.adoptQ[:0], 0
+}
+
+// sendReplies transmits the replies of one handled group — one batch frame
+// per destination (transport.SendAll; single envelopes and endpoints without
+// batch support take the plain path) — and returns the emptied slice for
+// reuse. The sort is stable, so each destination's replies keep their order.
+func (nd *Node) sendReplies(out []wire.Envelope) []wire.Envelope {
+	for i := range out {
+		out[i].From = nd.id
+		if nd.tr != nil {
+			nd.traceEvent("send", out[i].String())
+		}
+	}
+	slices.SortStableFunc(out, func(a, b wire.Envelope) int { return cmp.Compare(a.To, b.To) })
+	for rest := out; len(rest) > 0; {
+		k := 1
+		for k < len(rest) && rest[k].To == rest[0].To {
+			k++
+		}
+		transport.SendAll(nd.ep, rest[:k])
+		rest = rest[k:]
+	}
+	clear(out) // drop value references before reuse
+	return out[:0]
 }
 
 // routeAck delivers an acknowledgement to the round waiting for it, if any.
@@ -101,38 +217,29 @@ func (nd *Node) servingLocked() bool {
 	return nd.state == stateUp || nd.state == stateRecovering
 }
 
-// send stamps the sender id and transmits.
-func (nd *Node) send(env wire.Envelope) {
-	env.From = nd.id
-	if nd.tr != nil {
-		nd.traceEvent("send", env.String())
-	}
-	nd.ep.Send(env)
-}
-
 // handleSNQuery implements Fig. 4 lines 18–20: reply with the current
 // sequence number (we return the full tag; the writer uses its Seq). The
 // naive algorithm additionally logs the step. The register view materializes
 // lazily — the first query after a restart loads the written/ record.
-func (nd *Node) handleSNQuery(env wire.Envelope) {
+func (nd *Node) handleSNQuery(env wire.Envelope, out []wire.Envelope) []wire.Envelope {
 	cur, epoch, err := nd.regView(env.Reg)
 	if err != nil {
-		return // down, crashed mid-load, or the record is unreadable
+		return out // down, crashed mid-load, or the record is unreadable
 	}
 
 	depth := int(env.Depth)
 	if nd.kind == Naive {
 		payload := encodeTagged(cur.tag, nil)
 		if err := nd.st.Store(recSNLogPrefix+env.Reg, payload); err != nil {
-			return
+			return out
 		}
 		depth = causal.After(depth)
 		nd.recordLog(env.Op, depth, len(payload))
 		if !nd.stillServing(epoch) {
-			return
+			return out
 		}
 	}
-	nd.send(wire.Envelope{
+	return append(out, wire.Envelope{
 		Kind: wire.KindSNAck, To: env.From, Reg: env.Reg,
 		RPC: env.RPC, Op: env.Op, Depth: uint8(depth), Tag: cur.tag,
 	})
@@ -142,13 +249,15 @@ func (nd *Node) handleSNQuery(env wire.Envelope) {
 // value, materialized from stable storage if this incarnation has not
 // touched the register yet (absent record = zero state, the paper's ⊥).
 // Under the logging algorithms the tag it reports is always one the written/
-// record already carries (see handleWrite), which OneRoundReads relies on.
-func (nd *Node) handleRead(env wire.Envelope) {
+// record already carries (see handleWrite), which OneRoundReads relies on —
+// also while the adopter holds a store of a newer tag: the view has not moved
+// yet, so the answer is the old, logged tag.
+func (nd *Node) handleRead(env wire.Envelope, out []wire.Envelope) []wire.Envelope {
 	cur, _, err := nd.regView(env.Reg)
 	if err != nil {
-		return
+		return out
 	}
-	nd.send(wire.Envelope{
+	return append(out, wire.Envelope{
 		Kind: wire.KindReadAck, To: env.From, Reg: env.Reg,
 		RPC: env.RPC, Op: env.Op, Depth: env.Depth, Tag: cur.tag, Value: cur.val,
 	})
@@ -162,19 +271,23 @@ func (nd *Node) handleRead(env wire.Envelope) {
 // the log, which the algorithm tolerates. The order is load-bearing beyond
 // the write's own ack: the volatile view never runs ahead of the written/
 // record; OneRoundReads depends on it (a read ack served from this view must
-// not name a tag this process could forget).
-func (nd *Node) handleWrite(env wire.Envelope) {
-	cur, epoch, err := nd.regView(env.Reg)
-	if err != nil {
-		return
+// not name a tag this process could forget). epoch is the crash generation
+// the envelope was taken under: a W never outlives the incarnation that
+// received it.
+func (nd *Node) handleWrite(env wire.Envelope, epoch uint64, out []wire.Envelope) []wire.Envelope {
+	cur, e, err := nd.regView(env.Reg)
+	if err != nil || e != epoch {
+		return out
 	}
 
 	adopt := cur.tag.Less(env.Tag)
 	depth := int(env.Depth)
 	if logPayload, ok := nd.adoptionLog(env, cur, adopt); ok {
 		if err := nd.st.Store(recWrittenPrefix+env.Reg, logPayload); err != nil {
-			return // cannot acknowledge what is not durable
+			return out // cannot acknowledge what is not durable
 		}
+		nd.adoptGroups.Add(1)
+		nd.adoptRecords.Add(1)
 		depth = causal.After(int(env.Depth))
 		nd.recordLog(env.Op, depth, len(logPayload))
 		if nd.tr != nil {
@@ -185,21 +298,23 @@ func (nd *Node) handleWrite(env wire.Envelope) {
 	nd.mu.Lock()
 	if nd.epoch != epoch || !nd.servingLocked() {
 		nd.mu.Unlock()
-		return // crashed while logging; no acknowledgement
+		return out // crashed while logging; no acknowledgement
 	}
 	if adopt && nd.regs[env.Reg].tag.Less(env.Tag) {
 		nd.regs[env.Reg] = regState{tag: env.Tag, val: env.Value}
 	}
 	nd.mu.Unlock()
 
-	nd.send(wire.Envelope{
+	return append(out, wire.Envelope{
 		Kind: wire.KindWriteAck, To: env.From, Reg: env.Reg,
 		RPC: env.RPC, Op: env.Op, Depth: uint8(depth),
 	})
 }
 
 // handleWriteGroup handles the write/write-back envelopes of one delivery
-// group with a single StoreBatch. It is semantically a reordering of
+// group, taken under crash generation epoch, with a single StoreBatch,
+// appending their acknowledgements to out. It runs on the adopter (adopt),
+// or inline on the listener for Naive. It is semantically a reordering of
 // individual deliveries — legal over fair-lossy channels, which reorder
 // freely: per register, the envelope carrying the highest timestamp is
 // processed first (it is the only possible adoption), after which the rest
@@ -210,29 +325,27 @@ func (nd *Node) handleWrite(env wire.Envelope) {
 //
 // The naive ablation bypasses the group path: its defining property is a
 // store per step, which folding would silently optimize away.
-func (nd *Node) handleWriteGroup(envs []wire.Envelope) {
+func (nd *Node) handleWriteGroup(envs []wire.Envelope, epoch uint64, out []wire.Envelope) []wire.Envelope {
 	if nd.kind == Naive || len(envs) == 1 {
 		for _, env := range envs {
-			nd.handleWrite(env)
+			out = nd.handleWrite(env, epoch, out)
 		}
-		return
+		return out
 	}
 
 	// Materialize the view of every distinct register in the group. Each
-	// regView reports the epoch it is valid under; a crash between two loads
-	// shows up as an epoch mismatch, and the whole group is dropped — the
-	// rounds retransmit, exactly as for a crash detected later.
-	var epoch uint64
+	// regView reports the epoch it is valid under; a crash since the group
+	// was taken shows up as an epoch mismatch, and the whole group is
+	// dropped — the rounds retransmit, exactly as for a crash detected later.
 	cur := make(map[string]regState, len(envs))
 	for _, env := range envs {
 		if _, ok := cur[env.Reg]; ok {
 			continue
 		}
 		rs, e, err := nd.regView(env.Reg)
-		if err != nil || (len(cur) > 0 && e != epoch) {
-			return
+		if err != nil || e != epoch {
+			return out
 		}
-		epoch = e
 		cur[env.Reg] = rs
 	}
 
@@ -264,8 +377,10 @@ func (nd *Node) handleWriteGroup(envs []wire.Envelope) {
 		if err := nd.st.StoreBatch(recs); err != nil {
 			// Cannot acknowledge what is not durable; the rounds retransmit
 			// and the whole group is retried.
-			return
+			return out
 		}
+		nd.adoptGroups.Add(1)
+		nd.adoptRecords.Add(uint64(len(recs)))
 		for _, rec := range recs {
 			reg := rec.Name[len(recWrittenPrefix):]
 			env := logged[reg]
@@ -284,7 +399,7 @@ func (nd *Node) handleWriteGroup(envs []wire.Envelope) {
 	nd.mu.Lock()
 	if nd.epoch != epoch || !nd.servingLocked() {
 		nd.mu.Unlock()
-		return // crashed while logging; no acknowledgements
+		return out // crashed while logging; no acknowledgements
 	}
 	for reg, env := range adopters {
 		if nd.regs[reg].tag.Less(env.Tag) {
@@ -298,11 +413,12 @@ func (nd *Node) handleWriteGroup(envs []wire.Envelope) {
 		if win, ok := logged[env.Reg]; ok && win.RPC == env.RPC && win.From == env.From {
 			depth = causal.After(depth)
 		}
-		nd.send(wire.Envelope{
+		out = append(out, wire.Envelope{
 			Kind: wire.KindWriteAck, To: env.From, Reg: env.Reg,
 			RPC: env.RPC, Op: env.Op, Depth: uint8(depth),
 		})
 	}
+	return out
 }
 
 // adoptionLog decides whether handling env requires a store, and with what
