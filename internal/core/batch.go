@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"recmem/internal/tag"
-	"recmem/internal/transport"
 	"recmem/internal/wire"
 )
 
@@ -88,19 +87,19 @@ type engine struct {
 	shards [engineShards]engineShard
 }
 
+// engineShard guards one slice of the register-queue map; each queue has its
+// own lock.
 type engineShard struct {
 	mu   sync.Mutex
 	regs map[string]*regQueue
 }
 
-// regQueue is the pending-submission queue of one register. running is true
-// while a dispatcher goroutine owns the register. spare is the previous
-// batch's slice, recycled by the dispatcher so steady-state submission
-// appends into warm capacity instead of regrowing a nil slice per batch.
+// regQueue is the pending-submission queue of one register. Its drainer is
+// the register's dispatcher: the only caller of the register's protocols.
 type regQueue struct {
-	pending []*batchSub
-	spare   []*batchSub
-	running bool
+	drainQueue[*batchSub]
+	eng *engine
+	reg string
 }
 
 func newEngine(nd *Node) *engine {
@@ -111,67 +110,37 @@ func newEngine(nd *Node) *engine {
 	return eng
 }
 
-func (eng *engine) shardFor(reg string) *engineShard {
-	return &eng.shards[maphash.String(eng.seed, reg)%engineShards]
-}
-
-// queueFor resolves (creating on first use) the register's queue and owning
-// shard. Queues are never removed from the map, so the returned pointers
-// stay valid for the node's lifetime — RegisterRef caches them to take the
-// maphash + map lookup off the per-operation hot path.
-func (eng *engine) queueFor(reg string) (*engineShard, *regQueue) {
-	sh := eng.shardFor(reg)
+// queueFor resolves (creating on first use) the register's queue. Queues are
+// never removed from the map, so the returned pointer stays valid for the
+// node's lifetime — RegisterRef caches it to take the maphash + map lookup
+// off the per-operation hot path.
+func (eng *engine) queueFor(reg string) *regQueue {
+	sh := &eng.shards[maphash.String(eng.seed, reg)%engineShards]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	q := sh.regs[reg]
 	if q == nil {
 		q = &regQueue{}
+		q.eng, q.reg, q.owner = eng, reg, q
 		sh.regs[reg] = q
 	}
-	sh.mu.Unlock()
-	return sh, q
+	return q
 }
 
-// enqueue appends a submission to the register's resolved queue and starts a
-// dispatcher for the register if none is running.
-func (eng *engine) enqueue(sh *engineShard, q *regQueue, reg string, sub *batchSub) {
-	sh.mu.Lock()
-	q.pending = append(q.pending, sub)
-	if !q.running {
-		q.running = true
-		go eng.run(reg, sh, q)
-	}
-	sh.mu.Unlock()
-}
-
-// run dispatches batches for one register until its queue drains: each
-// iteration takes everything currently pending and flushes it as one batch,
-// so submissions arriving during a flush form the next batch — group commit.
-// The flushed slice is recycled as the queue's spare once its subs are
-// consumed, so a busy register's batches reuse one warm buffer.
-func (eng *engine) run(reg string, sh *engineShard, q *regQueue) {
+// drain dispatches batches for the register until its queue is empty: each
+// take is everything pending, flushed as one batch, so submissions arriving
+// during a flush form the next batch — group commit. Every sub was consumed
+// (its future completed) by the flush; only then can the subs recycle.
+func (q *regQueue) drain() {
 	for {
-		sh.mu.Lock()
-		batch := q.pending
-		q.pending = q.spare
-		q.spare = nil
+		batch := q.take(0)
 		if len(batch) == 0 {
-			q.running = false
-			sh.mu.Unlock()
 			return
 		}
-		sh.mu.Unlock()
-		eng.flush(reg, batch)
-		// Every sub was consumed (its future completed) by the flush; only
-		// now — after the last pass over the batch — can they recycle.
-		for i, s := range batch {
+		q.eng.flush(q.reg, batch)
+		for _, s := range batch {
 			putSub(s)
-			batch[i] = nil
 		}
-		sh.mu.Lock()
-		if q.spare == nil {
-			q.spare = batch[:0]
-		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -183,12 +152,23 @@ func (eng *engine) run(reg string, sh *engineShard, q *regQueue) {
 // callback inline (docs/adr/0010); the batch is partitioned by two passes
 // over the slice instead of materializing per-kind sub-slices, and the
 // dispatcher recycles the consumed subs once the flush returns.
+//
+// Nothing outlives the incarnation that took it (docs/adr/0018): a sub
+// submitted before a crash completes here with ErrCrashed and runs nothing,
+// and the executions carry the epoch they start under into every round.
 func (eng *engine) flush(reg string, batch []*batchSub) {
 	nd := eng.nd
+	nd.mu.Lock()
+	epoch, dead := nd.epoch, nd.downErrLocked()
+	nd.mu.Unlock()
 	writeCarrier, readCarrier := -1, -1
 	lastWrite := -1
 	var finalVal []byte
 	for i, s := range batch {
+		if s.epoch != epoch {
+			nd.finish(s, nil, tag.Tag{}, dead)
+			continue
+		}
 		if s.read {
 			if readCarrier < 0 {
 				readCarrier = i
@@ -203,9 +183,9 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 	}
 	ctx := context.Background() // rounds abort via crashCh on crash/close
 	if writeCarrier >= 0 {
-		wit, err := nd.writeProtocol(ctx, batch[writeCarrier].op, reg, finalVal)
+		wit, err := nd.writeProtocol(ctx, batch[writeCarrier].op, epoch, reg, finalVal)
 		for i, s := range batch {
-			if s.read {
+			if s.read || s.epoch != epoch {
 				continue
 			}
 			// The batch mints one tag for its surviving (last) value; the
@@ -219,9 +199,9 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 		}
 	}
 	if readCarrier >= 0 {
-		val, wit, err := nd.readProtocol(ctx, batch[readCarrier].op, reg)
+		val, wit, err := nd.readProtocol(ctx, batch[readCarrier].op, epoch, reg)
 		for _, s := range batch {
-			if s.read {
+			if s.read && s.epoch == epoch {
 				nd.finish(s, val, wit, err)
 			}
 		}
@@ -252,105 +232,47 @@ func (nd *Node) SubmitRead(reg string, obs OpObserver) (*Future, error) {
 	return nd.RegisterRef(reg).SubmitRead(ReadDefault, obs)
 }
 
-// gatherYields caps the outbox's quiescence probe: the flusher drains once
-// the staged buffer stops growing between scheduler yields, or after this
-// many yields if producers keep staging — a continuously hot node then ships
-// large frames instead of stalling the flusher forever.
+// gatherYields caps the outbox's quiescence probe: its drainer takes once
+// the queue stops growing between scheduler yields, or after this many
+// yields if producers keep staging — a continuously hot node then ships
+// large frames instead of stalling the drainer forever.
 const gatherYields = 64
 
 // outbox group-commits outgoing round broadcasts into per-destination batch
-// frames. Senders enqueue and return; a single flusher goroutine gathers for
-// flushWindow, then drains everything staged — including whatever
-// accumulated while the previous flush was on the wire.
+// frames. Rounds push their sweeps and return; the queue's drainer gathers at
+// quiescence, then sends everything staged — including whatever accumulated
+// while the previous batch was on the wire.
 type outbox struct {
-	nd      *Node
-	mu      sync.Mutex
-	buf     []wire.Envelope
-	spare   []wire.Envelope // recycled drain buffer, swapped with buf by the flusher
-	running bool
-
-	// flusher-owned scratch (at most one flushLoop runs at a time): the
-	// per-destination grouping map and order slice persist across drains
-	// instead of reallocating per generation.
-	perDest map[int32][]wire.Envelope
-	order   []int32
+	drainQueue[wire.Envelope]
+	nd    *Node
+	group []wire.Envelope // the drainer's sendPerDest scratch
 }
 
-// enqueue stages a round's sweep for transmission. The sender id is stamped
-// and the sends are traced here so trace order matches staging order.
-func (ob *outbox) enqueue(envs ...wire.Envelope) {
-	for i := range envs {
-		envs[i].From = ob.nd.id
-		if ob.nd.tr != nil {
-			ob.nd.traceEvent("send", envs[i].String())
-		}
-	}
-	ob.mu.Lock()
-	ob.buf = append(ob.buf, envs...)
-	if !ob.running {
-		ob.running = true
-		go ob.flushLoop()
-	}
-	ob.mu.Unlock()
-}
-
-// flushLoop drains the buffer until it stays empty, grouping each drained
-// generation by destination and handing every group to the endpoint as one
-// batch frame (transport.SendAll falls back to singles on endpoints without
-// batch support).
-func (ob *outbox) flushLoop() {
+// drain sends the staged envelopes until the queue stays empty, one batch
+// frame per destination for each generation taken.
+func (ob *outbox) drain() {
 	for {
 		// Gather at quiescence instead of after a fixed wall-clock window:
 		// yield the processor so every runnable producer — the register
 		// dispatchers staging their sweeps, handlers answering arrived
-		// envelopes — gets to stage into this generation, and drain once the
-		// buffer stops growing between yields. A fixed sleep here serializes
+		// envelopes — gets to stage into this generation, and take once the
+		// queue stops growing between yields. A fixed sleep here serializes
 		// into every quorum round-trip of the pipeline; yielding costs
 		// nothing once the staging burst is over but still coalesces exactly
 		// the rounds that were concurrently runnable.
 		prev := -1
 		for range gatherYields {
 			runtime.Gosched()
-			ob.mu.Lock()
-			n := len(ob.buf)
-			ob.mu.Unlock()
+			n := ob.queued()
 			if n == prev {
 				break
 			}
 			prev = n
 		}
-		ob.mu.Lock()
-		buf := ob.buf
-		ob.buf = ob.spare
-		ob.spare = nil
+		buf := ob.take(0)
 		if len(buf) == 0 {
-			ob.running = false
-			ob.mu.Unlock()
 			return
 		}
-		ob.mu.Unlock()
-		if ob.perDest == nil {
-			ob.perDest = make(map[int32][]wire.Envelope, ob.nd.n)
-		}
-		order := ob.order[:0]
-		for _, env := range buf {
-			if len(ob.perDest[env.To]) == 0 {
-				order = append(order, env.To)
-			}
-			ob.perDest[env.To] = append(ob.perDest[env.To], env)
-		}
-		for _, to := range order {
-			transport.SendAll(ob.nd.ep, ob.perDest[to])
-			ob.perDest[to] = ob.perDest[to][:0] // keep capacity, drop the group
-		}
-		ob.order = order[:0]
-		for i := range buf {
-			buf[i] = wire.Envelope{} // drop value references before recycling
-		}
-		ob.mu.Lock()
-		if ob.spare == nil {
-			ob.spare = buf[:0]
-		}
-		ob.mu.Unlock()
+		ob.group = ob.nd.sendPerDest(buf, ob.group)
 	}
 }

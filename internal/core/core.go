@@ -263,17 +263,11 @@ type Node struct {
 	oneRound           bool
 	readsOne, readsTwo atomic.Uint64
 
-	// The adopter (listener.go): adoptQ[adoptHead:] holds the write
-	// envelopes the listener handed over and adopting is true while the
-	// adopter goroutine runs, all under mu; adoptBatch and adoptReplies are
-	// the adopter's own group and reply scratch. adoptGroups and
-	// adoptRecords count the written/ group commits and the records they
-	// carried (Adoptions).
-	adoptQ                    []wire.Envelope
-	adoptHead                 int
-	adopting                  bool
-	adoptBatch                [listenerGatherLimit]wire.Envelope
-	adoptReplies              []wire.Envelope
+	// adopter persists the write envelopes the listener hands over
+	// (listener.go); it is pushed, taken and dropped under mu.
+	// adoptGroups and adoptRecords count the written/ group commits and the
+	// records they carried (Adoptions).
+	adopter                   adopter
 	adoptGroups, adoptRecords atomic.Uint64
 
 	listenerDone chan struct{}
@@ -332,6 +326,8 @@ func NewNode(id int32, n int, kind AlgorithmKind, opts Options, deps Deps) (*Nod
 	}
 	nd.eng = newEngine(nd)
 	nd.ob = &outbox{nd: nd}
+	nd.ob.owner = nd.ob
+	nd.adopter.nd, nd.adopter.owner, nd.adopter.limit = nd, &nd.adopter, adoptQueueLimit
 	go nd.listen()
 	return nd, nil
 }
@@ -518,7 +514,7 @@ func (nd *Node) Crash(onEvent func()) bool {
 	nd.crashCh = make(chan struct{})
 	nd.regs = make(map[string]regState)
 	nd.rec = 0
-	nd.dropAdoptionsLocked()
+	nd.adopter.drop()
 	nd.traceEvent("crash", "volatile state wiped")
 	if onEvent != nil {
 		onEvent()
@@ -569,7 +565,7 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 	}
 	nd.mu.Unlock()
 
-	if err := nd.runRecoveryProcedure(ctx); err != nil {
+	if err := nd.runRecoveryProcedure(ctx, epoch); err != nil {
 		// The procedure could not complete (no reachable majority, storage
 		// fault, cancellation): fall back to the crashed state so Recover
 		// can be retried.
@@ -581,7 +577,7 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 			nd.crashCh = make(chan struct{})
 			nd.regs = make(map[string]regState)
 			nd.rec = 0
-			nd.dropAdoptionsLocked()
+			nd.adopter.drop()
 			nd.traceEvent("recover-abort", err.Error())
 			if onAbort != nil {
 				onAbort()
@@ -614,7 +610,7 @@ func (nd *Node) Close() {
 		close(nd.crashCh)
 		nd.crashCh = make(chan struct{})
 	}
-	nd.dropAdoptionsLocked()
+	nd.adopter.drop()
 	nd.mu.Unlock()
 }
 

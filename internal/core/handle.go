@@ -10,9 +10,9 @@ import (
 
 // This file implements first-class register handles: a RegisterRef resolves
 // everything per-register the node would otherwise look up on every
-// operation — the batching engine's shard and queue (maphash + map lookup)
-// — exactly once, so handle-based operations touch only pointer-stable state
-// on the hot path. It also implements the §VI read-consistency selection: the
+// operation — the batching engine's queue (maphash + map lookup) — exactly
+// once, so handle-based operations touch only pointer-stable state on the
+// hot path. It also implements the §VI read-consistency selection: the
 // regular register's read can be downgraded to a safe read served by the
 // writer alone.
 
@@ -54,20 +54,18 @@ func (nd *Node) checkReadMode(mode ReadMode) error {
 }
 
 // RegisterRef is a node's cached handle on one register. Obtain one with
-// Node.RegisterRef and reuse it: all per-register resolution (engine shard,
+// Node.RegisterRef and reuse it: all per-register resolution (the
 // submission queue) happened at creation, so the per-operation string-map
 // lookups of the Node-level API disappear from the hot path.
 type RegisterRef struct {
 	nd  *Node
 	reg string
-	sh  *engineShard
 	q   *regQueue
 }
 
 // RegisterRef resolves a cached handle for the named register.
 func (nd *Node) RegisterRef(reg string) *RegisterRef {
-	sh, q := nd.eng.queueFor(reg)
-	return &RegisterRef{nd: nd, reg: reg, sh: sh, q: q}
+	return &RegisterRef{nd: nd, reg: reg, q: nd.eng.queueFor(reg)}
 }
 
 // Name returns the register name.
@@ -135,7 +133,7 @@ func (r *RegisterRef) SubmitWriteOwned(val []byte, obs OpObserver) (*Future, err
 		return nil, err
 	}
 	fut := newFuture(op)
-	nd.eng.enqueue(r.sh, r.q, r.reg, newSub(false, val, obs, op, epoch, fut))
+	r.q.push(newSub(false, val, obs, op, epoch, fut))
 	return fut, nil
 }
 
@@ -158,13 +156,13 @@ func (r *RegisterRef) SubmitRead(mode ReadMode, obs OpObserver) (*Future, error)
 		go func() {
 			// Like engine rounds, the safe read aborts via crashCh on
 			// crash/close rather than through a context.
-			val, wit, err := nd.safeReadSW(context.Background(), op, reg)
+			val, wit, err := nd.safeReadSW(context.Background(), op, epoch, reg)
 			nd.finish(s, val, wit, err)
 			putSub(s)
 		}()
 		return fut, nil
 	}
-	nd.eng.enqueue(r.sh, r.q, reg, s)
+	r.q.push(s)
 	return fut, nil
 }
 
@@ -172,8 +170,8 @@ func (r *RegisterRef) SubmitRead(mode ReadMode, obs OpObserver) (*Future, error)
 // writer alone, requiring only the writer's acknowledgement. See ReadSafe
 // for why this is safe (and regular) yet blocks while the writer is down.
 // The returned tag is the writer's adopted tag — the read's tag witness.
-func (nd *Node) safeReadSW(ctx context.Context, op uint64, reg string) ([]byte, tag.Tag, error) {
-	acks, err := nd.runRoundOpts(ctx, op, wire.Envelope{Kind: wire.KindRead, Reg: reg},
+func (nd *Node) safeReadSW(ctx context.Context, op, epoch uint64, reg string) ([]byte, tag.Tag, error) {
+	acks, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{Kind: wire.KindRead, Reg: reg},
 		roundOpts{require: RegularWriter, to: RegularWriter, quorum: 1})
 	if err != nil {
 		return nil, tag.Tag{}, err

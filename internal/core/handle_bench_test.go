@@ -9,9 +9,10 @@ import (
 )
 
 // The benchmark pair behind the Register-handle redesign: every Node-level
-// operation resolves its register by name — a maphash + map lookup in the
-// batching engine's shard (queueFor) — while a RegisterRef resolved those
-// pointers once at creation. The pair measures exactly that per-operation resolution work
+// operation resolves its register by name — a maphash + map lookup under the
+// batching engine's shard lock, which guards only the map (queueFor) — while
+// a RegisterRef resolved the queue pointer once at creation. The pair
+// measures exactly that per-operation resolution work
 // over a realistic register population, isolated from the protocol rounds
 // (which are identical on both paths).
 
@@ -40,14 +41,13 @@ func benchNode(b *testing.B) (*Node, []string) {
 }
 
 // BenchmarkStringLookup is the per-operation dispatch resolution of the
-// Node-level string API: shard hash + queue lookup on every operation.
+// Node-level string API: shard hash + locked map lookup on every operation.
 func BenchmarkStringLookup(b *testing.B) {
 	nd, regs := benchNode(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg := regs[i%benchRegisters]
-		sh, q := nd.eng.queueFor(reg)
-		if sh == nil || q == nil {
+		if nd.eng.queueFor(reg) == nil {
 			b.Fatal("lost a register")
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkRegisterHandle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := refs[i%benchRegisters]
-		if r.sh == nil || r.q == nil {
+		if r.q == nil {
 			b.Fatal("lost a register")
 		}
 	}

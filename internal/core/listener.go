@@ -1,9 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"recmem/internal/causal"
 	"recmem/internal/stable"
 	"recmem/internal/transport"
@@ -12,7 +9,7 @@ import (
 
 // listenerGatherLimit bounds how many already-delivered envelopes the
 // listener folds into one handling group, and how many queued write
-// envelopes the adopter folds into one StoreBatch. Gathering is non-blocking
+// envelopes the adopter takes into one StoreBatch. Gathering is non-blocking
 // — it only picks up what the transport has buffered, typically the contents
 // of one batch frame — so it adds no latency, and the bound keeps a single
 // group's reply burst and a single group commit from growing without limit
@@ -34,20 +31,22 @@ const adoptQueueLimit = 4096
 //
 // The listener never waits on the disk (docs/adr/0017): it routes
 // acknowledgements and answers SNQuery/Read inline — Fig. 4's read logs
-// nothing — and hands the write kinds to the node's one adopter goroutine,
-// which persists them (adopt). Everything already delivered (the envelopes of
-// a batch frame land back to back) is gathered into one group, and the
-// replies one handled group produced leave as one batch frame per
-// destination. The naive ablation keeps its stores inline: a store per step
-// is its point.
+// nothing — and pushes the write kinds onto the node's adopter, whose
+// drainer persists them (adopter.drain). Everything already delivered (the
+// envelopes of a batch frame land back to back) is gathered into one group,
+// and the replies one handled group produced leave as one batch frame per
+// destination (sendPerDest). The naive ablation keeps its stores inline: a
+// store per step is its point.
 func (nd *Node) listen() {
 	defer close(nd.listenerDone)
 	// Listener-owned scratch, reused across groups.
-	var group, replies []wire.Envelope
+	var group, replies, scratch []wire.Envelope
 	for env := range nd.ep.Recv() {
 		group = nd.gather(append(group[:0], env))
-		replies = nd.sendReplies(nd.handleGroup(group, replies))
+		replies = nd.handleGroup(group, replies[:0])
+		scratch = nd.sendPerDest(replies, scratch)
 		clear(group) // drop value references before reuse
+		clear(replies)
 	}
 }
 
@@ -71,8 +70,12 @@ func (nd *Node) gather(group []wire.Envelope) []wire.Envelope {
 // handleGroup dispatches one gathered delivery group: acknowledgements are
 // routed as they appear, query kinds are answered individually (they never
 // log outside the naive ablation), and the write kinds — compacted in place
-// to the front of group — go to the adopter as one batch (inline for Naive).
-// The replies are appended to out.
+// to the front of group — are pushed onto the adopter (handled inline for
+// Naive). A process that is not serving drops them (a delivery to a down
+// process), and so does a full adopter queue (fair-lossy; the rounds
+// retransmit). The replies are appended to out. The serving check and the
+// push hold nd.mu, as Crash's drop does, so no W delivered before a crash is
+// queued after it.
 func (nd *Node) handleGroup(group, out []wire.Envelope) []wire.Envelope {
 	writes := group[:0]
 	for _, env := range group {
@@ -95,104 +98,76 @@ func (nd *Node) handleGroup(group, out []wire.Envelope) []wire.Envelope {
 	if len(writes) == 0 {
 		return out
 	}
+	nd.mu.Lock()
+	epoch := nd.epoch
+	if nd.kind != Naive && nd.servingLocked() {
+		nd.adopter.push(writes...)
+	}
+	nd.mu.Unlock()
 	if nd.kind == Naive {
-		nd.mu.Lock()
-		epoch := nd.epoch
-		nd.mu.Unlock()
 		return nd.handleWriteGroup(writes, epoch, out)
 	}
-	nd.enqueueAdoptions(writes)
 	return out
 }
 
-// enqueueAdoptions hands write envelopes to the adopter, starting it if none
-// is running — the on-demand pattern of engine.enqueue and outbox.enqueue.
-// A process that is not serving drops them (a delivery to a down process),
-// and so does a full queue (fair-lossy; the rounds retransmit).
-func (nd *Node) enqueueAdoptions(writes []wire.Envelope) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if !nd.servingLocked() {
-		return
-	}
-	live := len(nd.adoptQ) - nd.adoptHead
-	writes = writes[:min(len(writes), adoptQueueLimit-live)]
-	if nd.adoptHead > 0 && len(nd.adoptQ)+len(writes) > cap(nd.adoptQ) {
-		// Reuse the consumed front before the buffer would grow.
-		n := copy(nd.adoptQ, nd.adoptQ[nd.adoptHead:])
-		clear(nd.adoptQ[n:])
-		nd.adoptQ, nd.adoptHead = nd.adoptQ[:n], 0
-	}
-	nd.adoptQ = append(nd.adoptQ, writes...)
-	if !nd.adopting && len(nd.adoptQ) > nd.adoptHead {
-		nd.adopting = true
-		go nd.adopt()
-	}
+// adopter persists the write envelopes the listener pushes: its drainer is
+// the only goroutine that stores written/ (Naive aside). Crash, a failed
+// recovery and Close drop its queue under nd.mu (volatile state).
+type adopter struct {
+	drainQueue[wire.Envelope]
+	nd               *Node
+	replies, scratch []wire.Envelope
 }
 
-// adopt is the node's one adopter: it takes the queue's oldest envelopes, at
-// most listenerGatherLimit at a time, and runs handleWriteGroup over them —
-// one StoreBatch — until the queue drains. Being the only goroutine that
-// stores written/ (Naive aside), it keeps the stores in delivery order and
-// never overlaps two of them; the volatile view still moves only after each
-// StoreBatch returned, so the store-then-adopt invariant OneRoundReads rests
-// on (docs/adr/0015) holds as it did on the listener. Writes queued behind a
-// running store join the next group — replica-side group commit. Crash
-// empties the queue (volatile state) but leaves a running adopter to finish
-// its held group; the group carries the epoch it was taken under, so the
-// epoch check drops it unacknowledged and nothing taken before a crash is
-// adopted after the recovery. The flag keeps a second adopter from starting
-// meanwhile. The queue is one buffer consumed from a head index, so a
-// backlog is held once, not twice.
-func (nd *Node) adopt() {
+// drain takes the oldest queued envelopes, at most listenerGatherLimit at a
+// time, and runs handleWriteGroup over them — one StoreBatch — until the
+// queue is empty. Being the only written/ store path, it keeps the stores in
+// delivery order and never overlaps two of them; the volatile view still
+// moves only after each StoreBatch returned, so the store-then-adopt
+// invariant OneRoundReads rests on (docs/adr/0015) holds as it did on the
+// listener. Writes queued behind a running store join the next group —
+// replica-side group commit. Each group is taken together with the epoch it
+// was taken under, in one nd.mu section, so a group held through a crash is
+// dropped unacknowledged by the epoch check and nothing taken before a crash
+// is adopted after the recovery.
+func (a *adopter) drain() {
+	nd := a.nd
 	for {
 		nd.mu.Lock()
-		q := nd.adoptQ[nd.adoptHead:]
-		if len(q) == 0 {
-			nd.adoptQ, nd.adoptHead = nd.adoptQ[:0], 0
-			nd.adopting = false
-			nd.mu.Unlock()
+		batch, epoch := a.take(listenerGatherLimit), nd.epoch
+		nd.mu.Unlock()
+		if len(batch) == 0 {
 			return
 		}
-		batch := nd.adoptBatch[:copy(nd.adoptBatch[:], q)]
-		clear(q[:len(batch)]) // drop value references in the queue
-		nd.adoptHead += len(batch)
-		epoch := nd.epoch
-		nd.mu.Unlock()
-		nd.adoptReplies = nd.sendReplies(nd.handleWriteGroup(batch, epoch, nd.adoptReplies))
-		clear(batch)
+		a.replies = nd.handleWriteGroup(batch, epoch, a.replies[:0])
+		a.scratch = nd.sendPerDest(a.replies, a.scratch)
+		clear(a.replies)
 	}
 }
 
-// dropAdoptionsLocked discards the adopter's queue: a crash loses volatile
-// state, and queued deliveries are volatile. Callers hold nd.mu.
-func (nd *Node) dropAdoptionsLocked() {
-	clear(nd.adoptQ)
-	nd.adoptQ, nd.adoptHead = nd.adoptQ[:0], 0
-}
-
-// sendReplies transmits the replies of one handled group — one batch frame
-// per destination (transport.SendAll; single envelopes and endpoints without
-// batch support take the plain path) — and returns the emptied slice for
-// reuse. The sort is stable, so each destination's replies keep their order.
-func (nd *Node) sendReplies(out []wire.Envelope) []wire.Envelope {
-	for i := range out {
-		out[i].From = nd.id
-		if nd.tr != nil {
-			nd.traceEvent("send", out[i].String())
+// sendPerDest hands envs to the endpoint as this node's, one batch frame per
+// destination, each destination's envelopes in their order in envs
+// (transport.SendAll: a single envelope, and an endpoint without batch
+// support, take the plain Send). With n a handful of processes, a scan per
+// destination needs neither a map nor a sort. envs is only read; group is
+// the caller's scratch, returned for reuse — the listener, the adopter and
+// the outbox each own one.
+func (nd *Node) sendPerDest(envs, group []wire.Envelope) []wire.Envelope {
+	for to := range int32(nd.n) {
+		group = group[:0]
+		for _, env := range envs {
+			if env.To == to {
+				env.From = nd.id
+				if nd.tr != nil {
+					nd.traceEvent("send", env.String())
+				}
+				group = append(group, env)
+			}
 		}
+		transport.SendAll(nd.ep, group)
 	}
-	slices.SortStableFunc(out, func(a, b wire.Envelope) int { return cmp.Compare(a.To, b.To) })
-	for rest := out; len(rest) > 0; {
-		k := 1
-		for k < len(rest) && rest[k].To == rest[0].To {
-			k++
-		}
-		transport.SendAll(nd.ep, rest[:k])
-		rest = rest[k:]
-	}
-	clear(out) // drop value references before reuse
-	return out[:0]
+	clear(group[:cap(group)]) // drop value references before reuse
+	return group[:0]
 }
 
 // routeAck delivers an acknowledgement to the round waiting for it, if any.
@@ -215,6 +190,15 @@ func (nd *Node) routeAck(env wire.Envelope) {
 // (alive, or running its recovery procedure). Callers hold nd.mu.
 func (nd *Node) servingLocked() bool {
 	return nd.state == stateUp || nd.state == stateRecovering
+}
+
+// downErrLocked is the error an operation of an ended incarnation fails
+// with: ErrClosed after Close, ErrCrashed otherwise. Callers hold nd.mu.
+func (nd *Node) downErrLocked() error {
+	if nd.state == stateClosed {
+		return ErrClosed
+	}
+	return ErrCrashed
 }
 
 // handleSNQuery implements Fig. 4 lines 18–20: reply with the current

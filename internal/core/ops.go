@@ -107,21 +107,21 @@ func (nd *Node) Write(ctx context.Context, reg string, val []byte, obs OpObserve
 // optional writer pre-log (persistent: Fig. 4 line 12), and the propagation
 // round. The single-writer regular register branches to its one-round form.
 // The returned tag is the minted timestamp — the write's tag witness (zero
-// if the execution failed before minting).
+// if the execution failed before minting). epoch is the one it runs under.
 //
 // Only the register's engine dispatcher calls this, one execution at a time:
 // the minted timestamp is derived from the queried majority maximum, so two
 // concurrent executions for one register would mint the same timestamp for
 // different values.
-func (nd *Node) writeProtocol(ctx context.Context, op uint64, reg string, val []byte) (tag.Tag, error) {
+func (nd *Node) writeProtocol(ctx context.Context, op, epoch uint64, reg string, val []byte) (tag.Tag, error) {
 	if nd.kind == RegularSW {
-		return nd.writeRegularSW(ctx, op, reg, val)
+		return nd.writeRegularSW(ctx, op, epoch, reg, val)
 	}
 	depth := 0
 	if nd.kind == Naive {
 		// §I-C straw man: log the intent before doing anything.
 		payload := encodeTagged(tag.Tag{Writer: nd.id}, val)
-		if err := nd.storeLog(recWStartPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(epoch, recWStartPrefix+reg, payload); err != nil {
 			return tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -129,7 +129,7 @@ func (nd *Node) writeProtocol(ctx context.Context, op uint64, reg string, val []
 	}
 
 	// Round 1: collect sequence numbers from a majority (Fig. 4 lines 7–10).
-	acks, err := nd.runRoundOpts(ctx, op, wire.Envelope{Kind: wire.KindSNQuery, Reg: reg, Depth: uint8(depth)}, broadcast)
+	acks, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{Kind: wire.KindSNQuery, Reg: reg, Depth: uint8(depth)}, broadcast)
 	if err != nil {
 		return tag.Tag{}, err
 	}
@@ -142,7 +142,7 @@ func (nd *Node) writeProtocol(ctx context.Context, op uint64, reg string, val []
 	// coalesced batch mints one tag, so this is the batch's single pre-log.
 	if nd.kind == Persistent || nd.kind == Naive {
 		payload := encodeTagged(newTag, val)
-		if err := nd.storeLog(recWritingPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(epoch, recWritingPrefix+reg, payload); err != nil {
 			return tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -150,7 +150,7 @@ func (nd *Node) writeProtocol(ctx context.Context, op uint64, reg string, val []
 	}
 
 	// Round 2: propagate the tagged value to a majority (Fig. 4 lines 13–15).
-	_, err = nd.runRoundOpts(ctx, op, wire.Envelope{
+	_, err = nd.runRoundOpts(ctx, op, epoch, wire.Envelope{
 		Kind: wire.KindWrite, Reg: reg, Tag: newTag, Value: val, Depth: uint8(depth),
 	}, broadcast)
 	if err != nil {
@@ -207,7 +207,7 @@ func (nd *Node) Read(ctx context.Context, reg string, obs OpObserver) ([]byte, u
 // completed write, which keeps timestamps strictly monotone — unfinished
 // writes are out-minted by the recovery count exactly as in Fig. 5. One
 // causal log (all adopters log in parallel), 2 communication steps.
-func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val []byte) (tag.Tag, error) {
+func (nd *Node) writeRegularSW(ctx context.Context, op, epoch uint64, reg string, val []byte) (tag.Tag, error) {
 	if nd.id != RegularWriter {
 		return tag.Tag{}, ErrNotWriter
 	}
@@ -227,7 +227,7 @@ func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val [
 	// recovery count out-mints any write the last incarnation left
 	// unfinished.
 	newTag := own.Next(nd.id, int64(rec), nd.hardenedRec(rec))
-	if _, err := nd.runRoundOpts(ctx, op, wire.Envelope{
+	if _, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{
 		Kind: wire.KindWrite, Reg: reg, Tag: newTag, Value: val,
 	}, roundOpts{require: nd.id, to: -1}); err != nil {
 		return tag.Tag{}, err
@@ -237,9 +237,9 @@ func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val [
 
 // readProtocol returns the read value together with the tag under which it
 // was adopted — the read's tag witness.
-func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string) ([]byte, tag.Tag, error) {
+func (nd *Node) readProtocol(ctx context.Context, op, epoch uint64, reg string) ([]byte, tag.Tag, error) {
 	// Round 1: collect tagged values from a majority.
-	acks, err := nd.runRoundOpts(ctx, op, wire.Envelope{Kind: wire.KindRead, Reg: reg}, broadcast)
+	acks, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{Kind: wire.KindRead, Reg: reg}, broadcast)
 	if err != nil {
 		return nil, tag.Tag{}, err
 	}
@@ -267,7 +267,7 @@ func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string) ([]byte
 	if nd.kind == Naive {
 		// Straw man: the reader logs what it is about to write back.
 		payload := encodeTagged(best.Tag, best.Value)
-		if err := nd.storeLog(recWStartPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(epoch, recWStartPrefix+reg, payload); err != nil {
 			return nil, tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -277,7 +277,7 @@ func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string) ([]byte
 	// Round 2: write the value with the highest timestamp back to a
 	// majority, so the read's result is never lost even if the original
 	// writer's propagation had only partially completed.
-	_, err = nd.runRoundOpts(ctx, op, wire.Envelope{
+	_, err = nd.runRoundOpts(ctx, op, epoch, wire.Envelope{
 		Kind: wire.KindWriteBack, Reg: reg, Tag: best.Tag, Value: best.Value, Depth: uint8(depth),
 	}, broadcast)
 	if err != nil {

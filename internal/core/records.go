@@ -50,8 +50,12 @@ func EncodeWrittenPayload(t tag.Tag, val []byte) []byte { return encodeTagged(t,
 // through StoreBatch, so the pre-logs of concurrently pipelined registers
 // coalesce into shared group commits on engines that support them
 // (stable.ShardedDisk, MemDisk's simulated disk). A lone one-record batch
-// costs exactly one Store on every engine.
-func (nd *Node) storeLog(record string, payload []byte) error {
+// costs exactly one Store on every engine. A log of an execution a crash has
+// ended is never started: it could land after the recovery that needed it.
+func (nd *Node) storeLog(epoch uint64, record string, payload []byte) error {
+	if !nd.stillServing(epoch) {
+		return ErrCrashed
+	}
 	return nd.st.StoreBatch([]stable.Record{{Name: record, Data: payload}})
 }
 

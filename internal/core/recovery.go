@@ -11,7 +11,7 @@ import (
 // runRecoveryProcedure executes the algorithm-specific part of recovery,
 // after the volatile state has been restored from stable storage. The model
 // places no bound on the messages or logs a recovery procedure may use.
-func (nd *Node) runRecoveryProcedure(ctx context.Context) error {
+func (nd *Node) runRecoveryProcedure(ctx context.Context, epoch uint64) error {
 	// Every recovery — regardless of algorithm — first mints a fresh
 	// incarnation epoch, so the epoch a client observes in replies strictly
 	// increases across each of the node's deaths (docs/adr/0006).
@@ -20,7 +20,7 @@ func (nd *Node) runRecoveryProcedure(ctx context.Context) error {
 	}
 	switch nd.kind {
 	case Persistent, Naive:
-		return nd.finishPendingWrites(ctx)
+		return nd.finishPendingWrites(ctx, epoch)
 	case Transient, RegularSW:
 		return nd.bumpRecoveryCounter()
 	default:
@@ -65,7 +65,7 @@ func (nd *Node) mintIncarnation() error {
 // interrupted writes, however many registers it has adopted. The names are
 // accumulated before any Retrieve: Scanner implementations stream under
 // their internal locks, so the callback must not call back into the store.
-func (nd *Node) finishPendingWrites(ctx context.Context) error {
+func (nd *Node) finishPendingWrites(ctx context.Context, epoch uint64) error {
 	var names []string
 	if err := stable.ScanRecords(nd.st, recWritingPrefix, func(name string) error {
 		names = append(names, name)
@@ -89,7 +89,7 @@ func (nd *Node) finishPendingWrites(ctx context.Context) error {
 		pending++
 		reg := strings.TrimPrefix(name, recWritingPrefix)
 		op := nd.newID()
-		if _, err := nd.runRoundOpts(ctx, op, wire.Envelope{
+		if _, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{
 			Kind: wire.KindWrite, Reg: reg, Tag: t, Value: v,
 		}, broadcast); err != nil {
 			return err

@@ -91,12 +91,14 @@ func (nd *Node) putRound(rs *roundState) {
 // staged through the node's outbox, so sweeps of concurrently running rounds
 // (different registers of the engine) group-commit into per-destination
 // batch frames, while a lone round's envelopes go out as the individual
-// messages the paper counts. The round aborts with ErrCrashed if the process
-// crashes, or with the context's error on cancellation; it otherwise blocks
-// for as long as a quorum is unreachable, which is exactly the robustness
-// contract (operations by processes that do not crash terminate once a
-// majority is permanently up).
-func (nd *Node) runRoundOpts(ctx context.Context, op uint64, req wire.Envelope, o roundOpts) (map[int32]wire.Envelope, error) {
+// messages the paper counts. A round of an execution a crash has ended (its
+// epoch is not current) fails with ErrCrashed before sending anything, also
+// after a recovery (docs/adr/0018). A running round aborts with ErrCrashed
+// if the process crashes, or with the context's error on cancellation; it
+// otherwise blocks for as long as a quorum is unreachable, which is exactly
+// the robustness contract (operations by processes that do not crash
+// terminate once a majority is permanently up).
+func (nd *Node) runRoundOpts(ctx context.Context, op, epoch uint64, req wire.Envelope, o roundOpts) (map[int32]wire.Envelope, error) {
 	rpc := nd.newID()
 	req.RPC = rpc
 	req.Op = op
@@ -107,14 +109,11 @@ func (nd *Node) runRoundOpts(ctx context.Context, op uint64, req wire.Envelope, 
 
 	rs := nd.getRound()
 	nd.mu.Lock()
-	if !nd.servingLocked() {
-		state := nd.state
+	if nd.epoch != epoch || !nd.servingLocked() {
+		err := nd.downErrLocked()
 		nd.mu.Unlock()
 		nd.putRound(rs)
-		if state == stateClosed {
-			return nil, ErrClosed
-		}
-		return nil, ErrCrashed
+		return nil, err
 	}
 	crashCh := nd.crashCh
 	nd.pending[rpc] = rs.ch
@@ -143,7 +142,7 @@ func (nd *Node) runRoundOpts(ctx context.Context, op uint64, req wire.Envelope, 
 	sweeps := 0
 	for {
 		sweeps++
-		nd.ob.enqueue(sweep...)
+		nd.ob.push(sweep...)
 	collect:
 		for {
 			select {
