@@ -23,8 +23,7 @@ bench:
 
 # bench-disk is the microbenchmark for working on internal/stable: the wal
 # preset's per-record store cost and fsync amortization (BenchmarkWALStore,
-# ...Parallel, ...Batch; read syncs/op). Claims are made with
-# bash bench/run.sh.
+# ...Batch; read syncs/op). Claims are made with bash bench/run.sh.
 bench-disk:
 	$(GO) test -bench 'Store' -benchtime=100x -run '^$$' ./internal/stable/
 

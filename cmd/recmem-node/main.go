@@ -294,14 +294,15 @@ func readRoundsBanner(node *core.Node) string {
 	return fmt.Sprintf(" one-round-reads=%d two-round-reads=%d", one, two)
 }
 
-// adoptionsBanner follows readRoundsBanner: how many written/ group commits
-// this node's replica side made and how many records they carried
-// (docs/adr/0017) — records per group is the replica-side group-commit ratio.
+// adoptionsBanner follows readRoundsBanner: how many StoreBatch calls this
+// node's logger made and how many records they carried — replica adoptions
+// and the node's own pre-logs together (docs/adr/0017, 0019); records per
+// group is the node's group-commit ratio.
 func adoptionsBanner(node *core.Node) string {
 	groups, records := node.Adoptions()
 	ratio := 0.0
 	if groups > 0 {
 		ratio = float64(records) / float64(groups)
 	}
-	return fmt.Sprintf(" adoption-groups=%d adoption-records=%d (%.1f records/group)", groups, records, ratio)
+	return fmt.Sprintf(" log-groups=%d log-records=%d (%.1f records/group)", groups, records, ratio)
 }

@@ -380,9 +380,10 @@ func TestReadRoundsBanner(t *testing.T) {
 	if got, want := readRoundsBanner(ns.node), " one-round-reads=3 two-round-reads=0"; got != want {
 		t.Fatalf("banner tail %q, want %q", got, want)
 	}
-	// The one write was adopted by the node's one replica: one group commit
-	// of one record (docs/adr/0017).
-	if got, want := adoptionsBanner(ns.node), " adoption-groups=1 adoption-records=1 (1.0 records/group)"; got != want {
+	// The one write cost the node's logger two group commits of one record:
+	// the writer's pre-log, then — after it, by Fig. 4's order — the one
+	// replica's adoption (docs/adr/0019).
+	if got, want := adoptionsBanner(ns.node), " log-groups=2 log-records=2 (1.0 records/group)"; got != want {
 		t.Fatalf("adoptions banner %q, want %q", got, want)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -295,4 +297,149 @@ func TestListenerRepliesOneFramePerPeer(t *testing.T) {
 			t.Fatalf("%d single sends and %d batch frames, want %d and 0", len(rec.sends), len(rec.batches), k+m)
 		}
 	})
+}
+
+// The node's logger (docs/adr/0019): the adopter also stores the node's own
+// pre-logs, in the same groups as the replica's adoptions.
+
+// waitQueued spins until the logger holds n queued items: a queued pre-log
+// has no other sign the test could wait on. It fails after 5 s.
+func (p *pipeNode) waitQueued(n int) {
+	p.t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.nd.adopter.queued() != n {
+		if time.Now().After(deadline) {
+			p.t.Fatalf("logger holds %d queued items, want %d", p.nd.adopter.queued(), n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// submitToPreLog submits a write of x and acknowledges its query round, so
+// that the write's next step is its writing/x pre-log; it returns the future.
+func (p *pipeNode) submitToPreLog() *Future {
+	p.t.Helper()
+	fut, err := p.nd.SubmitWrite("x", []byte("w"), OpObserver{})
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.ackRound(wire.KindSNQuery, fut.Op())
+	return fut
+}
+
+// awaitWrite reads the node's messages until its round 2 for op goes out,
+// returning how many write acknowledgements it passed on the way.
+func (p *pipeNode) awaitWrite(op uint64) (acks int) {
+	p.t.Helper()
+	for {
+		switch env := p.next(); {
+		case env.Kind == wire.KindWrite && env.Op == op:
+			return acks
+		case env.Kind == wire.KindWriteAck:
+			acks++
+		}
+	}
+}
+
+// TestLoggerMixesPreLogsAndAdoptions: a writer's pre-log and a replica's
+// adoption queued together behind a held store leave as one StoreBatch —
+// one commit carrying writing/x and written/y — and the write's round 2
+// starts only after it, with y acknowledged.
+func TestLoggerMixesPreLogsAndAdoptions(t *testing.T) {
+	const self = 0
+	disk := stable.NewCounting(stable.NewMemDisk(stable.Profile{}))
+	gate := newGatedDisk(disk, recWrittenPrefix+"decoy")
+	p := newPipeNode(t, self, Persistent, gate, nil)
+	defer close(p.ep.in)
+
+	p.push(wire.KindWrite, 1, "decoy", tagValue{tagOf(1, 1, 0), []byte("d")})
+	<-gate.entered // the logger is parked in the decoy's store
+	fut := p.submitToPreLog()
+	p.waitQueued(1)
+	p.push(wire.KindWrite, 1, "y", tagValue{tagOf(3, 1, 0), []byte("y3")})
+	p.waitQueued(2)
+
+	close(gate.release)
+	// The decoy's ack, and y's: the pre-log's waiter wakes before the mixed
+	// group's acks go out, so y's may follow round 2.
+	for acks := p.awaitWrite(fut.Op()); acks < 2; {
+		if p.next().Kind == wire.KindWriteAck {
+			acks++
+		}
+	}
+	if got := disk.Commits(); got != 2 {
+		t.Fatalf("%d commits, want the decoy's and one for the pre-log and y together", got)
+	}
+	if disk.RecordStores(recWritingPrefix+"x") != 1 || disk.RecordStores(recWrittenPrefix+"y") != 1 {
+		t.Fatalf("writing/x stored %d times, written/y %d times; want 1 and 1",
+			disk.RecordStores(recWritingPrefix+"x"), disk.RecordStores(recWrittenPrefix+"y"))
+	}
+	if groups, records := p.nd.Adoptions(); groups != 2 || records != 3 {
+		t.Fatalf("Adoptions = %d groups, %d records; want 2, 3", groups, records)
+	}
+}
+
+// TestLoggerDropFailsQueuedPreLog: a pre-log queued behind a held store is
+// dropped by a crash. Released afterwards, the held store completes, the
+// write fails with ErrCrashed, and writing/x is never stored.
+func TestLoggerDropFailsQueuedPreLog(t *testing.T) {
+	const self = 0
+	disk := stable.NewCounting(stable.NewMemDisk(stable.Profile{}))
+	gate := newGatedDisk(disk, recWrittenPrefix+"decoy")
+	p := newPipeNode(t, self, Persistent, gate, nil)
+	defer close(p.ep.in)
+
+	p.push(wire.KindWrite, 1, "decoy", tagValue{tagOf(1, 1, 0), []byte("d")})
+	<-gate.entered
+	fut := p.submitToPreLog()
+	p.waitQueued(1)
+	if !p.nd.Crash(nil) {
+		t.Fatal("Crash refused")
+	}
+	close(gate.release)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := fut.Wait(ctx); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("write whose pre-log was queued at the crash = %v, want ErrCrashed", err)
+	}
+	if n := disk.RecordStores(recWritingPrefix + "x"); n != 0 {
+		t.Fatalf("writing/x stored %d times after the crash dropped it", n)
+	}
+	if _, ok, _ := disk.Retrieve(recWritingPrefix + "x"); ok {
+		t.Fatal("writing/x is on the disk")
+	}
+}
+
+// TestLoggerBoundCountsEnvelopes: with 4096 write envelopes queued — the
+// bound; the ten admitted beyond it are dropped — a pre-log is still queued
+// and stored, and the write proceeds to its round 2 once the 4096 queued
+// before it are acknowledged.
+func TestLoggerBoundCountsEnvelopes(t *testing.T) {
+	const self = 0
+	disk := stable.NewMemDisk(stable.Profile{})
+	gate := newGatedDisk(disk, recWrittenPrefix+"decoy")
+	p := newPipeNode(t, self, Persistent, gate, nil)
+	defer close(p.ep.in)
+
+	p.push(wire.KindWrite, 1, "decoy", tagValue{tagOf(1, 1, 0), []byte("d")})
+	<-gate.entered
+	flood := make([]wire.Envelope, adoptQueueLimit+10)
+	for i := range flood {
+		flood[i] = wire.Envelope{Kind: wire.KindWrite, From: 1, To: self, Reg: "y",
+			RPC: uint64(1000 + i), Op: uint64(1000 + i), Tag: tagOf(2, 1, 0), Value: []byte("y")}
+	}
+	p.nd.mu.Lock()
+	p.nd.adopter.admit(flood)
+	p.nd.mu.Unlock()
+	p.waitQueued(adoptQueueLimit)
+
+	fut := p.submitToPreLog()
+	p.waitQueued(adoptQueueLimit + 1)
+	close(gate.release)
+	if acks := p.awaitWrite(fut.Op()); acks != 1+adoptQueueLimit {
+		t.Fatalf("round 2 went out after %d acks, want the decoy's and the %d queued before the pre-log", acks, adoptQueueLimit)
+	}
+	if _, ok, err := disk.Retrieve(recWritingPrefix + "x"); !ok || err != nil {
+		t.Fatalf("writing/x not stored (err %v)", err)
+	}
 }

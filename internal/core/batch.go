@@ -95,11 +95,13 @@ type engineShard struct {
 }
 
 // regQueue is the pending-submission queue of one register. Its drainer is
-// the register's dispatcher: the only caller of the register's protocols.
+// the register's dispatcher: the only caller of the register's protocols,
+// whose one pre-log in flight at a time waits in pre (storeLog).
 type regQueue struct {
 	drainQueue[*batchSub]
 	eng *engine
 	reg string
+	pre preLog
 }
 
 func newEngine(nd *Node) *engine {
@@ -137,7 +139,7 @@ func (q *regQueue) drain() {
 		if len(batch) == 0 {
 			return
 		}
-		q.eng.flush(q.reg, batch)
+		q.eng.flush(q, batch)
 		for _, s := range batch {
 			putSub(s)
 		}
@@ -156,7 +158,7 @@ func (q *regQueue) drain() {
 // Nothing outlives the incarnation that took it (docs/adr/0018): a sub
 // submitted before a crash completes here with ErrCrashed and runs nothing,
 // and the executions carry the epoch they start under into every round.
-func (eng *engine) flush(reg string, batch []*batchSub) {
+func (eng *engine) flush(q *regQueue, batch []*batchSub) {
 	nd := eng.nd
 	nd.mu.Lock()
 	epoch, dead := nd.epoch, nd.downErrLocked()
@@ -183,7 +185,7 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 	}
 	ctx := context.Background() // rounds abort via crashCh on crash/close
 	if writeCarrier >= 0 {
-		wit, err := nd.writeProtocol(ctx, batch[writeCarrier].op, epoch, reg, finalVal)
+		wit, err := nd.writeProtocol(ctx, q, batch[writeCarrier].op, epoch, finalVal)
 		for i, s := range batch {
 			if s.read || s.epoch != epoch {
 				continue
@@ -199,7 +201,7 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 		}
 	}
 	if readCarrier >= 0 {
-		val, wit, err := nd.readProtocol(ctx, batch[readCarrier].op, epoch, reg)
+		val, wit, err := nd.readProtocol(ctx, q, batch[readCarrier].op, epoch)
 		for _, s := range batch {
 			if s.read && s.epoch == epoch {
 				nd.finish(s, val, wit, err)

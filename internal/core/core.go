@@ -263,12 +263,12 @@ type Node struct {
 	oneRound           bool
 	readsOne, readsTwo atomic.Uint64
 
-	// adopter persists the write envelopes the listener hands over
-	// (listener.go); it is pushed, taken and dropped under mu.
-	// adoptGroups and adoptRecords count the written/ group commits and the
-	// records they carried (Adoptions).
-	adopter                   adopter
-	adoptGroups, adoptRecords atomic.Uint64
+	// adopter is the node's logger (listener.go): it persists the write
+	// envelopes the listener hands over and the executions' pre-logs; it is
+	// pushed, taken and dropped under mu. logGroups and logRecords count its
+	// StoreBatch calls and the records they carried (Adoptions).
+	adopter               adopter
+	logGroups, logRecords atomic.Uint64
 
 	listenerDone chan struct{}
 }
@@ -327,7 +327,7 @@ func NewNode(id int32, n int, kind AlgorithmKind, opts Options, deps Deps) (*Nod
 	nd.eng = newEngine(nd)
 	nd.ob = &outbox{nd: nd}
 	nd.ob.owner = nd.ob
-	nd.adopter.nd, nd.adopter.owner, nd.adopter.limit = nd, &nd.adopter, adoptQueueLimit
+	nd.adopter.nd, nd.adopter.owner = nd, &nd.adopter
 	go nd.listen()
 	return nd, nil
 }
@@ -460,12 +460,13 @@ func (nd *Node) ReadRounds() (one, two uint64) {
 	return nd.readsOne.Load(), nd.readsTwo.Load()
 }
 
-// Adoptions reports how many written/ group commits this node's replica side
-// made and how many records they carried: records per group is the
-// replica-side group-commit ratio (docs/adr/0017). Naive's per-step stores
-// count as groups of one.
+// Adoptions reports how many StoreBatch calls this node's logger made and how
+// many records they carried — the replica's written/ adoptions and the
+// executions' own pre-logs together: records per group is the node's
+// group-commit ratio (docs/adr/0017, 0019). Recovery's stores and Naive's
+// inline listener stores are not the logger's and are not counted.
 func (nd *Node) Adoptions() (groups, records uint64) {
-	return nd.adoptGroups.Load(), nd.adoptRecords.Load()
+	return nd.logGroups.Load(), nd.logRecords.Load()
 }
 
 // RecoveryCount returns the volatile copy of the persisted recovery counter
@@ -514,7 +515,7 @@ func (nd *Node) Crash(onEvent func()) bool {
 	nd.crashCh = make(chan struct{})
 	nd.regs = make(map[string]regState)
 	nd.rec = 0
-	nd.adopter.drop()
+	nd.adopter.drop(ErrCrashed)
 	nd.traceEvent("crash", "volatile state wiped")
 	if onEvent != nil {
 		onEvent()
@@ -577,7 +578,7 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 			nd.crashCh = make(chan struct{})
 			nd.regs = make(map[string]regState)
 			nd.rec = 0
-			nd.adopter.drop()
+			nd.adopter.drop(ErrCrashed)
 			nd.traceEvent("recover-abort", err.Error())
 			if onAbort != nil {
 				onAbort()
@@ -610,7 +611,7 @@ func (nd *Node) Close() {
 		close(nd.crashCh)
 		nd.crashCh = make(chan struct{})
 	}
-	nd.adopter.drop()
+	nd.adopter.drop(ErrClosed)
 	nd.mu.Unlock()
 }
 

@@ -7,8 +7,8 @@ import "sync"
 type drainer interface{ drain() }
 
 // drainQueue is a FIFO drained on demand by at most one goroutine: the
-// engine's per-register dispatchers, the outbox and the adopter are its three
-// users (docs/adr/0018). The push that finds the queue idle starts
+// engine's per-register dispatchers, the outbox and the node's logger are its
+// three users (docs/adr/0018, 0019). The push that finds the queue idle starts
 // owner.drain; take hands it the oldest items and marks the queue idle once
 // it finds it empty, so whatever is pushed while a batch is being handled
 // forms the next batch — group commit with no timer. drop discards what is
@@ -24,25 +24,19 @@ type drainQueue[T any] struct {
 	mu      sync.Mutex
 	items   []T
 	head    int
-	limit   int // most items queued at once; 0 is unbounded
 	running bool
 	owner   drainer
 }
 
 // push queues items, in order, and starts the drainer if none is running.
-// Items beyond the bound are dropped; push returns how many it accepted.
-func (q *drainQueue[T]) push(items ...T) int {
+func (q *drainQueue[T]) push(items ...T) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.limit > 0 {
-		items = items[:min(len(items), q.limit-(len(q.items)-q.head))]
-	}
 	q.items = append(q.items, items...)
 	if len(items) > 0 && !q.running {
 		q.running = true
 		go q.owner.drain()
 	}
-	return len(items)
 }
 
 // take returns the oldest queued items, at most max of them (max ≤ 0: all),
@@ -73,11 +67,15 @@ func (q *drainQueue[T]) queued() int {
 	return len(q.items) - q.head
 }
 
-// drop discards every queued item. A running drainer keeps the batch it
-// holds and finds the queue empty at its next take.
-func (q *drainQueue[T]) drop() {
+// drop discards every queued item, handing each to settle first. A running
+// drainer keeps the batch it holds and finds the queue empty at its next
+// take.
+func (q *drainQueue[T]) drop(settle func(T)) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	for _, it := range q.items[q.head:] {
+		settle(it)
+	}
 	clear(q.items[q.head:])
 	q.items = q.items[:q.head]
 }

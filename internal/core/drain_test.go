@@ -17,26 +17,20 @@ type idleDrainer struct{}
 
 func (idleDrainer) drain() {}
 
-// TestDrainQueueFIFOAndBound: items come out in push order, take honours its
-// maximum, items beyond the bound are dropped with the accepted count
-// returned, and the empty take marks the queue idle.
-func TestDrainQueueFIFOAndBound(t *testing.T) {
-	q := &drainQueue[int]{limit: 5, owner: idleDrainer{}}
-	if n := q.push(1, 2, 3); n != 3 {
-		t.Fatalf("push accepted %d of 3", n)
-	}
-	if n := q.push(4, 5, 6, 7); n != 2 {
-		t.Fatalf("push over the bound accepted %d, want 2", n)
-	}
+// TestDrainQueueFIFO: items come out in push order, take honours its
+// maximum, what is pushed after a take queues behind what was left, and the
+// empty take marks the queue idle. (The logger's bound lives in
+// adopter.admit: TestLoggerBoundCountsEnvelopes.)
+func TestDrainQueueFIFO(t *testing.T) {
+	q := &drainQueue[int]{owner: idleDrainer{}}
+	q.push(1, 2, 3)
+	q.push(4, 5)
 	if got := q.take(2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("take(2) = %v, want [1 2]", got)
 	}
-	// The taken batch no longer counts against the bound.
-	if n := q.push(8, 9, 10); n != 2 {
-		t.Fatalf("push after a take accepted %d, want 2", n)
-	}
-	if got := q.take(0); len(got) != 5 || got[0] != 3 || got[4] != 9 {
-		t.Fatalf("take(0) = %v, want [3 4 5 8 9]", got)
+	q.push(6)
+	if got := q.take(0); len(got) != 4 || got[0] != 3 || got[3] != 6 {
+		t.Fatalf("take(0) = %v, want [3 4 5 6]", got)
 	}
 	if got := q.take(0); got != nil || q.running {
 		t.Fatalf("take of an empty queue = %v, running %v; want nil, idle", got, q.running)
@@ -134,18 +128,20 @@ func (h *heldDrainer) drain() {
 	h.after <- h.q.take(0)
 }
 
-// TestDrainQueueDropKeepsHeldBatch: drop empties the queue but leaves the
-// batch a running drainer holds intact; the drainer's next take finds the
-// queue empty and marks it idle, and the next push starts a new drainer.
+// TestDrainQueueDropKeepsHeldBatch: drop empties the queue, settling each
+// queued item once, but leaves the batch a running drainer holds intact; the
+// drainer's next take finds the queue empty and marks it idle, and the next
+// push starts a new drainer.
 func TestDrainQueueDropKeepsHeldBatch(t *testing.T) {
 	h := &heldDrainer{taken: make(chan []int, 1), release: make(chan struct{}), after: make(chan []int, 2)}
 	h.q = &drainQueue[int]{owner: h}
 	h.q.push(1, 2)
 	<-h.taken
 	h.q.push(3, 4)
-	h.q.drop()
-	if n := h.q.queued(); n != 0 {
-		t.Fatalf("%d items queued after drop", n)
+	var settled []int
+	h.q.drop(func(v int) { settled = append(settled, v) })
+	if n := h.q.queued(); n != 0 || len(settled) != 2 || settled[0] != 3 || settled[1] != 4 {
+		t.Fatalf("%d items queued after drop, %v settled; want 0, [3 4]", n, settled)
 	}
 	close(h.release)
 	if held := <-h.after; len(held) != 2 || held[0] != 1 || held[1] != 2 {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"sync"
+
 	"recmem/internal/causal"
 	"recmem/internal/stable"
 	"recmem/internal/transport"
@@ -8,18 +11,19 @@ import (
 )
 
 // listenerGatherLimit bounds how many already-delivered envelopes the
-// listener folds into one handling group, and how many queued write
-// envelopes the adopter takes into one StoreBatch. Gathering is non-blocking
-// — it only picks up what the transport has buffered, typically the contents
-// of one batch frame — so it adds no latency, and the bound keeps a single
-// group's reply burst and a single group commit from growing without limit
-// under sustained load.
+// listener folds into one handling group, and how many queued items the
+// logger takes into one StoreBatch. Gathering is non-blocking — it only picks
+// up what the transport has buffered, typically the contents of one batch
+// frame — so it adds no latency, and the bound keeps a single group's reply
+// burst and a single group commit from growing without limit under sustained
+// load.
 const listenerGatherLimit = 128
 
-// adoptQueueLimit bounds the adopter's queue at the mesh's receive bound
-// (nettcp's 4096-envelope queue): write envelopes beyond it are dropped —
-// fair-lossy, the rounds retransmit — so a slow disk cannot grow the
-// replica's memory without limit.
+// adoptQueueLimit bounds the write envelopes queued on the logger at the
+// mesh's receive bound (nettcp's 4096-envelope queue): envelopes beyond it
+// are dropped — fair-lossy, the rounds retransmit — so a slow disk cannot
+// grow the replica's memory without limit. Pre-logs do not count: each
+// register's dispatcher queues at most one, and none is ever dropped.
 const adoptQueueLimit = 4096
 
 // listen is the node's message listener — the paper's dedicated listener
@@ -31,8 +35,8 @@ const adoptQueueLimit = 4096
 //
 // The listener never waits on the disk (docs/adr/0017): it routes
 // acknowledgements and answers SNQuery/Read inline — Fig. 4's read logs
-// nothing — and pushes the write kinds onto the node's adopter, whose
-// drainer persists them (adopter.drain). Everything already delivered (the
+// nothing — and pushes the write kinds onto the node's logger, whose drainer
+// persists them (adopter.drain). Everything already delivered (the
 // envelopes of a batch frame land back to back) is gathered into one group,
 // and the replies one handled group produced leave as one batch frame per
 // destination (sendPerDest). The naive ablation keeps its stores inline: a
@@ -70,9 +74,9 @@ func (nd *Node) gather(group []wire.Envelope) []wire.Envelope {
 // handleGroup dispatches one gathered delivery group: acknowledgements are
 // routed as they appear, query kinds are answered individually (they never
 // log outside the naive ablation), and the write kinds — compacted in place
-// to the front of group — are pushed onto the adopter (handled inline for
+// to the front of group — are queued on the logger (handled inline for
 // Naive). A process that is not serving drops them (a delivery to a down
-// process), and so does a full adopter queue (fair-lossy; the rounds
+// process), and so does a full logger queue (fair-lossy; the rounds
 // retransmit). The replies are appended to out. The serving check and the
 // push hold nd.mu, as Crash's drop does, so no W delivered before a crash is
 // queued after it.
@@ -101,45 +105,99 @@ func (nd *Node) handleGroup(group, out []wire.Envelope) []wire.Envelope {
 	nd.mu.Lock()
 	epoch := nd.epoch
 	if nd.kind != Naive && nd.servingLocked() {
-		nd.adopter.push(writes...)
+		nd.adopter.admit(writes)
 	}
 	nd.mu.Unlock()
 	if nd.kind == Naive {
-		return nd.handleWriteGroup(writes, epoch, out)
+		for _, env := range writes {
+			out = nd.handleWrite(env, epoch, out)
+		}
 	}
 	return out
 }
 
-// adopter persists the write envelopes the listener pushes: its drainer is
-// the only goroutine that stores written/ (Naive aside). Crash, a failed
-// recovery and Close drop its queue under nd.mu (volatile state).
+// logItem is one entry of the logger's queue: a W or WB envelope to adopt,
+// or, when pre is set, a log of one of the node's own executions.
+type logItem struct {
+	env wire.Envelope
+	pre *preLog
+}
+
+// preLog is one causal log of an execution's own chain — the writer's
+// writing/ pre-log, or Naive's intent logs — on its way through the logger
+// (storeLog). A register's dispatcher has at most one in flight, so its
+// regQueue owns it and waiting allocates nothing. It completes exactly once:
+// by the logger with its group's StoreBatch result, or by a crash's drop.
+type preLog struct {
+	rec  stable.Record
+	err  error
+	wait sync.WaitGroup
+}
+
+// complete hands the execution waiting in storeLog its log's outcome.
+func (w *preLog) complete(err error) {
+	w.err = err
+	w.wait.Done()
+}
+
+// adopter is the node's logger (docs/adr/0019): its drainer is the only
+// goroutine that stores while the node serves (recovery and Naive's inline
+// listener stores aside). It persists the write envelopes the listener
+// pushes and the pre-logs storeLog pushes, whatever was queued together as
+// one StoreBatch. Its queue is pushed, taken and dropped under nd.mu; Crash,
+// a failed recovery and Close drop it.
 type adopter struct {
-	drainQueue[wire.Envelope]
+	drainQueue[logItem]
 	nd               *Node
+	envs             int // queued envelopes, bounded by adoptQueueLimit; guarded by nd.mu
 	replies, scratch []wire.Envelope
 }
 
-// drain takes the oldest queued envelopes, at most listenerGatherLimit at a
-// time, and runs handleWriteGroup over them — one StoreBatch — until the
-// queue is empty. Being the only written/ store path, it keeps the stores in
-// delivery order and never overlaps two of them; the volatile view still
-// moves only after each StoreBatch returned, so the store-then-adopt
-// invariant OneRoundReads rests on (docs/adr/0015) holds as it did on the
-// listener. Writes queued behind a running store join the next group —
-// replica-side group commit. Each group is taken together with the epoch it
-// was taken under, in one nd.mu section, so a group held through a crash is
-// dropped unacknowledged by the epoch check and nothing taken before a crash
-// is adopted after the recovery.
+// admit queues the write envelopes of one delivery group, as many as
+// adoptQueueLimit leaves room for. Callers hold nd.mu.
+func (a *adopter) admit(envs []wire.Envelope) {
+	envs = envs[:min(len(envs), adoptQueueLimit-a.envs)]
+	for _, env := range envs {
+		a.push(logItem{env: env})
+	}
+	a.envs += len(envs)
+}
+
+// drop discards the queued envelopes and fails the queued pre-logs with err
+// — a crash loses volatile state. A group already taken is a store under
+// way; it completes. Callers hold nd.mu.
+func (a *adopter) drop(err error) {
+	a.drainQueue.drop(func(it logItem) {
+		if it.pre != nil {
+			it.pre.complete(err)
+		}
+	})
+	a.envs = 0
+}
+
+// drain takes the oldest queued items, at most listenerGatherLimit at a
+// time, and commits each group — one StoreBatch — until the queue is empty.
+// Being the only store path of a serving node, it keeps the stores in queue
+// order and never overlaps two of them; whatever is queued behind a running
+// store joins the next group — group commit with no timer. Each group is
+// taken together with the epoch it was taken under, in one nd.mu section, so
+// a group held through a crash is dropped unacknowledged by the epoch check
+// and nothing taken before a crash is adopted after the recovery.
 func (a *adopter) drain() {
 	nd := a.nd
 	for {
 		nd.mu.Lock()
 		batch, epoch := a.take(listenerGatherLimit), nd.epoch
+		for _, it := range batch {
+			if it.pre == nil {
+				a.envs--
+			}
+		}
 		nd.mu.Unlock()
 		if len(batch) == 0 {
 			return
 		}
-		a.replies = nd.handleWriteGroup(batch, epoch, a.replies[:0])
+		a.replies = nd.commitGroup(batch, epoch, a.replies[:0])
 		a.scratch = nd.sendPerDest(a.replies, a.scratch)
 		clear(a.replies)
 	}
@@ -247,16 +305,12 @@ func (nd *Node) handleRead(env wire.Envelope, out []wire.Envelope) []wire.Envelo
 	})
 }
 
-// handleWrite implements Fig. 4 lines 21–27 for both the write's second
-// round (W) and the read's write-back round (WB): if the received timestamp
-// is higher than the local one, log the new value and adopt it, then
-// acknowledge. Logging happens before the volatile update and before the
-// acknowledgement — a crash between them behaves like a crash just after
-// the log, which the algorithm tolerates. The order is load-bearing beyond
-// the write's own ack: the volatile view never runs ahead of the written/
-// record; OneRoundReads depends on it (a read ack served from this view must
-// not name a tag this process could forget). epoch is the crash generation
-// the envelope was taken under: a W never outlives the incarnation that
+// handleWrite implements Fig. 4 lines 21–27 for Naive, inline on the
+// listener, for both the write's second round (W) and the read's write-back
+// round (WB): log the resulting state — the straw man logs every step, even
+// one that changes nothing — adopt the received timestamp if it is higher
+// than the local one, then acknowledge. epoch is the crash generation the
+// envelope was received under: a W never outlives the incarnation that
 // received it.
 func (nd *Node) handleWrite(env wire.Envelope, epoch uint64, out []wire.Envelope) []wire.Envelope {
 	cur, e, err := nd.regView(env.Reg)
@@ -266,14 +320,17 @@ func (nd *Node) handleWrite(env wire.Envelope, epoch uint64, out []wire.Envelope
 
 	adopt := cur.tag.Less(env.Tag)
 	depth := int(env.Depth)
-	if logPayload, ok := nd.adoptionLog(env, cur, adopt); ok {
-		if err := nd.st.Store(recWrittenPrefix+env.Reg, logPayload); err != nil {
+	if nd.logsAdoption(env) {
+		state := cur
+		if adopt {
+			state = regState{tag: env.Tag, val: env.Value}
+		}
+		payload := encodeTagged(state.tag, state.val)
+		if err := nd.st.Store(recWrittenPrefix+env.Reg, payload); err != nil {
 			return out // cannot acknowledge what is not durable
 		}
-		nd.adoptGroups.Add(1)
-		nd.adoptRecords.Add(1)
 		depth = causal.After(int(env.Depth))
-		nd.recordLog(env.Op, depth, len(logPayload))
+		nd.recordLog(env.Op, depth, len(payload))
 		if nd.tr != nil {
 			nd.traceEvent("store", recWrittenPrefix+env.Reg+" tag="+env.Tag.String())
 		}
@@ -295,79 +352,89 @@ func (nd *Node) handleWrite(env wire.Envelope, epoch uint64, out []wire.Envelope
 	})
 }
 
-// handleWriteGroup handles the write/write-back envelopes of one delivery
-// group, taken under crash generation epoch, with a single StoreBatch,
-// appending their acknowledgements to out. It runs on the adopter (adopt),
-// or inline on the listener for Naive. It is semantically a reordering of
-// individual deliveries — legal over fair-lossy channels, which reorder
-// freely: per register, the envelope carrying the highest timestamp is
-// processed first (it is the only possible adoption), after which the rest
-// of the register's envelopes find the local timestamp at least as high and
-// acknowledge without logging. All winning adoptions then persist as one
-// batch — one coalesced engine batch delivered as one frame, one group
-// commit — and nothing is acknowledged unless the whole batch is durable.
+// commitGroup stores one logger group, taken under crash generation epoch,
+// with a single StoreBatch and appends the acknowledgements of its envelopes
+// to out. It implements Fig. 4 lines 21–27 for both the write's second round
+// (W) and the read's write-back round (WB), as a reordering of individual
+// deliveries — legal over fair-lossy channels, which reorder freely: per
+// register, the envelope carrying the highest timestamp is processed first
+// (it is the only possible adoption), after which the rest of the register's
+// envelopes find the local timestamp at least as high and acknowledge
+// without logging. The winning adoptions' written/ records and the group's
+// pre-logs persist as one batch — one group commit — and nothing is
+// acknowledged unless the whole batch is durable.
 //
-// The naive ablation bypasses the group path: its defining property is a
-// store per step, which folding would silently optimize away.
-func (nd *Node) handleWriteGroup(envs []wire.Envelope, epoch uint64, out []wire.Envelope) []wire.Envelope {
-	if nd.kind == Naive || len(envs) == 1 {
-		for _, env := range envs {
-			out = nd.handleWrite(env, epoch, out)
+// Logging happens before the volatile update and before the acknowledgement
+// — a crash between them behaves like a crash just after the log, which the
+// algorithm tolerates. The order is load-bearing beyond the write's own ack:
+// the volatile view never runs ahead of the written/ record; OneRoundReads
+// depends on it (a read ack served from this view must not name a tag this
+// process could forget). The pre-logs' executions are woken as soon as the
+// batch returns: Fig. 4 asks only that the pre-log is durable before the
+// write's round 2 starts.
+func (nd *Node) commitGroup(batch []logItem, epoch uint64, out []wire.Envelope) []wire.Envelope {
+	// settle completes the group's pre-logs with the outcome of its store.
+	settle := func(err error) {
+		for _, it := range batch {
+			if it.pre != nil {
+				it.pre.complete(err)
+			}
 		}
-		return out
 	}
-
-	// Materialize the view of every distinct register in the group. Each
-	// regView reports the epoch it is valid under; a crash since the group
-	// was taken shows up as an epoch mismatch, and the whole group is
-	// dropped — the rounds retransmit, exactly as for a crash detected later.
-	cur := make(map[string]regState, len(envs))
-	for _, env := range envs {
-		if _, ok := cur[env.Reg]; ok {
+	// The per-register winner: the highest delivered timestamp.
+	win := make(map[string]wire.Envelope, len(batch))
+	for _, it := range batch {
+		if it.pre != nil {
 			continue
 		}
-		rs, e, err := nd.regView(env.Reg)
-		if err != nil || e != epoch {
+		if w, ok := win[it.env.Reg]; !ok || w.Tag.Less(it.env.Tag) {
+			win[it.env.Reg] = it.env
+		}
+	}
+	// Keep the winners that adopt, and collect the logs their adoptions
+	// require into one batch. The two differ for the no-logging paths
+	// (crash-stop, the UnsafeNoReadLog ablation), which adopt without
+	// storing. Each regView materializes the entry before the store begins,
+	// so a concurrent load never inserts a record whose store has not
+	// returned. A view that cannot be read under epoch — a crash since the
+	// take, or an unreadable record — fails the whole group before anything
+	// is stored: no envelope is acknowledged (the rounds retransmit, exactly
+	// as for a crash detected later) and no pre-log of a dead incarnation is
+	// written.
+	var recs []stable.Record
+	for reg, env := range win {
+		cur, e, err := nd.regView(reg)
+		if err == nil && e != epoch || errors.Is(err, ErrDown) {
+			err = ErrCrashed
+		}
+		if err != nil {
+			settle(err)
 			return out
 		}
-		cur[env.Reg] = rs
-	}
-
-	// The per-register winner: the highest delivered timestamp.
-	best := make(map[string]wire.Envelope, len(cur))
-	for _, env := range envs {
-		if b, ok := best[env.Reg]; !ok || b.Tag.Less(env.Tag) {
-			best[env.Reg] = env
+		if !cur.tag.Less(env.Tag) {
+			delete(win, reg)
+		} else if nd.logsAdoption(env) {
+			recs = append(recs, stable.Record{Name: recWrittenPrefix + reg, Data: encodeTagged(env.Tag, env.Value)})
 		}
 	}
-	// Split the winners into those that adopt (volatile update) and those
-	// whose adoption additionally requires a log; collect the logs into one
-	// batch. The two differ for the no-logging paths (crash-stop, the
-	// UnsafeNoReadLog ablation), which adopt without storing.
-	adopters := make(map[string]wire.Envelope)
-	logged := make(map[string]wire.Envelope)
-	var recs []stable.Record
-	for reg, env := range best {
-		adopt := cur[reg].tag.Less(env.Tag)
-		if adopt {
-			adopters[reg] = env
-		}
-		if payload, ok := nd.adoptionLog(env, cur[reg], adopt); ok {
-			recs = append(recs, stable.Record{Name: recWrittenPrefix + reg, Data: payload})
-			logged[reg] = env
+	adoptions := len(recs)
+	for _, it := range batch {
+		if it.pre != nil {
+			recs = append(recs, it.pre.rec)
 		}
 	}
 	if len(recs) > 0 {
-		if err := nd.st.StoreBatch(recs); err != nil {
+		err := nd.st.StoreBatch(recs)
+		settle(err)
+		if err != nil {
 			// Cannot acknowledge what is not durable; the rounds retransmit
 			// and the whole group is retried.
 			return out
 		}
-		nd.adoptGroups.Add(1)
-		nd.adoptRecords.Add(uint64(len(recs)))
-		for _, rec := range recs {
-			reg := rec.Name[len(recWrittenPrefix):]
-			env := logged[reg]
+		nd.logGroups.Add(1)
+		nd.logRecords.Add(uint64(len(recs)))
+		for _, rec := range recs[:adoptions] {
+			env := win[rec.Name[len(recWrittenPrefix):]]
 			nd.recordLog(env.Op, causal.After(int(env.Depth)), len(rec.Data))
 			if nd.tr != nil {
 				nd.traceEvent("store", rec.Name+" tag="+env.Tag.String())
@@ -375,26 +442,28 @@ func (nd *Node) handleWriteGroup(envs []wire.Envelope, epoch uint64, out []wire.
 		}
 	}
 
-	// Apply the volatile adoptions — only now, after StoreBatch returned: the
-	// volatile view never runs ahead of the written/ record; OneRoundReads
-	// depends on it — then acknowledge every envelope of the group: the
-	// logged winners with their deepened causal depth, the rest exactly as
-	// if they had been delivered after the winner.
+	// Apply the volatile adoptions — only now, after StoreBatch returned —
+	// then acknowledge every envelope of the group: the logged winners with
+	// their deepened causal depth, the rest exactly as if they had been
+	// delivered after the winner.
 	nd.mu.Lock()
 	if nd.epoch != epoch || !nd.servingLocked() {
 		nd.mu.Unlock()
 		return out // crashed while logging; no acknowledgements
 	}
-	for reg, env := range adopters {
+	for reg, env := range win {
 		if nd.regs[reg].tag.Less(env.Tag) {
 			nd.regs[reg] = regState{tag: env.Tag, val: env.Value}
 		}
 	}
 	nd.mu.Unlock()
 
-	for _, env := range envs {
-		depth := int(env.Depth)
-		if win, ok := logged[env.Reg]; ok && win.RPC == env.RPC && win.From == env.From {
+	for _, it := range batch {
+		if it.pre != nil {
+			continue
+		}
+		env, depth := it.env, int(it.env.Depth)
+		if w, ok := win[env.Reg]; ok && w.RPC == env.RPC && w.From == env.From && nd.logsAdoption(w) {
 			depth = causal.After(depth)
 		}
 		out = append(out, wire.Envelope{
@@ -405,27 +474,13 @@ func (nd *Node) handleWriteGroup(envs []wire.Envelope, epoch uint64, out []wire.
 	return out
 }
 
-// adoptionLog decides whether handling env requires a store, and with what
-// payload. The log-optimal algorithms log exactly when they adopt a higher
-// timestamp (hence quiescent reads log nowhere); the crash-stop baseline
-// never logs; the naive algorithm logs the resulting state on every W; the
-// UnsafeNoReadLog ablation suppresses the log for read write-backs to
-// demonstrate the Theorem 2 lower bound.
-func (nd *Node) adoptionLog(env wire.Envelope, cur regState, adopt bool) ([]byte, bool) {
-	if nd.kind == CrashStop {
-		return nil, false
-	}
-	if env.Kind == wire.KindWriteBack && nd.opts.UnsafeNoReadLog {
-		return nil, false
-	}
-	if adopt {
-		return encodeTagged(env.Tag, env.Value), true
-	}
-	if nd.kind == Naive {
-		// Log-each-step straw man: persist the (unchanged) state anyway.
-		return encodeTagged(cur.tag, cur.val), true
-	}
-	return nil, false
+// logsAdoption reports whether handling env may log written/: never under
+// the crash-stop baseline, nor for a read's write-back under the
+// UnsafeNoReadLog ablation, which demonstrates the Theorem 2 lower bound.
+// Otherwise the log-optimal algorithms log exactly when they adopt a higher
+// timestamp (hence quiescent reads log nowhere), and Naive logs every W.
+func (nd *Node) logsAdoption(env wire.Envelope) bool {
+	return nd.kind != CrashStop && (env.Kind != wire.KindWriteBack || !nd.opts.UnsafeNoReadLog)
 }
 
 // stillServing re-checks liveness after a blocking store.

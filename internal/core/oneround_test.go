@@ -146,13 +146,14 @@ func loggedTag(t *testing.T, st stable.Storage, reg string) tag.Tag {
 // still be the old tag, and a read query delivered to it must be answered at
 // once — the listener never waits on the adopter's disk (docs/adr/0017) —
 // with the old one. The RegisterState half catches a swapped store/adopt
-// order in handleWrite or handleWriteGroup; the ack half catches a listener
-// that answers from a view the adopter moved early, or that waits on it.
+// order in the logger's commitGroup, for a group of one register and of two;
+// the ack half catches a listener that answers from a view the logger moved
+// early, or that waits on it.
 func TestReadAckNeverAheadOfLog(t *testing.T) {
 	const self, peer = 2, 0
 	oldTag, newTag := tagOf(1, peer, 0), tagOf(2, peer, 0)
 	for _, tc := range []struct {
-		name string
+		name string   // the row names predate the one commitGroup path
 		regs []string // one W each, adopted as one group
 	}{
 		{"handleWrite", []string{"x"}},

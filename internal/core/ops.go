@@ -107,13 +107,15 @@ func (nd *Node) Write(ctx context.Context, reg string, val []byte, obs OpObserve
 // optional writer pre-log (persistent: Fig. 4 line 12), and the propagation
 // round. The single-writer regular register branches to its one-round form.
 // The returned tag is the minted timestamp — the write's tag witness (zero
-// if the execution failed before minting). epoch is the one it runs under.
+// if the execution failed before minting). epoch is the one it runs under;
+// q is the register's queue.
 //
 // Only the register's engine dispatcher calls this, one execution at a time:
 // the minted timestamp is derived from the queried majority maximum, so two
 // concurrent executions for one register would mint the same timestamp for
 // different values.
-func (nd *Node) writeProtocol(ctx context.Context, op, epoch uint64, reg string, val []byte) (tag.Tag, error) {
+func (nd *Node) writeProtocol(ctx context.Context, q *regQueue, op, epoch uint64, val []byte) (tag.Tag, error) {
+	reg := q.reg
 	if nd.kind == RegularSW {
 		return nd.writeRegularSW(ctx, op, epoch, reg, val)
 	}
@@ -121,7 +123,7 @@ func (nd *Node) writeProtocol(ctx context.Context, op, epoch uint64, reg string,
 	if nd.kind == Naive {
 		// §I-C straw man: log the intent before doing anything.
 		payload := encodeTagged(tag.Tag{Writer: nd.id}, val)
-		if err := nd.storeLog(epoch, recWStartPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(q, epoch, recWStartPrefix+reg, payload); err != nil {
 			return tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -142,7 +144,7 @@ func (nd *Node) writeProtocol(ctx context.Context, op, epoch uint64, reg string,
 	// coalesced batch mints one tag, so this is the batch's single pre-log.
 	if nd.kind == Persistent || nd.kind == Naive {
 		payload := encodeTagged(newTag, val)
-		if err := nd.storeLog(epoch, recWritingPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(q, epoch, recWritingPrefix+reg, payload); err != nil {
 			return tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -236,8 +238,10 @@ func (nd *Node) writeRegularSW(ctx context.Context, op, epoch uint64, reg string
 }
 
 // readProtocol returns the read value together with the tag under which it
-// was adopted — the read's tag witness.
-func (nd *Node) readProtocol(ctx context.Context, op, epoch uint64, reg string) ([]byte, tag.Tag, error) {
+// was adopted — the read's tag witness. Like writeProtocol, only q's
+// dispatcher calls it.
+func (nd *Node) readProtocol(ctx context.Context, q *regQueue, op, epoch uint64) ([]byte, tag.Tag, error) {
+	reg := q.reg
 	// Round 1: collect tagged values from a majority.
 	acks, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{Kind: wire.KindRead, Reg: reg}, broadcast)
 	if err != nil {
@@ -267,7 +271,7 @@ func (nd *Node) readProtocol(ctx context.Context, op, epoch uint64, reg string) 
 	if nd.kind == Naive {
 		// Straw man: the reader logs what it is about to write back.
 		payload := encodeTagged(best.Tag, best.Value)
-		if err := nd.storeLog(epoch, recWStartPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(q, epoch, recWStartPrefix+reg, payload); err != nil {
 			return nil, tag.Tag{}, err
 		}
 		depth = causal.After(depth)

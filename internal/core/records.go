@@ -46,17 +46,29 @@ func WrittenRecordName(reg string) string { return recWrittenPrefix + reg }
 // for the same harness tooling as WrittenRecordName.
 func EncodeWrittenPayload(t tag.Tag, val []byte) []byte { return encodeTagged(t, val) }
 
-// storeLog persists one causal-log record of an operation's own log chain
-// through StoreBatch, so the pre-logs of concurrently pipelined registers
-// coalesce into shared group commits on engines that support them
-// (stable.ShardedDisk, MemDisk's simulated disk). A lone one-record batch
-// costs exactly one Store on every engine. A log of an execution a crash has
-// ended is never started: it could land after the recovery that needed it.
-func (nd *Node) storeLog(epoch uint64, record string, payload []byte) error {
-	if !nd.stillServing(epoch) {
-		return ErrCrashed
+// storeLog persists one causal-log record of an execution's own log chain
+// through the node's logger (adopter.drain): the record joins the adoptions
+// and other registers' pre-logs queued with it in one StoreBatch, and
+// storeLog returns once that group is stored. q is the executing register's
+// queue, whose preLog is the waiter. The epoch check and the push share one
+// nd.mu section, as the listener's push and Crash's drop do, so a log of an
+// execution a crash has ended is never queued, and a queued one is either
+// taken into a group — a store under way — or failed by the drop.
+func (nd *Node) storeLog(q *regQueue, epoch uint64, record string, payload []byte) error {
+	w := &q.pre
+	nd.mu.Lock()
+	if nd.epoch != epoch || !nd.servingLocked() {
+		err := nd.downErrLocked()
+		nd.mu.Unlock()
+		return err
 	}
-	return nd.st.StoreBatch([]stable.Record{{Name: record, Data: payload}})
+	w.rec = stable.Record{Name: record, Data: payload}
+	w.wait.Add(1)
+	nd.adopter.push(logItem{pre: w})
+	nd.mu.Unlock()
+	w.wait.Wait()
+	w.rec = stable.Record{}
+	return w.err
 }
 
 // encodeTagged serializes a (tag, value) pair for stable storage.

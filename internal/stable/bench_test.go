@@ -2,7 +2,6 @@ package stable
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -10,12 +9,13 @@ import (
 // `make bench-disk`. The figure to read is syncs/op, the fsync bill per
 // durable record:
 //
-//   - BenchmarkWALStore: a sequential caller gives group commit nothing to
-//     coalesce — one append + one fdatasync per record, the paper's λ.
-//   - BenchmarkWALStoreParallel: concurrent callers; the group-commit daemon
-//     coalesces everything pending at sync time into one fdatasync.
+//   - BenchmarkWALStore: one append + one fdatasync per record, the paper's
+//     λ. The engine commits on its caller's goroutine and never gathers
+//     concurrent callers (docs/adr/0019), so a parallel variant would only
+//     measure them queueing on the shard's commit mutex.
 //   - BenchmarkWALStoreBatch: the batched durability path (one coalesced
-//     engine batch = one StoreBatch call), one sync per batch.
+//     engine batch = one StoreBatch call), one sync per batch — how a node's
+//     logger group-commits.
 func benchPayload() []byte {
 	p := make([]byte, 64)
 	for i := range p {
@@ -35,26 +35,6 @@ func BenchmarkWALStore(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(d.Syncs())/float64(b.N), "syncs/op")
-}
-
-func BenchmarkWALStoreParallel(b *testing.B) {
-	d := mustOpen(b, b.TempDir(), walPreset)
-	defer d.Close()
-	payload := benchPayload()
-	var reg atomic.Int32
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		name := fmt.Sprintf("written/r%d", reg.Add(1))
-		for pb.Next() {
-			if err := d.Store(name, payload); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	if b.N > 0 {
-		b.ReportMetric(float64(d.Syncs())/float64(b.N), "syncs/op")
-	}
 }
 
 // benchBatch is one coalesced engine batch: the adoption logs a node

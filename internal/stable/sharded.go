@@ -17,22 +17,19 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"recmem/internal/spin"
 )
 
 // ShardedDisk is the one log engine behind both -disk wal and -disk sharded:
-// a store of CRC-framed, append-only segment chains with group commit,
-// background compaction into an indexed snapshot, and an index-only reopen.
-// The two backend names are two presets of it (walPreset, shardedPreset) and
-// differ only in shard count and in how many values stay in memory:
+// a store of CRC-framed, append-only segment chains, background compaction
+// into an indexed snapshot, and an index-only reopen. The two backend names
+// are two presets of it (walPreset, shardedPreset) and differ only in shard
+// count and in how many values stay in memory:
 //
 //   - Records hash onto a fixed number of shards (the count is persisted in
 //     a MANIFEST so reopens agree). Each shard owns its own segment chain,
-//     snapshot and group-commit daemon, and recovery opens all shards in
-//     parallel. With one shard a k-record batch is one write and one fsync;
-//     with several, shards index, commit and compact independently.
+//     snapshot and commit mutex, and recovery opens all shards in parallel.
+//     With one shard a k-record batch is one write and one fsync; with
+//     several, shards index, commit and compact independently.
 //   - A shard snapshot ends in a sorted footer index (name → frame offset),
 //     so opening a shard reads the index and the small segment tail — not
 //     the values. What must be replayed before the store is serving again
@@ -47,11 +44,11 @@ import (
 //     churning namespace does not grow without bound.
 //   - Compaction merges a shard's snapshot and sealed segments into a new
 //     snapshot concurrently with serving (only the active segment takes new
-//     appends), triggered by sealed-segment size, segment age, and a final
-//     pass on clean Close. The rename of the new snapshot is the atomic
-//     commit point: its watermark records the highest segment it covers, so
-//     a crash anywhere between temp-write, rename, and segment deletion
-//     recovers to a consistent state.
+//     appends), triggered by sealed-segment size and by a final pass on
+//     clean Close. The rename of the new snapshot is the atomic commit
+//     point: its watermark records the highest segment it covers, so a crash
+//     anywhere between temp-write, rename, and segment deletion recovers to
+//     a consistent state.
 //
 // Layout under dir:
 //
@@ -61,19 +58,19 @@ import (
 //	  seg-00000001.wal  — CRC-framed append-only segments; highest id active
 //	shard-0001/ ...
 //
-// Store/StoreBatch group-commit per shard: every group pending at sync time
-// shares one write and one fdatasync of that shard's active segment, and is
-// acknowledged — and becomes visible to Retrieve — only after it. A batch
-// spanning shards commits per shard independently; on error none of it is
+// Store/StoreBatch/Delete commit on the caller's goroutine (docs/adr/0019):
+// the call's records for one shard are one write and one fdatasync of that
+// shard's active segment, under the shard's commit mutex, and are
+// acknowledged — and become visible to Retrieve — only after it. Gathering
+// concurrent stores into one sync is the caller's business: a node's logger
+// is the one caller that matters, and it hands over whole groups. A batch
+// spanning shards commits its shards concurrently; on error none of it is
 // acknowledged (the Storage contract), and a shard whose sync fails rolls
 // back to its last good offset without touching its siblings.
 type ShardedDisk struct {
 	dir    string
 	cfg    engineConfig
 	shards []*shard
-
-	mu     sync.Mutex
-	closed bool
 
 	syncs       atomic.Int64
 	batches     atomic.Int64
@@ -83,7 +80,7 @@ type ShardedDisk struct {
 	evictions   atomic.Int64
 
 	// syncHook, when set by tests before any Store, replaces the per-shard
-	// segment fdatasync to inject group-commit failures on selected shards.
+	// segment fdatasync to inject commit failures on selected shards.
 	syncHook func(shard int) error
 	// compactHook, when set by tests, is called at each stage of a shard
 	// compaction ("written", "renamed", "deleted"); returning false abandons
@@ -112,13 +109,10 @@ type engineConfig struct {
 	// compactBytes triggers a shard compaction when its sealed segments
 	// exceed this many bytes.
 	compactBytes int64
-	// compactAge triggers a compaction when the oldest sealed segment is
-	// older than this (0: no age trigger).
-	compactAge time.Duration
 	// closeCompactBytes runs a final compaction on a clean Close when a
 	// shard holds at least this many uncompacted bytes (0: never), so a
 	// cleanly restarted process reopens from the index alone. A crash skips
-	// it, and replay stays bounded by the size/age triggers above.
+	// it, and replay stays bounded by the size trigger above.
 	closeCompactBytes int64
 }
 
@@ -130,7 +124,6 @@ func preset(shards, residentRecords int) engineConfig {
 		residentRecords:   residentRecords,
 		segmentBytes:      256 << 10,
 		compactBytes:      1 << 20,
-		compactAge:        time.Minute,
 		closeCompactBytes: 64 << 10,
 	}
 }
@@ -147,11 +140,6 @@ var (
 const (
 	manifestName = "MANIFEST"
 	shardSnap    = "snapshot.rec"
-
-	// gatherWindow is how long a committer waits after waking before it
-	// drains its queue, so stores racing in from concurrent rounds land in
-	// the same group — noise against a real fdatasync.
-	gatherWindow = 20 * time.Microsecond
 
 	// Frame kinds: a stored value or a tombstone.
 	kindSet  = 0
@@ -213,23 +201,13 @@ type recLoc struct {
 // handle stays open so cold loads survive the unlink that a concurrent
 // compaction performs on the path.
 type segInfo struct {
-	id       uint64
-	f        *os.File
-	size     int64
-	sealedAt time.Time
+	id   uint64
+	f    *os.File
+	size int64
 }
 
-// shardReq is one submitted group waiting for its shard's committer; tomb
-// makes every record of it a deletion.
-type shardReq struct {
-	sh   *shard
-	recs []Record
-	tomb bool
-	done chan error
-}
-
-// pendingRec is one record of a group in flight: what commit publishes once
-// the group is durable.
+// pendingRec is one record of a commit in flight: what commit publishes once
+// it is durable.
 type pendingRec struct {
 	name string
 	data []byte
@@ -245,15 +223,21 @@ type resVal struct {
 }
 
 // shard is one of the store's independent slices: its own segment chain,
-// snapshot, index, resident-value cache, and group-commit daemon.
+// snapshot, index, resident-value cache, and commit mutex.
 type shard struct {
 	d   *ShardedDisk
 	id  int
 	dir string
 
-	// mu guards everything below plus all reads of the file handles; the
-	// committer appends and syncs the active segment off the lock (readers
-	// only ever pread below the durable good offset).
+	// commitMu serializes commits: its holder appends to and syncs the
+	// active segment off mu (readers only ever pread below the durable good
+	// offset), seals it, and owns the scratch below. Close takes it to let
+	// an in-flight commit finish.
+	commitMu sync.Mutex
+
+	// mu guards everything below plus all reads of the file handles; closed,
+	// broken, active, activeID and good change only under commitMu too, so
+	// its holder reads them without mu.
 	mu sync.Mutex
 
 	// The base index: the snapshot's sorted raw index block and the start
@@ -274,7 +258,6 @@ type shard struct {
 	lruHead *resVal
 	lruTail *resVal
 
-	queue  []*shardReq
 	closed bool
 	broken error
 
@@ -285,13 +268,11 @@ type shard struct {
 	sealedSize int64
 	compacting bool
 
-	// Committer-owned scratch, reused from one group commit to the next.
+	// Commit scratch, owned by commitMu's holder and reused from one commit
+	// to the next.
 	frames  []byte
 	pending []pendingRec
 
-	notify chan struct{}
-	quit   chan struct{}
-	done   chan struct{}
 	compWG sync.WaitGroup
 }
 
@@ -316,11 +297,8 @@ func openEngine(dir string, cfg engineConfig) (*ShardedDisk, error) {
 		go func(i int) {
 			sh := &shard{
 				d: d, id: i, dir: filepath.Join(dir, fmt.Sprintf("shard-%04d", i)),
-				over:   make(map[string]recLoc),
-				res:    make(map[string]*resVal),
-				notify: make(chan struct{}, 1),
-				quit:   make(chan struct{}),
-				done:   make(chan struct{}),
+				over: make(map[string]recLoc),
+				res:  make(map[string]*resVal),
 			}
 			d.shards[i] = sh
 			errs <- sh.open()
@@ -339,9 +317,6 @@ func openEngine(dir string, cfg engineConfig) (*ShardedDisk, error) {
 			}
 		}
 		return nil, firstErr
-	}
-	for _, sh := range d.shards {
-		go sh.run()
 	}
 	return d, nil
 }
@@ -473,7 +448,7 @@ func (sh *shard) open() error {
 				f.Close()
 				return fmt.Errorf("%w: sealed segment %s has a malformed frame at offset %d", errCorrupt, sh.segPath(id), good)
 			}
-			sh.sealed = append(sh.sealed, &segInfo{id: id, f: f, size: good, sealedAt: fi.ModTime()})
+			sh.sealed = append(sh.sealed, &segInfo{id: id, f: f, size: good})
 			sh.sealedSize += good
 			continue
 		}
@@ -636,76 +611,33 @@ func (sh *shard) lookup(name string) (recLoc, bool) {
 	return sh.baseLookup(name)
 }
 
-// run is the shard's group-commit daemon: it drains everything queued since
-// the last flush and commits it as one write + one sync, then checks whether
-// to seal the segment and whether a compaction is due (also on a periodic
-// tick, for the age trigger).
-func (sh *shard) run() {
-	defer close(sh.done)
-	var tick <-chan time.Time
-	if age := sh.d.cfg.compactAge; age > 0 {
-		ticker := time.NewTicker(max(age/4, time.Millisecond))
-		defer ticker.Stop()
-		tick = ticker.C
+// commit appends recs (deletions when tomb) to the active segment with one
+// write, syncs once, and publishes the new locations and resident values —
+// on the caller's goroutine, under commitMu, so no two commits of the shard
+// overlap. Then it seals a full segment and starts a due compaction. On
+// failure nothing is published and the segment rolls back to its last good
+// offset so later commits are not hidden behind torn bytes — sibling shards
+// are untouched by construction.
+func (sh *shard) commit(recs []Record, tomb bool) error {
+	sh.commitMu.Lock()
+	defer sh.commitMu.Unlock()
+	if sh.closed {
+		return ErrClosed
 	}
-	for {
-		var closing bool
-		select {
-		case <-sh.notify:
-			// Give stores racing in from concurrent rounds a beat to join
-			// this group before the drain; Close flushes immediately.
-			select {
-			case <-sh.quit:
-				closing = true
-			default:
-				spin.Sleep(gatherWindow)
-			}
-		case <-tick:
-		case <-sh.quit:
-			closing = true
-		}
-		// Everything enqueued before Close flipped the closed flag is in the
-		// queue by now (enqueue and flag share the mutex), so one final
-		// drain commits all accepted groups.
-		sh.mu.Lock()
-		reqs := sh.queue
-		sh.queue = nil
-		sh.mu.Unlock()
-		if len(reqs) > 0 {
-			sh.commit(reqs)
-			sh.maybeSeal()
-		}
-		sh.maybeCompact()
-		if closing {
-			return
-		}
-	}
-}
-
-// commit appends every group's frames to the active segment with one write,
-// syncs once, publishes the new locations and resident values, and
-// acknowledges the waiters. On failure nothing is acknowledged and the
-// segment rolls back to its last good offset so later groups are not hidden
-// behind torn bytes — sibling shards are untouched by construction.
-func (sh *shard) commit(reqs []*shardReq) {
 	if sh.broken != nil {
-		for _, r := range reqs {
-			r.done <- fmt.Errorf("%w: %w", errLogBroken, sh.broken)
-		}
-		return
+		return fmt.Errorf("%w: %w", errLogBroken, sh.broken)
+	}
+	kind := byte(kindSet)
+	if tomb {
+		kind = kindTomb
 	}
 	frames, pending := sh.frames[:0], sh.pending[:0]
-	for _, r := range reqs {
-		kind := byte(kindSet)
-		if r.tomb {
-			kind = kindTomb
-		}
-		for _, rec := range r.recs {
-			start := len(frames)
-			frames = appendFrame(frames, kind, rec.Name, rec.Data)
-			pending = append(pending, pendingRec{name: rec.Name, data: rec.Data, loc: recLoc{
-				seg: sh.activeID, off: sh.good + int64(start), flen: int32(len(frames) - start), tomb: r.tomb}})
-		}
+	for _, rec := range recs {
+		start := len(frames)
+		frames = appendFrame(frames, kind, rec.Name, rec.Data)
+		// The resident cache keeps the value past the call: copy it, once.
+		pending = append(pending, pendingRec{name: rec.Name, data: bytes.Clone(rec.Data), loc: recLoc{
+			seg: sh.activeID, off: sh.good + int64(start), flen: int32(len(frames) - start), tomb: tomb}})
 	}
 	_, err := sh.active.Write(frames)
 	if err == nil {
@@ -728,6 +660,7 @@ func (sh *shard) commit(reqs []*shardReq) {
 			}
 		}
 		sh.mu.Unlock()
+		sh.maybeSeal()
 	} else if terr := sh.active.Truncate(sh.good); terr != nil {
 		// The tail is suspect and cannot be rolled back: the log is wedged
 		// and every future store reports it.
@@ -735,10 +668,7 @@ func (sh *shard) commit(reqs []*shardReq) {
 	} else if _, serr := sh.active.Seek(sh.good, io.SeekStart); serr != nil {
 		sh.broken = serr
 	}
-	for _, r := range reqs {
-		r.done <- err
-	}
-	// Keep the scratch for the next group, but neither an outsized buffer
+	// Keep the scratch for the next commit, but neither an outsized buffer
 	// nor references to values the resident cache may evict.
 	clear(pending)
 	sh.pending = pending
@@ -746,6 +676,8 @@ func (sh *shard) commit(reqs []*shardReq) {
 		frames = nil
 	}
 	sh.frames = frames
+	sh.maybeCompact()
+	return err
 }
 
 func (sh *shard) sync() error {
@@ -771,22 +703,17 @@ func (sh *shard) maybeSeal() {
 		sh.broken = err
 		return
 	}
-	sh.sealed = append(sh.sealed, &segInfo{id: sh.activeID, f: sh.active, size: sh.good, sealedAt: time.Now()})
+	sh.sealed = append(sh.sealed, &segInfo{id: sh.activeID, f: sh.active, size: sh.good})
 	sh.sealedSize += sh.good
 	sh.active, sh.activeID, sh.good = next, sh.activeID+1, 0
 }
 
 // maybeCompact launches a background compaction when the sealed chain trips
-// the size or age trigger.
+// the size trigger.
 func (sh *shard) maybeCompact() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.compacting || sh.broken != nil || len(sh.sealed) == 0 {
-		return
-	}
-	cfg := sh.d.cfg
-	if sh.sealedSize < cfg.compactBytes &&
-		(cfg.compactAge == 0 || time.Since(sh.sealed[0].sealedAt) < cfg.compactAge) {
+	if sh.compacting || sh.broken != nil || len(sh.sealed) == 0 || sh.sealedSize < sh.d.cfg.compactBytes {
 		return
 	}
 	segs := make([]*segInfo, len(sh.sealed))
@@ -1014,10 +941,10 @@ func (d *ShardedDisk) Store(record string, data []byte) error {
 
 // StoreBatch implements Storage. Records are partitioned onto their shards
 // (batch order preserved within a shard, so a repeated name keeps
-// last-wins) and each shard group-commits its slice; the call returns after
-// every shard has synced. On error none of the batch is acknowledged —
-// per the Storage contract, individual records may or may not have become
-// durable, and each failed shard rolls back independently.
+// last-wins) and each shard commits its slice; the call returns after every
+// shard has synced. On error none of the batch is acknowledged — per the
+// Storage contract, individual records may or may not have become durable,
+// and each failed shard rolls back independently.
 func (d *ShardedDisk) StoreBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -1026,61 +953,52 @@ func (d *ShardedDisk) StoreBatch(recs []Record) error {
 }
 
 // Delete durably removes a record: a tombstone frame is appended to the
-// record's shard (group-committed like any store), the record disappears
-// from Retrieve and Records, and the next compaction of that shard drops
-// the dead bytes from its snapshot. Deleting an absent record is a no-op
-// that still logs a tombstone. Implements Deleter.
+// record's shard (committed like any store), the record disappears from
+// Retrieve and Records, and the next compaction of that shard drops the
+// dead bytes from its snapshot. Deleting an absent record is a no-op that
+// still logs a tombstone. Implements Deleter.
 func (d *ShardedDisk) Delete(record string) error {
 	return d.submit([]Record{{Name: record}}, true)
 }
 
-// submit partitions recs (deletions when tomb) into one group per shard,
-// queues each and waits for all of them. The values are copied here, once:
-// the committer hands the copies to the resident cache when the group is
-// durable, after the caller has its buffers back.
+// submit commits recs (deletions when tomb) on the caller's goroutine. A
+// batch that spans shards is partitioned, and its shards commit
+// concurrently: one goroutine per shard beyond the first, joined before
+// submit returns, so the eight-shard preset keeps its parallel fsyncs.
 func (d *ShardedDisk) submit(recs []Record, tomb bool) error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
+	if len(d.shards) == 1 {
+		return d.shards[0].commit(recs, tomb)
 	}
-	d.mu.Unlock()
-
-	var groups []*shardReq
+	type group struct {
+		sh   *shard
+		recs []Record
+		err  error
+	}
+	var groups []group
 	for _, r := range recs {
 		sh := d.shardFor(r.Name)
-		i := slices.IndexFunc(groups, func(g *shardReq) bool { return g.sh == sh })
+		i := slices.IndexFunc(groups, func(g group) bool { return g.sh == sh })
 		if i < 0 {
 			i = len(groups)
-			groups = append(groups, &shardReq{sh: sh, tomb: tomb, done: make(chan error, 1)})
+			groups = append(groups, group{sh: sh})
 		}
-		groups[i].recs = append(groups[i].recs, Record{Name: r.Name, Data: bytes.Clone(r.Data)})
+		groups[i].recs = append(groups[i].recs, r)
 	}
+	var wg sync.WaitGroup
+	for i := range groups[1:] {
+		g := &groups[1+i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.err = g.sh.commit(g.recs, tomb)
+		}()
+	}
+	groups[0].err = groups[0].sh.commit(groups[0].recs, tomb)
+	wg.Wait()
 	for _, g := range groups {
-		if err := g.sh.enqueue(g); err != nil {
-			g.done <- err
+		if g.err != nil {
+			return g.err
 		}
-	}
-	var firstErr error
-	for _, g := range groups {
-		if err := <-g.done; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-func (sh *shard) enqueue(req *shardReq) error {
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
-	sh.queue = append(sh.queue, req)
-	sh.mu.Unlock()
-	select {
-	case sh.notify <- struct{}{}:
-	default:
 	}
 	return nil
 }
@@ -1224,41 +1142,32 @@ func (sh *shard) scanLocked(prefix string, fn func(string) error) error {
 	return nil
 }
 
-// Close implements Storage: every accepted group commits, the daemons stop,
-// in-flight compactions finish, and — when a shard holds enough uncompacted
-// bytes — a final compaction folds its segments into the snapshot so the
-// next open is an index read. Close is idempotent; content remains
-// retrievable by a new open of the same directory.
+// Close implements Storage. Shard by shard, it takes the commit mutex — a
+// commit in flight finishes — and marks the shard closed, waits for an
+// in-flight compaction, and, when the shard holds enough uncompacted bytes,
+// folds its segments into the snapshot so the next open is an index read.
+// Close is idempotent; content remains retrievable by a new open of the
+// same directory.
 func (d *ShardedDisk) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		for _, sh := range d.shards {
-			<-sh.done
+	for _, sh := range d.shards {
+		sh.commitMu.Lock()
+		if !sh.closed {
+			sh.mu.Lock()
+			sh.closed = true
+			sh.mu.Unlock()
+			sh.compWG.Wait()
+			sh.closeCompact()
+			sh.closeFiles()
 		}
-		return nil
-	}
-	d.closed = true
-	d.mu.Unlock()
-	for _, sh := range d.shards {
-		sh.mu.Lock()
-		sh.closed = true
-		sh.mu.Unlock()
-		close(sh.quit)
-	}
-	for _, sh := range d.shards {
-		<-sh.done
-		sh.compWG.Wait()
-		sh.closeCompact()
-		sh.closeFiles()
+		sh.commitMu.Unlock()
 	}
 	return nil
 }
 
 // closeCompact is the clean-shutdown compaction: seal the active segment
 // and merge everything into the snapshot, provided the shard holds at least
-// closeCompactBytes of uncompacted data. Runs single-threaded after the
-// committer and any background compaction have exited.
+// closeCompactBytes of uncompacted data. Runs under commitMu, after any
+// background compaction has exited.
 func (sh *shard) closeCompact() {
 	min := sh.d.cfg.closeCompactBytes
 	if min == 0 || sh.broken != nil {
@@ -1268,7 +1177,7 @@ func (sh *shard) closeCompact() {
 		return
 	}
 	if sh.good > 0 {
-		sh.sealed = append(sh.sealed, &segInfo{id: sh.activeID, f: sh.active, size: sh.good, sealedAt: time.Now()})
+		sh.sealed = append(sh.sealed, &segInfo{id: sh.activeID, f: sh.active, size: sh.good})
 		sh.sealedSize += sh.good
 		sh.active = nil
 	}
@@ -1363,12 +1272,13 @@ func (sh *shard) lruUnlink(v *resVal) {
 // Shards returns the persisted shard count.
 func (d *ShardedDisk) Shards() int { return len(d.shards) }
 
-// Syncs returns the number of per-shard group-commit syncs issued — the
-// engine's fsync bill. Compare against AppendedRecords to read off the
+// Syncs returns the number of per-shard commit syncs issued — the engine's
+// fsync bill. Compare against AppendedRecords to read off the
 // amortization factor.
 func (d *ShardedDisk) Syncs() int64 { return d.syncs.Load() }
 
-// Batches returns the number of commit groups flushed across all shards.
+// Batches returns the number of commits made across all shards: one per
+// shard a Store, StoreBatch or Delete call touched.
 func (d *ShardedDisk) Batches() int64 { return d.batches.Load() }
 
 // AppendedRecords returns the number of frames appended to segment files.

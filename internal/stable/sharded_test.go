@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,12 +17,10 @@ import (
 )
 
 // shrunk is the base tuning for tests that need seals and compactions after
-// a handful of stores: the preset's shape with tiny segments, no age trigger
-// (the trigger under test is explicit) and no close-time compaction unless a
-// test opts in.
+// a handful of stores: the preset's shape with tiny segments and no
+// close-time compaction unless a test opts in.
 func shrunk(preset engineConfig) engineConfig {
-	preset.segmentBytes, preset.compactBytes = 256, 512
-	preset.compactAge, preset.closeCompactBytes = 0, 0
+	preset.segmentBytes, preset.compactBytes, preset.closeCompactBytes = 256, 512, 0
 	return preset
 }
 
@@ -719,36 +718,68 @@ func testSyncFailure(t *testing.T, cfg engineConfig) {
 	}
 }
 
-// TestShardedGroupCommitCoalesces: concurrent stores pending while a sync is
-// in flight join the next group, so the sync count stays well below the
-// record count — the whole point of the engine. One shard (the wal preset),
-// because stores to different shards have no sync to share.
-func TestShardedGroupCommitCoalesces(t *testing.T) {
-	d := mustOpen(t, t.TempDir(), walPreset)
-	defer d.Close()
+// overlapHook is a syncHook that records how many commits of one shard are
+// inside their fdatasync at once.
+type overlapHook struct {
+	inside, peak atomic.Int32
+}
+
+func (o *overlapHook) sync(int) error {
+	n := o.inside.Add(1)
+	for p := o.peak.Load(); n > p && !o.peak.CompareAndSwap(p, n); p = o.peak.Load() {
+	}
+	runtime.Gosched() // give a second committer the chance to overlap
+	o.inside.Add(-1)
+	return nil
+}
+
+// TestShardedConcurrentCommitsNeverOverlap: eight callers storing to one
+// shard at once commit on their own goroutines, one at a time — no two are
+// ever inside the shard's sync together — and every Store is visible once it
+// returns and survives a reopen. Run it under -race.
+func TestShardedConcurrentCommitsNeverOverlap(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, shrunk(walPreset)) // one shard; tiny segments seal and compact underneath
+	hook := &overlapHook{}
+	d.syncHook = hook.sync
 	const writers, stores = 8, 40
 	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
+	for w := range writers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < stores; i++ {
-				if err := d.Store(fmt.Sprintf("written/r%d", w), []byte{byte(i)}); err != nil {
+			name := fmt.Sprintf("written/r%d", w)
+			for i := range stores {
+				val := []byte(fmt.Sprintf("w%d-%d", w, i))
+				if err := d.Store(name, val); err != nil {
 					t.Errorf("store: %v", err)
 					return
 				}
+				if got, ok, err := d.Retrieve(name); err != nil || !ok || !bytes.Equal(got, val) {
+					t.Errorf("%s right after its Store = %q ok=%v err=%v, want %q", name, got, ok, err, val)
+					return
+				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	appended, syncs := d.AppendedRecords(), d.Syncs()
-	if appended != writers*stores {
-		t.Fatalf("appended %d records, want %d", appended, writers*stores)
+	if peak := hook.peak.Load(); peak != 1 {
+		t.Fatalf("%d commits were inside the shard's sync at once, want 1", peak)
 	}
-	if syncs >= appended/2 {
-		t.Fatalf("group commit did not amortize: %d syncs for %d records", syncs, appended)
+	if got := d.AppendedRecords(); got != writers*stores {
+		t.Fatalf("appended %d records, want %d", got, writers*stores)
 	}
-	t.Logf("%d records in %d syncs (%.1f records/sync)", appended, syncs, float64(appended)/float64(syncs))
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := mustOpen(t, dir, walPreset)
+	defer d2.Close()
+	for w := range writers {
+		name, want := fmt.Sprintf("written/r%d", w), fmt.Sprintf("w%d-%d", w, stores-1)
+		if got, ok, err := d2.Retrieve(name); err != nil || !ok || string(got) != want {
+			t.Fatalf("%s after reopen = %q ok=%v err=%v, want %q", name, got, ok, err, want)
+		}
+	}
 }
 
 func TestWALFlakyCrashReplay(t *testing.T)     { testFlakyCrashReplay(t, walPreset) }
@@ -766,7 +797,7 @@ func testFlakyCrashReplay(t *testing.T, preset engineConfig) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := preset
-			cfg.segmentBytes, cfg.compactBytes, cfg.compactAge = 512, 1024, 0
+			cfg.segmentBytes, cfg.compactBytes = 512, 1024
 			fl := NewFlaky(mustOpen(t, dir, cfg), 0.3, seed)
 			rng := rand.New(rand.NewSource(seed * 77))
 			state := make(map[string][]byte)

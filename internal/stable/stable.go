@@ -7,17 +7,19 @@
 //     bytes on their IDE disks costs ≈ 0.2 ms, about twice a message transit)
 //     plus a bandwidth term for the payload-size experiment (Fig. 6 bottom).
 //   - ShardedDisk (sharded.go), the durable log engine behind two backend
-//     names: CRC-framed append-only segment chains, a group-commit daemon per
-//     shard that coalesces concurrent stores into one fdatasync, background
-//     compaction into an indexed snapshot so reopening reads offsets instead
-//     of values, and tombstoned deletes (Deleter). "wal" is its one-shard
-//     preset — a lone Store is one append + one fdatasync, the paper's "file
-//     written to disk synchronously so that the operating system writes the
-//     data to disk immediately instead of buffering" (buffering would violate
-//     even transient atomicity); a k-record batch is still one append + one
-//     sync, and every touched value stays in memory. "sharded" is its
-//     eight-shard preset with LRU value eviction, so the resident set is
-//     bounded independently of the namespace (docs/adr/0012).
+//     names: CRC-framed append-only segment chains that commit on the
+//     caller's goroutine — a call's records for one shard are one append and
+//     one fdatasync — background compaction into an indexed snapshot so
+//     reopening reads offsets instead of values, and tombstoned deletes
+//     (Deleter). "wal" is its one-shard preset — a lone Store is one append +
+//     one fdatasync, the paper's "file written to disk synchronously so that
+//     the operating system writes the data to disk immediately instead of
+//     buffering" (buffering would violate even transient atomicity); a
+//     k-record batch is still one append + one sync, and every touched value
+//     stays in memory. "sharded" is its eight-shard preset with LRU value
+//     eviction, so the resident set is bounded independently of the
+//     namespace (docs/adr/0012). The engine does not gather concurrent
+//     callers: a node's logger hands it whole groups (docs/adr/0019).
 //
 // The model only asks that a store is durable before it is acknowledged, not
 // how the directory is laid out; the one-file-per-record backend that used to
@@ -55,8 +57,8 @@ type Storage interface {
 	Store(record string, data []byte) error
 	// StoreBatch durably saves all records as one group: it returns nil only
 	// after every record is stable. Both engines pay the synchronous-write
-	// cost once for the whole batch (ShardedDisk's group commit, MemDisk's
-	// simulated one). When a batch contains several records with the same
+	// cost once for the whole batch (one fdatasync per ShardedDisk shard,
+	// MemDisk's simulated one). When a batch contains several records with the same
 	// name, the last one wins. On error none of the batch is acknowledged —
 	// individual records may or may not have become durable.
 	StoreBatch(recs []Record) error
@@ -219,8 +221,9 @@ func (d *MemDisk) Store(record string, data []byte) error {
 // StoreBatch implements Storage with a simulated group commit: the batch
 // pays one StoreDelay (one "fsync") plus the bandwidth term for the combined
 // payload, instead of one StoreDelay per record — the simulated-disk
-// counterpart of ShardedDisk's group-commit daemon, which is what lets the
-// fsync-amortization experiments run on the calibrated in-memory testbed.
+// counterpart of ShardedDisk's one fdatasync per batch, which is what lets
+// the fsync-amortization experiments run on the calibrated in-memory
+// testbed.
 func (d *MemDisk) StoreBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil

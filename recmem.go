@@ -208,10 +208,11 @@ func WithDisk(storeDelay time.Duration, bytesPerSec float64) Option {
 
 // WithWALStorage stores each process's stable state in dir/node<i> on real
 // files instead of the simulated disk, using the log engine's one-shard
-// preset: one append-only CRC-framed log whose group-commit daemon coalesces
-// the causal logs of concurrent rounds into shared fdatasyncs, with periodic
-// snapshot + truncation. A lone store is one append + one fdatasync — the
-// paper's "file written synchronously". See docs/adr/0012-one-log-engine.md.
+// preset: one append-only CRC-framed log, with periodic snapshot +
+// truncation. Each process's logger hands it the causal logs of concurrent
+// rounds as one batch, which is one append + one fdatasync; a lone store is
+// one append + one fdatasync — the paper's "file written synchronously". See
+// docs/adr/0012-one-log-engine.md and docs/adr/0019-node-is-its-group-committer.md.
 func WithWALStorage(dir string) Option {
 	return optionFunc(func(c *config) { c.diskBackend = "wal"; c.diskDir = dir })
 }
