@@ -124,6 +124,30 @@ func resolveOpts(opts []OpOption) OpOptions {
 	return o
 }
 
+// admit is the admission check every backend shares: an operation whose
+// deadline has already expired, or whose context is already done, fails
+// before the backend sees it. Nothing is submitted or sent, so the operation
+// provably never executes, and the WithCost/WithWitness/WithEpoch captures
+// are zeroed like those of any failed operation.
+func (o OpOptions) admit(ctx context.Context) error {
+	err := ctx.Err()
+	if err == nil && o.Deadline < 0 {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
+		if o.Cost != nil {
+			*o.Cost = 0
+		}
+		if o.Witness != nil {
+			*o.Witness = Tag{}
+		}
+		if o.Epoch != nil {
+			*o.Epoch = 0
+		}
+	}
+	return err
+}
+
 // opCtx derives the operation context from the deadline option. A negative
 // deadline (already expired) yields an already-cancelled context — the old
 // `> 0` guard silently turned an expired deadline into no deadline at all.

@@ -96,12 +96,13 @@ type engineShard struct {
 
 // regQueue is the pending-submission queue of one register. Its drainer is
 // the register's dispatcher: the only caller of the register's protocols,
-// whose one pre-log in flight at a time waits in pre (storeLog).
+// whose one pre-log in flight at a time waits in pre (storeLog). ref is the
+// register's handle, which Node.RegisterRef hands out, and carries its name.
 type regQueue struct {
 	drainQueue[*batchSub]
 	eng *engine
-	reg string
 	pre preLog
+	ref RegisterRef
 }
 
 func newEngine(nd *Node) *engine {
@@ -113,9 +114,9 @@ func newEngine(nd *Node) *engine {
 }
 
 // queueFor resolves (creating on first use) the register's queue. Queues are
-// never removed from the map, so the returned pointer stays valid for the
-// node's lifetime — RegisterRef caches it to take the maphash + map lookup
-// off the per-operation hot path.
+// never removed from the map, so the returned pointer — and the handle it
+// holds — stays valid for the node's lifetime: a RegisterRef takes the
+// maphash + map lookup off the per-operation hot path.
 func (eng *engine) queueFor(reg string) *regQueue {
 	sh := &eng.shards[maphash.String(eng.seed, reg)%engineShards]
 	sh.mu.Lock()
@@ -123,7 +124,8 @@ func (eng *engine) queueFor(reg string) *regQueue {
 	q := sh.regs[reg]
 	if q == nil {
 		q = &regQueue{}
-		q.eng, q.reg, q.owner = eng, reg, q
+		q.eng, q.owner = eng, q
+		q.ref = RegisterRef{nd: eng.nd, reg: reg, q: q}
 		sh.regs[reg] = q
 	}
 	return q

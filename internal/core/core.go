@@ -509,6 +509,15 @@ func (nd *Node) Crash(onEvent func()) bool {
 	if nd.state != stateUp && nd.state != stateRecovering {
 		return false
 	}
+	nd.crashLocked("crash", "volatile state wiped", onEvent)
+	return true
+}
+
+// crashLocked is the one transition into the crashed state, shared by Crash
+// and a failed recovery: a new epoch, the in-flight rounds aborted through
+// crashCh, the volatile state wiped, the logger's queue dropped, then the
+// trace event and the harness's onEvent. Caller holds nd.mu.
+func (nd *Node) crashLocked(event, detail string, onEvent func()) {
 	nd.state = stateDown
 	nd.epoch++
 	close(nd.crashCh)
@@ -516,11 +525,10 @@ func (nd *Node) Crash(onEvent func()) bool {
 	nd.regs = make(map[string]regState)
 	nd.rec = 0
 	nd.adopter.drop(ErrCrashed)
-	nd.traceEvent("crash", "volatile state wiped")
+	nd.traceEvent(event, detail)
 	if onEvent != nil {
 		onEvent()
 	}
-	return true
 }
 
 // Recover brings a crashed process back: stable state is reloaded and the
@@ -572,17 +580,7 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 		// can be retried.
 		nd.mu.Lock()
 		if nd.state == stateRecovering && nd.epoch == epoch {
-			nd.state = stateDown
-			nd.epoch++
-			close(nd.crashCh)
-			nd.crashCh = make(chan struct{})
-			nd.regs = make(map[string]regState)
-			nd.rec = 0
-			nd.adopter.drop(ErrCrashed)
-			nd.traceEvent("recover-abort", err.Error())
-			if onAbort != nil {
-				onAbort()
-			}
+			nd.crashLocked("recover-abort", err.Error(), onAbort)
 		}
 		nd.mu.Unlock()
 		return err

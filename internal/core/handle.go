@@ -53,7 +53,7 @@ func (nd *Node) checkReadMode(mode ReadMode) error {
 	return nil
 }
 
-// RegisterRef is a node's cached handle on one register. Obtain one with
+// RegisterRef is a node's handle on one register. Obtain one with
 // Node.RegisterRef and reuse it: all per-register resolution (the
 // submission queue) happened at creation, so the per-operation string-map
 // lookups of the Node-level API disappear from the hot path.
@@ -63,9 +63,11 @@ type RegisterRef struct {
 	q   *regQueue
 }
 
-// RegisterRef resolves a cached handle for the named register.
+// RegisterRef resolves the named register's handle. The handle lives in the
+// register's queue, which the engine never removes, so every call for one
+// name returns the same pointer and allocates nothing once the queue exists.
 func (nd *Node) RegisterRef(reg string) *RegisterRef {
-	return &RegisterRef{nd: nd, reg: reg, q: nd.eng.queueFor(reg)}
+	return &nd.eng.queueFor(reg).ref
 }
 
 // Name returns the register name.

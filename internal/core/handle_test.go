@@ -105,6 +105,20 @@ func TestRegisterRefOps(t *testing.T) {
 	}
 }
 
+// TestRegisterRefFromQueueMap pins where handles live: in the engine's
+// queue map, one per register, so resolving a known name returns the same
+// handle every time and allocates nothing.
+func TestRegisterRefFromQueueMap(t *testing.T) {
+	nd := handleCluster(t, 1, Persistent)[0]
+	ref := nd.RegisterRef("x")
+	if nd.RegisterRef("x") != ref || nd.RegisterRef("y") == ref {
+		t.Fatal("one name must resolve to one handle, two names to two")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { nd.RegisterRef("x") }); allocs != 0 {
+		t.Fatalf("RegisterRef of a known register allocates %v times", allocs)
+	}
+}
+
 // TestSafeReadSW exercises the writer-served safe read at the protocol
 // level: correct values, message economy (2 messages), and rejection under
 // other algorithms.

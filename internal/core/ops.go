@@ -115,7 +115,7 @@ func (nd *Node) Write(ctx context.Context, reg string, val []byte, obs OpObserve
 // concurrent executions for one register would mint the same timestamp for
 // different values.
 func (nd *Node) writeProtocol(ctx context.Context, q *regQueue, op, epoch uint64, val []byte) (tag.Tag, error) {
-	reg := q.reg
+	reg := q.ref.reg
 	if nd.kind == RegularSW {
 		return nd.writeRegularSW(ctx, op, epoch, reg, val)
 	}
@@ -241,7 +241,7 @@ func (nd *Node) writeRegularSW(ctx context.Context, op, epoch uint64, reg string
 // was adopted — the read's tag witness. Like writeProtocol, only q's
 // dispatcher calls it.
 func (nd *Node) readProtocol(ctx context.Context, q *regQueue, op, epoch uint64) ([]byte, tag.Tag, error) {
-	reg := q.reg
+	reg := q.ref.reg
 	// Round 1: collect tagged values from a majority.
 	acks, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{Kind: wire.KindRead, Reg: reg}, broadcast)
 	if err != nil {

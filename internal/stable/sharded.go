@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -1063,37 +1062,9 @@ func (sh *shard) readFrame(loc recLoc, want string) ([]byte, error) {
 	return data, nil
 }
 
-// Records implements Storage: the merged, sorted enumeration of every live
-// record across all shards — base index entries not shadowed by the
-// overlay, plus overlay entries that are not tombstones.
+// Records implements Storage: Scan's names across all shards, sorted.
 func (d *ShardedDisk) Records(prefix string) ([]string, error) {
-	var out []string
-	for _, sh := range d.shards {
-		sh.mu.Lock()
-		if sh.closed {
-			sh.mu.Unlock()
-			return nil, ErrClosed
-		}
-		for _, off := range sh.baseOffs {
-			nb, _ := indexEntry(sh.baseRaw, off)
-			if !strings.HasPrefix(string(nb), prefix) {
-				continue
-			}
-			name := string(nb)
-			if _, shadowed := sh.over[name]; shadowed {
-				continue
-			}
-			out = append(out, name)
-		}
-		for name, loc := range sh.over {
-			if !loc.tomb && strings.HasPrefix(name, prefix) {
-				out = append(out, name)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out, nil
+	return sortedScan(d, prefix)
 }
 
 // Scan implements Scanner: shards stream one at a time under their own

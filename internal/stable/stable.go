@@ -107,6 +107,20 @@ func ScanRecords(s Storage, prefix string, fn func(name string) error) error {
 	return nil
 }
 
+// sortedScan is Records built on an engine's Scan: every name the scan
+// streams, sorted.
+func sortedScan(sc Scanner, prefix string) ([]string, error) {
+	var out []string
+	if err := sc.Scan(prefix, func(name string) error {
+		out = append(out, name)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
 // ErrClosed is returned by operations on a closed storage.
 var ErrClosed = errors.New("stable: storage closed")
 
@@ -199,23 +213,9 @@ func NewMemDisk(prof Profile) *MemDisk {
 	return &MemDisk{prof: prof, records: make(map[string][]byte)}
 }
 
-// Store implements Storage; it waits for the profile's synchronous-write
-// latency before acknowledging, off the lock so concurrent readers proceed.
-// The wait uses spin.Sleep: λ ≈ 200 µs is far below time.Sleep granularity
-// on many kernels, and the Figure 6 reproduction depends on its fidelity.
+// Store implements Storage: a single-record group.
 func (d *MemDisk) Store(record string, data []byte) error {
-	if delay := d.prof.delay(len(data)); delay > 0 {
-		spin.Sleep(delay)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	d.records[record] = cp
-	return nil
+	return d.StoreBatch([]Record{{Name: record, Data: data}})
 }
 
 // StoreBatch implements Storage with a simulated group commit: the batch
@@ -223,7 +223,9 @@ func (d *MemDisk) Store(record string, data []byte) error {
 // payload, instead of one StoreDelay per record — the simulated-disk
 // counterpart of ShardedDisk's one fdatasync per batch, which is what lets
 // the fsync-amortization experiments run on the calibrated in-memory
-// testbed.
+// testbed. The wait runs off the lock, so concurrent readers proceed, and
+// uses spin.Sleep: λ ≈ 200 µs is far below time.Sleep granularity on many
+// kernels, and the Figure 6 reproduction depends on its fidelity.
 func (d *MemDisk) StoreBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -264,21 +266,9 @@ func (d *MemDisk) Retrieve(record string) ([]byte, bool, error) {
 	return cp, true, nil
 }
 
-// Records implements Storage.
+// Records implements Storage: Scan's names, sorted.
 func (d *MemDisk) Records(prefix string) ([]string, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, ErrClosed
-	}
-	var out []string
-	for name := range d.records {
-		if strings.HasPrefix(name, prefix) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+	return sortedScan(d, prefix)
 }
 
 // Scan implements Scanner: the record map streams under the store lock in

@@ -60,6 +60,9 @@ func (r *Register) Name() string { return r.name }
 // WithConsistency (RegularRegister only).
 func (r *Register) Read(ctx context.Context, opts ...OpOption) ([]byte, error) {
 	o := resolveOpts(opts)
+	if err := o.admit(ctx); err != nil {
+		return nil, err
+	}
 	ctx, cancel := o.opCtx(ctx)
 	defer cancel()
 	val, op, err := r.b.Read(ctx, o)
@@ -75,6 +78,9 @@ func (r *Register) Write(ctx context.Context, val []byte, opts ...OpOption) erro
 	o := resolveOpts(opts)
 	if o.Consistency != 0 {
 		return fmt.Errorf("recmem: WithConsistency applies to reads, not writes")
+	}
+	if err := o.admit(ctx); err != nil {
+		return err
 	}
 	ctx, cancel := o.opCtx(ctx)
 	defer cancel()
@@ -100,6 +106,9 @@ func (r *Register) SubmitWrite(val []byte, opts ...OpOption) (*WriteFuture, erro
 	if o.Consistency != 0 {
 		return nil, fmt.Errorf("recmem: WithConsistency applies to reads, not writes")
 	}
+	if err := o.admit(context.Background()); err != nil {
+		return nil, err
+	}
 	f, err := r.b.SubmitWrite(val, o)
 	if err != nil {
 		return nil, err
@@ -110,7 +119,11 @@ func (r *Register) SubmitWrite(val []byte, opts ...OpOption) (*WriteFuture, erro
 // SubmitRead asynchronously reads through the backend's batching engine;
 // concurrent submitted reads of one register share a single quorum round.
 func (r *Register) SubmitRead(opts ...OpOption) (*ReadFuture, error) {
-	f, err := r.b.SubmitRead(resolveOpts(opts))
+	o := resolveOpts(opts)
+	if err := o.admit(context.Background()); err != nil {
+		return nil, err
+	}
+	f, err := r.b.SubmitRead(o)
 	if err != nil {
 		return nil, err
 	}

@@ -814,36 +814,14 @@ var _ recmem.RegisterBackend = (*remoteRegister)(nil)
 // opDeadlineUS resolves the per-op deadline shipped to the server; like
 // deadlineUS, oversized deadlines clamp to the field's maximum. Only the
 // zero value means "no deadline". A negative (already-expired) deadline
-// never gets this far on the operation path — admit rejects it before a
-// frame is built — so a dead operation is neither shipped as unbounded nor
-// raced against its own reply.
+// never gets this far — recmem.Register's admission check rejects it before
+// the backend is called — so a dead operation is neither shipped as
+// unbounded nor raced against its own reply.
 func opDeadlineUS(o recmem.OpOptions) uint32 {
 	if o.Deadline == 0 {
 		return 0
 	}
 	return clampUS(o.Deadline.Microseconds())
-}
-
-// admit is the client-side admission check: an operation whose per-op
-// deadline has already expired is rejected with context.DeadlineExceeded
-// before a frame is sent. Nothing reaches the node, so no invocation is
-// recorded there and the operation provably never executes — a reply can no
-// longer beat the expired deadline and turn the failure into a success.
-func admit(o recmem.OpOptions) error {
-	if o.Deadline < 0 {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-// reject fails a synchronous operation before any frame was sent — its
-// context already done (an expired WithDeadline arrives as one), or refused
-// at submission — zeroing the WithWitness/WithEpoch captures like any failed
-// operation.
-func reject(o recmem.OpOptions, err error) error {
-	setWitness(o, nil, err)
-	setEpoch(o, nil, err)
-	return err
 }
 
 // Read and Write are the synchronous sole-owner paths: the call never
@@ -852,59 +830,47 @@ func reject(o recmem.OpOptions, err error) error {
 // they release it to the pool — a steady-state synchronous op recycles its
 // call object end to end.
 func (r *remoteRegister) Read(ctx context.Context, o recmem.OpOptions) ([]byte, recmem.OpID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, reject(o, err)
-	}
 	fut, err := r.SubmitRead(o)
 	if err != nil {
-		return nil, 0, reject(o, err)
+		capture(o, nil, err)
+		return nil, 0, err
 	}
 	val, err := fut.Wait(ctx)
-	setWitness(o, fut, err)
-	setEpoch(o, fut, err)
+	capture(o, fut, err)
 	op := recmem.OpID(fut.Op())
 	fut.(*call).release()
 	return val, op, err
 }
 
 func (r *remoteRegister) Write(ctx context.Context, val []byte, o recmem.OpOptions) (recmem.OpID, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, reject(o, err)
-	}
 	fut, err := r.SubmitWrite(val, o)
 	if err != nil {
-		return 0, reject(o, err)
+		capture(o, nil, err)
+		return 0, err
 	}
 	_, err = fut.Wait(ctx)
-	setWitness(o, fut, err)
-	setEpoch(o, fut, err)
+	capture(o, fut, err)
 	op := recmem.OpID(fut.Op())
 	fut.(*call).release()
 	return op, err
 }
 
-// setWitness resolves the WithWitness capture like every backend: the
-// operation's tag on success, zero on failure — a failed operation must
-// never leave a previous operation's witness in the caller's variable.
-func setWitness(o recmem.OpOptions, fut recmem.Future, err error) {
-	if o.Witness == nil {
-		return
+// capture resolves the WithWitness and WithEpoch captures like every
+// backend: the operation's tag and the incarnation epoch the node served it
+// under on success, zero on failure — a failed operation must never leave a
+// previous operation's witness or epoch in the caller's variables.
+func capture(o recmem.OpOptions, fut recmem.Future, err error) {
+	if o.Witness != nil {
+		*o.Witness = tag.Tag{}
+		if err == nil {
+			*o.Witness, _ = fut.(*call).TagWitness()
+		}
 	}
-	*o.Witness = tag.Tag{}
-	if err == nil {
-		*o.Witness, _ = fut.(*call).TagWitness()
-	}
-}
-
-// setEpoch resolves the WithEpoch capture the same way: the incarnation
-// epoch the node served the operation under on success, zero on failure.
-func setEpoch(o recmem.OpOptions, fut recmem.Future, err error) {
-	if o.Epoch == nil {
-		return
-	}
-	*o.Epoch = 0
-	if err == nil {
-		*o.Epoch, _ = fut.(*call).Incarnation()
+	if o.Epoch != nil {
+		*o.Epoch = 0
+		if err == nil {
+			*o.Epoch, _ = fut.(*call).Incarnation()
+		}
 	}
 }
 
@@ -916,17 +882,11 @@ func (r *remoteRegister) SubmitRead(o recmem.OpOptions) (recmem.Future, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := admit(o); err != nil {
-		return nil, err
-	}
 	return r.c.send(request{Kind: reqRead, Reg: r.name,
 		Consistency: uint8(mode), DeadlineUS: opDeadlineUS(o)})
 }
 
 func (r *remoteRegister) SubmitWrite(val []byte, o recmem.OpOptions) (recmem.Future, error) {
-	if err := admit(o); err != nil {
-		return nil, err
-	}
 	return r.c.send(request{Kind: reqWrite, Reg: r.name,
 		Value: val, DeadlineUS: opDeadlineUS(o)})
 }

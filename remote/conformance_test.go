@@ -8,6 +8,7 @@ package remote
 // an application.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -73,6 +74,7 @@ func TestConformance(t *testing.T) {
 		{"RegularWriterOnly", recmem.RegularRegister, confRegularWriter},
 		{"SafeReadSelection", recmem.RegularRegister, confSafeRead},
 		{"ConsistencyRejected", recmem.PersistentAtomic, confConsistencyRejected},
+		{"ExpiredDeadline", recmem.PersistentAtomic, confExpiredDeadline},
 		{"CloseReleasesHandle", recmem.PersistentAtomic, confClose},
 	}
 	for _, b := range backends {
@@ -231,6 +233,51 @@ func confConsistencyRejected(t *testing.T, clients []recmem.Client) {
 	}
 	if err := clients[0].Register("x").Write(ctx, []byte("v"), recmem.WithConsistency(recmem.Safety)); err == nil {
 		t.Fatal("consistency selection on a write accepted")
+	}
+}
+
+// confExpiredDeadline: an operation whose deadline has already expired, or
+// whose context is already done, is refused before it reaches the backend —
+// synchronous or submitted, on every backend — with its captures zeroed, and
+// it never executes.
+func confExpiredDeadline(t *testing.T, clients []recmem.Client) {
+	ctx := testCtx(t)
+	x := clients[0].Register("x")
+	var wit recmem.Tag
+	var ep uint64
+	if err := x.Write(ctx, []byte("v"), recmem.WithWitness(&wit), recmem.WithEpoch(&ep)); err != nil {
+		t.Fatal(err)
+	}
+	expired := recmem.WithDeadline(-time.Second)
+	if err := x.Write(ctx, []byte("late"), expired, recmem.WithWitness(&wit), recmem.WithEpoch(&ep)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired write = %v", err)
+	}
+	if !wit.IsZero() || ep != 0 {
+		t.Fatalf("expired write left witness %v, epoch %d", wit, ep)
+	}
+	if f, err := x.SubmitWrite([]byte("late"), expired); !errors.Is(err, context.DeadlineExceeded) {
+		if err == nil {
+			err = f.Wait(ctx)
+		}
+		t.Fatalf("expired submitted write = %v, want refused at submission", err)
+	}
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := x.Write(done, []byte("late")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("write under a done context = %v", err)
+	}
+	if _, err := x.Read(ctx, expired, recmem.WithWitness(&wit)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired read = %v", err)
+	}
+	if _, err := x.SubmitRead(expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired submitted read = %v", err)
+	}
+	// None of the refused writes executed, here or at another process.
+	for i, c := range clients {
+		got, err := c.Register("x").Read(ctx)
+		if err != nil || string(got) != "v" {
+			t.Fatalf("client %d read = %q, %v; want \"v\"", i, got, err)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package remote
 
 // Regression tests for the callback-driven dispatch path (docs/adr/0010):
-// the server must not spawn a goroutine per operation, and the dispatch
-// counters must account for every operation's completion.
+// the server must not spawn a goroutine per operation, the dispatch
+// counters must account for every operation's completion, and an expired
+// deadline answers once and still recycles its entry.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -123,5 +125,98 @@ func TestDispatchStats(t *testing.T) {
 				inflight, completions, before+ops+1)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitInflight polls until srv's in-flight gauge reads want. The gauge
+// drops when the last of an entry's two references — the deadline timer's
+// and the completion's — is released and the entry recycles.
+func waitInflight(t *testing.T, srv *Server, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		inflight, _, _ := srv.DispatchStats()
+		if inflight == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("inflight stuck at %d, want %d", inflight, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDispatchDeadlineExpiry drives the expiry path: with no majority the
+// write cannot complete, so its deadline answers the client, and the write
+// that completes once a majority is back only recycles the entry — it must
+// not reply a second time.
+func TestDispatchDeadlineExpiry(t *testing.T) {
+	mesh := startMesh(t, 3, core.Persistent)
+	c := mesh.dial(t, 0)
+	ctx := testCtx(t)
+	srv := mesh.servers[0]
+	reg := c.Register("dl")
+	if err := reg.Write(ctx, []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	waitInflight(t, srv, 0)
+	_, completions, deadlines := srv.DispatchStats()
+
+	mesh.nodes[1].Crash(nil)
+	mesh.nodes[2].Crash(nil)
+	f, err := reg.SubmitWrite([]byte("stuck"), recmem.WithDeadline(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("write without a majority resolved to %v, want DeadlineExceeded", err)
+	}
+	if inflight, comp, dl := srv.DispatchStats(); dl != deadlines+1 || comp != completions || inflight != 1 {
+		t.Fatalf("after expiry: inflight=%d completions=%d deadlines=%d, want 1, %d, %d",
+			inflight, comp, dl, completions, deadlines+1)
+	}
+
+	for _, nd := range mesh.nodes[1:] {
+		if err := nd.Recover(ctx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitInflight(t, srv, 0)
+	if _, comp, dl := srv.DispatchStats(); dl != deadlines+1 || comp != completions {
+		t.Fatalf("late completion replied again: completions=%d deadlines=%d, want %d, %d",
+			comp, dl, completions, deadlines+1)
+	}
+}
+
+// TestDispatchCloseWithArmedDeadline closes a server while an operation's
+// deadline is still armed: nothing panics, exactly one side — the deadline
+// or the completion — claims the operation, and its entry is recycled once
+// both have run.
+func TestDispatchCloseWithArmedDeadline(t *testing.T) {
+	mesh := startMesh(t, 3, core.Persistent)
+	c := mesh.dial(t, 0)
+	ctx := testCtx(t)
+	srv := mesh.servers[0]
+	mesh.nodes[1].Crash(nil)
+	mesh.nodes[2].Crash(nil)
+	if _, err := c.Register("dl").SubmitWrite([]byte("stuck"), recmem.WithDeadline(100*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	waitInflight(t, srv, 1)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Let the deadline fire into the closed connection before a majority
+	// returns. This orders the scenario, not the assertions: they hold
+	// whichever side claims the operation.
+	time.Sleep(200 * time.Millisecond)
+	for _, nd := range mesh.nodes[1:] {
+		if err := nd.Recover(ctx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitInflight(t, srv, 0)
+	if _, comp, dl := srv.DispatchStats(); comp+dl != 1 {
+		t.Fatalf("completions=%d deadlines=%d: the operation was claimed %d times, want once", comp, dl, comp+dl)
 	}
 }

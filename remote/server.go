@@ -61,12 +61,6 @@ type Server struct {
 	ln   net.Listener
 	opts ServerOptions
 
-	// refs caches the per-register handles, so repeated operations on one
-	// register skip the node's per-op resolution — the server-side
-	// equivalent of the client API's Register handles.
-	refMu sync.Mutex
-	refs  map[string]*core.RegisterRef
-
 	// stale pins the first read reply per register under StaleReads.
 	staleMu sync.Mutex
 	stale   map[string]response
@@ -81,13 +75,11 @@ type Server struct {
 	// log's records-per-fsync (docs/adr/0007, 0013).
 	wstats frame.Stats
 
-	// wheel is the single per-server deadline wheel; the dispatch counters
-	// below observe the callback completion path (docs/adr/0010):
-	// inflight is the number of write/read ops dispatched into the engine
-	// whose entries have not been recycled yet, cbCompletions the replies
-	// delivered by the completion callback, deadlineDrops the server-side
-	// waits abandoned by the wheel.
-	wheel         *opWheel
+	// The dispatch counters observe the callback completion path
+	// (docs/adr/0010): inflight is the number of write/read ops dispatched
+	// into the engine whose entries have not been recycled yet,
+	// cbCompletions the replies delivered by the completion callback,
+	// deadlineDrops the server-side waits abandoned by an expired deadline.
 	inflight      atomic.Int64
 	cbCompletions atomic.Uint64
 	deadlineDrops atomic.Uint64
@@ -111,7 +103,7 @@ func (s *Server) WriterStats() (bursts, frames uint64) {
 // DispatchStats reports the callback-completion counters (docs/adr/0010):
 // inflight is the number of dispatched write/read operations not yet
 // recycled, completions the replies delivered by the engine-side completion
-// callback, deadlines the server-side waits the timing wheel abandoned.
+// callback, deadlines the server-side waits an expired deadline abandoned.
 // completions + inflight covers every write/read ever dispatched; a steady
 // inflight under sustained load is the observable proof that dispatch is
 // goroutine-free AND leak-free.
@@ -127,11 +119,9 @@ func Serve(ln net.Listener, node *core.Node, opts ServerOptions) *Server {
 		node:  node,
 		ln:    ln,
 		opts:  opts.withDefaults(),
-		refs:  make(map[string]*core.RegisterRef),
 		stale: make(map[string]response),
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
-		wheel: newOpWheel(),
 	}
 	if s.opts.FreezeEpoch {
 		s.frozenEpoch = node.IncarnationEpoch()
@@ -165,20 +155,7 @@ func (s *Server) Close() error {
 		_ = c.Close()
 	}
 	s.wg.Wait()
-	s.wheel.stop()
 	return err
-}
-
-// ref resolves the cached register handle.
-func (s *Server) ref(reg string) *core.RegisterRef {
-	s.refMu.Lock()
-	defer s.refMu.Unlock()
-	r := s.refs[reg]
-	if r == nil {
-		r = s.node.RegisterRef(reg)
-		s.refs[reg] = r
-	}
-	return r
 }
 
 func (s *Server) acceptLoop() {
@@ -349,7 +326,7 @@ func (s *Server) dispatch(req request, c *srvConn) {
 	case reqWrite:
 		// The decoded request value is already an owned copy; hand it to the
 		// engine without the defensive re-copy SubmitWrite would make.
-		fut, err := s.ref(req.Reg).SubmitWriteOwned(req.Value, core.OpObserver{})
+		fut, err := s.node.RegisterRef(req.Reg).SubmitWriteOwned(req.Value, core.OpObserver{})
 		if err != nil {
 			c.reply(errResponse(req, err))
 			return
@@ -362,7 +339,7 @@ func (s *Server) dispatch(req request, c *srvConn) {
 				Msg: fmt.Sprintf("unknown read-consistency byte %d", req.Consistency)})
 			return
 		}
-		fut, err := s.ref(req.Reg).SubmitRead(core.ReadMode(req.Consistency), core.OpObserver{})
+		fut, err := s.node.RegisterRef(req.Reg).SubmitRead(core.ReadMode(req.Consistency), core.OpObserver{})
 		if err != nil {
 			c.reply(errResponse(req, err))
 			return
@@ -376,12 +353,12 @@ func (s *Server) dispatch(req request, c *srvConn) {
 }
 
 // opEntry tracks one dispatched write/read from submission to reply: the
-// completion callback's argument, the timing wheel's element, and the unit
-// of recycling for both itself and the operation's future. Exactly two
-// references exist while an op is in flight — the wheel's and the
-// callback's; claimed decides (exactly once) whether the reply comes from
-// the completion or from deadline expiry, and whoever drops the last
-// reference releases the future and recycles the entry.
+// completion callback's argument, the owner of the op's deadline timer, and
+// the unit of recycling for both itself and the operation's future. Exactly
+// two references exist while an op is in flight — the armed timer's and the
+// callback's; claimed decides (exactly once) whether the reply comes from the
+// completion or from deadline expiry, and whoever drops the last reference
+// releases the future and recycles the entry.
 type opEntry struct {
 	srv   *Server
 	c     *srvConn
@@ -394,21 +371,19 @@ type opEntry struct {
 	claimed atomic.Bool
 	refs    atomic.Int32
 
-	// Wheel linkage; guarded by the wheel's mutex.
-	next, prev *opEntry
-	slot       int
-	laps       int
-	inWheel    bool
+	// timer fires expire at the op's deadline. It is created on the entry's
+	// first use and survives recycling, so a pooled entry re-arms it with
+	// Reset — a round's retransmission timer is pooled the same way.
+	timer *time.Timer
 }
 
 // entryPool recycles opEntries across operations.
 var entryPool = sync.Pool{New: func() any { return &opEntry{} }}
 
 // trackOp arms the deadline and registers the completion callback for a
-// dispatched operation. This replaces the goroutine the old dispatch spawned
-// per write/read: the reply is now built wherever the future completes (the
-// engine's dispatch loop) and enqueued on the connection's writer, and the
-// deadline lives in the server's single timing wheel.
+// dispatched operation: the reply is built wherever the future completes
+// (the engine's dispatch loop) and enqueued on the connection's writer, and
+// the deadline is the entry's own runtime timer.
 func (s *Server) trackOp(c *srvConn, req request, fut *core.Future) {
 	d := s.opts.OpTimeout
 	if req.DeadlineUS > 0 {
@@ -419,22 +394,24 @@ func (s *Server) trackOp(c *srvConn, req request, fut *core.Future) {
 	e.kind, e.id, e.reg = req.Kind, req.ID, req.Reg
 	e.start = time.Now()
 	s.inflight.Add(1)
-	e.refs.Store(2) // before add: the wheel may expire the entry immediately
-	if !s.wheel.add(e, d) {
-		e.refs.Add(-1) // stopped wheel (server closing): callback ref only
+	e.refs.Store(2) // before arming: the timer may expire the entry immediately
+	if e.timer == nil {
+		e.timer = time.AfterFunc(d, e.expire)
+	} else {
+		e.timer.Reset(d)
 	}
 	fut.OnDone(opDone, e)
 }
 
 // opDone is the completion callback for every dispatched write/read: it runs
 // on whatever goroutine completed the operation (the engine's register
-// dispatcher), unlinks the deadline, builds the response and enqueues it on
+// dispatcher), disarms the deadline, builds the response and enqueues it on
 // the connection writer — all non-blocking. If the deadline already claimed
 // the op, the reply was a timeout and this late completion only recycles.
 func opDone(fut *core.Future, arg any) {
 	e := arg.(*opEntry)
 	s := e.srv
-	inWheel := s.wheel.remove(e)
+	disarmed := e.timer.Stop()
 	if e.claimed.CompareAndSwap(false, true) {
 		s.cbCompletions.Add(1)
 		val, err := fut.Wait(context.Background()) // done: returns immediately
@@ -457,17 +434,18 @@ func opDone(fut *core.Future, arg any) {
 			}
 		}
 	}
-	if inWheel {
-		// Completing first consumed the wheel's reference too.
+	if disarmed {
+		// Completing first consumed the timer's reference too.
 		e.dropRef()
 	}
 	e.dropRef()
 }
 
-// expire is the wheel's expiry action: reply DeadlineExceeded if the op is
-// still unclaimed, then drop the wheel's reference. The operation itself
+// expire is the deadline timer's action: reply DeadlineExceeded if the op is
+// still unclaimed, then drop the timer's reference. The operation itself
 // keeps running — a deadline only abandons the server-side wait — and its
-// eventual completion recycles the entry.
+// eventual completion recycles the entry. After Close the reply lands in a
+// closed writer and is dropped.
 func (e *opEntry) expire() {
 	if e.claimed.CompareAndSwap(false, true) {
 		e.srv.deadlineDrops.Add(1)
@@ -484,7 +462,7 @@ func (e *opEntry) dropRef() {
 	}
 	e.srv.inflight.Add(-1)
 	fut := e.fut
-	*e = opEntry{}
+	*e = opEntry{timer: e.timer}
 	entryPool.Put(e)
 	fut.Release()
 }
