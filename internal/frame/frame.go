@@ -95,14 +95,16 @@ func Read(r io.Reader, b *Buf, limit int) ([]byte, error) {
 type Stats struct{ Bursts, Frames atomic.Uint64 }
 
 // Writer puts frames from any number of producers onto one io.Writer.
-// Producers encode in place into the pending buffer (Append); whoever calls
-// Flush while no flush is running swaps the pending buffer out and issues
-// one Write for everything queued, again until nothing is — frames queued
-// while a Write is in flight ride the next one, and only the flusher ever
-// blocks on the socket. The first write error is sticky.
+// Producers encode in place into the pending buffer (Append). One flusher at
+// a time — a caller of Flush, or the goroutine Kick starts — swaps the
+// pending buffer out and issues one Write for everything queued, again until
+// nothing is: frames queued while a Write is in flight ride the next one, and
+// only the flusher ever blocks on the socket. The first write error is sticky.
 type Writer struct {
 	w     io.Writer
 	stats *Stats
+	run   func()         // flushQueued, bound once so that Kick allocates nothing
+	wg    sync.WaitGroup // the goroutine Kick started, waited for by Close
 
 	mu       sync.Mutex
 	pend     *Buf   // frames queued for the next Write; taken from the pool
@@ -117,14 +119,17 @@ func NewWriter(w io.Writer, stats *Stats) *Writer {
 	if stats == nil {
 		stats = new(Stats)
 	}
-	return &Writer{w: w, stats: stats}
+	fw := &Writer{w: w, stats: stats}
+	fw.run = fw.flushQueued
+	return fw
 }
 
 // Append queues one frame: enc appends the body behind a reserved prefix,
-// which is patched afterwards. If enc fails or the body exceeds limit the
-// pending buffer stays at its old length and the error is returned. On a
-// failed writer the frame is dropped, as the dead socket would have, and
-// Flush reports the error.
+// which is patched afterwards. enc is handed the whole pending batch, so it
+// may refuse a frame that would overfill it. If enc fails or the body
+// exceeds limit the pending buffer stays at its old length and the error is
+// returned. On a failed writer the frame is dropped, as the dead socket
+// would have, and Flush reports the error.
 func (w *Writer) Append(limit int, enc func([]byte) ([]byte, error)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -149,14 +154,43 @@ func (w *Writer) Append(limit int, enc func([]byte) ([]byte, error)) error {
 	return nil
 }
 
-// Flush writes everything queued unless another goroutine is already doing
-// so (that flush will carry it), and returns the writer's sticky error.
+// Flush writes everything queued on the caller's goroutine unless a flusher
+// already runs (it will carry it), and returns the writer's sticky error.
 func (w *Writer) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.flushing {
 		return w.err
 	}
+	return w.drain()
+}
+
+// Kick is Flush for callers that must never block on a socket: if frames
+// are queued and no flusher runs, it starts one goroutine that writes until
+// nothing is pending and exits (docs/adr/0020). On a failed write it closes
+// the io.Writer if that is an io.Closer, so the connection's reader sees it.
+func (w *Writer) Kick() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.flushing && w.queued > 0 {
+		w.flushing = true
+		w.wg.Add(1)
+		go w.run()
+	}
+}
+
+func (w *Writer) flushQueued() {
+	defer w.wg.Done()
+	w.mu.Lock()
+	err := w.drain()
+	w.mu.Unlock()
+	if c, ok := w.w.(io.Closer); ok && err != nil {
+		_ = c.Close()
+	}
+}
+
+// drain is the flusher's loop; it is entered and left holding mu.
+func (w *Writer) drain() error {
 	w.flushing = true
 	for w.err == nil && w.queued > 0 {
 		out, n := w.pend, w.queued
@@ -175,11 +209,13 @@ func (w *Writer) Flush() error {
 	return w.err
 }
 
-// Close fails the writer: queued and later frames are dropped.
+// Close fails the writer — queued and later frames are dropped — and returns
+// once the goroutine Kick started, if any, has exited.
 func (w *Writer) Close() {
 	w.mu.Lock()
 	w.fail(io.ErrClosedPipe)
 	w.mu.Unlock()
+	w.wg.Wait()
 }
 
 func (w *Writer) fail(err error) {

@@ -48,51 +48,112 @@ func (g *gate) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriterCoalesces pins the writer's contract: frames queued while a
+// TestWriterCoalesces pins the writer's contract for both kinds of flusher,
+// a caller of Flush and the goroutine Kick starts: frames queued while a
 // write is on the wire return at once and leave together in exactly one
 // further write, in order, and the counters say so.
 func TestWriterCoalesces(t *testing.T) {
-	g := newGate()
-	var st Stats
-	w := NewWriter(g, &st)
-	send := func(p string) error {
-		if err := w.Append(controlLimit, body([]byte(p))); err != nil {
-			return err
+	for _, kick := range []bool{false, true} {
+		g := newGate()
+		var st Stats
+		w := NewWriter(g, &st)
+		send := func(p string) error {
+			if err := w.Append(controlLimit, body([]byte(p))); err != nil {
+				return err
+			}
+			if kick {
+				w.Kick()
+				return nil
+			}
+			return w.Flush()
 		}
-		return w.Flush()
-	}
 
-	errc := make(chan error, 1)
-	go func() { errc <- send("first") }()
-	<-g.entered // the flusher is mid-write with frame 1
+		errc := make(chan error, 1)
+		go func() { errc <- send("first") }()
+		<-g.entered // the flusher is mid-write with frame 1
 
-	const n = 5
-	var want []byte
-	for i := 0; i < n; i++ {
-		p := string(rune('a' + i))
-		if err := send(p); err != nil { // returns without touching the gate
+		const n = 5
+		var want []byte
+		for i := 0; i < n; i++ {
+			p := string(rune('a' + i))
+			if err := send(p); err != nil { // returns without touching the gate
+				t.Fatal(err)
+			}
+			want = append(want, frameOf([]byte(p))...)
+		}
+		if b, f := st.Bursts.Load(), st.Frames.Load(); b != 1 || f != 1 {
+			t.Fatalf("kick=%v: mid-write stats = %d bursts, %d frames; want 1, 1", kick, b, f)
+		}
+
+		g.release <- nil // finish frame 1; the flusher sweeps the rest
+		<-g.entered
+		g.release <- nil
+		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, frameOf([]byte(p))...)
+		w.wg.Wait() // the kicked flusher, if any, has exited
+		if len(g.writes) != 2 {
+			t.Fatalf("kick=%v: %d frames took %d writes, want 2", kick, n+1, len(g.writes))
+		}
+		if !bytes.Equal(g.writes[0], frameOf([]byte("first"))) || !bytes.Equal(g.writes[1], want) {
+			t.Fatalf("kick=%v: stream broken: %x | %x", kick, g.writes[0], g.writes[1])
+		}
+		if b, f := st.Bursts.Load(), st.Frames.Load(); b != 2 || f != n+1 {
+			t.Fatalf("kick=%v: stats = %d bursts, %d frames; want 2, %d", kick, b, f, n+1)
+		}
 	}
-	if b, f := st.Bursts.Load(), st.Frames.Load(); b != 1 || f != 1 {
-		t.Fatalf("mid-write stats = %d bursts, %d frames; want 1, 1", b, f)
-	}
+}
 
-	g.release <- nil // finish frame 1; the flusher sweeps the rest
-	<-g.entered
+// flushers counts the goroutines Kick started that are still alive.
+func flushers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("created by recmem/internal/frame.(*Writer).Kick"))
+}
+
+// TestKickStartsOneFlusher: an idle writer starts no goroutine; the first
+// kick after an append starts exactly one, later kicks while it writes start
+// none, and the flusher exits once the writer is empty.
+func TestKickStartsOneFlusher(t *testing.T) {
+	g := newGate()
+	w := NewWriter(g, nil)
+	w.Kick() // nothing queued
+	if n := flushers(); n != 0 {
+		t.Fatalf("a kick on an empty writer left %d flushers", n)
+	}
+	_ = w.Append(controlLimit, body([]byte("a")))
+	w.Kick()
+	<-g.entered // the flusher is mid-write
+	for i := 0; i < 10; i++ {
+		_ = w.Append(controlLimit, body([]byte("b")))
+		w.Kick()
+	}
+	if n := flushers(); n != 1 {
+		t.Fatalf("%d flushers while one write is in flight, want 1", n)
+	}
 	g.release <- nil
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	<-g.entered // the ten kicks' frames, in one write
+	g.release <- nil
+	w.wg.Wait() // Done is the flusher's last act: it exited with the queue empty
+	if len(g.writes) != 2 || w.flushing || w.queued != 0 {
+		t.Fatalf("%d writes, flushing %v, %d queued; want 2, false, 0", len(g.writes), w.flushing, w.queued)
 	}
-	if len(g.writes) != 2 {
-		t.Fatalf("%d frames took %d writes, want 2", n+1, len(g.writes))
+}
+
+// TestWriterKickAllocatesNothing: the engine's steady cycle — append one
+// frame, kick, let the flusher write it and exit — allocates nothing, the
+// goroutine included.
+func TestWriterKickAllocatesNothing(t *testing.T) {
+	w := NewWriter(io.Discard, nil)
+	enc := body([]byte("steady"))
+	cycle := func() {
+		_ = w.Append(controlLimit, enc)
+		w.Kick()
+		w.wg.Wait()
 	}
-	if !bytes.Equal(g.writes[0], frameOf([]byte("first"))) || !bytes.Equal(g.writes[1], want) {
-		t.Fatalf("stream broken: %x | %x", g.writes[0], g.writes[1])
-	}
-	if b, f := st.Bursts.Load(), st.Frames.Load(); b != 2 || f != n+1 {
-		t.Fatalf("stats = %d bursts, %d frames; want 2, %d", b, f, n+1)
+	cycle() // warm: the first cycle takes a buffer from the pool
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("append/kick cycle allocates %.2f times, want 0", allocs)
 	}
 }
 
@@ -120,7 +181,8 @@ func TestWriterStickyError(t *testing.T) {
 		if err := w.Append(controlLimit, body(make([]byte, 1024))); err != nil {
 			t.Fatalf("append on a failed writer: %v", err)
 		}
-		if w.pend != nil || w.queued != 0 {
+		w.Kick() // starts nothing: there is nothing to write
+		if w.pend != nil || w.queued != 0 || w.flushing {
 			t.Fatalf("failed writer keeps queueing: %d frames pending", w.queued)
 		}
 	}
@@ -136,7 +198,26 @@ func TestWriterStickyError(t *testing.T) {
 	if c.pend != nil || c.Flush() == nil {
 		t.Fatalf("closed writer: pend %v, flush %v", c.pend, c.Flush())
 	}
+
+	// A kicked flusher whose write fails closes the connection, so the
+	// connection's reader sees the failure.
+	cg := &closerGate{gate: newGate(), closed: make(chan struct{})}
+	k := NewWriter(cg, nil)
+	_ = k.Append(controlLimit, body([]byte("z")))
+	k.Kick()
+	<-cg.entered
+	cg.release <- boom
+	<-cg.closed
+	k.Close()
 }
+
+// closerGate is a gate that is also an io.Closer.
+type closerGate struct {
+	*gate
+	closed chan struct{}
+}
+
+func (c *closerGate) Close() error { close(c.closed); return nil }
 
 // TestAppendRollsBack: an over-limit body or a failing encoder leaves the
 // pending batch exactly as it was.

@@ -11,6 +11,7 @@
 package nettcp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -26,15 +27,21 @@ import (
 // values for many registers, small enough to reject garbage length prefixes.
 const maxFrame = 16 << 20
 
-// One value each in every deployment, test and benchmark, so constants: a
-// dial or a single write taking longer drops the frames it carried (and, for
-// the write, the connection, redialed lazily); the receive queue drops on
-// overflow.
+// One value each in every deployment, test and benchmark, so constants
+// (docs/adr/0020): a dial or a single write taking longer drops the frames
+// it carried (and, for the write, the connection); a failed dial is retried
+// no sooner than redialBackoff later; a frame that would take a peer's
+// pending bytes past maxPending is dropped, and so is a frame that overflows
+// the receive queue.
 const (
-	dialTimeout  = 2 * time.Second
-	writeTimeout = 2 * time.Second
-	queueLen     = 4096
+	dialTimeout   = 2 * time.Second
+	writeTimeout  = 2 * time.Second
+	redialBackoff = 10 * time.Millisecond
+	maxPending    = 2 * maxFrame
+	queueLen      = 4096
 )
+
+var dialer = net.Dialer{Timeout: dialTimeout}
 
 // Options is empty: nothing about a mesh is tunable. The type stays only
 // because the frozen benchmark (bench/tracenode.go) names it in Listen.
@@ -45,52 +52,56 @@ type Mesh struct {
 	id   int32
 	ln   net.Listener
 	recv chan wire.Envelope
+	ctx  context.Context // done once Close starts: ends dials and backoffs
+	stop context.CancelFunc
 
-	mu       sync.Mutex
-	peers    []string
-	conns    map[int32]*peerConn
-	accepted map[net.Conn]struct{}
-	closed   bool
+	mu    sync.Mutex
+	peers []string
+	conns map[int32]*peerConn
+	open  map[net.Conn]struct{} // accepted and dialed, each with a read loop
 
 	wg sync.WaitGroup
 }
 
 // peerConn is the sending side of the link to one peer: a frame.Writer over
-// a lazily dialed connection. Senders encode into the writer and flush
-// inline, so frames queued while one sender's write is in flight — the
-// listener's acks, the outbox flusher's batches — leave in the next write
-// instead of queueing on a lock. No goroutine belongs to a peer.
+// a lazily dialed connection. Senders only encode into the writer and kick
+// it; the dial and every write run on the writer's on-demand flusher, never
+// on the engine goroutine that sent (docs/adr/0020).
 type peerConn struct {
-	m  *Mesh
-	id int32
-	w  *frame.Writer // over the peerConn itself
-
-	mu   sync.Mutex // conn: the one flusher against Close
-	conn net.Conn
+	m    *Mesh
+	id   int32
+	w    *frame.Writer // over the peerConn itself
+	conn net.Conn      // guarded by m.mu; its read loop clears it
 }
 
 // Write is the writer's socket: it dials on demand, at the address SetPeers
-// last gave the peer, and on any failure drops the bytes and the connection
-// — fair-lossy, the round will retransmit. It never reports an error, so the
-// writer never turns sticky and the next flush redials.
+// last gave the peer, and drops the bytes on any failure — fair-lossy, the
+// round retransmits — after a failed dial only once redialBackoff has
+// passed. It never reports an error, so the writer never turns sticky.
 func (pc *peerConn) Write(p []byte) (int, error) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.conn == nil {
-		addr, ok := pc.m.addr(pc.id)
-		if !ok {
-			return len(p), nil
-		}
-		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-		if err != nil {
-			return len(p), nil
-		}
-		pc.conn = conn
+	m := pc.m
+	m.mu.Lock()
+	conn, addr := pc.conn, ""
+	if int(pc.id) < len(m.peers) {
+		addr = m.peers[pc.id]
 	}
-	_ = pc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if _, err := pc.conn.Write(p); err != nil {
-		pc.conn.Close()
-		pc.conn = nil
+	m.mu.Unlock()
+	if conn == nil {
+		c, err := dialer.DialContext(m.ctx, "tcp", addr)
+		if err != nil {
+			select {
+			case <-time.After(redialBackoff):
+			case <-m.ctx.Done():
+			}
+			return len(p), nil
+		}
+		if conn = c; !m.serve(conn, pc) {
+			return len(p), nil
+		}
+	}
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if _, err := conn.Write(p); err != nil {
+		conn.Close() // its read loop forgets it
 	}
 	return len(p), nil
 }
@@ -106,12 +117,13 @@ func Listen(id int32, addr string, _ Options) (*Mesh, error) {
 		return nil, fmt.Errorf("nettcp: listen: %w", err)
 	}
 	m := &Mesh{
-		id:       id,
-		ln:       ln,
-		recv:     make(chan wire.Envelope, queueLen),
-		conns:    make(map[int32]*peerConn),
-		accepted: make(map[net.Conn]struct{}),
+		id:    id,
+		ln:    ln,
+		recv:  make(chan wire.Envelope, queueLen),
+		conns: make(map[int32]*peerConn),
+		open:  make(map[net.Conn]struct{}),
 	}
+	m.ctx, m.stop = context.WithCancel(context.Background())
 	m.wg.Add(1)
 	go m.acceptLoop()
 	return m, nil
@@ -135,31 +147,18 @@ func (m *Mesh) ID() int32 { return m.id }
 // Recv implements transport.Endpoint.
 func (m *Mesh) Recv() <-chan wire.Envelope { return m.recv }
 
-// Send implements transport.Endpoint: best-effort, never blocks beyond the
-// dial and write timeouts, drops on any failure.
+// Send implements transport.Endpoint: best-effort, never blocks, drops on
+// any failure.
 func (m *Mesh) Send(env wire.Envelope) {
 	env.From = m.id
-	if env.To == m.id {
-		m.loopback(env)
-		return
-	}
-	pc := m.peer(env.To)
-	if pc == nil {
-		return
-	}
-	if pc.w.Append(maxFrame, func(b []byte) ([]byte, error) { return wire.AppendEncode(b, env) }) == nil {
-		_ = pc.w.Flush()
-	}
+	m.send([]wire.Envelope{env})
 }
 
 var _ transport.BatchSender = (*Mesh)(nil)
 
 // SendBatch implements transport.BatchSender: all envelopes (one
 // destination) travel in batch frames — one write system call for the lot
-// instead of one per envelope. Bursts whose encoding would exceed the
-// receiver's frame limit are split across several frames: a frame the
-// receiver rejects would be rebuilt identically by every retransmission
-// sweep and never get through.
+// instead of one per envelope.
 func (m *Mesh) SendBatch(envs []wire.Envelope) {
 	if len(envs) == 0 {
 		return
@@ -169,33 +168,47 @@ func (m *Mesh) SendBatch(envs []wire.Envelope) {
 		env.From = m.id
 		stamped[i] = env
 	}
-	if stamped[0].To == m.id {
-		m.loopback(stamped...)
+	m.send(stamped)
+}
+
+// send queues envs, stamped and all to one destination, on the peer's writer
+// and kicks its flusher. Bursts whose encoding would exceed the receiver's
+// frame limit are split across several frames: a frame the receiver rejects
+// would be rebuilt identically by every retransmission sweep and never get
+// through. A frame that would take the peer past maxPending is dropped.
+func (m *Mesh) send(envs []wire.Envelope) {
+	if envs[0].To == m.id {
+		m.loopback(envs...)
 		return
 	}
-	pc := m.peer(stamped[0].To)
+	pc := m.peer(envs[0].To)
 	if pc == nil {
 		return
 	}
-	for len(stamped) > 0 {
-		chunk := min(len(stamped), wire.MaxBatchLen)
-		if wire.BatchSize(stamped[:chunk]) > maxFrame {
-			for chunk = 1; chunk < len(stamped); chunk++ {
-				if wire.BatchSize(stamped[:chunk+1]) > maxFrame {
+	for len(envs) > 0 {
+		chunk := min(len(envs), wire.MaxBatchLen)
+		if wire.BatchSize(envs[:chunk]) > maxFrame {
+			for chunk = 1; chunk < len(envs); chunk++ {
+				if wire.BatchSize(envs[:chunk+1]) > maxFrame {
 					break
 				}
 			}
 		}
-		part := stamped[:chunk]
-		stamped = stamped[chunk:]
-		_ = pc.w.Append(maxFrame, func(b []byte) ([]byte, error) {
+		part := envs[:chunk]
+		envs = envs[chunk:]
+		_ = pc.w.Append(maxFrame, func(b []byte) (out []byte, err error) {
 			if len(part) == 1 {
-				return wire.AppendEncode(b, part[0])
+				out, err = wire.AppendEncode(b, part[0])
+			} else {
+				out, err = wire.AppendEncodeBatch(b, part)
 			}
-			return wire.AppendEncodeBatch(b, part)
+			if err == nil && len(out) > maxPending {
+				err = frame.ErrTooLarge
+			}
+			return out, err
 		})
 	}
-	_ = pc.w.Flush()
+	pc.w.Kick()
 }
 
 // peer returns the sending side for process id, nil for an unknown peer or
@@ -203,7 +216,7 @@ func (m *Mesh) SendBatch(envs []wire.Envelope) {
 func (m *Mesh) peer(id int32) *peerConn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || id < 0 || int(id) >= len(m.peers) {
+	if m.ctx.Err() != nil || id < 0 || int(id) >= len(m.peers) {
 		return nil
 	}
 	pc := m.conns[id]
@@ -213,16 +226,6 @@ func (m *Mesh) peer(id int32) *peerConn {
 		m.conns[id] = pc
 	}
 	return pc
-}
-
-// addr resolves a peer's current address at dial time.
-func (m *Mesh) addr(id int32) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed || int(id) >= len(m.peers) {
-		return "", false
-	}
-	return m.peers[id], true
 }
 
 func (m *Mesh) deliver(env wire.Envelope) {
@@ -238,7 +241,7 @@ func (m *Mesh) deliver(env wire.Envelope) {
 func (m *Mesh) loopback(envs ...wire.Envelope) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
+	if m.ctx.Err() != nil {
 		return
 	}
 	for _, env := range envs {
@@ -250,28 +253,43 @@ func (m *Mesh) acceptLoop() {
 	defer m.wg.Done()
 	for {
 		conn, err := m.ln.Accept()
-		if err != nil {
+		if err != nil || !m.serve(conn, nil) {
 			return
 		}
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			conn.Close()
-			return
-		}
-		m.accepted[conn] = struct{}{}
-		m.mu.Unlock()
-		m.wg.Add(1)
-		go m.readLoop(conn)
 	}
 }
 
-func (m *Mesh) readLoop(conn net.Conn) {
+// serve starts conn's read loop, or closes conn if the mesh is closed. pc is
+// the peer a dialed conn sends to, nil for an accepted one.
+func (m *Mesh) serve(conn net.Conn, pc *peerConn) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.ctx.Err() != nil {
+		conn.Close()
+		return false
+	}
+	m.open[conn] = struct{}{}
+	if pc != nil {
+		pc.conn = conn
+	}
+	m.wg.Add(1)
+	go m.readLoop(conn, pc)
+	return true
+}
+
+// readLoop delivers what arrives on conn until it fails. Nothing arrives on
+// a dialed connection: there the loop notices the close, and forgets the
+// connection so that the next send redials instead of writing into a dead
+// incarnation's socket.
+func (m *Mesh) readLoop(conn net.Conn, pc *peerConn) {
 	defer m.wg.Done()
 	defer func() {
 		conn.Close()
 		m.mu.Lock()
-		delete(m.accepted, conn)
+		delete(m.open, conn)
+		if pc != nil && pc.conn == conn {
+			pc.conn = nil
+		}
 		m.mu.Unlock()
 	}()
 	// One buffer is reused across frames: wire.Decode copies the register
@@ -302,32 +320,23 @@ func (m *Mesh) readLoop(conn net.Conn) {
 	}
 }
 
-// Close shuts the mesh down and closes the receive channel.
+// Close shuts the mesh down and closes the receive channel. It returns once
+// every goroutine of the mesh has exited: read loops and flushers alike.
 func (m *Mesh) Close() error {
 	m.mu.Lock()
-	if m.closed {
+	if m.ctx.Err() != nil {
 		m.mu.Unlock()
 		return nil
 	}
-	m.closed = true
-	conns := m.conns
-	m.conns = make(map[int32]*peerConn)
-	accepted := make([]net.Conn, 0, len(m.accepted))
-	for conn := range m.accepted {
-		accepted = append(accepted, conn)
+	m.stop()
+	for conn := range m.open {
+		conn.Close() // its read loop deletes it once m.mu is free
 	}
 	m.mu.Unlock()
 
 	err := m.ln.Close()
-	for _, pc := range conns {
-		pc.mu.Lock()
-		if pc.conn != nil {
-			pc.conn.Close()
-		}
-		pc.mu.Unlock()
-	}
-	for _, conn := range accepted {
-		conn.Close()
+	for _, pc := range m.conns { // peer no longer adds to it
+		pc.w.Close()
 	}
 	m.wg.Wait()
 	close(m.recv)

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,44 +132,30 @@ func (c *gateConn) Write(p []byte) (int, error) {
 func (c *gateConn) SetWriteDeadline(time.Time) error { return nil }
 func (c *gateConn) Close() error                     { return nil }
 
-// TestSendsCoalesceBehindStalledWrite: senders to one peer never queue on a
-// lock behind another sender's write — a Send and a SendBatch issued while
-// the first write is stalled return at once and leave together in ONE
-// further write, as intact frames.
+// TestSendsCoalesceBehindStalledWrite: senders to one peer never wait on
+// its socket — a Send and a SendBatch issued while the flusher's first write
+// is stalled return at once and leave together in ONE further write, as
+// intact frames.
 func TestSendsCoalesceBehindStalledWrite(t *testing.T) {
 	m := newMeshes(t, 2)[0]
 	gc := &gateConn{entered: make(chan struct{}), release: make(chan struct{})}
 	pc := m.peer(1)
-	pc.mu.Lock()
+	m.mu.Lock()
 	pc.conn = gc
-	pc.mu.Unlock()
+	m.mu.Unlock()
 
-	first := make(chan struct{})
-	go func() {
-		m.Send(wire.Envelope{Kind: wire.KindWrite, To: 1, RPC: 1, Reg: "first"})
-		close(first)
-	}()
-	<-gc.entered // the first sender is mid-write
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		m.Send(wire.Envelope{Kind: wire.KindWriteAck, To: 1, RPC: 2, Reg: "ack"})
-	}()
-	go func() {
-		defer wg.Done()
-		m.SendBatch([]wire.Envelope{
-			{Kind: wire.KindRead, To: 1, RPC: 3, Reg: "b0"},
-			{Kind: wire.KindRead, To: 1, RPC: 4, Reg: "b1"},
-		})
-	}()
-	wg.Wait() // both returned while the socket is still stalled
+	m.Send(wire.Envelope{Kind: wire.KindWrite, To: 1, RPC: 1, Reg: "first"})
+	<-gc.entered // the flusher is mid-write; the sends below must not block
+	m.Send(wire.Envelope{Kind: wire.KindWriteAck, To: 1, RPC: 2, Reg: "ack"})
+	m.SendBatch([]wire.Envelope{
+		{Kind: wire.KindRead, To: 1, RPC: 3, Reg: "b0"},
+		{Kind: wire.KindRead, To: 1, RPC: 4, Reg: "b1"},
+	})
 
 	gc.release <- struct{}{}
 	<-gc.entered
 	gc.release <- struct{}{}
-	<-first
+	pc.w.Close() // returns once the flusher has exited
 
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
@@ -234,6 +224,104 @@ func TestWireBytesUnchanged(t *testing.T) {
 	}
 }
 
+// recvRPC waits for the next envelope on m and checks its RPC.
+func recvRPC(t *testing.T, m *Mesh, rpc uint64) {
+	t.Helper()
+	select {
+	case got := <-m.Recv():
+		if got.RPC != rpc {
+			t.Fatalf("got RPC %d, want %d", got.RPC, rpc)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("envelope %d never arrived", rpc)
+	}
+}
+
+// TestFirstSendAfterPeerRestartArrives: a peer that restarts on the same
+// address gets the very first envelope sent to its new incarnation. The
+// outbound connection's reader sees the old incarnation close, so the next
+// send redials instead of writing into a dead socket and waiting for a
+// retransmission.
+func TestFirstSendAfterPeerRestartArrives(t *testing.T) {
+	meshes := newMeshes(t, 2)
+	meshes[0].Send(wire.Envelope{Kind: wire.KindRead, To: 1, RPC: 1, Reg: "x"})
+	recvRPC(t, meshes[1], 1) // the connection to peer 1 exists
+
+	addr := meshes[1].Addr()
+	if err := meshes[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	m1b, err := Listen(1, addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m1b.Close() })
+	// A process restart takes longer than the old connection's close takes
+	// to reach the reader; grant the mesh that moment.
+	for i := 0; i < 100 && !forgotten(meshes[0], 1); i++ {
+		time.Sleep(time.Millisecond)
+	}
+	meshes[0].Send(wire.Envelope{Kind: wire.KindRead, To: 1, RPC: 2, Reg: "x"})
+	recvRPC(t, m1b, 2)
+}
+
+// forgotten reports whether m holds no connection to peer id.
+func forgotten(m *Mesh, id int32) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.conns[id] == nil || m.conns[id].conn == nil
+}
+
+// meshGoroutines counts the goroutines of any mesh: accept and read loops,
+// and the flushers of peer writers.
+func meshGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+		if bytes.Contains(g, []byte("recmem/internal/nettcp.(*Mesh)")) ||
+			bytes.Contains(g, []byte("created by recmem/internal/frame.(*Writer).Kick")) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCloseStopsFlushersAndReaders: Close returns once every goroutine of
+// the mesh is done — the read loops of accepted and of dialed connections,
+// and the peers' flushers, one of them stuck in a dial that would hang for
+// dialTimeout.
+func TestCloseStopsFlushersAndReaders(t *testing.T) {
+	stalled := stalledAddr(t)
+	meshes := newMeshes(t, 2)
+	addrs := []string{meshes[0].Addr(), meshes[1].Addr(), stalled}
+	for _, m := range meshes {
+		m.SetPeers(addrs)
+	}
+	meshes[0].Send(wire.Envelope{Kind: wire.KindRead, To: 1, RPC: 1})
+	meshes[1].Send(wire.Envelope{Kind: wire.KindRead, To: 0, RPC: 2})
+	recvRPC(t, meshes[1], 1)
+	recvRPC(t, meshes[0], 2)
+	meshes[0].Send(wire.Envelope{Kind: wire.KindRead, To: 2, RPC: 3})
+
+	start := time.Now()
+	for _, m := range meshes {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d > dialTimeout/2 {
+		t.Fatalf("Close took %v: it waited out the hanging dial", d)
+	}
+	// wg.Done is each goroutine's last deferred call; give it the moment to
+	// return.
+	for i := 0; i < 100 && meshGoroutines() != 0; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := meshGoroutines(); n != 0 {
+		t.Fatalf("%d mesh goroutines outlived Close", n)
+	}
+}
+
 func TestCloseIdempotentAndClosesRecv(t *testing.T) {
 	meshes := newMeshes(t, 2)
 	if err := meshes[0].Close(); err != nil {
@@ -247,19 +335,17 @@ func TestCloseIdempotentAndClosesRecv(t *testing.T) {
 	}
 }
 
-// TestEmulationOverTCP runs the full persistent-atomic emulation over real
-// sockets: the paper's deployment shape (one process per workstation), here
-// on loopback.
-func TestEmulationOverTCP(t *testing.T) {
-	const n = 3
-	meshes := newMeshes(t, n)
+// startNodes runs one persistent-atomic node of an n-process emulation on
+// each mesh.
+func startNodes(t *testing.T, meshes []*Mesh, n int) []*core.Node {
+	t.Helper()
 	ids := &atomic.Uint64{}
-	nodes := make([]*core.Node, n)
-	for i := 0; i < n; i++ {
+	nodes := make([]*core.Node, len(meshes))
+	for i, m := range meshes {
 		nd, err := core.NewNode(int32(i), n, core.Persistent,
 			core.Options{RetransmitEvery: 50 * time.Millisecond},
 			core.Deps{
-				Endpoint: meshes[i],
+				Endpoint: m,
 				Storage:  stable.NewMemDisk(stable.Profile{}),
 				IDs:      ids,
 			})
@@ -269,6 +355,14 @@ func TestEmulationOverTCP(t *testing.T) {
 		nodes[i] = nd
 		t.Cleanup(nd.Close)
 	}
+	return nodes
+}
+
+// TestEmulationOverTCP runs the full persistent-atomic emulation over real
+// sockets: the paper's deployment shape (one process per workstation), here
+// on loopback.
+func TestEmulationOverTCP(t *testing.T) {
+	nodes := startNodes(t, newMeshes(t, 3), 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := nodes[0].Write(ctx, "x", []byte("over-tcp"), core.OpObserver{}); err != nil {
@@ -290,4 +384,76 @@ func TestEmulationOverTCP(t *testing.T) {
 	if err != nil || string(val) != "over-tcp" {
 		t.Fatalf("read after recover = %q, %v", val, err)
 	}
+}
+
+// percentile returns the p-th percentile of ds, sorting them.
+func percentile(ds []time.Duration, p int) time.Duration {
+	slices.Sort(ds)
+	return ds[min(len(ds)-1, len(ds)*p/100)]
+}
+
+// TestStalledPeerDoesNotStallMajority: one peer whose every dial hangs until
+// dialTimeout (its accept queue is full) costs the healthy majority nothing.
+// Node 0's sync writes and reads on a 3-process mesh whose process 2 is
+// stalled keep a healthy mesh's latencies — p50 within 1.25×, write p99
+// within 2× — because no engine goroutine dials or writes a socket. The two
+// meshes run side by side, their operations interleaved, so drift of the
+// machine hits both alike.
+func TestStalledPeerDoesNotStallMajority(t *testing.T) {
+	stalled := stalledAddr(t)
+	healthy := startNodes(t, newMeshes(t, 3), 3)[0]
+	live := newMeshes(t, 2)
+	for _, m := range live {
+		m.SetPeers([]string{live[0].Addr(), live[1].Addr(), stalled})
+	}
+	sick := startNodes(t, live, 3)[0]
+
+	// measure returns the bounds one round of interleaved operations breaks.
+	measure := func() (broken []string) {
+		const ops = 300
+		var lat [2][2][]time.Duration // [healthy, sick][write, read]
+		for i := -20; i < ops; i++ {  // the first 20 of each are not timed
+			for side, nd := range []*core.Node{healthy, sick} {
+				for kind := range 2 {
+					ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+					start := time.Now()
+					var err error
+					if kind == 0 {
+						_, err = nd.Write(ctx, "x", []byte("v"), core.OpObserver{})
+					} else {
+						_, _, err = nd.Read(ctx, "x", core.OpObserver{})
+					}
+					cancel()
+					if err != nil {
+						t.Fatalf("mesh %d, op %d: %v", side, i, err)
+					}
+					if i >= 0 {
+						lat[side][kind] = append(lat[side][kind], time.Since(start))
+					}
+				}
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			kind, pct int
+			bound     float64
+		}{{"write_p50", 0, 50, 1.25}, {"write_p99", 0, 99, 2}, {"read_p50", 1, 50, 1.25}} {
+			h, s := percentile(lat[0][c.kind], c.pct), percentile(lat[1][c.kind], c.pct)
+			t.Logf("%s: healthy %v, one peer stalled %v", c.name, h, s)
+			if float64(s) > c.bound*float64(h) {
+				broken = append(broken, fmt.Sprintf("%s with a stalled peer is %v, over %.2f× the healthy mesh's %v", c.name, s, c.bound, h))
+			}
+		}
+		return broken
+	}
+	// The best of three rounds is judged: a burst of load from whatever else
+	// the machine runs must not fail a latency bound, while a stalled
+	// majority misses it by seconds in every round.
+	var broken []string
+	for round := 0; round < 3; round++ {
+		if broken = measure(); len(broken) == 0 {
+			return
+		}
+	}
+	t.Error(strings.Join(broken, "; "))
 }

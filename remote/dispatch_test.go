@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ import (
 )
 
 // goroutineBudget is the per-connection allowance on top of the pre-burst
-// baseline: the dialed connection's own read/write goroutines, the server's
-// per-connection pair, and scheduler slack. The point of the bound is the
+// baseline: the dialed connection's own goroutines, the server's read loop
+// and reply flusher, and scheduler slack. The point of the bound is the
 // asymptote — 1000 in-flight ops must not mean hundreds of awaiting
 // goroutines, which is exactly what the pre-callback dispatch path did.
 const goroutineBudget = 24
@@ -218,5 +219,42 @@ func TestDispatchCloseWithArmedDeadline(t *testing.T) {
 	waitInflight(t, srv, 0)
 	if _, comp, dl := srv.DispatchStats(); comp+dl != 1 {
 		t.Fatalf("completions=%d deadlines=%d: the operation was claimed %d times, want once", comp, dl, comp+dl)
+	}
+}
+
+// TestIdleConnectionCostsOneGoroutine: an idle control connection costs the
+// server exactly one goroutine, its read loop. Each connection is used once
+// — a ping whose reply starts the connection's on-demand flusher — and the
+// flusher exits as soon as the reply is written.
+func TestIdleConnectionCostsOneGoroutine(t *testing.T) {
+	mesh := startMesh(t, 3, core.Persistent)
+	ping, err := encodeRequest(request{Kind: reqPing, ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine() // the idle mesh: nothing on demand runs
+
+	const k = 8
+	for i := 0; i < k; i++ {
+		conn, err := net.Dial("tcp", mesh.controlAddr(0)) // a raw socket: no client goroutines
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeFrame(conn, ping); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readFrame(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last reply's flusher may still be returning; give it a second.
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); got != base+k && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if got != base+k {
+		t.Fatalf("%d idle connections grew the goroutine count by %d, want %d", k, got-base, k)
 	}
 }

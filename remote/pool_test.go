@@ -193,40 +193,36 @@ func TestConnWriterCoalesces(t *testing.T) {
 }
 
 // TestServerReplyGroupCommit pins the acceptance-bar observable
-// deterministically: queue a pile of responses BEFORE the writer wakes, and
-// the whole pile must leave in ONE gathered socket write, counted as one
-// burst carrying that many frames (WriterStats).
+// deterministically: replies queued while the connection's flusher is
+// mid-write must leave together in ONE further socket write, counted as one
+// burst carrying that many frames (WriterStats), intact and in order.
 func TestServerReplyGroupCommit(t *testing.T) {
 	s := &Server{}
 	conn := &gateConn{entered: make(chan struct{}), release: make(chan struct{})}
-	c := &srvConn{conn: conn, w: frame.NewWriter(conn, &s.wstats), wake: make(chan struct{}, 1)}
+	w := frame.NewWriter(conn, &s.wstats)
+	reply(w, response{Kind: reqPing, ID: 0}) // starts the flusher
+	<-conn.entered                           // ... which is mid-write with reply 0
 	const queued = 5
 	for i := 1; i <= queued; i++ {
-		c.reply(response{Kind: reqPing, ID: uint64(i)})
+		reply(w, response{Kind: reqPing, ID: uint64(i)})
 	}
-	connDone := make(chan struct{})
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		c.writeLoop(connDone)
-	}()
-	<-conn.entered // the writer is mid-write with its first burst
 	conn.release <- struct{}{}
-	close(connDone)
-	<-writerDone
+	<-conn.entered // the pile, in one write
+	conn.release <- struct{}{}
+	w.Close() // returns once the flusher has exited
 
 	bursts, frames := s.WriterStats()
-	if bursts != 1 || frames != queued {
-		t.Fatalf("WriterStats = %d bursts, %d frames; want 1 burst carrying %d frames", bursts, frames, queued)
+	if bursts != 2 || frames != queued+1 {
+		t.Fatalf("WriterStats = %d bursts, %d frames; want reply 0, then 1 burst carrying %d frames", bursts, frames, queued)
 	}
 	conn.mu.Lock()
 	writes, stream := conn.writes, conn.buf.Bytes()
 	conn.mu.Unlock()
-	if writes != 1 {
-		t.Fatalf("%d queued replies took %d socket writes, want 1", queued, writes)
+	if writes != 2 {
+		t.Fatalf("%d queued replies took %d socket writes after the first, want 1", queued, writes-1)
 	}
 	r := bytes.NewReader(stream)
-	for want := uint64(1); want <= queued; want++ {
+	for want := uint64(0); want <= queued; want++ {
 		body, err := readFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", want, err)

@@ -179,60 +179,37 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// srvConn is one connection's server-side state: the socket, the writer
-// replies are encoded into, and the wake channel of the goroutine that
-// flushes it. Replies are queued by the engine's completion callback
-// (docs/adr/0010), which runs inline in a dispatch loop and must NEVER block
-// on a slow client: reply only appends under the writer's mutex, which is
-// never held across a socket write, and what is queued is bounded by the
-// client's own in-flight ops.
-type srvConn struct {
-	conn net.Conn
-	w    *frame.Writer
-	wake chan struct{}
-}
-
-// reply encodes r into the connection's pending batch and wakes the writer
-// goroutine. Never blocks and never touches the socket; replies after the
-// writer exited (dead connection) are dropped, exactly as the socket would
-// have dropped them.
-func (c *srvConn) reply(r response) {
-	err := c.w.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendResponse(b, r) })
+// reply encodes r into a connection's writer and kicks its on-demand
+// flusher (docs/adr/0020). It runs in the engine's completion callback
+// (docs/adr/0010) and must NEVER block on a slow client: Append holds the
+// writer's mutex only for the encode, what is queued is bounded by the
+// client's own in-flight ops, and a reply to a closed connection is dropped.
+func reply(w *frame.Writer, r response) {
+	err := w.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendResponse(b, r) })
 	if err != nil {
 		// Unencodable response (oversized value): answer with an error
 		// response instead; this encode cannot fail.
 		r = response{Kind: r.Kind, ID: r.ID, Code: codeGeneric, Msg: err.Error()}
-		_ = c.w.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendResponse(b, r) })
+		_ = w.Append(MaxFrame, func(b []byte) ([]byte, error) { return appendResponse(b, r) })
 	}
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
+	w.Kick()
 }
 
-// serveConn runs one connection: a read loop decoding and dispatching
-// requests, and a single writer goroutine serializing response frames.
-// Operations respond through the writer as they complete — out of order,
-// correlated by request id — so the read loop never blocks on an operation
-// and the connection pipelines. These two are the ONLY goroutines a
-// connection costs: write/read dispatch registers a completion callback
-// instead of spawning an awaiter (docs/adr/0010).
+// serveConn runs one connection's read loop, the ONLY goroutine an idle
+// connection costs: replies leave on the writer's on-demand flusher. They
+// go as operations complete — out of order, correlated by request id — so
+// the read loop never blocks on an operation and the connection pipelines;
+// write/read dispatch registers a completion callback instead of spawning
+// an awaiter (docs/adr/0010).
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	w := frame.NewWriter(conn, &s.wstats)
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		_ = conn.Close()
-	}()
-
-	c := &srvConn{conn: conn, w: frame.NewWriter(conn, &s.wstats), wake: make(chan struct{}, 1)}
-	connDone := make(chan struct{})
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		c.writeLoop(connDone)
+		w.Close() // waits out a flusher the closed conn has just failed
 	}()
 
 	// The read loop reuses one frame buffer across requests (the decoder
@@ -245,7 +222,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		body, err := frame.Read(conn, rb, MaxFrame)
 		if err != nil {
-			break
+			return
 		}
 		req, err := decodeRequestReuse(body, names)
 		if err != nil {
@@ -253,38 +230,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			// kind) with an error response; drop the connection only on
 			// frames too broken to carry an id.
 			if len(body) >= 10 {
-				c.reply(response{Kind: reqKind(body[1] &^ byte(respFlag)), ID: binary.BigEndian.Uint64(body[2:]),
+				reply(w, response{Kind: reqKind(body[1] &^ byte(respFlag)), ID: binary.BigEndian.Uint64(body[2:]),
 					Code: codeBadRequest, Msg: err.Error()})
 				continue
 			}
-			break
-		}
-		s.dispatch(req, c)
-	}
-	close(connDone)
-	writerWG.Wait()
-}
-
-// writeLoop is one connection's writer goroutine: every wakeup flushes the
-// connection's frame.Writer, which puts everything queued on the socket in
-// one write and goes again for whatever the completion callbacks queued
-// meanwhile — one syscall per burst of out-of-order replies, mirroring the
-// log's fsync group commit. It returns when connDone closes or a write
-// fails (closing conn to unblock the read loop), and closes the writer so
-// late completion callbacks drop their replies instead of queueing for
-// nobody.
-func (c *srvConn) writeLoop(connDone <-chan struct{}) {
-	defer c.w.Close()
-	for {
-		select {
-		case <-c.wake:
-		case <-connDone:
 			return
 		}
-		if c.w.Flush() != nil {
-			_ = c.conn.Close() // unblocks the read loop
-			return
-		}
+		s.dispatch(req, w)
 	}
 }
 
@@ -292,23 +244,23 @@ func (c *srvConn) writeLoop(connDone <-chan struct{}) {
 // through a completion callback on the operation's future — no goroutine is
 // spawned per op (docs/adr/0010); only the rare blocking recovery keeps its
 // own goroutine.
-func (s *Server) dispatch(req request, c *srvConn) {
+func (s *Server) dispatch(req request, w *frame.Writer) {
 	switch req.Kind {
 	case reqPing:
-		c.reply(response{Kind: reqPing, ID: req.ID})
+		reply(w, response{Kind: reqPing, ID: req.ID})
 
 	case reqInfo:
-		c.reply(response{Kind: reqInfo, ID: req.ID,
+		reply(w, response{Kind: reqInfo, ID: req.ID,
 			NodeID: s.node.ID(), N: int32(s.node.N()), Quorum: int32(s.node.Quorum()),
 			Algorithm: uint8(s.node.Algorithm()),
 			Epoch:     s.epoch(s.node.IncarnationEpoch())})
 
 	case reqCrash:
 		if !s.node.Crash(nil) {
-			c.reply(errResponse(req, core.ErrDown))
+			reply(w, errResponse(req, core.ErrDown))
 			return
 		}
-		c.reply(response{Kind: reqCrash, ID: req.ID})
+		reply(w, response{Kind: reqCrash, ID: req.ID})
 
 	case reqRecover:
 		go func() {
@@ -316,10 +268,10 @@ func (s *Server) dispatch(req request, c *srvConn) {
 			defer cancel()
 			start := time.Now()
 			if err := s.node.Recover(ctx, nil, nil); err != nil {
-				c.reply(errResponse(req, err))
+				reply(w, errResponse(req, err))
 				return
 			}
-			c.reply(response{Kind: reqRecover, ID: req.ID,
+			reply(w, response{Kind: reqRecover, ID: req.ID,
 				LatencyUS: uint64(time.Since(start).Microseconds())})
 		}()
 
@@ -328,26 +280,26 @@ func (s *Server) dispatch(req request, c *srvConn) {
 		// engine without the defensive re-copy SubmitWrite would make.
 		fut, err := s.node.RegisterRef(req.Reg).SubmitWriteOwned(req.Value, core.OpObserver{})
 		if err != nil {
-			c.reply(errResponse(req, err))
+			reply(w, errResponse(req, err))
 			return
 		}
-		s.trackOp(c, req, fut)
+		s.trackOp(w, req, fut)
 
 	case reqRead:
 		if req.Consistency > uint8(core.ReadSafe) {
-			c.reply(response{Kind: req.Kind, ID: req.ID, Code: codeBadRequest,
+			reply(w, response{Kind: req.Kind, ID: req.ID, Code: codeBadRequest,
 				Msg: fmt.Sprintf("unknown read-consistency byte %d", req.Consistency)})
 			return
 		}
 		fut, err := s.node.RegisterRef(req.Reg).SubmitRead(core.ReadMode(req.Consistency), core.OpObserver{})
 		if err != nil {
-			c.reply(errResponse(req, err))
+			reply(w, errResponse(req, err))
 			return
 		}
-		s.trackOp(c, req, fut)
+		s.trackOp(w, req, fut)
 
 	default:
-		c.reply(response{Kind: req.Kind, ID: req.ID, Code: codeBadRequest,
+		reply(w, response{Kind: req.Kind, ID: req.ID, Code: codeBadRequest,
 			Msg: "unknown request kind"})
 	}
 }
@@ -361,7 +313,7 @@ func (s *Server) dispatch(req request, c *srvConn) {
 // releases the future and recycles the entry.
 type opEntry struct {
 	srv   *Server
-	c     *srvConn
+	w     *frame.Writer // the connection's reply writer
 	fut   *core.Future
 	kind  reqKind
 	id    uint64
@@ -384,13 +336,13 @@ var entryPool = sync.Pool{New: func() any { return &opEntry{} }}
 // dispatched operation: the reply is built wherever the future completes
 // (the engine's dispatch loop) and enqueued on the connection's writer, and
 // the deadline is the entry's own runtime timer.
-func (s *Server) trackOp(c *srvConn, req request, fut *core.Future) {
+func (s *Server) trackOp(w *frame.Writer, req request, fut *core.Future) {
 	d := s.opts.OpTimeout
 	if req.DeadlineUS > 0 {
 		d = time.Duration(req.DeadlineUS) * time.Microsecond
 	}
 	e := entryPool.Get().(*opEntry)
-	e.srv, e.c, e.fut = s, c, fut
+	e.srv, e.w, e.fut = s, w, fut
 	e.kind, e.id, e.reg = req.Kind, req.ID, req.Reg
 	e.start = time.Now()
 	s.inflight.Add(1)
@@ -416,12 +368,12 @@ func opDone(fut *core.Future, arg any) {
 		s.cbCompletions.Add(1)
 		val, err := fut.Wait(context.Background()) // done: returns immediately
 		if err != nil {
-			e.c.reply(errResponseAt(e.kind, e.id, err))
+			reply(e.w, errResponseAt(e.kind, e.id, err))
 		} else {
 			wit, _ := fut.TagWitness()
 			inc, _ := fut.Incarnation()
 			if e.kind == reqWrite {
-				e.c.reply(response{Kind: reqWrite, ID: e.id, Op: fut.Op(),
+				reply(e.w, response{Kind: reqWrite, ID: e.id, Op: fut.Op(),
 					LatencyUS: uint64(time.Since(e.start).Microseconds()), Tag: wit,
 					Epoch: s.epoch(inc)})
 			} else {
@@ -430,7 +382,7 @@ func opDone(fut *core.Future, arg any) {
 				if s.opts.StaleReads {
 					resp = s.staleize(e.reg, resp)
 				}
-				e.c.reply(resp)
+				reply(e.w, resp)
 			}
 		}
 	}
@@ -449,7 +401,7 @@ func opDone(fut *core.Future, arg any) {
 func (e *opEntry) expire() {
 	if e.claimed.CompareAndSwap(false, true) {
 		e.srv.deadlineDrops.Add(1)
-		e.c.reply(errResponseAt(e.kind, e.id, context.DeadlineExceeded))
+		reply(e.w, errResponseAt(e.kind, e.id, context.DeadlineExceeded))
 	}
 	e.dropRef()
 }
