@@ -295,9 +295,10 @@ func readRoundsBanner(node *core.Node) string {
 }
 
 // adoptionsBanner follows readRoundsBanner: how many StoreBatch calls this
-// node's logger made and how many records they carried — replica adoptions
-// and the node's own pre-logs together (docs/adr/0017, 0019); records per
-// group is the node's group-commit ratio.
+// node's logger made and how many records they carried — every store of the
+// node, replica adoptions, its own pre-logs and its recoveries' records
+// together (docs/adr/0017, 0019); records per group is the node's
+// group-commit ratio.
 func adoptionsBanner(node *core.Node) string {
 	groups, records := node.Adoptions()
 	ratio := 0.0

@@ -45,24 +45,29 @@ func (o *overlapDisk) StoreBatch(recs []stable.Record) error {
 	return o.Storage.StoreBatch(recs)
 }
 
-// TestListenerAnswersDuringAdoption: while an adoption's store is held, an
-// SNQuery and a Read are answered — from the old, logged state — and an
-// acknowledgement for one of the node's own rounds is routed, so the node's
-// read completes.
+// TestListenerAnswersDuringAdoption: while an adoption's store is held, a
+// Read is answered — from the old, logged state — and acknowledgements for
+// one of the node's own rounds are routed, so the node's read completes. The
+// log-optimal algorithms answer an SNQuery at once too. Naive logs it, so its
+// answer queues on the logger and arrives only after the release, as does
+// the intent log of its own read, which writes back.
 func TestListenerAnswersDuringAdoption(t *testing.T) {
 	const self = 2
-	for _, kind := range []AlgorithmKind{Transient, Persistent} {
+	for _, kind := range []AlgorithmKind{Transient, Persistent, Naive} {
 		t.Run(kind.String(), func(t *testing.T) {
 			gate := newGatedDisk(stable.NewMemDisk(stable.Profile{}), recWrittenPrefix+"x")
 			p := newPipeNode(t, self, kind, gate, nil)
 			defer close(p.ep.in)
 
-			p.push(wire.KindWrite, 0, "x", tagValue{tagOf(5, 0, 0), []byte("v5")})
+			held := tagOf(5, 0, 0)
+			p.push(wire.KindWrite, 0, "x", tagValue{held, []byte("v5")})
 			<-gate.entered
 
 			p.push(wire.KindSNQuery, 0, "x", tagValue{})
-			if ack := p.expect(wire.KindSNAck); !ack.Tag.IsZero() {
-				t.Fatalf("SN ack during the held store = %v, want the zero tag", ack)
+			if kind != Naive {
+				if ack := p.expect(wire.KindSNAck); !ack.Tag.IsZero() {
+					t.Fatalf("SN ack during the held store = %v, want the zero tag", ack)
+				}
 			}
 			p.push(wire.KindRead, 1, "x", tagValue{})
 			if ack := p.expect(wire.KindReadAck); !ack.Tag.IsZero() || ack.To != 1 {
@@ -84,12 +89,37 @@ func TestListenerAnswersDuringAdoption(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			if val, err := fut.Wait(ctx); err != nil || string(val) != "r0" {
+			if kind == Naive {
+				// The read's query round completed: its intent log is queued
+				// behind the held store, next to the unanswered SNQuery.
+				p.waitQueued(2)
+			} else if val, err := fut.Wait(ctx); err != nil || string(val) != "r0" {
 				t.Fatalf("own read during the held store = %q, %v; want r0", val, err)
 			}
 
 			close(gate.release)
 			p.expect(wire.KindWriteAck)
+			if kind == Naive {
+				// The SN ack, logged after the adoption, and the read's
+				// write-back round, in either order.
+				sn, acked := false, map[int32]bool{self: true}
+				for !sn || len(acked) < 3 {
+					switch env := p.next(); {
+					case env.Kind == wire.KindSNAck:
+						if env.Tag != held {
+							t.Fatalf("SN ack after the release = %v, want tag %v", env, held)
+						}
+						sn = true
+					case env.Kind == wire.KindWriteBack && !acked[env.To]:
+						acked[env.To] = true
+						p.ep.in <- wire.Envelope{Kind: wire.KindWriteAck, From: env.To, To: self, Reg: env.Reg,
+							RPC: env.RPC, Op: env.Op}
+					}
+				}
+				if val, err := fut.Wait(ctx); err != nil || string(val) != "r0" {
+					t.Fatalf("own read = %q, %v; want r0", val, err)
+				}
+			}
 		})
 	}
 }
@@ -148,6 +178,8 @@ func TestAdopterStoresInDeliveryOrder(t *testing.T) {
 // for the held group, the Ws queued behind it are dropped with the rest of
 // the volatile state, and after Recover nothing from the old epoch is
 // adopted — the next acknowledgement is for a W delivered after recovery.
+// The recovery's own records queue behind the held store (the logger is
+// FIFO), so the store is released while Recover waits.
 func TestAdoptionsDroppedOnCrash(t *testing.T) {
 	const self = 2
 	for _, kind := range []AlgorithmKind{Transient, Persistent} {
@@ -169,10 +201,13 @@ func TestAdoptionsDroppedOnCrash(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			if err := p.nd.Recover(ctx, nil, nil); err != nil {
+			recovered := make(chan error, 1)
+			go func() { recovered <- p.nd.Recover(ctx, nil, nil) }()
+			p.waitQueued(1) // the recovery's incarnation record
+			close(gate.release)
+			if err := <-recovered; err != nil {
 				t.Fatal(err)
 			}
-			close(gate.release)
 
 			after := p.push(wire.KindWrite, 1, "z", tagValue{tagOf(1, 1, 0), []byte("z1")})
 			if ack := p.expect(wire.KindWriteAck); ack.RPC != after {

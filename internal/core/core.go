@@ -263,10 +263,11 @@ type Node struct {
 	oneRound           bool
 	readsOne, readsTwo atomic.Uint64
 
-	// adopter is the node's logger (listener.go): it persists the write
-	// envelopes the listener hands over and the executions' pre-logs; it is
-	// pushed, taken and dropped under mu. logGroups and logRecords count its
-	// StoreBatch calls and the records they carried (Adoptions).
+	// adopter is the node's logger (listener.go) and its one store path: it
+	// persists the envelopes the listener hands over, the executions'
+	// pre-logs and the recoveries' records; it is pushed, taken and dropped
+	// under mu. logGroups and logRecords count its StoreBatch calls and the
+	// records they carried (Adoptions).
 	adopter               adopter
 	logGroups, logRecords atomic.Uint64
 
@@ -461,10 +462,10 @@ func (nd *Node) ReadRounds() (one, two uint64) {
 }
 
 // Adoptions reports how many StoreBatch calls this node's logger made and how
-// many records they carried — the replica's written/ adoptions and the
-// executions' own pre-logs together: records per group is the node's
-// group-commit ratio (docs/adr/0017, 0019). Recovery's stores and Naive's
-// inline listener stores are not the logger's and are not counted.
+// many records they carried — every store of the node: the replica's
+// adoptions, the executions' own pre-logs and the recoveries' records
+// together. Records per group is the node's group-commit ratio (docs/adr/0017,
+// 0019).
 func (nd *Node) Adoptions() (groups, records uint64) {
 	return nd.logGroups.Load(), nd.logRecords.Load()
 }
@@ -574,7 +575,8 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 	}
 	nd.mu.Unlock()
 
-	if err := nd.runRecoveryProcedure(ctx, epoch); err != nil {
+	stats, err := nd.runRecoveryProcedure(ctx, epoch)
+	if err != nil {
 		// The procedure could not complete (no reachable majority, storage
 		// fault, cancellation): fall back to the crashed state so Recover
 		// can be retried.
@@ -591,7 +593,10 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 	if nd.state != stateRecovering || nd.epoch != epoch {
 		return ErrCrashed
 	}
-	nd.state = stateUp
+	// Only a recovery that finished publishes what it did: the recovery
+	// count (0 but for Fig. 5's algorithms, as restoreCounter left it) and
+	// the stats.
+	nd.state, nd.rec, nd.lastRecovery = stateUp, stats.RecoveryCount, stats
 	return nil
 }
 
@@ -623,9 +628,11 @@ func (nd *Node) traceEvent(kind, detail string) {
 	}
 }
 
-// recordLog reports one store to the causal meter.
+// recordLog reports one store to the causal meter; op 0 is the harness's
+// own bookkeeping, not a causal log, and is not reported. The logger's
+// commitGroup is its one caller.
 func (nd *Node) recordLog(op uint64, depth, bytes int) {
-	if nd.lm != nil {
+	if nd.lm != nil && op != 0 {
 		nd.lm.RecordLog(op, depth, bytes)
 	}
 }

@@ -32,6 +32,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int, kind AlgorithmKind, opts Options, netOpts netsim.Options) *testCluster {
 	t.Helper()
+	return newWrappedCluster(t, n, kind, opts, netOpts, nil)
+}
+
+// newWrappedCluster is newTestCluster with every node's storage passed
+// through wrap, if non-nil, on top of its counting memdisk.
+func newWrappedCluster(t *testing.T, n int, kind AlgorithmKind, opts Options, netOpts netsim.Options, wrap func(stable.Storage) stable.Storage) *testCluster {
+	t.Helper()
 	if opts.RetransmitEvery == 0 {
 		opts.RetransmitEvery = 10 * time.Millisecond
 	}
@@ -47,9 +54,13 @@ func newTestCluster(t *testing.T, n int, kind AlgorithmKind, opts Options, netOp
 	for i := 0; i < n; i++ {
 		disk := stable.NewCounting(stable.NewMemDisk(stable.Profile{}))
 		tc.disks = append(tc.disks, disk)
+		var st stable.Storage = disk
+		if wrap != nil {
+			st = wrap(disk)
+		}
 		nd, err := NewNode(int32(i), n, kind, opts, Deps{
 			Endpoint: nw.Endpoint(int32(i)),
-			Storage:  disk,
+			Storage:  st,
 			IDs:      ids,
 			LogMeter: tc.logs,
 			MsgMeter: tc.msgs,

@@ -35,12 +35,11 @@ const adoptQueueLimit = 4096
 //
 // The listener never waits on the disk (docs/adr/0017): it routes
 // acknowledgements and answers SNQuery/Read inline — Fig. 4's read logs
-// nothing — and pushes the write kinds onto the node's logger, whose drainer
-// persists them (adopter.drain). Everything already delivered (the
-// envelopes of a batch frame land back to back) is gathered into one group,
-// and the replies one handled group produced leave as one batch frame per
-// destination (sendPerDest). The naive ablation keeps its stores inline: a
-// store per step is its point.
+// nothing — and pushes the kinds that log onto the node's logger, whose
+// drainer persists them (adopter.drain): the write kinds, and under Naive the
+// SNQuery too. Everything already delivered (the envelopes of a batch frame
+// land back to back) is gathered into one group, and the replies one handled
+// group produced leave as one batch frame per destination (sendPerDest).
 func (nd *Node) listen() {
 	defer close(nd.listenerDone)
 	// Listener-owned scratch, reused across groups.
@@ -72,16 +71,16 @@ func (nd *Node) gather(group []wire.Envelope) []wire.Envelope {
 }
 
 // handleGroup dispatches one gathered delivery group: acknowledgements are
-// routed as they appear, query kinds are answered individually (they never
-// log outside the naive ablation), and the write kinds — compacted in place
-// to the front of group — are queued on the logger (handled inline for
-// Naive). A process that is not serving drops them (a delivery to a down
-// process), and so does a full logger queue (fair-lossy; the rounds
-// retransmit). The replies are appended to out. The serving check and the
-// push hold nd.mu, as Crash's drop does, so no W delivered before a crash is
-// queued after it.
+// routed as they appear, query kinds are answered individually, and the kinds
+// that log — the write kinds, and Naive's SNQuery, which the straw man logs —
+// compacted in place to the front of group, are queued on the logger. A
+// process that is not serving drops them (a delivery to a down process), and
+// so does a full logger queue (fair-lossy; the rounds retransmit). The
+// replies are appended to out. The serving check and the push hold nd.mu, as
+// Crash's drop does, so no envelope delivered before a crash is queued after
+// it.
 func (nd *Node) handleGroup(group, out []wire.Envelope) []wire.Envelope {
-	writes := group[:0]
+	logged := group[:0]
 	for _, env := range group {
 		if env.Kind.IsAck() {
 			nd.routeAck(env)
@@ -90,48 +89,48 @@ func (nd *Node) handleGroup(group, out []wire.Envelope) []wire.Envelope {
 		if nd.tr != nil {
 			nd.traceEvent("recv", env.String())
 		}
-		switch env.Kind {
-		case wire.KindSNQuery:
-			out = nd.handleSNQuery(env, out)
-		case wire.KindRead:
+		switch {
+		case env.Kind == wire.KindRead:
 			out = nd.handleRead(env, out)
-		case wire.KindWrite, wire.KindWriteBack:
-			writes = append(writes, env)
+		case env.Kind == wire.KindSNQuery && nd.kind != Naive:
+			out = nd.handleSNQuery(env, out)
+		case env.Kind == wire.KindSNQuery, env.Kind == wire.KindWrite, env.Kind == wire.KindWriteBack:
+			logged = append(logged, env)
 		}
 	}
-	if len(writes) == 0 {
+	if len(logged) == 0 {
 		return out
 	}
 	nd.mu.Lock()
-	epoch := nd.epoch
-	if nd.kind != Naive && nd.servingLocked() {
-		nd.adopter.admit(writes)
+	if nd.servingLocked() {
+		nd.adopter.admit(logged)
 	}
 	nd.mu.Unlock()
-	if nd.kind == Naive {
-		for _, env := range writes {
-			out = nd.handleWrite(env, epoch, out)
-		}
-	}
 	return out
 }
 
-// logItem is one entry of the logger's queue: a W or WB envelope to adopt,
-// or, when pre is set, a log of one of the node's own executions.
+// logItem is one entry of the logger's queue: an envelope to log — a W or
+// WB to adopt, or Naive's SNQuery — or, when pre is set, a record of one of
+// the node's own executions.
 type logItem struct {
 	env wire.Envelope
 	pre *preLog
 }
 
-// preLog is one causal log of an execution's own chain — the writer's
-// writing/ pre-log, or Naive's intent logs — on its way through the logger
-// (storeLog). A register's dispatcher has at most one in flight, so its
-// regQueue owns it and waiting allocates nothing. It completes exactly once:
-// by the logger with its group's StoreBatch result, or by a crash's drop.
+// preLog is one record of the node's own on its way through the logger
+// (storeLog): a causal log of an execution's chain — the writer's writing/
+// pre-log, Naive's intent logs — or a recovery's record. op and depth are
+// what the causal meter is told once it is stored; op 0 marks the harness's
+// own bookkeeping, which is no causal log. A register's dispatcher has at most
+// one in flight, so its regQueue owns it and waiting allocates nothing; a
+// recovery brings its own. It completes exactly once: by the logger with its
+// group's StoreBatch result, or by a crash's drop.
 type preLog struct {
-	rec  stable.Record
-	err  error
-	wait sync.WaitGroup
+	rec   stable.Record
+	op    uint64
+	depth int
+	err   error
+	wait  sync.WaitGroup
 }
 
 // complete hands the execution waiting in storeLog its log's outcome.
@@ -141,11 +140,10 @@ func (w *preLog) complete(err error) {
 }
 
 // adopter is the node's logger (docs/adr/0019): its drainer is the only
-// goroutine that stores while the node serves (recovery and Naive's inline
-// listener stores aside). It persists the write envelopes the listener
-// pushes and the pre-logs storeLog pushes, whatever was queued together as
-// one StoreBatch. Its queue is pushed, taken and dropped under nd.mu; Crash,
-// a failed recovery and Close drop it.
+// goroutine that stores. It persists the envelopes the listener pushes and
+// the records storeLog pushes — the executions' logs and the recoveries' —
+// whatever was queued together as one StoreBatch. Its queue is pushed, taken
+// and dropped under nd.mu; Crash, a failed recovery and Close drop it.
 type adopter struct {
 	drainQueue[logItem]
 	nd               *Node
@@ -153,7 +151,7 @@ type adopter struct {
 	replies, scratch []wire.Envelope
 }
 
-// admit queues the write envelopes of one delivery group, as many as
+// admit queues the envelopes of one delivery group that log, as many as
 // adoptQueueLimit leaves room for. Callers hold nd.mu.
 func (a *adopter) admit(envs []wire.Envelope) {
 	envs = envs[:min(len(envs), adoptQueueLimit-a.envs)]
@@ -177,17 +175,22 @@ func (a *adopter) drop(err error) {
 
 // drain takes the oldest queued items, at most listenerGatherLimit at a
 // time, and commits each group — one StoreBatch — until the queue is empty.
-// Being the only store path of a serving node, it keeps the stores in queue
-// order and never overlaps two of them; whatever is queued behind a running
-// store joins the next group — group commit with no timer. Each group is
-// taken together with the epoch it was taken under, in one nd.mu section, so
-// a group held through a crash is dropped unacknowledged by the epoch check
-// and nothing taken before a crash is adopted after the recovery.
+// Being the node's only store path, it keeps the stores in queue order and
+// never overlaps two of them; whatever is queued behind a running store
+// joins the next group — group commit with no timer. Naive's groups are
+// single items: the straw man stores each of its steps on its own (§I-C),
+// which is the cost it exists to show. Each group is taken together with
+// the epoch it was taken under, in one nd.mu section, so a group held through
+// a crash is dropped unacknowledged by the epoch check and nothing taken
+// before a crash is adopted after the recovery.
 func (a *adopter) drain() {
-	nd := a.nd
+	nd, limit := a.nd, listenerGatherLimit
+	if nd.kind == Naive {
+		limit = 1
+	}
 	for {
 		nd.mu.Lock()
-		batch, epoch := a.take(listenerGatherLimit), nd.epoch
+		batch, epoch := a.take(limit), nd.epoch
 		for _, it := range batch {
 			if it.pre == nil {
 				a.envs--
@@ -261,29 +264,17 @@ func (nd *Node) downErrLocked() error {
 
 // handleSNQuery implements Fig. 4 lines 18–20: reply with the current
 // sequence number (we return the full tag; the writer uses its Seq). The
-// naive algorithm additionally logs the step. The register view materializes
-// lazily — the first query after a restart loads the written/ record.
+// register view materializes lazily — the first query after a restart loads
+// the written/ record. Naive's queries, which the straw man logs, go to the
+// logger instead (commitGroup).
 func (nd *Node) handleSNQuery(env wire.Envelope, out []wire.Envelope) []wire.Envelope {
-	cur, epoch, err := nd.regView(env.Reg)
+	cur, _, err := nd.regView(env.Reg)
 	if err != nil {
 		return out // down, crashed mid-load, or the record is unreadable
 	}
-
-	depth := int(env.Depth)
-	if nd.kind == Naive {
-		payload := encodeTagged(cur.tag, nil)
-		if err := nd.st.Store(recSNLogPrefix+env.Reg, payload); err != nil {
-			return out
-		}
-		depth = causal.After(depth)
-		nd.recordLog(env.Op, depth, len(payload))
-		if !nd.stillServing(epoch) {
-			return out
-		}
-	}
 	return append(out, wire.Envelope{
 		Kind: wire.KindSNAck, To: env.From, Reg: env.Reg,
-		RPC: env.RPC, Op: env.Op, Depth: uint8(depth), Tag: cur.tag,
+		RPC: env.RPC, Op: env.Op, Depth: env.Depth, Tag: cur.tag,
 	})
 }
 
@@ -291,7 +282,7 @@ func (nd *Node) handleSNQuery(env wire.Envelope, out []wire.Envelope) []wire.Env
 // value, materialized from stable storage if this incarnation has not
 // touched the register yet (absent record = zero state, the paper's ⊥).
 // Under the logging algorithms the tag it reports is always one the written/
-// record already carries (see handleWrite), which OneRoundReads relies on —
+// record already carries (see commitGroup), which OneRoundReads relies on —
 // also while the adopter holds a store of a newer tag: the view has not moved
 // yet, so the answer is the old, logged tag.
 func (nd *Node) handleRead(env wire.Envelope, out []wire.Envelope) []wire.Envelope {
@@ -305,53 +296,6 @@ func (nd *Node) handleRead(env wire.Envelope, out []wire.Envelope) []wire.Envelo
 	})
 }
 
-// handleWrite implements Fig. 4 lines 21–27 for Naive, inline on the
-// listener, for both the write's second round (W) and the read's write-back
-// round (WB): log the resulting state — the straw man logs every step, even
-// one that changes nothing — adopt the received timestamp if it is higher
-// than the local one, then acknowledge. epoch is the crash generation the
-// envelope was received under: a W never outlives the incarnation that
-// received it.
-func (nd *Node) handleWrite(env wire.Envelope, epoch uint64, out []wire.Envelope) []wire.Envelope {
-	cur, e, err := nd.regView(env.Reg)
-	if err != nil || e != epoch {
-		return out
-	}
-
-	adopt := cur.tag.Less(env.Tag)
-	depth := int(env.Depth)
-	if nd.logsAdoption(env) {
-		state := cur
-		if adopt {
-			state = regState{tag: env.Tag, val: env.Value}
-		}
-		payload := encodeTagged(state.tag, state.val)
-		if err := nd.st.Store(recWrittenPrefix+env.Reg, payload); err != nil {
-			return out // cannot acknowledge what is not durable
-		}
-		depth = causal.After(int(env.Depth))
-		nd.recordLog(env.Op, depth, len(payload))
-		if nd.tr != nil {
-			nd.traceEvent("store", recWrittenPrefix+env.Reg+" tag="+env.Tag.String())
-		}
-	}
-
-	nd.mu.Lock()
-	if nd.epoch != epoch || !nd.servingLocked() {
-		nd.mu.Unlock()
-		return out // crashed while logging; no acknowledgement
-	}
-	if adopt && nd.regs[env.Reg].tag.Less(env.Tag) {
-		nd.regs[env.Reg] = regState{tag: env.Tag, val: env.Value}
-	}
-	nd.mu.Unlock()
-
-	return append(out, wire.Envelope{
-		Kind: wire.KindWriteAck, To: env.From, Reg: env.Reg,
-		RPC: env.RPC, Op: env.Op, Depth: uint8(depth),
-	})
-}
-
 // commitGroup stores one logger group, taken under crash generation epoch,
 // with a single StoreBatch and appends the acknowledgements of its envelopes
 // to out. It implements Fig. 4 lines 21–27 for both the write's second round
@@ -360,9 +304,13 @@ func (nd *Node) handleWrite(env wire.Envelope, epoch uint64, out []wire.Envelope
 // register, the envelope carrying the highest timestamp is processed first
 // (it is the only possible adoption), after which the rest of the register's
 // envelopes find the local timestamp at least as high and acknowledge
-// without logging. The winning adoptions' written/ records and the group's
-// pre-logs persist as one batch — one group commit — and nothing is
-// acknowledged unless the whole batch is durable.
+// without logging. Naive, the straw man, logs every step instead: each of its
+// W, WB and SNQuery envelopes writes the register's resulting state, even one
+// that changes nothing, and each of its acknowledgements is one log deeper.
+// The group's records — adoptions and the node's own, in queue order —
+// persist as one batch, one group commit, and nothing is acknowledged unless
+// the whole batch is durable. Every stored record is reported here, to the
+// causal meter and the trace: this is the node's one store path.
 //
 // Logging happens before the volatile update and before the acknowledgement
 // — a crash between them behaves like a crash just after the log, which the
@@ -381,95 +329,128 @@ func (nd *Node) commitGroup(batch []logItem, epoch uint64, out []wire.Envelope) 
 			}
 		}
 	}
-	// The per-register winner: the highest delivered timestamp.
-	win := make(map[string]wire.Envelope, len(batch))
-	for _, it := range batch {
+	// Each register's fate in the group: its state after it — the view,
+	// raised to the highest timestamp a W or WB delivered — and the index of
+	// the item that adopts that state (-1: none). Each regView materializes
+	// the entry before the store begins, so a concurrent load never inserts
+	// a record whose store has not returned. A view that cannot be read under
+	// epoch — a crash since the take, or an unreadable record — fails the
+	// whole group before anything is stored: no envelope is acknowledged (the
+	// rounds retransmit, exactly as for a crash detected later) and no
+	// pre-log of a dead incarnation is written.
+	type fate struct {
+		st  regState
+		win int
+	}
+	regs := make(map[string]fate, len(batch))
+	for i, it := range batch {
 		if it.pre != nil {
 			continue
 		}
-		if w, ok := win[it.env.Reg]; !ok || w.Tag.Less(it.env.Tag) {
-			win[it.env.Reg] = it.env
+		env := it.env
+		f, ok := regs[env.Reg]
+		if !ok {
+			cur, e, err := nd.regView(env.Reg)
+			if err == nil && e != epoch || errors.Is(err, ErrDown) {
+				err = ErrCrashed
+			}
+			if err != nil {
+				settle(err)
+				return out
+			}
+			f = fate{st: cur, win: -1}
 		}
+		if env.Kind != wire.KindSNQuery && f.st.tag.Less(env.Tag) {
+			f = fate{st: regState{tag: env.Tag, val: env.Value}, win: i}
+		}
+		regs[env.Reg] = f
 	}
-	// Keep the winners that adopt, and collect the logs their adoptions
-	// require into one batch. The two differ for the no-logging paths
-	// (crash-stop, the UnsafeNoReadLog ablation), which adopt without
-	// storing. Each regView materializes the entry before the store begins,
-	// so a concurrent load never inserts a record whose store has not
-	// returned. A view that cannot be read under epoch — a crash since the
-	// take, or an unreadable record — fails the whole group before anything
-	// is stored: no envelope is acknowledged (the rounds retransmit, exactly
-	// as for a crash detected later) and no pre-log of a dead incarnation is
-	// written.
+	// logs reports whether batch[i] writes a record: every record of the
+	// node's own and every Naive step; otherwise an adoption that logs. The
+	// two differ for the no-logging paths (crash-stop, the UnsafeNoReadLog
+	// ablation), which adopt without storing.
+	logs := func(i int) bool {
+		env := batch[i].env
+		switch {
+		case batch[i].pre != nil || env.Kind == wire.KindSNQuery:
+			return true
+		case !nd.logsAdoption(env):
+			return false
+		}
+		return nd.kind == Naive || regs[env.Reg].win == i
+	}
 	var recs []stable.Record
-	for reg, env := range win {
-		cur, e, err := nd.regView(reg)
-		if err == nil && e != epoch || errors.Is(err, ErrDown) {
-			err = ErrCrashed
-		}
-		if err != nil {
-			settle(err)
-			return out
-		}
-		if !cur.tag.Less(env.Tag) {
-			delete(win, reg)
-		} else if nd.logsAdoption(env) {
-			recs = append(recs, stable.Record{Name: recWrittenPrefix + reg, Data: encodeTagged(env.Tag, env.Value)})
-		}
-	}
-	adoptions := len(recs)
-	for _, it := range batch {
-		if it.pre != nil {
+	for i, it := range batch {
+		switch env := it.env; {
+		case !logs(i):
+		case it.pre != nil:
 			recs = append(recs, it.pre.rec)
+		case env.Kind == wire.KindSNQuery:
+			recs = append(recs, stable.Record{Name: recSNLogPrefix + env.Reg, Data: encodeTagged(regs[env.Reg].st.tag, nil)})
+		default:
+			st := regs[env.Reg].st
+			recs = append(recs, stable.Record{Name: recWrittenPrefix + env.Reg, Data: encodeTagged(st.tag, st.val)})
 		}
 	}
 	if len(recs) > 0 {
-		err := nd.st.StoreBatch(recs)
-		settle(err)
-		if err != nil {
+		if err := nd.st.StoreBatch(recs); err != nil {
 			// Cannot acknowledge what is not durable; the rounds retransmit
 			// and the whole group is retried.
+			settle(err)
 			return out
 		}
 		nd.logGroups.Add(1)
 		nd.logRecords.Add(uint64(len(recs)))
-		for _, rec := range recs[:adoptions] {
-			env := win[rec.Name[len(recWrittenPrefix):]]
-			nd.recordLog(env.Op, causal.After(int(env.Depth)), len(rec.Data))
-			if nd.tr != nil {
-				nd.traceEvent("store", rec.Name+" tag="+env.Tag.String())
+		// Metered before settle: a woken execution reuses its preLog.
+		j := 0
+		for i, it := range batch {
+			if !logs(i) {
+				continue
 			}
+			op, depth := it.env.Op, causal.After(int(it.env.Depth))
+			if it.pre != nil {
+				op, depth = it.pre.op, it.pre.depth
+			}
+			nd.recordLog(op, depth, len(recs[j].Data))
+			nd.traceEvent("store", recs[j].Name)
+			j++
 		}
+		settle(nil)
 	}
 
 	// Apply the volatile adoptions — only now, after StoreBatch returned —
-	// then acknowledge every envelope of the group: the logged winners with
+	// then acknowledge every envelope of the group: the logged ones with
 	// their deepened causal depth, the rest exactly as if they had been
-	// delivered after the winner.
+	// delivered after the winner. A Naive SNQuery is answered with the
+	// state it logged.
 	nd.mu.Lock()
 	if nd.epoch != epoch || !nd.servingLocked() {
 		nd.mu.Unlock()
 		return out // crashed while logging; no acknowledgements
 	}
-	for reg, env := range win {
-		if nd.regs[reg].tag.Less(env.Tag) {
-			nd.regs[reg] = regState{tag: env.Tag, val: env.Value}
+	for reg, f := range regs {
+		if f.win >= 0 && nd.regs[reg].tag.Less(f.st.tag) {
+			nd.regs[reg] = f.st
 		}
 	}
 	nd.mu.Unlock()
 
-	for _, it := range batch {
+	for i, it := range batch {
 		if it.pre != nil {
 			continue
 		}
 		env, depth := it.env, int(it.env.Depth)
-		if w, ok := win[env.Reg]; ok && w.RPC == env.RPC && w.From == env.From && nd.logsAdoption(w) {
+		if logs(i) {
 			depth = causal.After(depth)
 		}
-		out = append(out, wire.Envelope{
+		ack := wire.Envelope{
 			Kind: wire.KindWriteAck, To: env.From, Reg: env.Reg,
 			RPC: env.RPC, Op: env.Op, Depth: uint8(depth),
-		})
+		}
+		if env.Kind == wire.KindSNQuery {
+			ack.Kind, ack.Tag = wire.KindSNAck, regs[env.Reg].st.tag
+		}
+		out = append(out, ack)
 	}
 	return out
 }
@@ -478,14 +459,8 @@ func (nd *Node) commitGroup(batch []logItem, epoch uint64, out []wire.Envelope) 
 // the crash-stop baseline, nor for a read's write-back under the
 // UnsafeNoReadLog ablation, which demonstrates the Theorem 2 lower bound.
 // Otherwise the log-optimal algorithms log exactly when they adopt a higher
-// timestamp (hence quiescent reads log nowhere), and Naive logs every W.
+// timestamp (hence quiescent reads log nowhere), and Naive logs every W and
+// WB.
 func (nd *Node) logsAdoption(env wire.Envelope) bool {
 	return nd.kind != CrashStop && (env.Kind != wire.KindWriteBack || !nd.opts.UnsafeNoReadLog)
-}
-
-// stillServing re-checks liveness after a blocking store.
-func (nd *Node) stillServing(epoch uint64) bool {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.epoch == epoch && nd.servingLocked()
 }

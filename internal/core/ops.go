@@ -122,12 +122,10 @@ func (nd *Node) writeProtocol(ctx context.Context, q *regQueue, op, epoch uint64
 	depth := 0
 	if nd.kind == Naive {
 		// §I-C straw man: log the intent before doing anything.
-		payload := encodeTagged(tag.Tag{Writer: nd.id}, val)
-		if err := nd.storeLog(q, epoch, recWStartPrefix+reg, payload); err != nil {
+		depth = causal.After(depth)
+		if err := nd.storeLog(&q.pre, epoch, op, depth, recWStartPrefix+reg, encodeTagged(tag.Tag{Writer: nd.id}, val)); err != nil {
 			return tag.Tag{}, err
 		}
-		depth = causal.After(depth)
-		nd.recordLog(op, depth, len(payload))
 	}
 
 	// Round 1: collect sequence numbers from a majority (Fig. 4 lines 7–10).
@@ -143,12 +141,10 @@ func (nd *Node) writeProtocol(ctx context.Context, q *regQueue, op, epoch uint64
 	// timestamp so it can never be reused for a different value. One
 	// coalesced batch mints one tag, so this is the batch's single pre-log.
 	if nd.kind == Persistent || nd.kind == Naive {
-		payload := encodeTagged(newTag, val)
-		if err := nd.storeLog(q, epoch, recWritingPrefix+reg, payload); err != nil {
+		depth = causal.After(depth)
+		if err := nd.storeLog(&q.pre, epoch, op, depth, recWritingPrefix+reg, encodeTagged(newTag, val)); err != nil {
 			return tag.Tag{}, err
 		}
-		depth = causal.After(depth)
-		nd.recordLog(op, depth, len(payload))
 	}
 
 	// Round 2: propagate the tagged value to a majority (Fig. 4 lines 13–15).
@@ -270,12 +266,10 @@ func (nd *Node) readProtocol(ctx context.Context, q *regQueue, op, epoch uint64)
 	depth := 0
 	if nd.kind == Naive {
 		// Straw man: the reader logs what it is about to write back.
-		payload := encodeTagged(best.Tag, best.Value)
-		if err := nd.storeLog(q, epoch, recWStartPrefix+reg, payload); err != nil {
+		depth = causal.After(depth)
+		if err := nd.storeLog(&q.pre, epoch, op, depth, recWStartPrefix+reg, encodeTagged(best.Tag, best.Value)); err != nil {
 			return nil, tag.Tag{}, err
 		}
-		depth = causal.After(depth)
-		nd.recordLog(op, depth, len(payload))
 	}
 
 	// Round 2: write the value with the highest timestamp back to a

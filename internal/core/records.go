@@ -28,7 +28,7 @@ const (
 	// per-boot counter minted on every recovery (docs/adr/0006). It is
 	// harness bookkeeping, not one of the paper's causal logs — the
 	// emulation algorithms never read it — so storing it is deliberately
-	// NOT reported to the causal meter.
+	// NOT reported to the causal meter (its preLog's op is 0).
 	recIncarnation = "incarnation"
 )
 
@@ -46,23 +46,24 @@ func WrittenRecordName(reg string) string { return recWrittenPrefix + reg }
 // for the same harness tooling as WrittenRecordName.
 func EncodeWrittenPayload(t tag.Tag, val []byte) []byte { return encodeTagged(t, val) }
 
-// storeLog persists one causal-log record of an execution's own log chain
-// through the node's logger (adopter.drain): the record joins the adoptions
-// and other registers' pre-logs queued with it in one StoreBatch, and
-// storeLog returns once that group is stored. q is the executing register's
-// queue, whose preLog is the waiter. The epoch check and the push share one
-// nd.mu section, as the listener's push and Crash's drop do, so a log of an
-// execution a crash has ended is never queued, and a queued one is either
-// taken into a group — a store under way — or failed by the drop.
-func (nd *Node) storeLog(q *regQueue, epoch uint64, record string, payload []byte) error {
-	w := &q.pre
+// storeLog persists one record of the node's own through the node's logger
+// (adopter.drain): an execution's causal log, or a recovery's record. The
+// record joins the adoptions and other pre-logs queued with it in one
+// StoreBatch, and storeLog returns once that group is stored; the logger
+// then reports it to the causal meter under op at depth (op 0: not a causal
+// log). w is the waiter: the executing register's regQueue.pre, or the
+// recovery's own. The epoch check and the push share one nd.mu section, as
+// the listener's push and Crash's drop do, so a record of an execution a
+// crash has ended is never queued, and a queued one is either taken into a
+// group — a store under way — or failed by the drop.
+func (nd *Node) storeLog(w *preLog, epoch, op uint64, depth int, record string, payload []byte) error {
 	nd.mu.Lock()
 	if nd.epoch != epoch || !nd.servingLocked() {
 		err := nd.downErrLocked()
 		nd.mu.Unlock()
 		return err
 	}
-	w.rec = stable.Record{Name: record, Data: payload}
+	w.rec, w.op, w.depth = stable.Record{Name: record, Data: payload}, op, depth
 	w.wait.Add(1)
 	nd.adopter.push(logItem{pre: w})
 	nd.mu.Unlock()

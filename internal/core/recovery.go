@@ -9,22 +9,28 @@ import (
 )
 
 // runRecoveryProcedure executes the algorithm-specific part of recovery,
-// after the volatile state has been restored from stable storage. The model
-// places no bound on the messages or logs a recovery procedure may use.
-func (nd *Node) runRecoveryProcedure(ctx context.Context, epoch uint64) error {
+// after the volatile state has been restored from stable storage, and returns
+// what it found for Recover to publish once the recovery has succeeded. The
+// model places no bound on the messages or logs a recovery procedure may use.
+// Its records go through the node's logger like every store, under the
+// recovery's epoch: queued behind whatever the logger holds, and dropped by a
+// crash like any pre-log.
+func (nd *Node) runRecoveryProcedure(ctx context.Context, epoch uint64) (RecoveryStats, error) {
 	// Every recovery — regardless of algorithm — first mints a fresh
 	// incarnation epoch, so the epoch a client observes in replies strictly
 	// increases across each of the node's deaths (docs/adr/0006).
-	if err := nd.mintIncarnation(); err != nil {
-		return err
+	if err := nd.mintIncarnation(epoch); err != nil {
+		return RecoveryStats{}, err
 	}
 	switch nd.kind {
 	case Persistent, Naive:
-		return nd.finishPendingWrites(ctx, epoch)
+		pending, err := nd.finishPendingWrites(ctx, epoch)
+		return RecoveryStats{PendingWrites: pending}, err
 	case Transient, RegularSW:
-		return nd.bumpRecoveryCounter()
+		rec, err := nd.bumpRecoveryCounter(epoch)
+		return RecoveryStats{RecoveryCount: rec}, err
 	default:
-		return ErrCannotRecover
+		return RecoveryStats{}, ErrCannotRecover
 	}
 }
 
@@ -34,14 +40,17 @@ func (nd *Node) runRecoveryProcedure(ctx context.Context, epoch uint64) error {
 // volatile counter is monotone across the node's whole lifetime (Crash never
 // wipes it), so the persisted record is too. The adoption below is NOT gated
 // on still being in stateRecovering: once stored, the epoch is burned, and a
-// retried recovery must mint past it or a later boot could duplicate it.
-// This store is harness bookkeeping, not one of the paper's causal logs, so
-// it is not reported to the causal meter.
-func (nd *Node) mintIncarnation() error {
+// retried recovery must mint past it or a later boot could duplicate it. A
+// record a crash dropped from the logger's queue was never stored, so that
+// epoch is not used up. This store is harness bookkeeping, not one of the
+// paper's causal logs, so it is logged under op 0 and not reported to the
+// causal meter.
+func (nd *Node) mintIncarnation(epoch uint64) error {
 	nd.mu.Lock()
 	newInc := nd.inc + 1
 	nd.mu.Unlock()
-	if err := nd.st.Store(recIncarnation, encodeEpoch(newInc)); err != nil {
+	var w preLog
+	if err := nd.storeLog(&w, epoch, 0, 0, recIncarnation, encodeEpoch(newInc)); err != nil {
 		return err
 	}
 	nd.mu.Lock()
@@ -54,7 +63,7 @@ func (nd *Node) mintIncarnation() error {
 
 // finishPendingWrites is Fig. 4's Recover (lines 40–47): for every register
 // with a "writing" record, re-run the write's second round so the recorded
-// (tag, value) reaches a majority. If the last write had in fact completed,
+// (tag, value) reaches a majority; it returns how many it re-ran. If the last write had in fact completed,
 // this re-writes an old value with an old timestamp, which replaces nothing;
 // if it had not, it completes the write before the process can invoke a new
 // operation — which is what persistent atomicity requires. The paper notes
@@ -65,26 +74,26 @@ func (nd *Node) mintIncarnation() error {
 // interrupted writes, however many registers it has adopted. The names are
 // accumulated before any Retrieve: Scanner implementations stream under
 // their internal locks, so the callback must not call back into the store.
-func (nd *Node) finishPendingWrites(ctx context.Context, epoch uint64) error {
+func (nd *Node) finishPendingWrites(ctx context.Context, epoch uint64) (int, error) {
 	var names []string
 	if err := stable.ScanRecords(nd.st, recWritingPrefix, func(name string) error {
 		names = append(names, name)
 		return nil
 	}); err != nil {
-		return err
+		return 0, err
 	}
 	pending := 0
 	for _, name := range names {
 		data, ok, err := nd.st.Retrieve(name)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if !ok {
 			continue
 		}
 		t, v, err := decodeTagged(data)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		pending++
 		reg := strings.TrimPrefix(name, recWritingPrefix)
@@ -92,33 +101,23 @@ func (nd *Node) finishPendingWrites(ctx context.Context, epoch uint64) error {
 		if _, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{
 			Kind: wire.KindWrite, Reg: reg, Tag: t, Value: v,
 		}, broadcast); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	nd.mu.Lock()
-	nd.lastRecovery = RecoveryStats{PendingWrites: pending}
-	nd.mu.Unlock()
-	return nil
+	return pending, nil
 }
 
 // bumpRecoveryCounter is Fig. 5's Recover (lines 16–22): increment the
-// persisted recovery count. Subsequent writes add it to the queried sequence
-// number, which keeps the writer's timestamps fresh without a pre-log on the
-// write's critical path — the one extra log happens here, outside any
-// operation.
-func (nd *Node) bumpRecoveryCounter() error {
-	op := nd.newID()
+// persisted recovery count, which it returns. Subsequent writes add it to the
+// queried sequence number, which keeps the writer's timestamps fresh without
+// a pre-log on the write's critical path — the one extra log happens here,
+// outside any operation. Recover adopts the count once the recovery has
+// succeeded.
+func (nd *Node) bumpRecoveryCounter(epoch uint64) (int32, error) {
 	newRec := nd.RecoveryCount() + 1
-	payload := encodeCounter(newRec)
-	if err := nd.st.Store(recRecovered, payload); err != nil {
-		return err
+	var w preLog
+	if err := nd.storeLog(&w, epoch, nd.newID(), 1, recRecovered, encodeCounter(newRec)); err != nil {
+		return 0, err
 	}
-	nd.recordLog(op, 1, len(payload))
-	nd.mu.Lock()
-	if nd.state == stateRecovering {
-		nd.rec = newRec
-	}
-	nd.lastRecovery = RecoveryStats{RecoveryCount: newRec}
-	nd.mu.Unlock()
-	return nil
+	return newRec, nil
 }
