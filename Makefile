@@ -21,8 +21,8 @@ race:
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
 
-# bench-disk is the microbenchmark for working on internal/stable: the wal
-# preset's per-record store cost and fsync amortization (BenchmarkWALStore,
+# bench-disk is the microbenchmark for working on internal/stable: the log
+# engine's per-record store cost and fsync amortization (BenchmarkWALStore,
 # ...Batch; read syncs/op). Claims are made with bash bench/run.sh.
 bench-disk:
 	$(GO) test -bench 'Store' -benchtime=100x -run '^$$' ./internal/stable/
@@ -45,8 +45,8 @@ bench-handle:
 	$(GO) test -bench 'BenchmarkStringLookup|BenchmarkRegisterHandle' -benchtime=1000000x -run '^$$' ./internal/core/
 
 # bench-namespace is the one measurement bash bench/run.sh cannot make yet
-# (docs/adr/0014): populate 1k to 1M registers with 25% churn on the wal and
-# sharded presets, reopen cold, boot a real core.Node over the store
+# (docs/adr/0014): populate 1k to 1M registers with 25% churn on the wal
+# engine, reopen cold, boot a real core.Node over the store
 # (docs/adr/0009), and fail on any probe that reads back something else.
 # Prints load ops/s, reopen ms, node reopen ms, probe µs and disk MB per row.
 bench-namespace:
@@ -68,10 +68,9 @@ smoke:
 verify-mesh:
 	SMOKE_VERIFY_ONLY=1 ./scripts/smoke-mesh.sh
 
-# kill-mesh runs only the kill-restart rounds: recmem-torture spawns a mesh
-# (once on wal disks, once on sharded disks), SIGKILLs and re-execs real
-# node processes mid-run, and the merged recorded history must still pass
-# the atomicity checker.
+# kill-mesh runs only the kill-restart round: recmem-torture spawns a mesh on
+# wal disks, SIGKILLs and re-execs real node processes mid-run, and the
+# merged recorded history must still pass the atomicity checker.
 kill-mesh:
 	SMOKE_KILL_ONLY=1 ./scripts/smoke-mesh.sh
 

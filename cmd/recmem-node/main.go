@@ -9,9 +9,9 @@
 // with remote.Dial — the returned client is a recmem.Client, interchangeable
 // with the in-process simulation.
 //
-// A three-process register on one machine, each process logging to the wal
-// preset of the log engine under its -dir (the default -disk; sharded is the
-// preset for large namespaces, mem a volatile stand-in that needs no -dir):
+// A three-process register on one machine, each process logging to the log
+// engine under its -dir (the default -disk wal; mem is a volatile stand-in
+// that needs no -dir):
 //
 //	recmem-node -id 0 -peers :7100,:7101,:7102 -control :7200 -dir /tmp/n0 &
 //	recmem-node -id 1 -peers :7100,:7101,:7102 -control :7201 -dir /tmp/n1 &

@@ -204,52 +204,50 @@ func TestDefaultDiskIsWAL(t *testing.T) {
 // nodeServer is torn down without any protocol-level Crash/Recover), and a
 // fresh process over the same -dir rebuilds its registers from the
 // persisted logs and runs the recovery procedure before the control port
-// opens.
+// opens. The subtest is named after the -disk value.
 func TestRestartRecovery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	for _, disk := range []string{"wal", "sharded"} {
-		t.Run(disk, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := nodeConfig{
-				id:        0,
-				peers:     []string{"127.0.0.1:0"},
-				control:   "127.0.0.1:0",
-				algorithm: "persistent",
-				disk:      disk,
-				dir:       dir,
-				opTimeout: 30 * time.Second,
-			}
-			ns, err := startNode(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := remote.Dial(ns.ControlAddr(), remote.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Register("x").Write(ctx, []byte("survives-restart")); err != nil {
-				t.Fatal(err)
-			}
-			c.Close()
-			ns.Close() // SIGKILL stand-in: no Crash/Recover ran, volatile state is gone
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := nodeConfig{
+			id:        0,
+			peers:     []string{"127.0.0.1:0"},
+			control:   "127.0.0.1:0",
+			algorithm: "persistent",
+			disk:      "wal",
+			dir:       dir,
+			opTimeout: 30 * time.Second,
+		}
+		ns, err := startNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := remote.Dial(ns.ControlAddr(), remote.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Register("x").Write(ctx, []byte("survives-restart")); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		ns.Close() // SIGKILL stand-in: no Crash/Recover ran, volatile state is gone
 
-			ns2, err := startNode(cfg)
-			if err != nil {
-				t.Fatalf("restart: %v", err)
-			}
-			defer ns2.Close()
-			c2, err := remote.Dial(ns2.ControlAddr(), remote.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c2.Close()
-			got, err := c2.Register("x").Read(ctx)
-			if err != nil || string(got) != "survives-restart" {
-				t.Fatalf("read after restart = %q, %v", got, err)
-			}
-		})
-	}
+		ns2, err := startNode(cfg)
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		defer ns2.Close()
+		c2, err := remote.Dial(ns2.ControlAddr(), remote.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c2.Close()
+		got, err := c2.Register("x").Read(ctx)
+		if err != nil || string(got) != "survives-restart" {
+			t.Fatalf("read after restart = %q, %v", got, err)
+		}
+	})
 }
 
 // TestRestartBumpsRecoveryCounter: under the transient-family algorithms the

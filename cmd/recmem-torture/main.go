@@ -39,8 +39,8 @@
 //	recmem-torture -remote :7200,:7201,:7202 -verify \
 //	    -kill 'recmem-node -id 0 ...;;recmem-node -id 1 ...;;recmem-node -id 2 ...'
 //
-// -disk selects the stable-storage engine (mem, or wal / sharded — the two
-// presets of the log-structured group-commit engine). -diskfail wraps every disk in a
+// -disk selects the stable-storage engine (mem, or wal — the log engine;
+// sharded is an alias for it). -diskfail wraps every disk in a
 // stable.Flaky that fails Store/StoreBatch with the given probability: a
 // replica whose group commit fails acknowledges nothing, so the checkers
 // prove that injected mid-group-commit failures never let an acknowledged

@@ -45,10 +45,10 @@ type Config struct {
 	Disk stable.Profile
 	// DiskBackend names each process's stable-storage engine when DiskFactory
 	// is not set, as stable.OpenBackend spells it: "mem" (default — the
-	// simulated disk with the Disk profile), or "wal" / "sharded", the two
-	// presets of the log engine, which live under DiskDir/node<i>.
+	// simulated disk with the Disk profile), or "wal", the log engine, which
+	// lives under DiskDir/node<i>.
 	DiskBackend string
-	// DiskDir roots the wal and sharded backends; required for them.
+	// DiskDir roots the wal backend; required for it.
 	DiskDir string
 	// DiskFactory, if set, overrides DiskBackend and supplies each process's
 	// stable storage. The storage must survive Crash/Recover cycles.

@@ -184,7 +184,7 @@ func TestCrashLoopUnderLoad(t *testing.T) {
 }
 
 // TestScenarioLazyRestartColdNamespace is the cluster-level conformance case
-// for lazy core recovery (docs/adr/0009), on the real sharded engine: a
+// for lazy core recovery (docs/adr/0009), on the real log engine: a
 // process adopts a populated namespace, crash-loops — including a crash
 // immediately after its restart, before anything is touched — and the fresh
 // incarnation must serve a never-touched register as the zero state (⊥), a
@@ -192,7 +192,7 @@ func TestCrashLoopUnderLoad(t *testing.T) {
 // keep the whole history persistent-atomic.
 func TestScenarioLazyRestartColdNamespace(t *testing.T) {
 	cfg := testConfig(3, core.Persistent)
-	cfg.DiskBackend = "sharded"
+	cfg.DiskBackend = "wal"
 	cfg.DiskDir = t.TempDir()
 	c := newCluster(t, cfg)
 	ctx := testCtx(t)

@@ -38,44 +38,39 @@ func BenchmarkNamespaceReopen(b *testing.B) {
 		name  string
 		count int
 	}{{"1k", 1000}, {"10k", 10000}, {"100k", 100000}, {"1M", 1000000}}
-	for _, backend := range []string{"wal", "sharded"} {
-		for _, size := range sizes {
-			b.Run(backend+"/"+size.name, func(b *testing.B) {
-				var sum nsResult
-				for i := 0; i < b.N; i++ {
-					r, err := measureNamespace(backend, b.TempDir(), size.count)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sum.loadOpsPerSec += r.loadOpsPerSec
-					sum.reopenMS += r.reopenMS
-					sum.probeUS += r.probeUS
-					sum.nodeReopenMS += r.nodeReopenMS
-					sum.diskMB += r.diskMB
+	for _, size := range sizes {
+		b.Run(size.name, func(b *testing.B) {
+			var sum nsResult
+			for i := 0; i < b.N; i++ {
+				r, err := measureNamespace(b.TempDir(), size.count)
+				if err != nil {
+					b.Fatal(err)
 				}
-				n := float64(b.N)
-				b.ReportMetric(sum.loadOpsPerSec/n, "load_ops/s")
-				b.ReportMetric(sum.reopenMS/n, "reopen_ms")
-				b.ReportMetric(sum.probeUS/n, "probe_us")
-				b.ReportMetric(sum.nodeReopenMS/n, "node_reopen_ms")
-				b.ReportMetric(sum.diskMB/n, "disk_MB")
-			})
-		}
+				sum.loadOpsPerSec += r.loadOpsPerSec
+				sum.reopenMS += r.reopenMS
+				sum.probeUS += r.probeUS
+				sum.nodeReopenMS += r.nodeReopenMS
+				sum.diskMB += r.diskMB
+			}
+			n := float64(b.N)
+			b.ReportMetric(sum.loadOpsPerSec/n, "load_ops/s")
+			b.ReportMetric(sum.reopenMS/n, "reopen_ms")
+			b.ReportMetric(sum.probeUS/n, "probe_us")
+			b.ReportMetric(sum.nodeReopenMS/n, "node_reopen_ms")
+			b.ReportMetric(sum.diskMB/n, "disk_MB")
+		})
 	}
 }
 
 // TestNamespaceReopenMeasures keeps the benchmark's measurement in tier-1 at
-// a size that costs nothing: both presets, every figure taken, every probe
-// verified.
+// a size that costs nothing: every figure taken, every probe verified.
 func TestNamespaceReopenMeasures(t *testing.T) {
-	for _, backend := range []string{"wal", "sharded"} {
-		r, err := measureNamespace(backend, t.TempDir(), 400)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		if r.loadOpsPerSec <= 0 || r.reopenMS <= 0 || r.probeUS <= 0 || r.nodeReopenMS <= 0 || r.diskMB <= 0 {
-			t.Fatalf("%s: figure not measured: %+v", backend, r)
-		}
+	r, err := measureNamespace(t.TempDir(), 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.loadOpsPerSec <= 0 || r.reopenMS <= 0 || r.probeUS <= 0 || r.nodeReopenMS <= 0 || r.diskMB <= 0 {
+		t.Fatalf("figure not measured: %+v", r)
 	}
 }
 
@@ -114,22 +109,22 @@ func nsVersion(i, count int) byte {
 	return 0
 }
 
-func measureNamespace(backend, dir string, count int) (res nsResult, err error) {
-	if res.loadOpsPerSec, err = nsPopulate(backend, dir, count); err != nil {
+func measureNamespace(dir string, count int) (res nsResult, err error) {
+	if res.loadOpsPerSec, err = nsPopulate(dir, count); err != nil {
 		return res, err
 	}
 	res.diskMB = float64(dirBytes(dir)) / (1 << 20)
-	if res.reopenMS, res.probeUS, err = nsReopenStore(backend, dir, count); err != nil {
+	if res.reopenMS, res.probeUS, err = nsReopenStore(dir, count); err != nil {
 		return res, err
 	}
-	res.nodeReopenMS, err = measureNodeReopen(backend, dir, count)
+	res.nodeReopenMS, err = measureNodeReopen(dir, count)
 	return res, err
 }
 
 // nsPopulate fills a fresh store and closes it. The churn is a second load
 // so every overwritten register's second version lands after its first.
-func nsPopulate(backend, dir string, count int) (opsPerSec float64, err error) {
-	d, err := stable.OpenBackend(backend, dir, stable.Profile{})
+func nsPopulate(dir string, count int) (opsPerSec float64, err error) {
+	d, err := stable.OpenBackend("wal", dir, stable.Profile{})
 	if err != nil {
 		return 0, err
 	}
@@ -146,9 +141,9 @@ func nsPopulate(backend, dir string, count int) (opsPerSec float64, err error) {
 
 // nsReopenStore times the engine's cold open, then the mean of sampled
 // Retrieves, each compared with the record that was stored.
-func nsReopenStore(backend, dir string, count int) (reopenMS, probeUS float64, err error) {
+func nsReopenStore(dir string, count int) (reopenMS, probeUS float64, err error) {
 	start := time.Now()
-	d, err := stable.OpenBackend(backend, dir, stable.Profile{})
+	d, err := stable.OpenBackend("wal", dir, stable.Profile{})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -178,7 +173,7 @@ func nsReopenStore(backend, dir string, count int) (reopenMS, probeUS float64, e
 // populated directory. One process keeps the measurement about recovery,
 // not quorum traffic: persistent recovery runs rounds only for pending
 // writes, and a cleanly closed store has none.
-func measureNodeReopen(backend, dir string, count int) (float64, error) {
+func measureNodeReopen(dir string, count int) (float64, error) {
 	nw, err := netsim.New(1, netsim.Options{})
 	if err != nil {
 		return 0, err
@@ -186,7 +181,7 @@ func measureNodeReopen(backend, dir string, count int) (float64, error) {
 	defer nw.Close()
 
 	start := time.Now()
-	d, err := stable.OpenBackend(backend, dir, stable.Profile{})
+	d, err := stable.OpenBackend("wal", dir, stable.Profile{})
 	if err != nil {
 		return 0, err
 	}

@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for the wal preset of the log engine, run by
+// Micro-benchmarks for the log engine, run by
 // `make bench-disk`. The figure to read is syncs/op, the fsync bill per
 // durable record:
 //
 //   - BenchmarkWALStore: one append + one fdatasync per record, the paper's
 //     λ. The engine commits on its caller's goroutine and never gathers
 //     concurrent callers (docs/adr/0019), so a parallel variant would only
-//     measure them queueing on the shard's commit mutex.
+//     measure them queueing on the commit mutex.
 //   - BenchmarkWALStoreBatch: the batched durability path (one coalesced
 //     engine batch = one StoreBatch call), one sync per batch — how a node's
 //     logger group-commits.
@@ -25,7 +25,7 @@ func benchPayload() []byte {
 }
 
 func BenchmarkWALStore(b *testing.B) {
-	d := mustOpen(b, b.TempDir(), walPreset)
+	d := mustOpen(b, b.TempDir(), preset())
 	defer d.Close()
 	payload := benchPayload()
 	b.ResetTimer()
@@ -48,7 +48,7 @@ func benchBatch() []Record {
 }
 
 func BenchmarkWALStoreBatch(b *testing.B) {
-	d := mustOpen(b, b.TempDir(), walPreset)
+	d := mustOpen(b, b.TempDir(), preset())
 	defer d.Close()
 	recs := benchBatch()
 	b.ResetTimer()

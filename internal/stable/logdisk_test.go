@@ -5,10 +5,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,27 +20,15 @@ import (
 )
 
 // shrunk is the base tuning for tests that need seals and compactions after
-// a handful of stores: the preset's shape with tiny segments and no
-// close-time compaction unless a test opts in.
-func shrunk(preset engineConfig) engineConfig {
-	preset.segmentBytes, preset.compactBytes, preset.closeCompactBytes = 256, 512, 0
-	return preset
-}
-
-// shardedTestConfig is shrunk(shardedPreset) on two shards.
-func shardedTestConfig() engineConfig {
-	cfg := shrunk(shardedPreset)
-	cfg.shards = 2
+// a handful of stores: the preset with tiny segments and no close-time
+// compaction unless a test opts in.
+func shrunk() engineConfig {
+	cfg := preset()
+	cfg.segmentBytes, cfg.compactBytes, cfg.closeCompactBytes = 256, 512, 0
 	return cfg
 }
 
-// forBothPresets runs fn once per backend name, on the shrunk preset.
-func forBothPresets(t *testing.T, fn func(t *testing.T, cfg engineConfig)) {
-	t.Run("wal", func(t *testing.T) { fn(t, shrunk(walPreset)) })
-	t.Run("sharded", func(t *testing.T) { fn(t, shardedTestConfig()) })
-}
-
-func mustOpen(t testing.TB, dir string, cfg engineConfig) *ShardedDisk {
+func mustOpen(t testing.TB, dir string, cfg engineConfig) *LogDisk {
 	t.Helper()
 	d, err := openEngine(dir, cfg)
 	if err != nil {
@@ -46,15 +37,23 @@ func mustOpen(t testing.TB, dir string, cfg engineConfig) *ShardedDisk {
 	return d
 }
 
-// The wal rows run on the production preset: one shard, real thresholds.
-func TestWALSurvivesReopen(t *testing.T)     { testSurvivesReopen(t, walPreset) }
-func TestShardedSurvivesReopen(t *testing.T) { testSurvivesReopen(t, shardedTestConfig()) }
+// mustHold fails the test unless d returns every value of want.
+func mustHold(t *testing.T, d *LogDisk, want map[string][]byte) {
+	t.Helper()
+	for name, val := range want {
+		data, ok, err := d.Retrieve(name)
+		if err != nil || !ok || !bytes.Equal(data, val) {
+			t.Fatalf("%s = %q ok=%v err=%v, want %q", name, data, ok, err, val)
+		}
+	}
+}
 
-// testSurvivesReopen: everything acknowledged is there after a reopen, and
-// the reopen itself reads no value — only the first Retrieve does.
-func testSurvivesReopen(t *testing.T, cfg engineConfig) {
+// TestWALSurvivesReopen: on the production preset, everything acknowledged
+// is there after a reopen, and the reopen itself reads no value — only the
+// first Retrieve does.
+func TestWALSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	d := mustOpen(t, dir, cfg)
+	d := mustOpen(t, dir, preset())
 	want := map[string][]byte{"written/reg with spaces/☃": []byte("v")}
 	for i := 0; i < 40; i++ {
 		want[fmt.Sprintf("written/r%02d", i)] = []byte(fmt.Sprintf("value-%d", i))
@@ -70,17 +69,12 @@ func testSurvivesReopen(t *testing.T, cfg engineConfig) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := mustOpen(t, dir, cfg)
+	d2 := mustOpen(t, dir, preset())
 	defer d2.Close()
 	if n := d2.ResidentValues(); n != 0 {
 		t.Fatalf("reopen loaded %d values; it must read the index and the segment tail only", n)
 	}
-	for name, val := range want {
-		data, ok, err := d2.Retrieve(name)
-		if err != nil || !ok || !bytes.Equal(data, val) {
-			t.Fatalf("%s after reopen = %q ok=%v err=%v, want %q", name, data, ok, err, val)
-		}
-	}
+	mustHold(t, d2, want)
 	names, err := d2.Records("written/")
 	if err != nil {
 		t.Fatal(err)
@@ -90,36 +84,21 @@ func testSurvivesReopen(t *testing.T, cfg engineConfig) {
 	}
 }
 
-// TestShardedManifestPinsShardCount: the shard count chosen at creation is
-// persisted, so a reopen under a different configured count still hashes
-// every record onto the shard that holds it.
-func TestShardedManifestPinsShardCount(t *testing.T) {
-	dir := t.TempDir()
-	d := mustOpen(t, dir, shardedTestConfig())
-	for i := 0; i < 10; i++ {
-		if err := d.Store(fmt.Sprintf("written/r%d", i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+// storeNext stores the i-th value of a set of 16 registers, 56 bytes each,
+// and records it in want once acknowledged.
+func storeNext(d *LogDisk, want map[string][]byte, i int) error {
+	name := fmt.Sprintf("written/r%02d", i%16)
+	val := append([]byte(fmt.Sprintf("v%d-", i)), bytes.Repeat([]byte("x"), 48)...)
+	err := d.Store(name, val)
+	if err == nil {
+		want[name] = val
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2 := mustOpen(t, dir, shardedPreset)
-	defer d2.Close()
-	if d2.Shards() != 2 {
-		t.Fatalf("reopen has %d shards, want the persisted 2", d2.Shards())
-	}
-	for i := 0; i < 10; i++ {
-		data, ok, err := d2.Retrieve(fmt.Sprintf("written/r%d", i))
-		if err != nil || !ok || data[0] != byte(i) {
-			t.Fatalf("r%d = %v ok=%v err=%v", i, data, ok, err)
-		}
-	}
+	return err
 }
 
 // storeUntilCompacted drives stores until at least one background compaction
 // completes, returning the last value written per name.
-func storeUntilCompacted(t *testing.T, d *ShardedDisk, names int) map[string][]byte {
+func storeUntilCompacted(t *testing.T, d *LogDisk) map[string][]byte {
 	t.Helper()
 	want := make(map[string][]byte)
 	deadline := time.Now().Add(10 * time.Second)
@@ -127,24 +106,22 @@ func storeUntilCompacted(t *testing.T, d *ShardedDisk, names int) map[string][]b
 		if time.Now().After(deadline) {
 			t.Fatal("no compaction despite passing the sealed-size threshold")
 		}
-		name := fmt.Sprintf("written/r%02d", i%names)
-		val := append([]byte(fmt.Sprintf("v%d-", i)), bytes.Repeat([]byte("x"), 48)...)
-		if err := d.Store(name, val); err != nil {
+		if err := storeNext(d, want, i); err != nil {
 			t.Fatal(err)
 		}
-		want[name] = val
 	}
 	return want
 }
 
-// TestShardedCompactionConcurrentWithServing: compaction merges sealed
-// segments into the snapshot while stores and retrieves keep running, no
-// acknowledged value is lost or aged backwards, and the segments it consumed
-// are gone from the disk — the log does not grow with history.
-func TestShardedCompactionConcurrentWithServing(t *testing.T) {
-	forBothPresets(t, func(t *testing.T, cfg engineConfig) {
+// TestCompactionConcurrentWithServing: compaction merges sealed segments
+// into the snapshot while stores and retrieves keep running, no acknowledged
+// value is lost or aged backwards, and the segments it consumed are gone
+// from the disk — the log does not grow with history. The subtest is named
+// after the backend that opens the engine.
+func TestCompactionConcurrentWithServing(t *testing.T) {
+	t.Run("wal", func(t *testing.T) {
 		dir := t.TempDir()
-		d := mustOpen(t, dir, cfg)
+		d := mustOpen(t, dir, shrunk())
 		defer d.Close()
 
 		stop := make(chan struct{})
@@ -162,17 +139,12 @@ func TestShardedCompactionConcurrentWithServing(t *testing.T) {
 				}
 			}
 		}()
-		want := storeUntilCompacted(t, d, 16)
+		want := storeUntilCompacted(t, d)
 		close(stop)
 		if err, _ := readerErr.Load().(error); err != nil {
 			t.Fatalf("concurrent retrieve failed: %v", err)
 		}
-		for name, val := range want {
-			data, ok, err := d.Retrieve(name)
-			if err != nil || !ok || !bytes.Equal(data, val) {
-				t.Fatalf("%s after compaction = %q ok=%v err=%v, want %q", name, data, ok, err, val)
-			}
-		}
+		mustHold(t, d, want)
 		names, err := d.Records("written/")
 		if err != nil {
 			t.Fatal(err)
@@ -180,31 +152,26 @@ func TestShardedCompactionConcurrentWithServing(t *testing.T) {
 		if len(names) != len(want) {
 			t.Fatalf("Records found %d names, want %d", len(names), len(want))
 		}
-		for _, sh := range d.shards {
-			sh.mu.Lock()
-			wm := sh.watermark
-			sh.mu.Unlock()
-			if wm == 0 {
-				continue // this shard has not compacted yet
-			}
-			if _, err := os.Stat(filepath.Join(sh.dir, shardSnap)); err != nil {
-				t.Fatalf("compacted shard has no snapshot: %v", err)
-			}
-			for id := uint64(1); id <= wm; id++ {
-				if _, err := os.Stat(sh.segPath(id)); !errors.Is(err, os.ErrNotExist) {
-					t.Fatalf("segment %d survived the compaction that covers it: %v", id, err)
-				}
+		d.mu.Lock()
+		wm := d.watermark
+		d.mu.Unlock()
+		if _, err := os.Stat(filepath.Join(d.dir, snapName)); err != nil {
+			t.Fatalf("compacted log has no snapshot: %v", err)
+		}
+		for id := uint64(1); id <= wm; id++ {
+			if _, err := os.Stat(d.segPath(id)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("segment %d survived the compaction that covers it: %v", id, err)
 			}
 		}
 	})
 }
 
-// TestShardedCloseCompaction: a clean Close folds segments into the
-// snapshot, so the reopened store serves from the index with empty segment
-// chains — recovery does not replay values.
-func TestShardedCloseCompaction(t *testing.T) {
+// TestCloseCompaction: a clean Close folds the segments into the snapshot,
+// so the reopened store serves from the index with an empty segment chain —
+// recovery does not replay values.
+func TestCloseCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cfg := shardedTestConfig()
+	cfg := shrunk()
 	cfg.closeCompactBytes = 1
 	d := mustOpen(t, dir, cfg)
 	want := make(map[string][]byte)
@@ -220,7 +187,7 @@ func TestShardedCloseCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "seg-*.wal"))
+	segs, err := filepath.Glob(filepath.Join(dir, logDirName, "seg-*.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,24 +196,18 @@ func TestShardedCloseCompaction(t *testing.T) {
 			t.Fatalf("segment %s survived close-compaction with %d bytes", seg, fi.Size())
 		}
 	}
-	snaps, err := filepath.Glob(filepath.Join(dir, "shard-*", shardSnap))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("no shard snapshots written: %v %v", snaps, err)
+	if _, err := os.Stat(filepath.Join(dir, logDirName, snapName)); err != nil {
+		t.Fatalf("no snapshot written: %v", err)
 	}
 
 	d2 := mustOpen(t, dir, cfg)
 	defer d2.Close()
-	for name, val := range want {
-		data, ok, err := d2.Retrieve(name)
-		if err != nil || !ok || !bytes.Equal(data, val) {
-			t.Fatalf("%s from snapshot = %q ok=%v err=%v, want %q", name, data, ok, err, val)
-		}
-	}
+	mustHold(t, d2, want)
 }
 
-func TestShardedDeleteTombstone(t *testing.T) {
+func TestDeleteTombstone(t *testing.T) {
 	dir := t.TempDir()
-	compacting := shardedTestConfig()
+	compacting := shrunk()
 	compacting.closeCompactBytes = 1
 
 	d := mustOpen(t, dir, compacting)
@@ -261,7 +222,7 @@ func TestShardedDeleteTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d = mustOpen(t, dir, shardedTestConfig())
+	d = mustOpen(t, dir, shrunk())
 	if err := d.Delete("written/b"); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +259,7 @@ func TestShardedDeleteTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d = mustOpen(t, dir, shardedTestConfig())
+	d = mustOpen(t, dir, shrunk())
 	defer d.Close()
 	data, ok, err := d.Retrieve("written/b")
 	if err != nil || !ok || string(data) != "reborn" {
@@ -306,9 +267,9 @@ func TestShardedDeleteTombstone(t *testing.T) {
 	}
 }
 
-func TestShardedEvictionColdLoad(t *testing.T) {
+func TestEvictionColdLoad(t *testing.T) {
 	dir := t.TempDir()
-	cfg := shardedTestConfig()
+	cfg := shrunk()
 	cfg.residentRecords = 8
 	cfg.closeCompactBytes = 1
 	d := mustOpen(t, dir, cfg)
@@ -321,19 +282,24 @@ func TestShardedEvictionColdLoad(t *testing.T) {
 		}
 		want[name] = val
 	}
-	if got, max := d.ResidentValues(), 8*d.Shards(); got > max {
-		t.Fatalf("%d resident values, want at most %d", got, max)
+	if got := d.ResidentValues(); got != 0 {
+		t.Fatalf("stores made %d values resident; only a Retrieve promotes one", got)
+	}
+	// Every value cold-loads from its segment frame, and the LRU keeps 8.
+	mustHold(t, d, want)
+	if got := d.ResidentValues(); got > 8 {
+		t.Fatalf("%d resident values, want at most 8", got)
 	}
 	if d.Evictions() == 0 {
 		t.Fatal("no evictions despite exceeding residentRecords")
 	}
-	// Every evicted value cold-loads from its segment frame.
-	for name, val := range want {
-		data, ok, err := d.Retrieve(name)
-		if err != nil || !ok || !bytes.Equal(data, val) {
-			t.Fatalf("cold %s = %q ok=%v err=%v, want %q", name, data, ok, err, val)
-		}
+	// A store replaces a resident value in place.
+	mustHold(t, d, map[string][]byte{"written/r00": want["written/r00"]})
+	want["written/r00"] = []byte("replaced")
+	if err := d.Store("written/r00", want["written/r00"]); err != nil {
+		t.Fatal(err)
 	}
+	mustHold(t, d, want)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -341,30 +307,26 @@ func TestShardedEvictionColdLoad(t *testing.T) {
 	// After a compacting close, cold loads come from the snapshot instead.
 	d2 := mustOpen(t, dir, cfg)
 	defer d2.Close()
-	for name, val := range want {
-		data, ok, err := d2.Retrieve(name)
-		if err != nil || !ok || !bytes.Equal(data, val) {
-			t.Fatalf("snapshot cold %s = %q ok=%v err=%v, want %q", name, data, ok, err, val)
-		}
-	}
-	if got, max := d2.ResidentValues(), 8*d2.Shards(); got > max {
-		t.Fatalf("%d resident values after reopen, want at most %d", got, max)
+	mustHold(t, d2, want)
+	if got := d2.ResidentValues(); got > 8 {
+		t.Fatalf("%d resident values after reopen, want at most 8", got)
 	}
 }
 
-// TestShardedCrashDuringCompaction: a crash between any two steps of a
-// compaction — temp snapshot written, renamed over the old one, consumed
-// segments partially deleted — must reopen to exactly the acknowledged
-// state, on either preset. The hook abandons the compaction mid-flight,
-// leaving the files a SIGKILL at that instant would leave.
-func TestShardedCrashDuringCompaction(t *testing.T) {
+// TestCrashDuringCompaction: a crash between any two steps of a compaction
+// — temp snapshot written, renamed over the old one, consumed segments
+// partially deleted — must reopen to exactly the acknowledged state. The
+// hook abandons the compaction mid-flight, leaving the files a SIGKILL at
+// that instant would leave. Each stage runs as a subtest named after the
+// backend that opens the engine.
+func TestCrashDuringCompaction(t *testing.T) {
 	for _, stage := range []string{"written", "renamed", "deleted"} {
 		t.Run(stage, func(t *testing.T) {
-			forBothPresets(t, func(t *testing.T, cfg engineConfig) {
+			t.Run("wal", func(t *testing.T) {
 				dir := t.TempDir()
-				d := mustOpen(t, dir, cfg)
+				cfg := shrunk()
 				fired := make(chan struct{}, 1)
-				d.compactHook = func(_ int, s string) bool {
+				cfg.compactHook = func(s string) bool {
 					if s == stage {
 						select {
 						case fired <- struct{}{}:
@@ -374,18 +336,14 @@ func TestShardedCrashDuringCompaction(t *testing.T) {
 					}
 					return true
 				}
+				d := mustOpen(t, dir, cfg)
 				want := make(map[string][]byte)
 				deadline := time.Now().Add(10 * time.Second)
-				i := 0
 			drive:
-				for {
-					name := fmt.Sprintf("written/r%02d", i%16)
-					val := append([]byte(fmt.Sprintf("v%d-", i)), bytes.Repeat([]byte("x"), 48)...)
-					if err := d.Store(name, val); err != nil {
+				for i := 0; ; i++ {
+					if err := storeNext(d, want, i); err != nil {
 						t.Fatal(err)
 					}
-					want[name] = val
-					i++
 					select {
 					case <-fired:
 						break drive
@@ -408,17 +366,12 @@ func TestShardedCrashDuringCompaction(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				d2, err := openEngine(dir, cfg)
+				d2, err := openEngine(dir, shrunk())
 				if err != nil {
 					t.Fatalf("reopen after crash at %q: %v", stage, err)
 				}
 				defer d2.Close()
-				for name, val := range want {
-					data, ok, err := d2.Retrieve(name)
-					if err != nil || !ok || !bytes.Equal(data, val) {
-						t.Fatalf("%s after crash at %q = %q ok=%v err=%v, want %q", name, stage, data, ok, err, val)
-					}
-				}
+				mustHold(t, d2, want)
 				names, err := d2.Records("")
 				if err != nil {
 					t.Fatal(err)
@@ -431,23 +384,15 @@ func TestShardedCrashDuringCompaction(t *testing.T) {
 	}
 }
 
-// highestSegments returns each shard's highest-numbered segment: the only
-// one that can end in an unacknowledged group.
-func highestSegments(t *testing.T, dir string) []string {
+// highestSegment returns the highest-numbered segment: the only one that can
+// end in an unacknowledged group.
+func highestSegment(t *testing.T, dir string) string {
 	t.Helper()
-	shards, err := filepath.Glob(filepath.Join(dir, "shard-*"))
-	if err != nil {
-		t.Fatal(err)
+	segs, err := filepath.Glob(filepath.Join(dir, logDirName, "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("the log has no segments: %v", err)
 	}
-	var out []string
-	for _, sh := range shards {
-		segs, err := filepath.Glob(filepath.Join(sh, "seg-*.wal"))
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("shard %s has no segments: %v", sh, err)
-		}
-		out = append(out, segs[len(segs)-1]) // Glob sorts; ids are zero-padded
-	}
-	return out
+	return segs[len(segs)-1] // Glob sorts; ids are zero-padded
 }
 
 func appendTo(t *testing.T, path string, b []byte) {
@@ -462,14 +407,11 @@ func appendTo(t *testing.T, path string, b []byte) {
 	}
 }
 
-func TestWALTornTailTruncated(t *testing.T)    { testTornTail(t, walPreset) }
-func TestShardedTornTailPerShard(t *testing.T) { testTornTail(t, shardedTestConfig()) }
-
-// testTornTail: garbage after the last acknowledged frame of a shard's
+// TestWALTornTailTruncated: garbage after the last acknowledged frame of the
 // highest segment — the classic torn write of a crash mid-group-commit — is
-// cut off at open, shard by shard; everything acknowledged before it
-// survives, nothing in it is replayed, and the log accepts appends again.
-func testTornTail(t *testing.T, cfg engineConfig) {
+// cut off at open; everything acknowledged before it survives, nothing in it
+// is replayed, and the log accepts appends again.
+func TestWALTornTailTruncated(t *testing.T) {
 	badCRC := appendFrame(nil, kindSet, "written/evil", []byte("zz"))
 	badCRC[len(badCRC)-1] ^= 0xff
 	for name, torn := range map[string][]byte{
@@ -480,7 +422,7 @@ func testTornTail(t *testing.T, cfg engineConfig) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			d := mustOpen(t, dir, cfg)
+			d := mustOpen(t, dir, preset())
 			want := make(map[string][]byte)
 			for i := 0; i < 16; i++ {
 				name := fmt.Sprintf("written/r%02d", i)
@@ -492,31 +434,24 @@ func testTornTail(t *testing.T, cfg engineConfig) {
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for _, seg := range highestSegments(t, dir) {
-				appendTo(t, seg, torn)
-			}
+			appendTo(t, highestSegment(t, dir), torn)
 
-			d2, err := openEngine(dir, cfg)
+			d2, err := openEngine(dir, preset())
 			if err != nil {
-				t.Fatalf("open over torn tails: %v", err)
+				t.Fatalf("open over a torn tail: %v", err)
 			}
-			for name, val := range want {
-				data, ok, err := d2.Retrieve(name)
-				if err != nil || !ok || !bytes.Equal(data, val) {
-					t.Fatalf("%s after torn tail = %q ok=%v err=%v, want %q", name, data, ok, err, val)
-				}
-			}
+			mustHold(t, d2, want)
 			if _, ok, _ := d2.Retrieve("written/evil"); ok {
 				t.Fatal("torn frame was replayed")
 			}
-			// The shard accepts appends again past the cutoff, and they last.
+			// The log accepts appends again past the cutoff, and they last.
 			if err := d2.Store("written/r00", []byte("fresh")); err != nil {
 				t.Fatalf("store after torn-tail cutoff: %v", err)
 			}
 			if err := d2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			d3 := mustOpen(t, dir, cfg)
+			d3 := mustOpen(t, dir, preset())
 			defer d3.Close()
 			if data, ok, _ := d3.Retrieve("written/r00"); !ok || string(data) != "fresh" {
 				t.Fatalf("append after the cutoff lost: %q ok=%v", data, ok)
@@ -528,9 +463,11 @@ func testTornTail(t *testing.T, cfg engineConfig) {
 // TestSealedSegmentCorruptFailsOpen: only the highest segment can hold an
 // unacknowledged group, so a malformed frame in any other segment is not a
 // torn tail. Cutting it off would silently drop the acknowledged records
-// behind it; the open must fail instead, like a bad snapshot.
+// behind it; the open must fail instead, like a bad snapshot. The subtest is
+// named after the backend that opens the engine.
 func TestSealedSegmentCorruptFailsOpen(t *testing.T) {
-	forBothPresets(t, func(t *testing.T, cfg engineConfig) {
+	t.Run("wal", func(t *testing.T) {
+		cfg := shrunk()
 		cfg.compactBytes = 1 << 30 // keep the sealed chain on disk
 		dir := t.TempDir()
 		d := mustOpen(t, dir, cfg)
@@ -542,7 +479,7 @@ func TestSealedSegmentCorruptFailsOpen(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
-		sealed := filepath.Join(dir, "shard-0000", "seg-00000001.wal")
+		sealed := filepath.Join(dir, logDirName, "seg-00000001.wal")
 		log, err := os.ReadFile(sealed)
 		if err != nil || len(log) < 256 {
 			t.Fatalf("first segment was not sealed at the threshold: %d bytes, %v", len(log), err)
@@ -568,7 +505,7 @@ func TestSealedSegmentCorruptFailsOpen(t *testing.T) {
 // corruption and must fail the open instead of silently dropping state.
 func TestWALRejectsCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	cfg := shrunk(walPreset)
+	cfg := shrunk()
 	cfg.closeCompactBytes = 1
 	d := mustOpen(t, dir, cfg)
 	for i := 0; i < 8; i++ {
@@ -579,7 +516,7 @@ func TestWALRejectsCorruptSnapshot(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "shard-0000", shardSnap)
+	path := filepath.Join(dir, logDirName, snapName)
 	snap, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("close-compaction wrote no snapshot: %v", err)
@@ -617,114 +554,300 @@ func TestWALRejectsCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestRetiredLayoutRefused: a directory written by the retired single-log
-// engine (wal.log + a top-level snapshot.rec, no MANIFEST) or by the retired
-// file backend (one top-level <hex>.rec per record) must not open as an empty
-// store over someone's data.
-func TestRetiredLayoutRefused(t *testing.T) {
-	for _, tc := range []struct{ old, names string }{
-		{"wal.log", "single-log wal"},
-		{"snapshot.rec", "single-log wal"},
-		{hex.EncodeToString([]byte("written/x")) + ".rec", "file backend"},
-	} {
-		for _, engine := range []string{"wal", "sharded"} {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, tc.old), []byte("old bytes"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			d, err := OpenBackend(engine, dir, Profile{})
-			if err == nil {
-				d.Close()
-				t.Fatalf("%s opened an empty store beside %s", engine, tc.old)
-			}
-			for _, want := range []string{"retired", tc.names, tc.old} {
-				if !strings.Contains(err.Error(), want) {
-					t.Fatalf("%s beside %s: error does not say %q: %v", engine, tc.old, want, err)
-				}
-			}
-			if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
-				t.Fatalf("%s beside %s: refused open left a MANIFEST behind", engine, tc.old)
-			}
+// readTree returns every entry under dir, relative path → content ("" for
+// a directory).
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
 		}
-	}
-}
-
-func TestWALSyncFailureNotAcknowledged(t *testing.T) { testSyncFailure(t, walPreset) }
-func TestShardedSyncFailureRollsBackShard(t *testing.T) {
-	cfg := shardedTestConfig()
-	cfg.shards = 4
-	testSyncFailure(t, cfg)
-}
-
-// testSyncFailure: a group whose segment sync fails is not acknowledged, is
-// invisible to Retrieve and does not survive reopen — the store never lies
-// about durability. Its shard rolls back to the last good offset and accepts
-// stores again once the disk recovers; sibling shards keep committing.
-func testSyncFailure(t *testing.T, cfg engineConfig) {
-	dir := t.TempDir()
-	d := mustOpen(t, dir, cfg)
-
-	victim := "written/victim"
-	victimShard := d.shardFor(victim).id
-	other := ""
-	for i := 0; other == "" && cfg.shards > 1; i++ {
-		if name := fmt.Sprintf("written/other%d", i); d.shardFor(name).id != victimShard {
-			other = name
+		rel, _ := filepath.Rel(dir, path)
+		if e.IsDir() {
+			out[rel+"/"] = ""
+			return nil
 		}
-	}
-	if err := d.Store(victim, []byte("first")); err != nil {
+		b, err := os.ReadFile(path)
+		out[rel] = string(b)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return out
+}
+
+// TestRetiredLayoutRefused: a directory written by a retired engine must not
+// open as an empty store over someone's data, and the refusal changes
+// nothing in it. The retired engines are the single-log wal (wal.log + a
+// top-level snapshot.rec, no MANIFEST), the file backend (one top-level
+// <hex>.rec per record), and the eight-shard sharded preset (a MANIFEST that
+// pins more shards than one).
+func TestRetiredLayoutRefused(t *testing.T) {
+	fileRec := hex.EncodeToString([]byte("written/x")) + ".rec"
+	for _, tc := range []struct {
+		files map[string][]byte
+		says  []string
+	}{
+		{map[string][]byte{"wal.log": []byte("old bytes")}, []string{"single-log wal", "wal.log"}},
+		{map[string][]byte{snapName: []byte("old bytes")}, []string{"single-log wal", snapName}},
+		{map[string][]byte{fileRec: []byte("old bytes")}, []string{"file backend", fileRec}},
+		{map[string][]byte{
+			manifestName:                  []byte("8\n"),
+			"shard-0003/seg-00000001.wal": appendFrame(nil, kindSet, "written/x", []byte("v")),
+		}, []string{"eight-shard sharded preset"}},
+	} {
+		dir := t.TempDir()
+		for name, b := range tc.files {
+			if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := readTree(t, dir)
+		d, err := OpenBackend("wal", dir, Profile{})
+		if err == nil {
+			d.Close()
+			t.Fatalf("opened an empty store over %v", slices.Sorted(maps.Keys(tc.files)))
+		}
+		for _, want := range append(tc.says, "retired") {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error does not say %q: %v", want, err)
+			}
+		}
+		if after := readTree(t, dir); !maps.Equal(before, after) {
+			t.Fatalf("refused open changed the directory: %v, was %v", slices.Sorted(maps.Keys(after)), slices.Sorted(maps.Keys(before)))
+		}
+	}
+}
+
+// TestOneShardLayoutOpens: the layout is the one-shard layout the retired
+// multi-shard engine wrote for -disk wal, so a store it left opens as is and
+// serves its records.
+func TestOneShardLayoutOpens(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "shard-0000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seg := appendFrame(nil, kindSet, "written/x", []byte("old"))
+	seg = appendFrame(seg, kindSet, "written/y", []byte("gone"))
+	seg = appendFrame(seg, kindTomb, "written/y", nil)
+	seg = appendFrame(seg, kindSet, "written/x", []byte("kept"))
+	for name, b := range map[string][]byte{manifestName: []byte("1\n"), "shard-0000/seg-00000001.wal": seg} {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := mustOpen(t, dir, preset())
+	defer d.Close()
+	mustHold(t, d, map[string][]byte{"written/x": []byte("kept")})
+	if names, err := d.Records(""); err != nil || !slices.Equal(names, []string{"written/x"}) {
+		t.Fatalf("Records = %v, %v; want [written/x]", names, err)
+	}
+}
+
+// TestWALSyncFailureNotAcknowledged: a group whose segment sync fails is not
+// acknowledged, is invisible to Retrieve and does not survive reopen — the
+// store never lies about durability. The log rolls back to the last good
+// offset and accepts stores again once the disk recovers.
+func TestWALSyncFailureNotAcknowledged(t *testing.T) {
+	dir := t.TempDir()
 	var failing atomic.Bool
-	failing.Store(true)
 	boom := errors.New("injected sync failure")
-	d.syncHook = func(shard int) error {
-		if shard == victimShard && failing.Load() {
+	cfg := preset()
+	cfg.syncHook = func(path string) error {
+		if strings.HasSuffix(path, ".wal") && failing.Load() {
 			return boom
 		}
 		return nil
 	}
+	d := mustOpen(t, dir, cfg)
 
+	victim := "written/victim"
+	if err := d.Store(victim, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	failing.Store(true)
 	if err := d.Store(victim, []byte("doomed")); !errors.Is(err, boom) {
-		t.Fatalf("store on failing shard returned %v, want injected failure", err)
+		t.Fatalf("store on a failing segment returned %v, want injected failure", err)
 	}
 	if data, ok, err := d.Retrieve(victim); err != nil || !ok || string(data) != "first" {
 		t.Fatalf("unacknowledged store visible: %q ok=%v err=%v", data, ok, err)
 	}
-	if other != "" {
-		if err := d.Store(other, []byte("fine")); err != nil {
-			t.Fatalf("sibling shard affected by victim's sync failure: %v", err)
-		}
-	}
 
 	failing.Store(false)
 	if err := d.Store(victim, []byte("second")); err != nil {
-		t.Fatalf("shard did not recover after rollback: %v", err)
+		t.Fatalf("log did not recover after rollback: %v", err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2 := mustOpen(t, dir, cfg)
+	d2 := mustOpen(t, dir, preset())
 	defer d2.Close()
 	data, ok, err := d2.Retrieve(victim)
 	if err != nil || !ok || string(data) != "second" {
 		t.Fatalf("victim after reopen = %q ok=%v err=%v, want %q", data, ok, err, "second")
 	}
-	if other != "" {
-		if data, ok, _ := d2.Retrieve(other); !ok || string(data) != "fine" {
-			t.Fatalf("sibling record lost: %q ok=%v", data, ok)
+}
+
+// TestSealDirSyncFailure: a segment whose directory entry cannot be made
+// durable takes no group. A first segment that cannot be made durable fails
+// the open; a seal that cannot fails, removes the new segment and wedges the
+// log, and every group acknowledged before reads back on reopen.
+func TestSealDirSyncFailure(t *testing.T) {
+	boom := errors.New("injected directory sync failure")
+	var failing atomic.Bool
+	dir := t.TempDir()
+	logDir := filepath.Join(dir, logDirName)
+	cfg := shrunk()
+	cfg.compactBytes = 1 << 30 // no compaction: a seal is the only directory sync
+	cfg.syncHook = func(path string) error {
+		if path == logDir && failing.Load() {
+			return boom
 		}
+		return nil
+	}
+	failing.Store(true)
+	if d, err := openEngine(dir, cfg); !errors.Is(err, boom) {
+		if err == nil {
+			d.Close()
+		}
+		t.Fatalf("open whose first segment cannot be made durable = %v, want the injected failure", err)
+	}
+
+	failing.Store(false)
+	d := mustOpen(t, dir, cfg)
+	failing.Store(true)
+	want := make(map[string][]byte)
+	var err error
+	for i := 0; err == nil; i++ {
+		if i == 100 {
+			t.Fatal("no seal after 100 stores")
+		}
+		err = storeNext(d, want, i)
+	}
+	if !errors.Is(err, errLogBroken) || !errors.Is(err, boom) {
+		t.Fatalf("store after a failed seal = %v, want the log broken by the injected failure", err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(logDir, "seg-*.wal")); len(segs) != 1 {
+		t.Fatalf("segments after a failed seal: %v, want the one that holds the acknowledged groups", segs)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := mustOpen(t, dir, shrunk())
+	defer d2.Close()
+	mustHold(t, d2, want)
+}
+
+// TestCompactionDirSyncFailure: when the directory sync after a snapshot
+// rename fails, a crash may bring back either snapshot, and the old one
+// needs every consumed segment. The compaction deletes nothing and wedges
+// the log, and every acknowledged group reads back on reopen.
+func TestCompactionDirSyncFailure(t *testing.T) {
+	boom := errors.New("injected directory sync failure")
+	var renaming atomic.Bool
+	dir := t.TempDir()
+	logDir := filepath.Join(dir, logDirName)
+	cfg := shrunk()
+	cfg.syncHook = func(path string) error {
+		if strings.HasPrefix(filepath.Base(path), "snap-tmp-") {
+			renaming.Store(true) // the temp snapshot is synced right before its rename
+		}
+		if path == logDir && renaming.Load() {
+			return boom
+		}
+		return nil
+	}
+	d := mustOpen(t, dir, cfg)
+	want := make(map[string][]byte)
+	for i := 0; !renaming.Load(); i++ {
+		if i == 1000 {
+			t.Fatal("no compaction after 1000 stores")
+		}
+		// Once the compaction is under way, a seal may hit the failing
+		// directory sync first and wedge the log itself.
+		if err := storeNext(d, want, i); err != nil && !renaming.Load() {
+			t.Fatal(err)
+		}
+	}
+	d.compWG.Wait()
+	if err := d.Store("written/late", []byte("v")); !errors.Is(err, errLogBroken) || !errors.Is(err, boom) {
+		t.Fatalf("store after a failed compaction = %v, want the log broken by the injected failure", err)
+	}
+	if n := d.Compactions(); n != 0 {
+		t.Fatalf("%d compactions completed, want none", n)
+	}
+	for id := uint64(1); id <= d.activeID; id++ {
+		if _, err := os.Stat(d.segPath(id)); err != nil {
+			t.Fatalf("segment %d is gone after the failed compaction: %v", id, err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := mustOpen(t, dir, shrunk())
+	defer d2.Close()
+	mustHold(t, d2, want)
+}
+
+// TestManifestSyncFailure: a new store whose manifest cannot be made durable
+// — its temp file's sync or the directory sync after the rename fails —
+// fails the open and leaves the directory as it found it, and the next open
+// creates the store.
+func TestManifestSyncFailure(t *testing.T) {
+	boom := errors.New("injected sync failure")
+	for name, fails := range map[string]func(dir, path string) bool{
+		"temp-file": func(_, path string) bool { return strings.HasPrefix(filepath.Base(path), "manifest-") },
+		"directory": func(dir, path string) bool { return path == dir },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := preset()
+			cfg.syncHook = func(path string) error {
+				if fails(dir, path) {
+					return boom
+				}
+				return nil
+			}
+			if d, err := openEngine(dir, cfg); !errors.Is(err, boom) {
+				if err == nil {
+					d.Close()
+				}
+				t.Fatalf("open = %v, want the injected failure", err)
+			}
+			if left := readTree(t, dir); len(left) != 0 {
+				t.Fatalf("failed open left %v behind", slices.Sorted(maps.Keys(left)))
+			}
+			d := mustOpen(t, dir, preset())
+			want := map[string][]byte{"written/x": []byte("v")}
+			if err := d.Store("written/x", want["written/x"]); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d2 := mustOpen(t, dir, preset())
+			defer d2.Close()
+			mustHold(t, d2, want)
+		})
 	}
 }
 
-// overlapHook is a syncHook that records how many commits of one shard are
-// inside their fdatasync at once.
+// overlapHook is a syncHook that records how many commits are inside their
+// segment fdatasync at once.
 type overlapHook struct {
 	inside, peak atomic.Int32
 }
 
-func (o *overlapHook) sync(int) error {
+func (o *overlapHook) sync(path string) error {
+	if !strings.HasSuffix(path, ".wal") {
+		return nil // a directory or snapshot sync: not a commit
+	}
 	n := o.inside.Add(1)
 	for p := o.peak.Load(); n > p && !o.peak.CompareAndSwap(p, n); p = o.peak.Load() {
 	}
@@ -733,15 +856,16 @@ func (o *overlapHook) sync(int) error {
 	return nil
 }
 
-// TestShardedConcurrentCommitsNeverOverlap: eight callers storing to one
-// shard at once commit on their own goroutines, one at a time — no two are
-// ever inside the shard's sync together — and every Store is visible once it
-// returns and survives a reopen. Run it under -race.
-func TestShardedConcurrentCommitsNeverOverlap(t *testing.T) {
+// TestConcurrentCommitsNeverOverlap: eight callers storing at once commit on
+// their own goroutines, one at a time — no two are ever inside the segment
+// sync together — and every Store is visible once it returns and survives a
+// reopen. Run it under -race.
+func TestConcurrentCommitsNeverOverlap(t *testing.T) {
 	dir := t.TempDir()
-	d := mustOpen(t, dir, shrunk(walPreset)) // one shard; tiny segments seal and compact underneath
 	hook := &overlapHook{}
-	d.syncHook = hook.sync
+	cfg := shrunk() // tiny segments seal and compact underneath
+	cfg.syncHook = hook.sync
+	d := mustOpen(t, dir, cfg)
 	const writers, stores = 8, 40
 	var wg sync.WaitGroup
 	for w := range writers {
@@ -764,7 +888,7 @@ func TestShardedConcurrentCommitsNeverOverlap(t *testing.T) {
 	}
 	wg.Wait()
 	if peak := hook.peak.Load(); peak != 1 {
-		t.Fatalf("%d commits were inside the shard's sync at once, want 1", peak)
+		t.Fatalf("%d commits were inside the segment sync at once, want 1", peak)
 	}
 	if got := d.AppendedRecords(); got != writers*stores {
 		t.Fatalf("appended %d records, want %d", got, writers*stores)
@@ -772,7 +896,7 @@ func TestShardedConcurrentCommitsNeverOverlap(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := mustOpen(t, dir, walPreset)
+	d2 := mustOpen(t, dir, preset())
 	defer d2.Close()
 	for w := range writers {
 		name, want := fmt.Sprintf("written/r%d", w), fmt.Sprintf("w%d-%d", w, stores-1)
@@ -782,21 +906,18 @@ func TestShardedConcurrentCommitsNeverOverlap(t *testing.T) {
 	}
 }
 
-func TestWALFlakyCrashReplay(t *testing.T)     { testFlakyCrashReplay(t, walPreset) }
-func TestShardedFlakyCrashReplay(t *testing.T) { testFlakyCrashReplay(t, shardedPreset) }
-
-// testFlakyCrashReplay is the crash-replay torture with the register
+// TestWALFlakyCrashReplay is the crash-replay torture with the register
 // lifecycle in the mix: stores, batches and deletes fail with probability
-// 0.3 while tiny thresholds keep seals and compactions running underneath;
+// 0.3 while small thresholds keep seals and compactions running underneath;
 // whatever was acknowledged — including deletions — must be exactly the
 // state after a reopen on the production preset. A Flaky fault fails the
 // whole group before it reaches the engine, so the acknowledged map is the
 // exact expected state.
-func testFlakyCrashReplay(t *testing.T, preset engineConfig) {
+func TestWALFlakyCrashReplay(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := preset
+			cfg := preset()
 			cfg.segmentBytes, cfg.compactBytes = 512, 1024
 			fl := NewFlaky(mustOpen(t, dir, cfg), 0.3, seed)
 			rng := rand.New(rand.NewSource(seed * 77))
@@ -846,7 +967,7 @@ func testFlakyCrashReplay(t *testing.T, preset engineConfig) {
 				t.Fatal(err)
 			}
 
-			d2, err := openEngine(dir, preset)
+			d2, err := openEngine(dir, preset())
 			if err != nil {
 				t.Fatalf("reopen after flaky run: %v", err)
 			}
@@ -878,7 +999,7 @@ func testFlakyCrashReplay(t *testing.T, preset engineConfig) {
 // TestCountingDelete: the Counting wrapper hands Delete through to an engine
 // with a register lifecycle and counts it; over one without, it refuses.
 func TestCountingDelete(t *testing.T) {
-	inner := mustOpen(t, t.TempDir(), shardedTestConfig())
+	inner := mustOpen(t, t.TempDir(), shrunk())
 	c := NewCounting(inner)
 	defer c.Close()
 	if err := c.Delete("written/r00"); err != nil {

@@ -6,25 +6,25 @@
 //     configurable synchronous write latency — the paper's λ (logging a few
 //     bytes on their IDE disks costs ≈ 0.2 ms, about twice a message transit)
 //     plus a bandwidth term for the payload-size experiment (Fig. 6 bottom).
-//   - ShardedDisk (sharded.go), the durable log engine behind two backend
-//     names: CRC-framed append-only segment chains that commit on the
-//     caller's goroutine — a call's records for one shard are one append and
-//     one fdatasync — background compaction into an indexed snapshot so
-//     reopening reads offsets instead of values, and tombstoned deletes
-//     (Deleter). "wal" is its one-shard preset — a lone Store is one append +
-//     one fdatasync, the paper's "file written to disk synchronously so that
-//     the operating system writes the data to disk immediately instead of
-//     buffering" (buffering would violate even transient atomicity); a
-//     k-record batch is still one append + one sync, and every touched value
-//     stays in memory. "sharded" is its eight-shard preset with LRU value
-//     eviction, so the resident set is bounded independently of the
-//     namespace (docs/adr/0012). The engine does not gather concurrent
+//   - LogDisk ("wal", logdisk.go), the durable log engine: one chain of
+//     CRC-framed append-only segments that commits on the caller's goroutine,
+//     background compaction into an indexed snapshot so reopening reads
+//     offsets instead of values, tombstoned deletes (Deleter), and an LRU
+//     that bounds the resident values independently of the namespace
+//     (docs/adr/0021). A lone Store is one append + one fdatasync, the
+//     paper's "file written to disk synchronously so that the operating
+//     system writes the data to disk immediately instead of buffering"
+//     (buffering would violate even transient atomicity); a k-record batch is
+//     still one append + one sync. The engine does not gather concurrent
 //     callers: a node's logger hands it whole groups (docs/adr/0019).
+//     "sharded" names the same engine with the same tuning, an alias kept
+//     while the benchmark still passes it.
 //
 // The model only asks that a store is durable before it is acknowledged, not
 // how the directory is laid out; the one-file-per-record backend that used to
 // sit beside the log engine is retired (docs/adr/0016), and the log engine
-// refuses a directory that still holds its files.
+// refuses a directory that still holds its files — as it refuses one written
+// by its own retired eight-shard preset (docs/adr/0021).
 //
 // Records are named; register emulations use one record per role per
 // register ("written/x", "writing/x", "recovered"). Both engines expose the
@@ -57,8 +57,8 @@ type Storage interface {
 	Store(record string, data []byte) error
 	// StoreBatch durably saves all records as one group: it returns nil only
 	// after every record is stable. Both engines pay the synchronous-write
-	// cost once for the whole batch (one fdatasync per ShardedDisk shard,
-	// MemDisk's simulated one). When a batch contains several records with the same
+	// cost once for the whole batch (LogDisk's one fdatasync, MemDisk's
+	// simulated one). When a batch contains several records with the same
 	// name, the last one wins. On error none of the batch is acknowledged —
 	// individual records may or may not have become durable.
 	StoreBatch(recs []Record) error
@@ -70,7 +70,7 @@ type Storage interface {
 	Records(prefix string) ([]string, error)
 	// Close releases resources. The stored content remains retrievable by a
 	// new Storage opened over the same substrate (MemDisk: same object;
-	// ShardedDisk: same directory).
+	// LogDisk: same directory).
 	Close() error
 }
 
@@ -151,8 +151,9 @@ func ValidBackend(name string) bool {
 }
 
 // OpenBackend opens the named storage engine: "mem" (or "") is a MemDisk
-// with the given latency profile; "wal" and "sharded" are the one-shard and
-// the eight-shard preset of ShardedDisk, rooted at dir. This is the only
+// with the given latency profile; "wal" is the LogDisk rooted at dir, and
+// "sharded" is an alias for it — the name of the retired eight-shard preset,
+// which the benchmark still passes (docs/adr/0021). This is the only
 // place a name turns into an engine: the cluster, the node, the benchmarks
 // and the torture driver all call it, so every layer accepts the same -disk
 // names.
@@ -160,12 +161,10 @@ func OpenBackend(backend, dir string, prof Profile) (Storage, error) {
 	switch backend {
 	case "", "mem":
 		return NewMemDisk(prof), nil
-	case "wal":
-		return openEngine(dir, walPreset)
-	case "sharded":
-		return openEngine(dir, shardedPreset)
+	case "wal", "sharded":
+		return openEngine(dir, preset())
 	default:
-		return nil, fmt.Errorf("stable: unknown backend %q (want mem, wal, or sharded)", backend)
+		return nil, fmt.Errorf("stable: unknown backend %q (want mem or wal)", backend)
 	}
 }
 
@@ -221,7 +220,7 @@ func (d *MemDisk) Store(record string, data []byte) error {
 // StoreBatch implements Storage with a simulated group commit: the batch
 // pays one StoreDelay (one "fsync") plus the bandwidth term for the combined
 // payload, instead of one StoreDelay per record — the simulated-disk
-// counterpart of ShardedDisk's one fdatasync per batch, which is what lets
+// counterpart of LogDisk's one fdatasync per batch, which is what lets
 // the fsync-amortization experiments run on the calibrated in-memory
 // testbed. The wait runs off the lock, so concurrent readers proceed, and
 // uses spin.Sleep: λ ≈ 200 µs is far below time.Sleep granularity on many
@@ -422,9 +421,8 @@ func (c *Counting) Batches() int {
 }
 
 // Commits returns the number of durability points observed: one per Store
-// call plus one per StoreBatch call. ShardedDisk may merge many commits into
-// one fdatasync — compare with its Syncs counter to read off the
-// amortization.
+// call plus one per StoreBatch call — compare with LogDisk's Syncs counter
+// to read off the amortization.
 func (c *Counting) Commits() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

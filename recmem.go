@@ -207,25 +207,16 @@ func WithDisk(storeDelay time.Duration, bytesPerSec float64) Option {
 }
 
 // WithWALStorage stores each process's stable state in dir/node<i> on real
-// files instead of the simulated disk, using the log engine's one-shard
-// preset: one append-only CRC-framed log, with periodic snapshot +
-// truncation. Each process's logger hands it the causal logs of concurrent
-// rounds as one batch, which is one append + one fdatasync; a lone store is
-// one append + one fdatasync — the paper's "file written synchronously". See
-// docs/adr/0012-one-log-engine.md and docs/adr/0019-node-is-its-group-committer.md.
+// files instead of the simulated disk, using the log engine: one
+// append-only CRC-framed segment chain, compacted into an indexed snapshot,
+// with a bounded set of values in memory, so reopen time and resident memory
+// are bounded by the compaction policy instead of the namespace size. Each
+// process's logger hands it the causal logs of concurrent rounds as one
+// batch, which is one append + one fdatasync; a lone store is one append +
+// one fdatasync — the paper's "file written synchronously". See
+// docs/adr/0021-one-log.md and docs/adr/0019-node-is-its-group-committer.md.
 func WithWALStorage(dir string) Option {
 	return optionFunc(func(c *config) { c.diskBackend = "wal"; c.diskDir = dir })
-}
-
-// WithShardedStorage stores each process's stable state in dir/node<i> on
-// the sharded compacting engine: records hash onto per-shard WAL segment
-// chains with background compaction into indexed snapshots, tombstoned
-// deletes, and LRU value eviction, so recovery time and resident memory are
-// bounded by the compaction policy instead of the register-namespace size.
-// The backend for large namespaces; see
-// docs/adr/0008-sharded-compacting-store.md.
-func WithShardedStorage(dir string) Option {
-	return optionFunc(func(c *config) { c.diskBackend = "sharded"; c.diskDir = dir })
 }
 
 // WithMessageLoss drops each message with the given probability in [0,1).

@@ -210,40 +210,36 @@ func TestProcessPanicsOutOfRange(t *testing.T) {
 }
 
 // TestStorageOptions: crash all → recover all → read back on real files,
-// under both presets of the log engine.
+// on the log engine; the subtest is named after its storage option.
 func TestStorageOptions(t *testing.T) {
-	for name, storage := range map[string]func(string) recmem.Option{
-		"wal": recmem.WithWALStorage, "sharded": recmem.WithShardedStorage,
-	} {
-		t.Run(name, func(t *testing.T) {
-			c := newTestCluster(t, 3, recmem.PersistentAtomic, storage(t.TempDir()))
-			ctx := testCtx(t)
-			if err := c.Process(0).Write(ctx, "x", []byte("persisted")); err != nil {
-				t.Fatal(err)
-			}
-			for p := 0; p < 3; p++ {
-				_ = c.Process(p).Crash(ctx)
-			}
-			var wg sync.WaitGroup
-			for p := 0; p < 3; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					if err := c.Process(p).Recover(ctx); err != nil {
-						t.Errorf("recover %d: %v", p, err)
-					}
-				}(p)
-			}
-			wg.Wait()
-			got, err := c.Process(2).Read(ctx, "x")
-			if err != nil || string(got) != "persisted" {
-				t.Fatalf("read = %q, %v", got, err)
-			}
-			if err := c.Verify(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("wal", func(t *testing.T) {
+		c := newTestCluster(t, 3, recmem.PersistentAtomic, recmem.WithWALStorage(t.TempDir()))
+		ctx := testCtx(t)
+		if err := c.Process(0).Write(ctx, "x", []byte("persisted")); err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 3; p++ {
+			_ = c.Process(p).Crash(ctx)
+		}
+		var wg sync.WaitGroup
+		for p := 0; p < 3; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				if err := c.Process(p).Recover(ctx); err != nil {
+					t.Errorf("recover %d: %v", p, err)
+				}
+			}(p)
+		}
+		wg.Wait()
+		got, err := c.Process(2).Read(ctx, "x")
+		if err != nil || string(got) != "persisted" {
+			t.Fatalf("read = %q, %v", got, err)
+		}
+		if err := c.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestLossyNetworkOptions(t *testing.T) {

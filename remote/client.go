@@ -141,7 +141,8 @@ type Client struct {
 	gen      uint64        // bumped per established connection; stales old readLoops
 	pending  map[uint64]*call
 	nextID   uint64
-	sticky   error // terminal error; set once
+	sticky   error         // terminal error; set once
+	stop     chan struct{} // closed with sticky's first set: wakes a backing-off redialer
 	closed   bool
 	info     Info // identity from the last successful handshake
 	haveInfo bool
@@ -202,7 +203,7 @@ var (
 // handshake, so a successful Dial proves the peer speaks this protocol
 // version and reports its node identity (see Info).
 func Dial(addr string, opts Options) (*Client, error) {
-	c := &Client{addr: addr, opts: opts.withDefaults(), pending: make(map[uint64]*call)}
+	c := &Client{addr: addr, opts: opts.withDefaults(), pending: make(map[uint64]*call), stop: make(chan struct{})}
 	conn, cw, info, err := c.connect()
 	if err != nil {
 		return nil, err
@@ -581,7 +582,13 @@ func (c *Client) redialLoop() {
 	}
 	backoff := c.opts.RedialMin
 	for attempt := 1; ; attempt++ {
-		time.Sleep(backoff)
+		wait := time.NewTimer(backoff)
+		select {
+		case <-wait.C:
+		case <-c.stop: // terminated while backing off: nothing left to redial
+			wait.Stop()
+			return
+		}
 		if backoff *= 2; backoff > c.opts.RedialMax {
 			backoff = c.opts.RedialMax
 		}
@@ -659,6 +666,7 @@ func (c *Client) terminate(err error) {
 	c.pending = make(map[uint64]*call)
 	if first {
 		c.notifyLocked(StateTerminal, sticky)
+		close(c.stop)
 	}
 	c.mu.Unlock()
 

@@ -232,7 +232,7 @@ func TestIdleConnectionCostsOneGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine() // the idle mesh: nothing on demand runs
+	base := settledGoroutines() // the idle mesh: nothing on demand runs
 
 	const k = 8
 	for i := 0; i < k; i++ {
@@ -257,4 +257,20 @@ func TestIdleConnectionCostsOneGoroutine(t *testing.T) {
 	if got != base+k {
 		t.Fatalf("%d idle connections grew the goroutine count by %d, want %d", k, got-base, k)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// 20 ms. Earlier tests' nodes finish tearing down asynchronously — a node's
+// listener returns only after its transport has closed — and one of their
+// goroutines still on its way out must not count in the baseline.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(2 * time.Second)
+	for still := time.Now(); time.Since(still) < 20*time.Millisecond && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, time.Now()
+		}
+	}
+	return n
 }

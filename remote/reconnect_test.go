@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +244,41 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := c2.Close(); err != nil {
 		t.Fatalf("re-close after connection death: %v", err)
 	}
+}
+
+// TestCloseStopsRedialer: Close wakes a redialer in the middle of its
+// backoff, so a closed client does not leave a goroutine sleeping out the
+// rest of it.
+func TestCloseStopsRedialer(t *testing.T) {
+	mesh := startMesh(t, 1, core.Persistent)
+	c, err := Dial(mesh.controlAddr(0), Options{RedialMin: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	if err := c.Ping(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mesh.servers[0].Close()
+	waitRedialers := func(want int, what string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); redialers() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d redialers running, want %d", what, redialers(), want)
+			}
+		}
+	}
+	waitRedialers(1, "after the server closed")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitRedialers(0, "after Close, with a minute of backoff left")
+}
+
+// redialers counts the goroutines running a Client's redialLoop.
+func redialers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), ".(*Client).redialLoop(")
 }
 
 // TestRecordingVerifySpansReconnect: a recorded history that spans a real

@@ -3,8 +3,8 @@
 # through the binary remote client (write / read / crash / recover / a
 # pipelined bench), run a VERIFIED torture round (recording clients, merged
 # per-client histories model-checked — docs/adr/0004), run multi-round
-# KILL-RESTART torture — once on wal disks and once on sharded disks — in
-# which recmem-torture SIGKILLs and restarts real
+# KILL-RESTART torture on wal disks, in which recmem-torture SIGKILLs and
+# restarts real
 # node processes mid-run (docs/adr/0005), infers the restarts from the
 # incarnation epochs on the replies (docs/adr/0006) and still verifies the
 # merged history against TRANSIENT atomicity, prove the checker has teeth
@@ -50,11 +50,10 @@ trap cleanup EXIT
 echo "== build"
 go build -o "$BIN" ./cmd/recmem-node ./cmd/recmem-client ./cmd/recmem-torture
 
-# kill_round <disk>: the process-death acceptance scenario. recmem-torture
-# spawns its own 3-node transient-algorithm mesh on the given storage engine
-# (wal and sharded both take this round), drives the verified workload
-# over TWO rounds through run-lifetime clients, SIGKILLs node processes
-# mid-run and re-execs them (each restart runs the recovery procedure from
+# kill_round: the process-death acceptance scenario. recmem-torture spawns
+# its own 3-node transient-algorithm mesh on wal disks, drives the verified
+# workload over TWO rounds through run-lifetime clients, SIGKILLs node
+# processes mid-run and re-execs them (each restart runs the recovery procedure from
 # its stable store before reopening the control port, minting a fresh
 # incarnation epoch — docs/adr/0006), and the merged recorded history —
 # spanning real process death, with the restarts inferred from the epoch
@@ -65,7 +64,7 @@ go build -o "$BIN" ./cmd/recmem-node ./cmd/recmem-client ./cmd/recmem-torture
 # ErrCrashed/ErrDown during it, plain successes after, no re-dial in the
 # scenario code.
 kill_round() {
-    local disk=$1
+    local disk=wal
     echo "== KILL-RESTART rounds: SIGKILL + re-exec real node processes mid-run, verified (transient, $disk disks, 10k-register namespace)"
     local kpeers="127.0.0.1:$K0,127.0.0.1:$K1,127.0.0.1:$K2"
     local kcmd=""
@@ -83,13 +82,8 @@ kill_round() {
         -kill "$kcmd" -kill-cycles 2 -kill-delay 150ms -kill-down 150ms
 }
 
-kill_rounds() {
-    kill_round wal
-    kill_round sharded
-}
-
 if [ "${SMOKE_KILL_ONLY:-0}" = "1" ]; then
-    kill_rounds
+    kill_round
     echo "mesh kill-restart: OK"
     exit 0
 fi
@@ -192,7 +186,7 @@ fi
 echo "   one-round hit rate: $ONE of $((ONE + TWO)) read executions"
 
 if [ "${SMOKE_VERIFY_ONLY:-0}" != "1" ]; then
-    kill_rounds
+    kill_round
 fi
 
 echo "== start a second mesh whose node 1 serves stale reads (-stale-reads)"
