@@ -8,11 +8,9 @@ build:
 	$(GO) build ./...
 
 # bench/ is its own module (the deployed-shape benchmark, BENCHMARK.json), so
-# the root ./... does not reach its unit tests. The timeout is for the
-# atomicity checker, exponential in concurrent writes per register: a
-# blow-up fails in two minutes, not go test's default ten.
+# the root ./... does not reach its unit tests.
 test:
-	$(GO) test -timeout 120s ./...
+	$(GO) test ./...
 	cd bench && $(GO) test -short ./...
 
 race:

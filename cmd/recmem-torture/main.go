@@ -126,7 +126,7 @@ func run(args []string) error {
 		disk       = fs.String("disk", "mem", "stable-storage engine: "+strings.Join(stable.Backends(), ", "))
 		diskFail   = fs.Float64("diskfail", 0, "injected Store/StoreBatch failure rate [0,1)")
 		remoteFlag = fs.String("remote", "", "comma-separated recmem-node control addresses: drive a live mesh instead of the simulator")
-		verify     = fs.Bool("verify", false, "with -remote: record per-client histories, merge them by wall clock + tag witness, and model-check the round (docs/adr/0004)")
+		verify     = fs.Bool("verify", false, "with -remote: record per-client histories, merge them by wall clock + tag witness, and model-check the run so far after each round (docs/adr/0004)")
 		populate   = fs.Int("populate", 0, "with -remote: bulk-write this many distinct registers across the mesh before round 1, so kill-restart rounds recover over a populated namespace (docs/adr/0009)")
 		killFlag   = fs.String("kill", "", "with -remote: ';;'-separated recmem-node command lines, one per control address; the torture run spawns them and SIGKILLs + restarts real node processes mid-round (docs/adr/0005)")
 		killCycles = fs.Int("kill-cycles", 2, "SIGKILL+restart cycles per round under -kill")
@@ -200,11 +200,10 @@ func run(args []string) error {
 
 	// Remote clients persist across rounds — one dial per node for the whole
 	// run, like a deployment's long-lived clients, with the reconnect layer
-	// riding out any mid-run process death. With -verify the recording group
-	// is chained too: each round verifies against the previous round's
-	// committed state (RecordingGroup.Continuation), so a read in round 3
-	// answered by a round-2 writer is checked against that writer instead of
-	// an amnesiac blank slate.
+	// riding out any mid-run process death. With -verify one recording group
+	// records the whole run and each round verifies everything recorded so
+	// far, so a read in round 3 answered by a round-2 writer is checked
+	// against that writer instead of an amnesiac blank slate.
 	var (
 		raw   []*remote.Client
 		group *recmem.RecordingGroup
@@ -241,9 +240,6 @@ func run(args []string) error {
 			return fmt.Errorf("round %d (seed %d): %w", round, roundSeed, err)
 		}
 		fmt.Printf("round %d ok (seed %d)\n", round, roundSeed)
-		if group != nil && round+1 < *rounds {
-			group = group.Continuation()
-		}
 	}
 	if len(o.remote) > 0 {
 		fmt.Printf("all %d rounds passed against the live mesh %v\n", *rounds, o.remote)
@@ -285,10 +281,13 @@ func scenario(ctx context.Context, clients []recmem.Client, o options, faults bo
 		// a post-crash reply to check.
 		for i, c := range clients {
 			reg := c.Register("r0")
-			val := fmt.Appendf(nil, "warmup-%d", i)
 			// A concurrent kill schedule (remote rounds) can take the node
-			// down mid-warm-up; ride the outage like the final probes do.
-			if err := retryOutage(ctx, func() error { return reg.Write(ctx, val) }); err != nil {
+			// down mid-warm-up; ride the outage like the final probes do,
+			// each attempt writing its own value: a failed one may still
+			// take effect, and written values are unique per register.
+			if err := retryOutage(ctx, func(attempt int) error {
+				return reg.Write(ctx, fmt.Appendf(nil, "warmup-%d@%d.%d", i, o.seed, attempt))
+			}); err != nil {
 				return workload.Result{}, 0, fmt.Errorf("pre-fault warm-up through client %d: %w", i, err)
 			}
 		}
@@ -538,7 +537,7 @@ func remoteRound(o options, procs []*procfault.Proc, raw []*remote.Client, group
 		if group != nil {
 			// All traffic — workload, faults, final probes — goes through
 			// the recording wrapper, so the merged history is complete.
-			// On a Continuation group this returns the pre-seeded wrapper.
+			// Every round gets the client's one recording back.
 			clients[i] = group.Wrap(c)
 		}
 	}
@@ -601,15 +600,18 @@ func remoteRound(o options, procs []*procfault.Proc, raw []*remote.Client, group
 	// after the fault schedule and forces one post-crash reply per node
 	// into the recorded history — the reply whose incarnation epoch the
 	// recorder holds against the floors set by that node's crashes.
-	probe := fmt.Sprintf("probe-%d", o.seed)
-	if err := retryOutage(ctx, func() error {
+	// Like the warm-up, each attempt writes its own value; the reads must
+	// see the one whose attempt succeeded.
+	var probe string
+	if err := retryOutage(ctx, func(attempt int) error {
+		probe = fmt.Sprintf("probe-%d.%d", o.seed, attempt)
 		return clients[0].Register("r0").Write(ctx, []byte(probe))
 	}); err != nil {
 		return fmt.Errorf("final probe write: %w", err)
 	}
 	for i, c := range clients {
 		var got []byte
-		err = retryOutage(ctx, func() error {
+		err = retryOutage(ctx, func(int) error {
 			var rerr error
 			got, rerr = c.Register("r0").Read(ctx)
 			return rerr
@@ -654,10 +656,10 @@ func recoverWhenReachable(ctx context.Context, c recmem.Client) error {
 }
 
 // retryOutage runs op, riding out the reconnect-layer outage errors the
-// same way the workload driver does.
-func retryOutage(ctx context.Context, op func() error) error {
-	for {
-		err := op()
+// same way the workload driver does. op gets the attempt number, from 0.
+func retryOutage(ctx context.Context, op func(attempt int) error) error {
+	for attempt := 0; ; attempt++ {
+		err := op(attempt)
 		switch {
 		case err == nil:
 			return nil
@@ -671,8 +673,8 @@ func retryOutage(ctx context.Context, op func() error) error {
 	}
 }
 
-// verifyRemote merges the recorded per-client histories and checks them
-// against the criterion of the algorithm the mesh reports.
+// verifyRemote merges the per-client histories recorded so far in the run
+// and checks them against the criterion of the algorithm the mesh reports.
 func verifyRemote(ctx context.Context, group *recmem.RecordingGroup, node *remote.Client) error {
 	info, err := node.Info(ctx)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -232,5 +233,23 @@ func TestKillFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-remote", ":1,:2", "-kill", "a;; ;;c"}); err == nil {
 		t.Fatal("accepted an empty command")
+	}
+}
+
+// TestRetryOutageNumbersAttempts: every attempt after an outage error gets
+// its own number, which the warm-up and probe writes put in their values —
+// a failed attempt may still take effect, so no two attempts may write the
+// same bytes.
+func TestRetryOutageNumbersAttempts(t *testing.T) {
+	var seen []int
+	err := retryOutage(context.Background(), func(attempt int) error {
+		seen = append(seen, attempt)
+		if attempt < 2 {
+			return recmem.ErrDown
+		}
+		return nil
+	})
+	if err != nil || len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 {
+		t.Fatalf("retryOutage = %v after attempts %v, want nil after 0 1 2", err, seen)
 	}
 }

@@ -3,37 +3,35 @@
 // (Herlihy & Wing, the crash-stop baseline), persistent atomicity (§III-B)
 // and transient atomicity (§III-C).
 //
-// All three criteria share the same core question — does a legal sequential
-// history exist that is equivalent to some completion of H and preserves H's
-// operation precedence? — and differ only in how pending invocations may be
-// completed:
+// All three ask whether a legal sequential history exists that is
+// equivalent to some completion of H and preserves H's operation
+// precedence. They differ only in where a pending write's reply may sit:
+// anywhere after the end (linearizability), before its process's next
+// invocation (persistent), or before its process's next write reply
+// (transient, the paper's "overlapping writes" after a crash).
 //
-//   - Linearizability: a pending invocation is absent, or its reply is
-//     appended anywhere after the end of the history.
-//   - Persistent atomicity: a pending invocation is absent, or its reply
-//     appears before the subsequent invocation of the same process.
-//   - Transient atomicity: a pending invocation is absent, or its reply
-//     appears before the subsequent *write reply* of the same process
-//     (allowing the paper's "overlapping writes" after a crash).
+// Check answers in one O(n log n) pass per register (BenchmarkCheck),
+// Gibbons & Korach's cluster test over the reads-from relation:
 //
-// Three observations make the search tractable without losing completeness:
+//   - Input contract: written values are unique per register and never ⊥,
+//     so each completed read maps to the write of its value; a repeated
+//     value is resolved by the tag witness (readsFrom), and a read still
+//     left without a single write is refused with a plain error.
+//   - Pending reads are dropped, and so is a pending write nobody read. A
+//     pending write that was read replies at the latest position its
+//     criterion allows: a later reply only removes precedence edges.
+//   - A write and its readers form a cluster; ⊥'s readers form the initial
+//     cluster. A legal sequential history is the clusters in some order,
+//     each write followed by its reads, so H is atomic iff no read returns
+//     before its write is invoked and no two clusters each hold an
+//     operation preceding an operation of the other.
+//   - With f a cluster's earliest reply and s its latest invocation, two
+//     clusters conflict iff each one's f precedes the other's s. So the
+//     forward zones [f, s] (f < s) must be disjoint, and no backward zone
+//     [s, f] may lie inside one.
 //
-//  1. Pending reads can always be dropped: keeping a completed read only adds
-//     constraints, so if any completion linearizes, the one without the read
-//     linearizes too.
-//  2. For a kept pending write, placing the synthesized reply at the *latest*
-//     position the criterion allows is optimal: moving a reply later only
-//     removes precedence edges, so if any placement linearizes, the latest
-//     placement does.
-//  3. A read that nothing un-dealt precedes and that returns the current
-//     value can be linearized at once: it changes no state, so any witness
-//     can be reordered to put it first. The search never branches on reads;
-//     it stays exponential only in mutually concurrent writes.
-//
-// The remaining choice — keep or drop each pending write — is folded into the
-// sequential-witness search itself: a pending write may be "dropped" at any
-// point of the search at no constraint, which explores all 2^k keep/drop
-// combinations while sharing memoized states.
+// The exhaustive witness search this package used before is the oracle of
+// its tests.
 package atomicity
 
 import (
@@ -43,6 +41,7 @@ import (
 	"strings"
 
 	"recmem/internal/history"
+	"recmem/internal/tag"
 )
 
 // Mode selects the consistency criterion to check.
@@ -105,16 +104,24 @@ func (v *Violation) Error() string {
 // Check reports whether h satisfies the criterion, after validating
 // well-formedness. Multi-register histories are checked per register
 // (atomicity is a local property). A nil return means the history satisfies
-// the criterion; otherwise the error is a *Violation (or a well-formedness
-// error).
+// the criterion; a *Violation means it does not. Any other error is a
+// history Check cannot judge: an ill-formed one, or one breaking the input
+// contract of the package doc.
 func Check(h history.History, mode Mode) error {
 	if err := h.Validate(); err != nil {
 		return err
 	}
-	for _, reg := range h.Registers() {
-		if err := checkRegister(h.Restrict(reg), reg, mode); err != nil {
+	ops := h.Operations()
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Reg < ops[j].Reg })
+	for len(ops) > 0 {
+		n := 1
+		for n < len(ops) && ops[n].Reg == ops[0].Reg {
+			n++
+		}
+		if err := checkRegister(ops[:n], ops[0].Reg, mode); err != nil {
 			return err
 		}
+		ops = ops[n:]
 	}
 	return nil
 }
@@ -123,170 +130,185 @@ func Check(h history.History, mode Mode) error {
 // extension of the history.
 const unbounded = int64(math.MaxInt64)
 
-// searchOp is an operation prepared for the sequential-witness search.
-type searchOp struct {
-	isWrite  bool
-	value    string
-	inv      int64
-	ret      int64 // unbounded if the reply may float to the end
-	optional bool  // pending write: may be dropped instead of linearized
+// cluster is one write and the reads that return its value, placed by two
+// members: first, whose reply is earliest (at f), and last, invoked latest
+// (at s). The initial cluster has no write: its virtual write of ⊥ replies
+// before everything (f is -∞), and it has no first member. same links the
+// clusters of earlier writes of the same value.
+type cluster struct {
+	write, first, last *history.Operation
+	f, s               int64
+	same               *cluster
 }
 
-// searchOps prepares a single-register history for the witness search:
-// pending operations completed as the mode allows, in invocation order.
-func searchOps(h history.History, mode Mode) []searchOp {
-	all := h.Operations()
-	ops := make([]searchOp, 0, len(all))
-	for _, op := range all {
-		s := searchOp{isWrite: op.Type == history.Write, value: op.Value, inv: op.Inv, ret: op.Ret}
-		if op.Pending() {
-			if op.Type == history.Read {
-				// Observation 1: pending reads are always absent in the
-				// chosen completion.
-				continue
-			}
-			s.optional = true
-			s.ret = pendingWriteBound(h, op, mode)
-		}
-		ops = append(ops, s)
+// add makes op, whose reply sits at ret, a member of c.
+func (c *cluster) add(op *history.Operation, ret int64) {
+	if c.write != nil && (c.first == nil || ret < c.f) {
+		c.f, c.first = ret, op
 	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].inv < ops[j].inv })
-	return ops
+	if c.last == nil || op.Inv > c.s {
+		c.s, c.last = op.Inv, op
+	}
 }
 
-func checkRegister(h history.History, reg string, mode Mode) error {
-	if ok := sequentialWitnessExists(searchOps(h, mode), history.Bottom); !ok {
-		return &Violation{
-			Mode:   mode,
-			Reg:    reg,
-			Reason: "no legal sequential history is equivalent to any allowed completion",
-			Ops:    h.Operations(),
+func (c *cluster) String() string {
+	if c.write == nil {
+		return "the initial value ⊥"
+	}
+	return c.write.String()
+}
+
+// checkRegister runs the cluster test on the operations of one register, in
+// invocation order.
+func checkRegister(ops []history.Operation, reg string, mode Mode) error {
+	violation := func(format string, args ...any) error {
+		return &Violation{Mode: mode, Reg: reg, Reason: fmt.Sprintf(format, args...), Ops: ops}
+	}
+	refuse := func(format string, args ...any) error {
+		return fmt.Errorf("atomicity: register %q: %s; written values must be unique per register",
+			reg, fmt.Sprintf(format, args...))
+	}
+	clusters := make([]cluster, len(ops)) // clusters[i] is write i's
+	writeOf := make(map[string]*cluster, len(ops))
+	for i := range ops {
+		if w, c := &ops[i], &clusters[i]; w.Type == history.Write {
+			if w.Value == history.Bottom {
+				return refuse("%v writes ⊥", w)
+			}
+			c.write, c.same = w, writeOf[w.Value]
+			writeOf[w.Value] = c
+		}
+	}
+
+	initial := &cluster{f: math.MinInt64, s: math.MinInt64}
+	for i := range ops {
+		r := &ops[i]
+		switch {
+		case r.Type != history.Read || r.Pending():
+		case r.Value == history.Bottom:
+			initial.add(r, r.Ret)
+		case writeOf[r.Value] == nil:
+			return violation("%v returns a value never written", r)
+		default:
+			c := readsFrom(writeOf[r.Value], r)
+			if c == nil {
+				return refuse("%v matches several writes of %q and no tag witness picks one", r, r.Value)
+			}
+			if r.Ret < c.write.Inv {
+				return violation("%v returned before %v, the write it reads from, was invoked", r, c.write)
+			}
+			c.add(r, r.Ret)
+		}
+	}
+
+	bounds := pendingWriteBounds(ops, mode)
+	zones := append(make([]*cluster, 0, len(ops)+1), initial)
+	for i := range ops {
+		c, w := &clusters[i], &ops[i]
+		switch {
+		case c.write == nil:
+		case !w.Pending():
+			c.add(w, w.Ret)
+			zones = append(zones, c)
+		case c.last != nil: // a pending write nobody read is dropped
+			c.add(w, bounds[i])
+			zones = append(zones, c)
+		}
+	}
+
+	if a, b := conflict(zones); a != nil {
+		edges := edge(b.first, a.last)
+		if a.first != nil {
+			edges = edge(a.first, b.last) + ", and " + edges
+		}
+		return violation("%v and %v must each take effect before the other: %s", a, b, edges)
+	}
+	return nil
+}
+
+// readsFrom returns the cluster of the write that completed read r read
+// from, given the chain of clusters of the writes of r's value, or nil when
+// no single write is left. A repeated value maps to the write whose tag
+// witness equals r's, failing that to the only write with no witness (a
+// pending write, or one whose backend reported none).
+func readsFrom(chain *cluster, r *history.Operation) *cluster {
+	if chain.same == nil {
+		return chain
+	}
+	for _, t := range []tag.Tag{r.Tag, {}} {
+		var found *cluster
+		for c := chain; c != nil; c = c.same {
+			if c.write.Tag == t {
+				if found != nil {
+					return nil
+				}
+				found = c
+			}
+		}
+		if found != nil {
+			return found
 		}
 	}
 	return nil
 }
 
-// pendingWriteBound returns the latest global-clock position at which the
-// criterion allows the synthesized reply of a pending write (observation 2:
-// the latest allowed position is optimal). The reply must appear strictly
-// before the bounding event, so the returned position is the bounding event's
-// sequence number minus one.
-func pendingWriteBound(h history.History, op history.Operation, mode Mode) int64 {
-	switch mode {
-	case Persistent:
-		if next := h.NextInvocationAfter(op.Proc, op.Inv); next != 0 {
-			return next - 1
+// pendingWriteBounds returns, for each of a register's operations in
+// invocation order, the latest position mode allows a pending write's reply:
+// just before its process's next invocation (Persistent) or next write reply
+// (Transient), else unbounded. A process is sequential, so both belong to
+// its next operation that is one.
+func pendingWriteBounds(ops []history.Operation, mode Mode) []int64 {
+	bounds := make([]int64, len(ops))
+	next := make(map[int32]int64) // per process, the position that bounds it
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := &ops[i]
+		bounds[i] = unbounded
+		if seq, ok := next[op.Proc]; ok {
+			bounds[i] = seq - 1
 		}
-	case Transient:
-		if next := h.NextWriteReturnAfter(op.Proc, op.Inv); next != 0 {
-			return next - 1
+		switch {
+		case mode == Persistent:
+			next[op.Proc] = op.Inv
+		case mode == Transient && op.Type == history.Write && !op.Pending():
+			next[op.Proc] = op.Ret
 		}
 	}
-	// Linearizable mode, or no bounding event exists: the reply floats to
-	// the end of the (extended) history.
-	return unbounded
+	return bounds
 }
 
-// sequentialWitnessExists performs the memoized search for a legal sequential
-// history: a permutation of the kept operations that respects precedence
-// (op1 precedes op2 iff ret(op1) < inv(op2)) and the register's sequential
-// specification (every read returns the latest previously written value, or
-// the initial value). Operations marked optional may instead be dropped at
-// any point.
-func sequentialWitnessExists(ops []searchOp, initial string) bool {
-	n := len(ops)
-	if n == 0 {
-		return true
+// conflict returns two clusters that each hold an operation preceding an
+// operation of the other — one's f before the other's s, both ways — or nil
+// if there are none. Sorted by f, forward zones conflict only if two
+// neighbours overlap; once they are disjoint, a backward zone can lie only
+// inside the last forward zone that opens before it does.
+func conflict(zones []*cluster) (*cluster, *cluster) {
+	fwd, bwd := make([]*cluster, 0, len(zones)), make([]*cluster, 0, len(zones))
+	for _, c := range zones {
+		if c.f < c.s {
+			fwd = append(fwd, c)
+		} else {
+			bwd = append(bwd, c)
+		}
 	}
-	words := (n + 63) / 64
-	mask := make([]uint64, words)
-	seen := make(map[string]struct{})
-
-	key := func(mask []uint64, value string) string {
-		var b strings.Builder
-		b.Grow(words*8 + len(value))
-		for _, w := range mask {
-			for s := 0; s < 64; s += 8 {
-				b.WriteByte(byte(w >> s))
-			}
+	sort.Slice(fwd, func(i, j int) bool { return fwd[i].f < fwd[j].f })
+	for k := 1; k < len(fwd); k++ {
+		if fwd[k].f < fwd[k-1].s {
+			return fwd[k-1], fwd[k]
 		}
-		b.WriteString(value)
-		return b.String()
 	}
-	isDealt := func(i int) bool { return mask[i/64]&(1<<(i%64)) != 0 }
-	set := func(i int) { mask[i/64] |= 1 << (i % 64) }
-	clear := func(i int) { mask[i/64] &^= 1 << (i % 64) }
-
-	// blocked reports whether some un-dealt op other than i completed before
-	// op i was invoked, i.e. precedes i and must be dealt with first.
-	blocked := func(i int) bool {
-		for j := 0; j < n; j++ {
-			if j == i || isDealt(j) {
-				continue
-			}
-			if ops[j].ret < ops[i].inv {
-				return true
-			}
+	for _, b := range bwd {
+		k := sort.Search(len(fwd), func(k int) bool { return fwd[k].f >= b.s }) - 1
+		if k >= 0 && b.f < fwd[k].s {
+			return fwd[k], b
 		}
-		return false
 	}
+	return nil, nil
+}
 
-	var rec func(value string, remaining int) bool
-	rec = func(value string, remaining int) bool {
-		if remaining == 0 {
-			return true
-		}
-		// An unblocked read of the current value goes first without
-		// branching: nothing un-dealt precedes it and it changes no state,
-		// so any witness from here can be reordered to start with it. What
-		// is left to branch over is the order of concurrent writes.
-		for i := 0; i < n; i++ {
-			if !isDealt(i) && !ops[i].isWrite && ops[i].value == value && !blocked(i) {
-				set(i)
-				ok := rec(value, remaining-1)
-				clear(i)
-				return ok
-			}
-		}
-		k := key(mask, value)
-		if _, ok := seen[k]; ok {
-			return false
-		}
-		seen[k] = struct{}{}
-
-		for i := 0; i < n; i++ {
-			if isDealt(i) {
-				continue
-			}
-			o := ops[i]
-			if !blocked(i) {
-				if o.isWrite {
-					set(i)
-					if rec(o.value, remaining-1) {
-						return true
-					}
-					clear(i)
-				} else if o.value == value {
-					set(i)
-					if rec(value, remaining-1) {
-						return true
-					}
-					clear(i)
-				}
-			}
-			if o.optional {
-				// Declaring the pending write absent is always allowed and
-				// imposes no constraints (even when linearizing is blocked:
-				// whatever blocks it may itself be dropped later, and the
-				// memoized search covers every interleaving of drops).
-				set(i)
-				if rec(value, remaining-1) {
-					return true
-				}
-				clear(i)
-			}
-		}
-		return false
+// edge renders the precedence a → b: a replied before b was invoked.
+func edge(a, b *history.Operation) string {
+	if a.Pending() {
+		return fmt.Sprintf("%v's latest allowed reply comes before %v was invoked", a, b)
 	}
-	return rec(initial, n)
+	return fmt.Sprintf("%v returned before %v was invoked", a, b)
 }

@@ -2,10 +2,12 @@ package atomicity
 
 import (
 	"errors"
-	"math/rand"
+	"fmt"
+	"strings"
 	"testing"
 
 	"recmem/internal/history"
+	"recmem/internal/tag"
 )
 
 // hb (history builder) assigns sequence numbers 1..n to the given events.
@@ -345,7 +347,7 @@ func TestLongSequentialHistoryFast(t *testing.T) {
 	var events []history.Event
 	id := uint64(1)
 	for i := 0; i < 500; i++ {
-		v := string(rune('a' + i%26))
+		v := fmt.Sprintf("v%d", i)
 		events = append(events,
 			inv(1, history.Write, id, v), ret(1, history.Write, id, ""),
 		)
@@ -391,86 +393,99 @@ func indexOf(s, sub string) int {
 	return -1
 }
 
-// bruteWitness enumerates all permutations with keep/drop choices for
-// optional operations — the ground truth for small inputs.
-func bruteWitness(ops []searchOp, initial string) bool {
-	n := len(ops)
-	used := make([]bool, n)
-	var perm func(value string, placed int) bool
-	perm = func(value string, placed int) bool {
-		if placed == n {
-			return true
-		}
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			// Precedence: every un-placed op that returned before ops[i]'s
-			// invocation must already be placed.
-			ok := true
-			for j := 0; j < n; j++ {
-				if j != i && !used[j] && ops[j].ret < ops[i].inv {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if ops[i].isWrite {
-					used[i] = true
-					if perm(ops[i].value, placed+1) {
-						return true
-					}
-					used[i] = false
-				} else if ops[i].value == value {
-					used[i] = true
-					if perm(value, placed+1) {
-						return true
-					}
-					used[i] = false
-				}
-			}
-			if ops[i].optional {
-				used[i] = true
-				if perm(value, placed+1) {
-					return true
-				}
-				used[i] = false
-			}
-		}
-		return false
-	}
-	return perm(initial, 0)
+// retTag is ret carrying the tag witness of process 1's seq-th write.
+func retTag(p int32, op history.OpType, id uint64, v string, seq int64) history.Event {
+	e := ret(p, op, id, v)
+	e.Tag = tag.Tag{Seq: seq, Writer: 1}
+	return e
 }
 
-// TestSearchAgreesWithBruteForce cross-checks the memoized search against
-// exhaustive enumeration on thousands of random small operation sets.
-func TestSearchAgreesWithBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	values := []string{"", "a", "b", "c"}
-	for trial := 0; trial < 4000; trial++ {
-		n := 1 + rng.Intn(6)
-		ops := make([]searchOp, n)
-		for i := range ops {
-			invAt := int64(rng.Intn(10))
-			retAt := invAt + int64(rng.Intn(6))
-			op := searchOp{
-				isWrite: rng.Intn(2) == 0,
-				value:   values[rng.Intn(len(values))],
-				inv:     invAt,
-				ret:     retAt,
+// TestRepeatedValueWithoutWitnessRefused: two unwitnessed writes of one
+// value leave a read of it no single write to read from. Check refuses the
+// history with a plain error naming the contract, not a verdict; a write of
+// ⊥ is refused the same way.
+func TestRepeatedValueWithoutWitnessRefused(t *testing.T) {
+	repeated := hb(
+		inv(1, history.Write, 1, "a"), ret(1, history.Write, 1, ""),
+		inv(2, history.Write, 2, "a"), ret(2, history.Write, 2, ""),
+		inv(3, history.Read, 3, ""), ret(3, history.Read, 3, "a"),
+	)
+	bottom := hb(
+		inv(1, history.Write, 1, history.Bottom), ret(1, history.Write, 1, ""),
+	)
+	for name, h := range map[string]history.History{"repeated": repeated, "bottom": bottom} {
+		for _, m := range allModes() {
+			err := Check(h, m)
+			var v *Violation
+			if err == nil || errors.As(err, &v) {
+				t.Fatalf("%s, %v: got %v, want a plain contract error", name, m, err)
 			}
-			if op.isWrite && rng.Intn(4) == 0 {
-				op.optional = true
-				if rng.Intn(2) == 0 {
-					op.ret = unbounded
-				}
+			if !strings.Contains(err.Error(), "unique per register") || !strings.Contains(err.Error(), `"x"`) {
+				t.Fatalf("%s, %v: error %q does not name the register and the contract", name, m, err)
 			}
-			ops[i] = op
 		}
-		got := sequentialWitnessExists(ops, "")
-		want := bruteWitness(ops, "")
-		if got != want {
-			t.Fatalf("trial %d: search=%v brute=%v for %+v", trial, got, want, ops)
+	}
+}
+
+// TestTagWitnessDecidesReadsFrom: W(a) is written twice, with W(b) between.
+// A read of a carrying the second write's witness is atomic; the same read
+// carrying the first write's witness read a value W(b) had overwritten.
+func TestTagWitnessDecidesReadsFrom(t *testing.T) {
+	mk := func(readTag int64) history.History {
+		return hb(
+			inv(1, history.Write, 1, "a"), retTag(1, history.Write, 1, "", 1),
+			inv(1, history.Write, 2, "b"), retTag(1, history.Write, 2, "", 2),
+			inv(1, history.Write, 3, "a"), retTag(1, history.Write, 3, "", 3),
+			inv(2, history.Read, 4, ""), retTag(2, history.Read, 4, "a", readTag),
+		)
+	}
+	for _, m := range allModes() {
+		if err := Check(mk(3), m); err != nil {
+			t.Fatalf("%v: read of the latest W(a): %v", m, err)
+		}
+		var v *Violation
+		if err := Check(mk(1), m); !errors.As(err, &v) {
+			t.Fatalf("%v: read of the overwritten W(a) = %v, want a violation", m, err)
+		}
+	}
+}
+
+// TestViolationNamesClustersAndEdges: a violation's reason names the two
+// writes whose clusters conflict and the precedence edges between them.
+func TestViolationNamesClustersAndEdges(t *testing.T) {
+	tests := []struct {
+		name string
+		h    history.History
+		want []string
+	}{
+		{"new-old inversion", hb(
+			inv(1, history.Write, 1, "a"), ret(1, history.Write, 1, ""),
+			inv(1, history.Write, 2, "b"), ret(1, history.Write, 2, ""),
+			inv(2, history.Read, 3, ""), ret(2, history.Read, 3, "b"),
+			inv(2, history.Read, 4, ""), ret(2, history.Read, 4, "a"),
+		), []string{"p1:W(a) and p1:W(b)", "p1:W(a) returned before p2:R(b) was invoked",
+			"p1:W(b) returned before p2:R(a) was invoked"}},
+		{"stale initial value", hb(
+			inv(1, history.Write, 1, "a"), ret(1, history.Write, 1, ""),
+			inv(2, history.Read, 2, ""), ret(2, history.Read, 2, history.Bottom),
+		), []string{"the initial value ⊥ and p1:W(a)", "p1:W(a) returned before p2:R() was invoked"}},
+		{"read before its write", hb(
+			inv(2, history.Read, 1, ""), ret(2, history.Read, 1, "a"),
+			inv(1, history.Write, 2, "a"), ret(1, history.Write, 2, ""),
+		), []string{"p2:R(a) returned before p1:W(a), the write it reads from, was invoked"}},
+	}
+	for _, tt := range tests {
+		var v *Violation
+		if err := Check(tt.h, Persistent); !errors.As(err, &v) {
+			t.Fatalf("%s: got %v, want a violation", tt.name, err)
+		}
+		for _, want := range tt.want {
+			if !strings.Contains(v.Reason, want) {
+				t.Errorf("%s: reason %q lacks %q", tt.name, v.Reason, want)
+			}
+		}
+		if len(v.Ops) == 0 {
+			t.Errorf("%s: violation carries no operations", tt.name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package atomicity
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 
 // randomHistory generates a random well-formed history: at every step a
 // random process takes a random legal action (invoke, return, crash,
-// recover). Read replies return random values, so most histories violate
+// recover). Every write writes a value of its own; a read returns ⊥, a
+// ghost nobody wrote or any value written so far, so most histories violate
 // most criteria — which is what exercises the implication directions.
 func randomHistory(rng *rand.Rand, procs, steps int, singleWriter bool) history.History {
 	type pstate int
@@ -25,7 +27,7 @@ func randomHistory(rng *rand.Rand, procs, steps int, singleWriter bool) history.
 		pend   = make([]uint64, procs)
 		nextID = uint64(1)
 		seq    = int64(1)
-		values = []string{history.Bottom, "a", "b", "c"}
+		values = []string{history.Bottom, "ghost"} // then every written value
 	)
 	emit := func(e history.Event) {
 		e.Seq = seq
@@ -51,8 +53,9 @@ func randomHistory(rng *rand.Rand, procs, steps int, singleWriter bool) history.
 				}
 				pend[p] = nextID
 				nextID++
+				values = append(values, fmt.Sprintf("v%d", pend[p]))
 				emit(history.Event{Proc: p, Kind: history.Invoke, Op: history.Write, OpID: pend[p], Reg: "x",
-					Value: values[1+rng.Intn(3)]})
+					Value: values[len(values)-1]})
 				states[p] = pendingWrite
 			}
 		case pendingRead:

@@ -42,7 +42,7 @@ func TestRegularAsyncSubmittedWrites(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		futs := make([]*core.Future, 8)
 		for j := range futs {
-			f, err := c.SubmitWrite(core.RegularWriter, "x", []byte(workload.UniqueValue(0, round*100+j, 0)))
+			f, err := c.SubmitWrite(core.RegularWriter, "x", []byte(workload.UniqueValue(1, 0, round*100+j, 0)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -172,13 +172,9 @@ func (r *ClientRecorder) observeEpoch(epoch uint64, op *openOp) {
 	}
 	switch {
 	case r.lastEpoch == 0:
-		// First epoch ever observed. A seeded floor (a crash recorded before
-		// any epoch was seen) still applies.
+		// First epoch ever observed: nothing to hold it against.
 		r.expectAdvance = false
 		r.lastEpoch = epoch
-		if r.epochFloor > 0 && epoch <= r.epochFloor {
-			r.setEpochErr(epoch)
-		}
 	case epoch < r.lastEpoch:
 		r.setEpochErr(epoch)
 	case epoch == r.lastEpoch:
@@ -290,31 +286,6 @@ func (r *ClientRecorder) Recover() {
 	}
 	r.down = false
 	r.events = append(r.events, &Event{Proc: r.proc, Kind: Recover, At: r.now().UnixNano()})
-}
-
-// SeedFrom carries a predecessor recorder's incarnation-epoch knowledge (and
-// down state) into this one, so a fresh recorder wrapping the same client in
-// a later verification round keeps holding the node to the epochs it already
-// exposed — a restart between rounds is still inferred, and a stale replay
-// across the round boundary is still a violation. Call before recording.
-func (r *ClientRecorder) SeedFrom(prev *ClientRecorder) {
-	prev.mu.Lock()
-	lastEpoch, floor, expect, err, down := prev.lastEpoch, prev.epochFloor,
-		prev.expectAdvance, prev.epochErr, prev.down
-	prev.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lastEpoch = lastEpoch
-	r.epochFloor = floor
-	r.expectAdvance = expect
-	r.epochErr = err
-	if down {
-		// The process was down at the hand-off: open this history with the
-		// crash so the recovery that follows has its matching event.
-		r.down = true
-		r.crashes = 1
-		r.events = append(r.events, &Event{Proc: r.proc, Kind: Crash, At: r.now().UnixNano()})
-	}
 }
 
 // History snapshots the recorded events on a local 1..n timeline, ready for

@@ -299,22 +299,6 @@ func TestClientRecorderZeroEpochIgnored(t *testing.T) {
 	}
 }
 
-// SeedFrom carries the epoch knowledge into a continuation recorder: a
-// regression across the round boundary is still a violation.
-func TestClientRecorderSeedFromCarriesEpochFloor(t *testing.T) {
-	r := NewClientRecorder(0, valloc(100))
-	a := r.Invoke(Write, "x", "a", false)
-	r.Return(a, "", tag.Tag{Seq: 1}, 7)
-
-	next := NewClientRecorder(0, valloc(200))
-	next.SeedFrom(r)
-	b := next.Invoke(Write, "x", "b", false)
-	next.Return(b, "", tag.Tag{Seq: 2}, 6)
-	if next.EpochViolation() == nil {
-		t.Fatal("cross-round epoch regression went unreported")
-	}
-}
-
 // An invocation while the process is believed down (or while an earlier
 // real invocation is unresolved) goes virtual so the local history stays
 // well-formed whatever the reply order.

@@ -1,10 +1,8 @@
 // Package history models runs of a shared-memory emulation as the paper's
 // histories (§III-A): sequences of invocation, reply, crash and recovery
 // events, totally ordered by the global clock. It provides well-formedness
-// validation, extraction of operation executions (invocation/reply pairs and
-// pending invocations), and the per-process queries that the persistent and
-// transient completion rules need (next invocation / next write reply of a
-// process after a given point).
+// validation and extraction of operation executions (invocation/reply pairs
+// and pending invocations).
 package history
 
 import (
@@ -108,11 +106,6 @@ type Event struct {
 
 // History is a sequence of events ordered by Seq.
 type History []Event
-
-// Sort orders the history by global sequence number.
-func (h History) Sort() {
-	sort.Slice(h, func(i, j int) bool { return h[i].Seq < h[j].Seq })
-}
 
 // Clone returns a copy of the history.
 func (h History) Clone() History {
@@ -255,11 +248,15 @@ func (o Operation) String() string {
 // Operations extracts all operation executions from h, in invocation order.
 // Read invocations record the value from the matching reply.
 func (h History) Operations() []Operation {
-	var (
-		ops     []Operation
-		indexOf = make(map[uint64]int)
-	)
-	for _, e := range h {
+	n := 0
+	for i := range h {
+		if h[i].Kind == Invoke {
+			n++
+		}
+	}
+	ops, indexOf := make([]Operation, 0, n), make(map[uint64]int, n)
+	for i := range h {
+		e := &h[i]
 		switch e.Kind {
 		case Invoke:
 			indexOf[e.OpID] = len(ops)
@@ -285,38 +282,4 @@ func (h History) Operations() []Operation {
 		}
 	}
 	return ops
-}
-
-// NextInvocationAfter returns the Seq of the first invocation by proc with
-// Seq > after, or 0 if there is none. Used by the persistent completion rule:
-// a pending invocation's synthesized reply must appear before the subsequent
-// invocation of the same process.
-func (h History) NextInvocationAfter(proc int32, after int64) int64 {
-	for _, e := range h {
-		if e.Seq > after && e.Proc == proc && e.Kind == Invoke {
-			return e.Seq
-		}
-	}
-	return 0
-}
-
-// NextWriteReturnAfter returns the Seq of the first write reply by proc with
-// Seq > after, or 0 if there is none. Used by the transient weak-completion
-// rule: a pending invocation's synthesized reply must appear before the
-// subsequent write reply of the same process.
-func (h History) NextWriteReturnAfter(proc int32, after int64) int64 {
-	for _, e := range h {
-		if e.Seq > after && e.Proc == proc && e.Kind == Return && e.Op == Write {
-			return e.Seq
-		}
-	}
-	return 0
-}
-
-// MaxSeq returns the largest event Seq in h (0 for an empty history).
-func (h History) MaxSeq() int64 {
-	if len(h) == 0 {
-		return 0
-	}
-	return h[len(h)-1].Seq
 }

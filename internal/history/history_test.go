@@ -152,33 +152,6 @@ func TestOperations(t *testing.T) {
 	}
 }
 
-func TestNextQueries(t *testing.T) {
-	h := build(t, []Event{
-		{Proc: 1, Kind: Invoke, Op: Write, OpID: 1, Reg: "x", Value: "a"}, // seq 1
-		{Proc: 1, Kind: Crash},   // seq 2
-		{Proc: 1, Kind: Recover}, // seq 3
-		{Proc: 1, Kind: Invoke, Op: Write, OpID: 2, Reg: "x", Value: "b"}, // seq 4
-		{Proc: 1, Kind: Return, Op: Write, OpID: 2, Reg: "x"},             // seq 5
-		{Proc: 2, Kind: Invoke, Op: Read, OpID: 3, Reg: "x"},              // seq 6
-		{Proc: 2, Kind: Return, Op: Read, OpID: 3, Reg: "x", Value: "b"},  // seq 7
-	})
-	if got := h.NextInvocationAfter(1, 1); got != 4 {
-		t.Fatalf("NextInvocationAfter(1,1) = %d, want 4", got)
-	}
-	if got := h.NextInvocationAfter(1, 4); got != 0 {
-		t.Fatalf("NextInvocationAfter(1,4) = %d, want 0", got)
-	}
-	if got := h.NextWriteReturnAfter(1, 1); got != 5 {
-		t.Fatalf("NextWriteReturnAfter(1,1) = %d, want 5", got)
-	}
-	if got := h.NextWriteReturnAfter(2, 0); got != 0 {
-		t.Fatalf("NextWriteReturnAfter(2,0) = %d, want 0 (reads don't count)", got)
-	}
-	if got := h.MaxSeq(); got != 7 {
-		t.Fatalf("MaxSeq = %d, want 7", got)
-	}
-}
-
 func TestRestrictAndRegisters(t *testing.T) {
 	h := build(t, []Event{
 		{Proc: 1, Kind: Invoke, Op: Write, OpID: 1, Reg: "x", Value: "a"},

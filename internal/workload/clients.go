@@ -59,9 +59,9 @@ func RunClients(ctx context.Context, clients []recmem.Client, opsPerClient int, 
 			}
 			var local Result
 			if mix.Async >= 2 {
-				local = runClientAsync(ctx, client, i, opsPerClient, mix, handles, rng)
+				local = runClientAsync(ctx, client, i, seed, opsPerClient, mix, handles, rng)
 			} else {
-				local = runClientSeq(ctx, client, i, opsPerClient, mix, handles, rng)
+				local = runClientSeq(ctx, client, i, seed, opsPerClient, mix, handles, rng)
 			}
 			mu.Lock()
 			total.Writes += local.Writes
@@ -76,7 +76,7 @@ func RunClients(ctx context.Context, clients []recmem.Client, opsPerClient int, 
 }
 
 // runClientSeq is the closed-loop sequential client.
-func runClientSeq(ctx context.Context, client recmem.Client, id, ops int, mix Mix, handles []*recmem.Register, rng *rand.Rand) Result {
+func runClientSeq(ctx context.Context, client recmem.Client, id int, seed int64, ops int, mix Mix, handles []*recmem.Register, rng *rand.Rand) Result {
 	var local Result
 	for i := 0; i < ops && ctx.Err() == nil; i++ {
 		h := handles[rng.Intn(len(handles))]
@@ -87,7 +87,7 @@ func runClientSeq(ctx context.Context, client recmem.Client, id, ops int, mix Mi
 				local.Reads++
 			}
 		} else {
-			err = h.Write(ctx, []byte(UniqueValue(int32(id), i, mix.ValueSize)))
+			err = h.Write(ctx, []byte(UniqueValue(seed, int32(id), i, mix.ValueSize)))
 			if err == nil {
 				local.Writes++
 			}
@@ -109,7 +109,7 @@ type clientPending struct {
 // to mix.Async operations stay in flight, the oldest settled when the
 // window fills — a closed loop over the window rather than a single
 // operation.
-func runClientAsync(ctx context.Context, client recmem.Client, id, ops int, mix Mix, handles []*recmem.Register, rng *rand.Rand) Result {
+func runClientAsync(ctx context.Context, client recmem.Client, id int, seed int64, ops int, mix Mix, handles []*recmem.Register, rng *rand.Rand) Result {
 	var local Result
 	window := make([]clientPending, 0, mix.Async)
 	settle := func(p clientPending) {
@@ -145,7 +145,7 @@ func runClientAsync(ctx context.Context, client recmem.Client, id, ops int, mix 
 			}
 		} else {
 			var f *recmem.WriteFuture
-			f, err = h.SubmitWrite([]byte(UniqueValue(int32(id), i, mix.ValueSize)))
+			f, err = h.SubmitWrite([]byte(UniqueValue(seed, int32(id), i, mix.ValueSize)))
 			if err == nil {
 				p.wait = f.Wait
 			}

@@ -2,8 +2,8 @@
 // closed-loop clients (one per process, operations back to back, as in the
 // paper's measurements of fifty consecutive writes), configurable read/write
 // mixes over one or more registers, and payload sizing for the Fig. 6
-// experiments. Written values are globally unique, which gives the atomicity
-// checkers maximal discriminating power.
+// experiments. Written values are unique across runs of different seeds too:
+// that is the atomicity checker's input contract (docs/adr/0022).
 package workload
 
 import (
@@ -65,10 +65,11 @@ func Run(ctx context.Context, c *cluster.Cluster, procs []int32, opsPerProc int,
 	return RunClients(ctx, Clients(c, procs), opsPerProc, mix, seed)
 }
 
-// UniqueValue builds a globally unique value for process proc's i-th write,
-// padded to size bytes when size exceeds the identifying prefix.
-func UniqueValue(proc int32, i, size int) string {
-	v := fmt.Sprintf("p%d-%d", proc, i)
+// UniqueValue builds the value of process proc's i-th write in the run of
+// the given seed, padded to size bytes when size exceeds the identifying
+// prefix. Values differ whenever seed, proc or i do.
+func UniqueValue(seed int64, proc int32, i, size int) string {
+	v := fmt.Sprintf("p%d-%d@%d", proc, i, seed)
 	if size > len(v) {
 		v += strings.Repeat(".", size-len(v))
 	}

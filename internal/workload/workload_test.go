@@ -14,23 +14,25 @@ import (
 
 func TestUniqueValue(t *testing.T) {
 	seen := make(map[string]bool)
-	for proc := int32(0); proc < 4; proc++ {
-		for i := 0; i < 50; i++ {
-			v := workload.UniqueValue(proc, i, 0)
-			if seen[v] {
-				t.Fatalf("duplicate value %q", v)
+	for seed := int64(0); seed < 3; seed++ {
+		for proc := int32(0); proc < 4; proc++ {
+			for i := 0; i < 50; i++ {
+				v := workload.UniqueValue(seed, proc, i, 0)
+				if seen[v] {
+					t.Fatalf("duplicate value %q", v)
+				}
+				seen[v] = true
 			}
-			seen[v] = true
 		}
 	}
-	if v := workload.UniqueValue(1, 2, 32); len(v) != 32 {
+	if v := workload.UniqueValue(7, 1, 2, 32); len(v) != 32 {
 		t.Fatalf("padded value has length %d, want 32", len(v))
 	}
-	if !strings.HasPrefix(workload.UniqueValue(1, 2, 32), "p1-2") {
+	if !strings.HasPrefix(workload.UniqueValue(7, 1, 2, 32), "p1-2@7") {
 		t.Fatal("padding destroyed the identifying prefix")
 	}
 	// Short size requests keep the full identifier.
-	if v := workload.UniqueValue(1, 2, 2); v != "p1-2" {
+	if v := workload.UniqueValue(7, 1, 2, 2); v != "p1-2@7" {
 		t.Fatalf("short size truncated the value: %q", v)
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"recmem/internal/atomicity"
 	"recmem/internal/history"
@@ -31,18 +29,14 @@ const RecordingVirtualBase = 1 << 20
 
 // RecordingGroup coordinates the Recording wrappers of one run: it assigns
 // each wrapped client a process id, shares the virtual-client id allocator,
-// and merges the recorded histories for verification.
+// and merges the recorded histories for verification. A run of several
+// rounds keeps one group: Verify checks everything recorded so far, so a
+// later round's reads are judged against every earlier round's writes.
 type RecordingGroup struct {
 	mu      sync.Mutex
 	wrapped map[Client]*Recording
 	order   []*Recording
 	virt    atomic.Int32
-	// seed is the synthetic prior-state history a Continuation group starts
-	// from: per-register anchor writes carrying the predecessor round's
-	// committed state, plus its still-pending write invocations. Prepended
-	// to Histories so the checkers verify this round's reads against the
-	// previous round's writers.
-	seed history.History
 }
 
 // NewRecordingGroup returns an empty group.
@@ -85,10 +79,7 @@ func (g *RecordingGroup) Wrap(c Client) *Recording {
 func (g *RecordingGroup) Histories() []history.History {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]history.History, 0, len(g.order)+1)
-	if len(g.seed) > 0 {
-		out = append(out, g.seed.Clone())
-	}
+	out := make([]history.History, 0, len(g.order))
 	for _, r := range g.order {
 		out = append(out, r.History())
 	}
@@ -128,124 +119,6 @@ func (g *RecordingGroup) Verify(cr Criterion) error {
 		return err
 	}
 	return VerifyHistory(merged, cr)
-}
-
-// Continuation returns a fresh RecordingGroup that verifies the NEXT round
-// of a multi-round run against this group's outcome, so round-spanning
-// torture does not verify each round against an amnesiac blank slate:
-//
-//   - Every register's committed state is carried as an anchor: the highest
-//     tag-witnessed completed operation per register becomes a synthetic
-//     already-completed write (on a one-shot virtual client, stamped at
-//     continuation time) in the new group's seed history. The anchor is
-//     sound because witnesses are only attached to completed operations —
-//     the value was committed at a majority before the hand-off.
-//   - Still-pending write invocations are carried as pending invocations
-//     (original stamps), so a value that commits late — surfacing only in
-//     the next round's reads — has its writer on record.
-//   - Each wrapped client gets a fresh recorder seeded (SeedFrom) with its
-//     predecessor's incarnation-epoch knowledge and down state, so node
-//     restarts between rounds are still inferred and stale-epoch replays
-//     across the boundary still fail.
-//
-// Wrap on the new group returns the pre-seeded wrappers for the same inner
-// clients; the old group stays usable for inspecting its own round.
-func (g *RecordingGroup) Continuation() *RecordingGroup {
-	g.mu.Lock()
-	order := append([]*Recording(nil), g.order...)
-	seed := g.seed
-	g.mu.Unlock()
-
-	hs := make([]history.History, 0, len(order)+1)
-	if len(seed) > 0 {
-		hs = append(hs, seed)
-	}
-	for _, r := range order {
-		hs = append(hs, r.History())
-	}
-
-	ng := NewRecordingGroup()
-
-	// Per register: the highest-tag completed (witnessed) operation — its
-	// value is the committed state to anchor — and every write invocation
-	// with no matching reply, which must stay on record as pending.
-	type anchor struct {
-		t   Tag
-		val string
-	}
-	anchors := make(map[string]anchor)
-	var carried []history.Event
-	for _, h := range hs {
-		writeVal := make(map[uint64]string)
-		returned := make(map[uint64]bool)
-		for _, e := range h {
-			if e.Kind == history.Invoke && e.Op == history.Write {
-				writeVal[e.OpID] = e.Value
-			}
-			if e.Kind == history.Return {
-				returned[e.OpID] = true
-			}
-		}
-		for _, e := range h {
-			switch {
-			case e.Kind == history.Return && !e.Tag.IsZero():
-				v := e.Value
-				if e.Op == history.Write {
-					v = writeVal[e.OpID]
-				}
-				if a, ok := anchors[e.Reg]; !ok || a.t.Less(e.Tag) {
-					anchors[e.Reg] = anchor{t: e.Tag, val: v}
-				}
-			case e.Kind == history.Invoke && e.Op == history.Write && !returned[e.OpID]:
-				carried = append(carried, e)
-			}
-		}
-	}
-
-	sort.Slice(carried, func(i, j int) bool { return carried[i].At < carried[j].At })
-	regs := make([]string, 0, len(anchors))
-	for reg := range anchors {
-		regs = append(regs, reg)
-	}
-	sort.Strings(regs)
-
-	now := time.Now().UnixNano()
-	var (
-		ns   history.History
-		opid uint64
-	)
-	for _, e := range carried {
-		opid++
-		ns = append(ns, history.Event{Proc: ng.virt.Add(1) - 1, Kind: history.Invoke,
-			Op: history.Write, OpID: opid, Reg: e.Reg, Value: e.Value, At: e.At})
-	}
-	for _, reg := range regs {
-		a := anchors[reg]
-		opid++
-		proc := ng.virt.Add(1) - 1
-		ns = append(ns,
-			history.Event{Proc: proc, Kind: history.Invoke, Op: history.Write,
-				OpID: opid, Reg: reg, Value: a.val, At: now},
-			history.Event{Proc: proc, Kind: history.Return, Op: history.Write,
-				OpID: opid, Reg: reg, Tag: a.t, At: now})
-	}
-	for i := range ns {
-		ns[i].Seq = int64(i + 1)
-	}
-	ng.seed = ns
-
-	for _, old := range order {
-		proc := int32(len(ng.order))
-		nr := &Recording{
-			inner: old.inner,
-			g:     ng,
-			rec:   history.NewClientRecorder(proc, func() int32 { return ng.virt.Add(1) - 1 }),
-		}
-		nr.rec.SeedFrom(old.rec)
-		ng.wrapped[old.inner] = nr
-		ng.order = append(ng.order, nr)
-	}
-	return ng
 }
 
 // VerifyHistory checks an already-merged history (from

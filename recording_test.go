@@ -139,13 +139,12 @@ func TestRecordingWrapIdempotent(t *testing.T) {
 // Client is re-exported for the comparison above.
 type Client = recmem.Client
 
-// TestRecordingContinuation: a continuation group carries the previous
-// round's committed state as seed anchors, hands back the pre-seeded
-// wrappers on Wrap, and verifies the next round's reads against the
-// previous round's writers — a round-1 value read in round 2 must check
-// out, which against an amnesiac fresh group it could not (the read would
-// return a value no recorded writer wrote).
-func TestRecordingContinuation(t *testing.T) {
+// TestRecordingSpansRounds: one group records a run of two rounds and
+// verifies the cumulative history after each, so round 2's read of round
+// 1's value is checked against round 1's writer — which against an amnesiac
+// fresh group it could not be (the read would return a value no recorded
+// writer wrote).
+func TestRecordingSpansRounds(t *testing.T) {
 	c, err := recmem.New(3, recmem.PersistentAtomic)
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +154,11 @@ func TestRecordingContinuation(t *testing.T) {
 	defer cancel()
 
 	g := recmem.NewRecordingGroup()
+	raw := make([]recmem.Client, 3)
 	clients := make([]recmem.Client, 3)
 	for i := range clients {
-		clients[i] = g.Wrap(c.Process(i))
+		raw[i] = c.Process(i)
+		clients[i] = g.Wrap(raw[i])
 	}
 	if err := clients[0].Register("x").Write(ctx, []byte("round1")); err != nil {
 		t.Fatal(err)
@@ -166,20 +167,18 @@ func TestRecordingContinuation(t *testing.T) {
 		t.Fatalf("round 1: %v", err)
 	}
 
-	next := g.Continuation()
+	// Round 2 re-wraps the same clients and opens with a read of round 1's
+	// value — no write this round.
 	for i := range clients {
-		r := next.Wrap(c.Process(i))
-		if r == clients[i] {
-			t.Fatal("continuation reused the previous round's recording")
+		if r := g.Wrap(raw[i]); r != clients[i] {
+			t.Fatal("round 2 got a second recording of a round-1 client")
 		}
-		clients[i] = r
 	}
-	// Round 2 opens with a read of round 1's value — no write this round.
 	if v, err := clients[1].Register("x").Read(ctx); err != nil || string(v) != "round1" {
 		t.Fatalf("round-2 read = %q, %v", v, err)
 	}
-	if err := next.Verify(recmem.PersistentAtomicity); err != nil {
-		t.Fatalf("round 2 with continuation: %v", err)
+	if err := g.Verify(recmem.PersistentAtomicity); err != nil {
+		t.Fatalf("rounds 1 and 2: %v", err)
 	}
 
 	// The amnesiac control: a fresh group recording the same read has no

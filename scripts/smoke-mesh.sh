@@ -57,12 +57,12 @@ go build -o "$BIN" ./cmd/recmem-node ./cmd/recmem-client ./cmd/recmem-torture
 # its stable store before reopening the control port, minting a fresh
 # incarnation epoch — docs/adr/0006), and the merged recorded history —
 # spanning real process death, with the restarts inferred from the epoch
-# stamps on the replies — must pass the TRANSIENT atomicity checker. Round 2
-# verifies against round 1's committed state (the recording group's
-# continuation), not an amnesiac blank slate. The reconnect layer in the
-# remote client is what lets the same client handles ride the outage:
-# ErrCrashed/ErrDown during it, plain successes after, no re-dial in the
-# scenario code.
+# stamps on the replies — must pass the TRANSIENT atomicity checker. One
+# recording group spans both rounds, and round 2 verifies the whole run so
+# far, so its reads are checked against round 1's writes, not an amnesiac
+# blank slate. The reconnect layer in the remote client is what lets the
+# same client handles ride the outage: ErrCrashed/ErrDown during it, plain
+# successes after, no re-dial in the scenario code.
 kill_round() {
     local disk=wal
     echo "== KILL-RESTART rounds: SIGKILL + re-exec real node processes mid-run, verified (transient, $disk disks, 10k-register namespace)"
@@ -156,7 +156,7 @@ echo "== VERIFIED torture round against the live mesh (crash/recover + model che
 
 echo "== VERIFIED contended round: every client reads and writes ONE register, so reads race writes"
 "$BIN/recmem-torture" -remote "127.0.0.1:$C0,127.0.0.1:$C1,127.0.0.1:$C2" \
-    -ops 60 -rounds 1 -registers 1 -reads 0.5 -async 4 -faults 300ms -seed 8 -verify
+    -ops 60 -rounds 1 -registers 1 -reads 0.5 -async 64 -faults 300ms -seed 8 -verify
 
 echo "== the verified mesh's shutdown banners: which read path its reads took"
 # SIGTERM the three nodes; ONE and TWO are the mesh-wide counts of read
