@@ -132,7 +132,7 @@ func BenchmarkNaiveWriteAblation(b *testing.B) {
 }
 
 // BenchmarkHardenedTagsAblation: the hardened-tag variant of the transient
-// algorithm (DESIGN.md §7) costs nothing on the fast path.
+// algorithm (docs/adr/0024) costs nothing on the fast path.
 func BenchmarkHardenedTagsAblation(b *testing.B) {
 	c := benchCluster(b, 5, recmem.TransientAtomic, recmem.WithHardenedTags())
 	benchWrites(b, c, []byte{1, 2, 3, 4})

@@ -207,7 +207,7 @@ func parseFlags(args []string) (nodeConfig, error) {
 		peersFlag   = fs.String("peers", "", "comma-separated listen addresses of all processes")
 		control     = fs.String("control", "", "address of the client control port")
 		dir         = fs.String("dir", "", "stable-storage directory (required for crash-recovery algorithms with a real -disk)")
-		algorithm   = fs.String("algorithm", "persistent", "crash-stop, transient, persistent, naive, or regular-sw")
+		algorithm   = fs.String("algorithm", "persistent", "crash-stop, transient, persistent, naive, or regular-sw (transient does not guarantee transient atomicity: four crash-interrupted writes can orphan a value, docs/adr/0024)")
 		disk        = fs.String("disk", "wal", "stable-storage engine: "+strings.Join(stable.Backends(), ", "))
 		hardened    = fs.Bool("hardened", false, "hardened tags for the transient algorithm")
 		retransmit  = fs.Duration("retransmit", 100*time.Millisecond, "protocol retransmission period")

@@ -109,7 +109,7 @@ type options struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("recmem-torture", flag.ContinueOnError)
 	var (
-		algorithm  = fs.String("algorithm", "persistent", "simulated rounds: crash-stop, transient, persistent, or naive (a -remote mesh reports its own)")
+		algorithm  = fs.String("algorithm", "persistent", "simulated rounds: crash-stop, transient, persistent, or naive (a -remote mesh reports its own; transient does not guarantee transient atomicity: four crash-interrupted writes can orphan a value, docs/adr/0024)")
 		n          = fs.Int("n", 5, "number of processes")
 		ops        = fs.Int("ops", 100, "operations per process per round")
 		rounds     = fs.Int("rounds", 5, "independent torture rounds")

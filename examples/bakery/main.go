@@ -16,7 +16,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -128,12 +130,13 @@ func (c *contender) unlock(ctx context.Context) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run runs the example, writing its report to w.
+func run(w io.Writer) error {
 	const (
 		contenders = 3
 		entries    = 4 // critical-section entries per contender
@@ -173,7 +176,7 @@ func run() error {
 					errs <- fmt.Errorf("contender %d cs: %w", i, err)
 					return
 				}
-				fmt.Printf("contender %d finished entry %d (counter was %d)\n", i, e, v)
+				fmt.Fprintf(w, "contender %d finished entry %d (counter was %d)\n", i, e, v)
 			}
 		}(i)
 	}
@@ -188,13 +191,13 @@ func run() error {
 		return err
 	}
 	want := contenders * entries
-	fmt.Printf("final counter: %d (want %d)\n", final, want)
+	fmt.Fprintf(w, "final counter: %d (want %d)\n", final, want)
 	if final != want {
 		return fmt.Errorf("mutual exclusion violated: lost %d updates", want-final)
 	}
 	if err := c.Verify(); err != nil {
 		return fmt.Errorf("atomicity verification failed: %w", err)
 	}
-	fmt.Println("bakery over message passing: mutual exclusion and atomicity verified")
+	fmt.Fprintln(w, "bakery over message passing: mutual exclusion and atomicity verified")
 	return nil
 }

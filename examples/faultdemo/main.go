@@ -23,29 +23,32 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"recmem"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	fmt.Println("=== transient-atomic emulation (Fig. 5) ===")
-	if err := schedule(recmem.TransientAtomic); err != nil {
+// run runs the example, writing its report to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "=== transient-atomic emulation (Fig. 5) ===")
+	if err := schedule(w, recmem.TransientAtomic); err != nil {
 		return err
 	}
-	fmt.Println()
-	fmt.Println("=== persistent-atomic emulation (Fig. 4) ===")
-	return schedule(recmem.PersistentAtomic)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "=== persistent-atomic emulation (Fig. 4) ===")
+	return schedule(w, recmem.PersistentAtomic)
 }
 
-func schedule(algo recmem.Algorithm) error {
+func schedule(w io.Writer, algo recmem.Algorithm) error {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	c, err := recmem.New(5, algo, recmem.WithRetransmitEvery(5*time.Millisecond))
@@ -60,7 +63,7 @@ func schedule(algo recmem.Algorithm) error {
 		return err
 	}
 	time.Sleep(20 * time.Millisecond) // let every replica adopt v1
-	fmt.Println("W(v1) completed")
+	fmt.Fprintln(w, "W(v1) completed")
 
 	// W(v2): propagation reaches only process 3; the writer's quorums are
 	// pinned to {0,1,2} so the operation cannot finish; then the writer
@@ -76,13 +79,13 @@ func schedule(algo recmem.Algorithm) error {
 	if err := <-done; !errors.Is(err, recmem.ErrCrashed) {
 		return fmt.Errorf("W(v2) should be interrupted, got %v", err)
 	}
-	fmt.Println("W(v2) crashed mid-write (reached only process 3)")
+	fmt.Fprintln(w, "W(v2) crashed mid-write (reached only process 3)")
 
 	c.ClearNetworkScript()
 	if err := writer.Recover(ctx); err != nil {
 		return err
 	}
-	fmt.Println("writer recovered")
+	fmt.Fprintln(w, "writer recovered")
 
 	// W(v3) starts but its propagation is held: Figure 1's reads run while
 	// the writer's next write is in progress. (Persistent atomicity bounds
@@ -93,7 +96,7 @@ func schedule(algo recmem.Algorithm) error {
 	v3done := make(chan error, 1)
 	go func() { v3done <- writer.Write(ctx, "x", []byte("v3")) }()
 	time.Sleep(20 * time.Millisecond) // let W(v3)'s invocation be recorded
-	fmt.Println("W(v3) in progress")
+	fmt.Fprintln(w, "W(v3) in progress")
 
 	// R1 with a quorum missing process 3; R2 with a quorum including it.
 	c.RestrictAcks(1, 0, 1, 2)
@@ -110,12 +113,12 @@ func schedule(algo recmem.Algorithm) error {
 	if err := <-v3done; err != nil {
 		return fmt.Errorf("W(v3): %w", err)
 	}
-	fmt.Printf("R1 = %q, R2 = %q (during W(v3))\n", r1, r2)
+	fmt.Fprintf(w, "R1 = %q, R2 = %q (during W(v3))\n", r1, r2)
 
 	transientOK := c.VerifyCriterion(recmem.TransientAtomicity)
 	persistentOK := c.VerifyCriterion(recmem.PersistentAtomicity)
-	fmt.Printf("transient-atomicity check:  %v\n", verdict(transientOK))
-	fmt.Printf("persistent-atomicity check: %v\n", verdict(persistentOK))
+	fmt.Fprintf(w, "transient-atomicity check:  %v\n", verdict(transientOK))
+	fmt.Fprintf(w, "persistent-atomicity check: %v\n", verdict(persistentOK))
 
 	switch algo {
 	case recmem.TransientAtomic:

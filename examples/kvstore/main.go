@@ -14,7 +14,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 	"time"
 
@@ -64,12 +66,13 @@ func (kv *KV) Get(ctx context.Context, key string) (string, error) {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run runs the example, writing its report to w.
+func run(w io.Writer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -84,6 +87,7 @@ func run() error {
 	clients := []*KV{NewKV(c.Process(0)), NewKV(c.Process(1)), NewKV(c.Process(2))}
 
 	var wg sync.WaitGroup
+	errs := make(chan error, len(clients))
 	for i, kv := range clients {
 		wg.Add(1)
 		go func(i int, kv *KV) {
@@ -92,11 +96,11 @@ func run() error {
 				key := fmt.Sprintf("user:%d", round%3)
 				val := fmt.Sprintf("client%d-round%d", i, round)
 				if err := kv.Put(ctx, key, val); err != nil {
-					log.Printf("client %d put: %v", i, err)
+					errs <- fmt.Errorf("client %d put: %w", i, err)
 					return
 				}
 				if _, err := kv.Get(ctx, key); err != nil {
-					log.Printf("client %d get: %v", i, err)
+					errs <- fmt.Errorf("client %d get: %w", i, err)
 					return
 				}
 			}
@@ -110,14 +114,18 @@ func run() error {
 	if err := chaos.Crash(ctx); err != nil {
 		return err
 	}
-	fmt.Println("process 4 crashed mid-run")
+	fmt.Fprintln(w, "process 4 crashed mid-run")
 	time.Sleep(10 * time.Millisecond)
 	if err := chaos.Recover(ctx); err != nil {
 		return err
 	}
-	fmt.Println("process 4 recovered")
+	fmt.Fprintln(w, "process 4 recovered")
 
 	wg.Wait()
+	close(errs)
+	for err := range errs {
+		return err
+	}
 
 	// Read the final state from the process that crashed: it catches up
 	// through the protocol (and its reads are atomic like everyone's).
@@ -128,14 +136,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s = %q (read at the recovered process)\n", key, val)
+		fmt.Fprintf(w, "%s = %q (read at the recovered process)\n", key, val)
 	}
 
 	if err := c.Verify(); err != nil {
 		return fmt.Errorf("atomicity verification failed: %w", err)
 	}
-	fmt.Println("all operations verified persistent-atomic")
-	fmt.Printf("latencies: put %v, get %v\n",
+	fmt.Fprintln(w, "all operations verified persistent-atomic")
+	fmt.Fprintf(w, "latencies: put %v, get %v\n",
 		c.WriteLatency().Mean.Round(time.Microsecond),
 		c.ReadLatency().Mean.Round(time.Microsecond))
 	return nil

@@ -10,19 +10,22 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"recmem"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run runs the example, writing its report to w.
+func run(w io.Writer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -52,24 +55,24 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("process 3 reads: %q\n", val)
+	fmt.Fprintf(w, "process 3 reads: %q\n", val)
 
 	// The write used exactly 2 causal logs — the optimum of Theorem 1.
 	time.Sleep(10 * time.Millisecond) // let replicas beyond the quorum finish logging
-	fmt.Printf("write cost: %d causal logs (%d stores in total)\n",
+	fmt.Fprintf(w, "write cost: %d causal logs (%d stores in total)\n",
 		c.CostOf(op).CausalLogs, c.CostOf(op).TotalLogs)
 
 	// Crash the writer: its volatile memory is gone...
 	if err := writer.Crash(ctx); err != nil {
 		return err
 	}
-	fmt.Println("process 0 crashed")
+	fmt.Fprintln(w, "process 0 crashed")
 
 	// ...but stable storage and the majority still hold the value.
 	if val, err = greetingAt3.Read(ctx); err != nil {
 		return err
 	}
-	fmt.Printf("while 0 is down, process 3 still reads: %q\n", val)
+	fmt.Fprintf(w, "while 0 is down, process 3 still reads: %q\n", val)
 
 	// Recovery replays the recovery procedure of Fig. 4 (finish any
 	// interrupted write) and rejoins. The handle survives the crash —
@@ -80,16 +83,16 @@ func run() error {
 	if val, err = greeting.Read(ctx); err != nil {
 		return err
 	}
-	fmt.Printf("recovered process 0 reads: %q\n", val)
+	fmt.Fprintf(w, "recovered process 0 reads: %q\n", val)
 
 	// The harness recorded every invocation, response, crash and recovery;
 	// verify the run against the persistent-atomicity checker.
 	if err := c.Verify(); err != nil {
 		return fmt.Errorf("history verification failed: %w", err)
 	}
-	fmt.Println("history verified: persistent atomicity holds")
+	fmt.Fprintln(w, "history verified: persistent atomicity holds")
 
-	fmt.Printf("write latency: mean %v over %d writes\n",
+	fmt.Fprintf(w, "write latency: mean %v over %d writes\n",
 		c.WriteLatency().Mean.Round(time.Microsecond), c.WriteLatency().Count)
 	return nil
 }

@@ -21,8 +21,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 	"sync"
 	"time"
 
@@ -53,12 +55,13 @@ func decode(b []byte) (reading, bool) {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run runs the example, writing its report to w.
+func run(w io.Writer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -75,6 +78,7 @@ func run() error {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	errs := make(chan error, 3)
 
 	// Consumers on three other processes poll continuously and check that
 	// the sequence numbers they observe never regress by more than the one
@@ -97,13 +101,13 @@ func run() error {
 			for {
 				select {
 				case <-stop:
-					fmt.Printf("consumer %d: %d polls, last seq %d\n", p, polls, lastSeen)
+					fmt.Fprintf(w, "consumer %d: %d polls, last seq %d\n", p, polls, lastSeen)
 					return
 				default:
 				}
 				raw, err := poll.Read(ctx, opts...)
 				if err != nil {
-					log.Printf("consumer %d: %v", p, err)
+					errs <- fmt.Errorf("consumer %d: %w", p, err)
 					return
 				}
 				if len(raw) == 0 {
@@ -111,14 +115,14 @@ func run() error {
 				}
 				r, ok := decode(raw)
 				if !ok {
-					log.Printf("consumer %d: corrupt reading", p)
+					errs <- fmt.Errorf("consumer %d: corrupt reading", p)
 					return
 				}
 				// Regularity bound: a poll may lag the newest publish by at
 				// most the one concurrent write, so the observed sequence
 				// may regress by at most 1 relative to our own history.
 				if r.seq+1 < lastSeen {
-					log.Printf("consumer %d: regression %d -> %d", p, lastSeen, r.seq)
+					errs <- fmt.Errorf("consumer %d: regression %d -> %d", p, lastSeen, r.seq)
 					return
 				}
 				if r.seq > lastSeen {
@@ -139,15 +143,19 @@ func run() error {
 			if err := sensor.Crash(ctx); err != nil {
 				return err
 			}
-			fmt.Println("sensor crashed mid-run")
+			fmt.Fprintln(w, "sensor crashed mid-run")
 			if err := sensor.Recover(ctx); err != nil {
 				return err
 			}
-			fmt.Println("sensor recovered, publishing resumes")
+			fmt.Fprintln(w, "sensor recovered, publishing resumes")
 		}
 	}
 	close(stop)
 	wg.Wait()
+	close(errs)
+	for err := range errs {
+		return err
+	}
 
 	// Final value is the last publish, at every consumer.
 	for _, p := range []int{1, 2, 3, 4} {
@@ -160,13 +168,13 @@ func run() error {
 			return fmt.Errorf("consumer %d ended at seq %d, want %d", p, r.seq, publishes)
 		}
 	}
-	fmt.Printf("all consumers converged on seq %d\n", publishes)
+	fmt.Fprintf(w, "all consumers converged on seq %d\n", publishes)
 
 	if err := c.Verify(); err != nil {
 		return fmt.Errorf("regularity verification failed: %w", err)
 	}
-	fmt.Println("history verified: single-writer regularity holds")
-	fmt.Printf("publish latency %v, poll latency %v\n",
+	fmt.Fprintln(w, "history verified: single-writer regularity holds")
+	fmt.Fprintf(w, "publish latency %v, poll latency %v\n",
 		c.WriteLatency().Mean.Round(time.Microsecond),
 		c.ReadLatency().Mean.Round(time.Microsecond))
 	return nil

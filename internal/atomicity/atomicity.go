@@ -1,17 +1,19 @@
-// Package atomicity decides whether a history satisfies the consistency
-// criteria of the paper: linearizability of complete crash-free histories
-// (Herlihy & Wing, the crash-stop baseline), persistent atomicity (§III-B)
-// and transient atomicity (§III-C).
+// Package atomicity decides whether a history satisfies one of five
+// consistency criteria of the paper: linearizability of complete crash-free
+// histories (Herlihy & Wing, the crash-stop baseline), persistent atomicity
+// (§III-B), transient atomicity (§III-C), and the single-writer regularity
+// and safety of the §VI registers (after Lamport).
 //
-// All three ask whether a legal sequential history exists that is
-// equivalent to some completion of H and preserves H's operation
+// The three atomic criteria ask whether a legal sequential history exists
+// that is equivalent to some completion of H and preserves H's operation
 // precedence. They differ only in where a pending write's reply may sit:
 // anywhere after the end (linearizability), before its process's next
 // invocation (persistent), or before its process's next write reply
-// (transient, the paper's "overlapping writes" after a crash).
+// (transient, the paper's "overlapping writes" after a crash). Regularity
+// and safety judge each read alone, with the persistent bound
+// (docs/adr/0023).
 //
-// Check answers in one O(n log n) pass per register (BenchmarkCheck),
-// Gibbons & Korach's cluster test over the reads-from relation:
+// Check answers in one O(n log n) pass per register (BenchmarkCheck):
 //
 //   - Input contract: written values are unique per register and never ⊥,
 //     so each completed read maps to the write of its value; a repeated
@@ -20,18 +22,25 @@
 //   - Pending reads are dropped, and so is a pending write nobody read. A
 //     pending write that was read replies at the latest position its
 //     criterion allows: a later reply only removes precedence edges.
-//   - A write and its readers form a cluster; ⊥'s readers form the initial
-//     cluster. A legal sequential history is the clusters in some order,
-//     each write followed by its reads, so H is atomic iff no read returns
-//     before its write is invoked and no two clusters each hold an
-//     operation preceding an operation of the other.
+//   - Atomic modes run Gibbons & Korach's cluster test over the reads-from
+//     relation. A write and its readers form a cluster; ⊥'s readers form
+//     the initial cluster. A legal sequential history is the clusters in
+//     some order, each write followed by its reads, so H is atomic iff no
+//     read returns before its write is invoked and no two clusters each
+//     hold an operation preceding an operation of the other.
 //   - With f a cluster's earliest reply and s its latest invocation, two
 //     clusters conflict iff each one's f precedes the other's s. So the
 //     forward zones [f, s] (f < s) must be disjoint, and no backward zone
 //     [s, f] may lie inside one.
+//   - Regular: a read is legal iff it did not return before its write was
+//     invoked and no completed write both follows that write and precedes
+//     the read (⊥: no completed write precedes the read). Safe: a read
+//     that some write overlaps is unconstrained, any other is judged as
+//     Regular. Each is one binary search per read over the writes.
 //
-// The exhaustive witness search this package used before is the oracle of
-// its tests.
+// The exhaustive witness search this package used before, and the
+// quadratic per-read scan of the regular checker, are the oracles of its
+// tests.
 package atomicity
 
 import (
@@ -58,6 +67,13 @@ const (
 	// Transient is the paper's transient atomicity: an unfinished write may
 	// overlap the same writer's operations up to its next completed write.
 	Transient
+	// Regular is the paper's single-writer regularity (§VI): a read returns
+	// the last value written before it or a value written concurrently, so
+	// new-old inversion is allowed.
+	Regular
+	// Safe is the paper's single-writer safety (§VI): a read that overlaps
+	// no write is judged as Regular, any other may return anything.
+	Safe
 )
 
 // String returns the criterion name.
@@ -69,6 +85,10 @@ func (m Mode) String() string {
 		return "persistent-atomic"
 	case Transient:
 		return "transient-atomic"
+	case Regular:
+		return "regular"
+	case Safe:
+		return "safe"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -108,11 +128,16 @@ func (v *Violation) Error() string {
 // history Check cannot judge: an ill-formed one, or one breaking the input
 // contract of the package doc.
 func Check(h history.History, mode Mode) error {
+	if mode < Linearizable || mode > Safe {
+		return fmt.Errorf("atomicity: unknown criterion %v", mode)
+	}
 	if err := h.Validate(); err != nil {
 		return err
 	}
 	ops := h.Operations()
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Reg < ops[j].Reg })
+	if byReg := func(i, j int) bool { return ops[i].Reg < ops[j].Reg }; !sort.SliceIsSorted(ops, byReg) {
+		sort.SliceStable(ops, byReg)
+	}
 	for len(ops) > 0 {
 		n := 1
 		for n < len(ops) && ops[n].Reg == ops[0].Reg {
@@ -132,12 +157,13 @@ const unbounded = int64(math.MaxInt64)
 
 // cluster is one write and the reads that return its value, placed by two
 // members: first, whose reply is earliest (at f), and last, invoked latest
-// (at s). The initial cluster has no write: its virtual write of ⊥ replies
-// before everything (f is -∞), and it has no first member. same links the
+// (at s). ret is the write's reply, a pending write's at its bound. The
+// initial cluster has no write: its virtual write of ⊥ replies before
+// everything (f and ret are -∞), and it has no first member. same links the
 // clusters of earlier writes of the same value.
 type cluster struct {
 	write, first, last *history.Operation
-	f, s               int64
+	f, s, ret          int64
 	same               *cluster
 }
 
@@ -158,8 +184,8 @@ func (c *cluster) String() string {
 	return c.write.String()
 }
 
-// checkRegister runs the cluster test on the operations of one register, in
-// invocation order.
+// checkRegister decides one register's operations, in invocation order:
+// the per-read test of the Regular and Safe modes, or the cluster test.
 func checkRegister(ops []history.Operation, reg string, mode Mode) error {
 	violation := func(format string, args ...any) error {
 		return &Violation{Mode: mode, Reg: reg, Reason: fmt.Sprintf(format, args...), Ops: ops}
@@ -168,6 +194,7 @@ func checkRegister(ops []history.Operation, reg string, mode Mode) error {
 		return fmt.Errorf("atomicity: register %q: %s; written values must be unique per register",
 			reg, fmt.Sprintf(format, args...))
 	}
+	bounds := pendingWriteBounds(ops, mode)
 	clusters := make([]cluster, len(ops)) // clusters[i] is write i's
 	writeOf := make(map[string]*cluster, len(ops))
 	for i := range ops {
@@ -175,43 +202,55 @@ func checkRegister(ops []history.Operation, reg string, mode Mode) error {
 			if w.Value == history.Bottom {
 				return refuse("%v writes ⊥", w)
 			}
-			c.write, c.same = w, writeOf[w.Value]
+			c.write, c.same, c.ret = w, writeOf[w.Value], w.Ret
+			if w.Pending() {
+				c.ret = bounds[i]
+			}
 			writeOf[w.Value] = c
 		}
 	}
+	var lw *lastWrites
+	if mode == Regular || mode == Safe {
+		lw = newLastWrites(clusters)
+	}
 
-	initial := &cluster{f: math.MinInt64, s: math.MinInt64}
+	initial := &cluster{f: math.MinInt64, s: math.MinInt64, ret: math.MinInt64}
 	for i := range ops {
 		r := &ops[i]
-		switch {
-		case r.Type != history.Read || r.Pending():
-		case r.Value == history.Bottom:
-			initial.add(r, r.Ret)
-		case writeOf[r.Value] == nil:
-			return violation("%v returns a value never written", r)
-		default:
-			c := readsFrom(writeOf[r.Value], r)
-			if c == nil {
+		if r.Type != history.Read || r.Pending() || mode == Safe && lw.overlapped(r) {
+			continue
+		}
+		c := initial
+		if r.Value != history.Bottom {
+			if writeOf[r.Value] == nil {
+				return violation("%v returns a value never written", r)
+			}
+			if c = readsFrom(writeOf[r.Value], r); c == nil {
 				return refuse("%v matches several writes of %q and no tag witness picks one", r, r.Value)
 			}
 			if r.Ret < c.write.Inv {
 				return violation("%v returned before %v, the write it reads from, was invoked", r, c.write)
 			}
+		}
+		if lw == nil {
 			c.add(r, r.Ret)
+		} else if w := lw.superseding(r, c.ret); w != nil {
+			why := edge(w, r)
+			if c.write != nil {
+				why = edge(c.write, w) + ", and " + why
+			}
+			return violation("%v reads from %v, which %v overwrote: %s", r, c, w, why)
 		}
 	}
+	if lw != nil {
+		return nil
+	}
 
-	bounds := pendingWriteBounds(ops, mode)
 	zones := append(make([]*cluster, 0, len(ops)+1), initial)
 	for i := range ops {
-		c, w := &clusters[i], &ops[i]
-		switch {
-		case c.write == nil:
-		case !w.Pending():
-			c.add(w, w.Ret)
-			zones = append(zones, c)
-		case c.last != nil: // a pending write nobody read is dropped
-			c.add(w, bounds[i])
+		// A pending write nobody read is dropped.
+		if c := &clusters[i]; c.write != nil && (!c.write.Pending() || c.last != nil) {
+			c.add(c.write, c.ret)
 			zones = append(zones, c)
 		}
 	}
@@ -224,6 +263,62 @@ func checkRegister(ops []history.Operation, reg string, mode Mode) error {
 		return violation("%v and %v must each take effect before the other: %s", a, b, edges)
 	}
 	return nil
+}
+
+// lastWrites answers the per-read questions of the Regular and Safe modes
+// with one binary search each. done holds a register's completed writes by
+// reply, and latest[k] is the one invoked last among done[:k+1]; all holds
+// every write in invocation order, and longest[k] is the one replying last
+// among all[:k+1], a pending write at its bound.
+type lastWrites struct {
+	done, latest, all, longest []*cluster
+}
+
+func newLastWrites(clusters []cluster) *lastWrites {
+	lw := &lastWrites{all: make([]*cluster, 0, len(clusters)), done: make([]*cluster, 0, len(clusters))}
+	for i := range clusters {
+		if c := &clusters[i]; c.write != nil {
+			lw.all = append(lw.all, c)
+			if !c.write.Pending() {
+				lw.done = append(lw.done, c)
+			}
+		}
+	}
+	sort.Slice(lw.done, func(i, j int) bool { return lw.done[i].ret < lw.done[j].ret })
+	lw.latest = prefixMax(lw.done, func(c *cluster) int64 { return c.write.Inv })
+	lw.longest = prefixMax(lw.all, func(c *cluster) int64 { return c.ret })
+	return lw
+}
+
+// prefixMax returns, for each k, the cluster of cs[:k+1] with the largest key.
+func prefixMax(cs []*cluster, key func(*cluster) int64) []*cluster {
+	out := make([]*cluster, len(cs))
+	for k, c := range cs {
+		out[k] = c
+		if k > 0 && key(out[k-1]) > key(c) {
+			out[k] = out[k-1]
+		}
+	}
+	return out
+}
+
+// superseding returns a completed write that was invoked after ret, the
+// reply of the write read r reads from, and returned before r was invoked,
+// or nil if there is none. A pending write never supersedes: nothing shows
+// it took effect.
+func (lw *lastWrites) superseding(r *history.Operation, ret int64) *history.Operation {
+	k := sort.Search(len(lw.done), func(k int) bool { return lw.done[k].ret >= r.Inv })
+	if k > 0 && lw.latest[k-1].write.Inv > ret {
+		return lw.latest[k-1].write
+	}
+	return nil
+}
+
+// overlapped reports whether some write was invoked before r returned and
+// replies, or may reply, after r was invoked.
+func (lw *lastWrites) overlapped(r *history.Operation) bool {
+	k := sort.Search(len(lw.all), func(k int) bool { return lw.all[k].write.Inv >= r.Ret })
+	return k > 0 && lw.longest[k-1].ret >= r.Inv
 }
 
 // readsFrom returns the cluster of the write that completed read r read
@@ -254,9 +349,9 @@ func readsFrom(chain *cluster, r *history.Operation) *cluster {
 
 // pendingWriteBounds returns, for each of a register's operations in
 // invocation order, the latest position mode allows a pending write's reply:
-// just before its process's next invocation (Persistent) or next write reply
-// (Transient), else unbounded. A process is sequential, so both belong to
-// its next operation that is one.
+// just before its process's next write reply (Transient) or next invocation
+// (the other crash-recovery modes), else unbounded. A process is
+// sequential, so both belong to its next operation that is one.
 func pendingWriteBounds(ops []history.Operation, mode Mode) []int64 {
 	bounds := make([]int64, len(ops))
 	next := make(map[int32]int64) // per process, the position that bounds it
@@ -267,10 +362,12 @@ func pendingWriteBounds(ops []history.Operation, mode Mode) []int64 {
 			bounds[i] = seq - 1
 		}
 		switch {
-		case mode == Persistent:
+		case mode == Transient:
+			if op.Type == history.Write && !op.Pending() {
+				next[op.Proc] = op.Ret
+			}
+		case mode != Linearizable:
 			next[op.Proc] = op.Inv
-		case mode == Transient && op.Type == history.Write && !op.Pending():
-			next[op.Proc] = op.Ret
 		}
 	}
 	return bounds

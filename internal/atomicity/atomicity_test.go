@@ -31,7 +31,7 @@ func ret(p int32, op history.OpType, id uint64, v string) history.Event {
 func crash(p int32) history.Event    { return history.Event{Proc: p, Kind: history.Crash} }
 func recover1(p int32) history.Event { return history.Event{Proc: p, Kind: history.Recover} }
 
-func allModes() []Mode { return []Mode{Linearizable, Persistent, Transient} }
+func atomicModes() []Mode { return []Mode{Linearizable, Persistent, Transient} }
 
 func TestSequentialHistoryLegal(t *testing.T) {
 	h := hb(
@@ -40,7 +40,7 @@ func TestSequentialHistoryLegal(t *testing.T) {
 		inv(1, history.Write, 3, "b"), ret(1, history.Write, 3, ""),
 		inv(2, history.Read, 4, ""), ret(2, history.Read, 4, "b"),
 	)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(h, m); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -52,7 +52,7 @@ func TestReadInitialValue(t *testing.T) {
 		inv(2, history.Read, 1, ""), ret(2, history.Read, 1, history.Bottom),
 		inv(1, history.Write, 2, "a"), ret(1, history.Write, 2, ""),
 	)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(h, m); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -64,7 +64,7 @@ func TestStaleReadViolation(t *testing.T) {
 		inv(1, history.Write, 1, "a"), ret(1, history.Write, 1, ""),
 		inv(2, history.Read, 2, ""), ret(2, history.Read, 2, history.Bottom),
 	)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		err := Check(h, m)
 		var v *Violation
 		if !errors.As(err, &v) {
@@ -81,7 +81,7 @@ func TestReadOfNeverWrittenValue(t *testing.T) {
 		inv(1, history.Write, 1, "a"), ret(1, history.Write, 1, ""),
 		inv(2, history.Read, 2, ""), ret(2, history.Read, 2, "ghost"),
 	)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(h, m); err == nil {
 			t.Fatalf("%v: accepted read of never-written value", m)
 		}
@@ -96,7 +96,7 @@ func TestNewOldInversionViolation(t *testing.T) {
 		inv(2, history.Read, 3, ""), ret(2, history.Read, 3, "b"),
 		inv(2, history.Read, 4, ""), ret(2, history.Read, 4, "a"),
 	)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(h, m); err == nil {
 			t.Fatalf("%v: accepted new-old inversion", m)
 		}
@@ -117,7 +117,7 @@ func TestConcurrentReadsMayDisagreeWithPendingWrite(t *testing.T) {
 	// Reads are sequential (p2's completes before p3's starts): read b then
 	// a. The pending write must linearize before p2's read, after which a is
 	// stale: violation in every mode.
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(h, m); err == nil {
 			t.Fatalf("%v: accepted stale read after observed pending write", m)
 		}
@@ -131,7 +131,7 @@ func TestPendingWriteMayBeAbsent(t *testing.T) {
 		crash(1),
 		inv(2, history.Read, 3, ""), ret(2, history.Read, 3, "a"),
 	)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(h, m); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -145,7 +145,7 @@ func TestPendingWriteMayTakeEffect(t *testing.T) {
 		crash(1),
 		inv(2, history.Read, 3, ""), ret(2, history.Read, 3, "b"),
 	)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(h, m); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -238,7 +238,7 @@ func TestTheorem2RunRho4(t *testing.T) {
 		recover1(2),
 		inv(2, history.Read, 4, ""), ret(2, history.Read, 4, "v1"),
 	)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(rho4, m); err == nil {
 			t.Fatalf("%v: accepted run rho4", m)
 		}
@@ -258,7 +258,7 @@ func TestTheorem2RunRho4(t *testing.T) {
 		crash(2),
 		recover1(2),
 	)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(rho2, m); err != nil {
 			t.Fatalf("%v rho2: %v", m, err)
 		}
@@ -358,7 +358,7 @@ func TestLongSequentialHistoryFast(t *testing.T) {
 		id++
 	}
 	h := hb(events...)
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(h, m); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -414,7 +414,7 @@ func TestRepeatedValueWithoutWitnessRefused(t *testing.T) {
 		inv(1, history.Write, 1, history.Bottom), ret(1, history.Write, 1, ""),
 	)
 	for name, h := range map[string]history.History{"repeated": repeated, "bottom": bottom} {
-		for _, m := range allModes() {
+		for _, m := range atomicModes() {
 			err := Check(h, m)
 			var v *Violation
 			if err == nil || errors.As(err, &v) {
@@ -439,7 +439,7 @@ func TestTagWitnessDecidesReadsFrom(t *testing.T) {
 			inv(2, history.Read, 4, ""), retTag(2, history.Read, 4, "a", readTag),
 		)
 	}
-	for _, m := range allModes() {
+	for _, m := range atomicModes() {
 		if err := Check(mk(3), m); err != nil {
 			t.Fatalf("%v: read of the latest W(a): %v", m, err)
 		}

@@ -8,11 +8,10 @@ import (
 	"recmem/internal/history"
 )
 
-// legalHistory builds a linearizable history with the given number of
-// operations: rotating writers write unique values, a reader reads the
-// latest after each write, with a bounded amount of overlap injected by
-// leaving some writes pending until later.
-func legalHistory(ops int) history.History {
+// legalHistory builds a sequential linearizable history with the given
+// number of operations: writers in rotation write unique values, and a
+// reader reads the latest after each write.
+func legalHistory(ops, writers int) history.History {
 	var (
 		h   history.History
 		seq = int64(1)
@@ -25,7 +24,7 @@ func legalHistory(ops int) history.History {
 	}
 	last := history.Bottom
 	for i := 0; i < ops/2; i++ {
-		w := int32(i % 3)
+		w := int32(i % writers)
 		val := fmt.Sprintf("v%d", i)
 		wid := id
 		id++
@@ -34,8 +33,8 @@ func legalHistory(ops int) history.History {
 		last = val
 		rid := id
 		id++
-		emit(history.Event{Proc: 3, Kind: history.Invoke, Op: history.Read, OpID: rid, Reg: "x"})
-		emit(history.Event{Proc: 3, Kind: history.Return, Op: history.Read, OpID: rid, Reg: "x", Value: last})
+		emit(history.Event{Proc: int32(writers), Kind: history.Invoke, Op: history.Read, OpID: rid, Reg: "x"})
+		emit(history.Event{Proc: int32(writers), Kind: history.Return, Op: history.Read, OpID: rid, Reg: "x", Value: last})
 	}
 	return h
 }
@@ -78,31 +77,34 @@ func concurrentHistory(rounds, writers int) history.History {
 
 // BenchmarkCheck backs the package doc's O(n log n) claim: the five-writer
 // concurrent shape at 1k, 10k and 100k operations, each decade about ten
-// times the one before.
+// times the one before, in the transient mode and the two per-read modes.
 func BenchmarkCheck(b *testing.B) {
-	for _, ops := range []int{1000, 10000, 100000} {
-		h := concurrentHistory(ops/6, 5) // five writes and a read per round
-		b.Run(fmt.Sprintf("%dk", ops/1000), func(b *testing.B) {
-			for b.Loop() {
-				if err := Check(h, Transient); err != nil {
-					b.Fatal(err)
+	for _, mode := range []Mode{Transient, Regular, Safe} {
+		for _, ops := range []int{1000, 10000, 100000} {
+			h := concurrentHistory(ops/6, 5) // five writes and a read per round
+			b.Run(fmt.Sprintf("%v/%dk", mode, ops/1000), func(b *testing.B) {
+				for b.Loop() {
+					if err := Check(h, mode); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
-// TestCheckerScalesToLongHistories guards against accidental exponential
-// blowup on realistic (mostly sequential) histories.
+// TestCheckerScalesToLongHistories guards against accidental quadratic or
+// exponential blowup on mostly sequential and on heavily concurrent
+// histories, in every mode.
 func TestCheckerScalesToLongHistories(t *testing.T) {
-	h := legalHistory(4000)
-	for _, m := range []Mode{Linearizable, Persistent, Transient} {
-		if err := Check(h, m); err != nil {
-			t.Fatalf("%v: %v", m, err)
+	for name, h := range map[string]history.History{
+		"sequential": legalHistory(4000, 3),
+		"concurrent": concurrentHistory(100, 4),
+	} {
+		for _, m := range append(atomicModes(), Regular, Safe) {
+			if err := Check(h, m); err != nil {
+				t.Fatalf("%s, %v: %v", name, m, err)
+			}
 		}
-	}
-	hc := concurrentHistory(100, 4)
-	if err := Check(hc, Transient); err != nil {
-		t.Fatalf("concurrent: %v", err)
 	}
 }

@@ -118,7 +118,7 @@ func TestPrunedSearchAgreesWithUnpruned(t *testing.T) {
 			t.Fatalf("trial %d: generator produced an ill-formed history: %v", trial, err)
 		}
 		ok := map[Mode]bool{}
-		for _, mode := range allModes() {
+		for _, mode := range atomicModes() {
 			got := checkVerdict(t, h, mode)
 			ok[mode] = got
 			ops := searchOps(h, mode)
@@ -233,7 +233,7 @@ func TestClusterTestAgreesWithBruteForce(t *testing.T) {
 		if err := h.Validate(); err != nil {
 			t.Fatalf("trial %d: generator produced an ill-formed history: %v", trial, err)
 		}
-		for _, mode := range allModes() {
+		for _, mode := range atomicModes() {
 			got := checkVerdict(t, h, mode)
 			if want := bruteWitness(searchOps(h, mode), history.Bottom); got != want {
 				t.Fatalf("trial %d, %v: Check says %v, brute force %v\n%v", trial, mode, got, want, h)
@@ -243,5 +243,26 @@ func TestClusterTestAgreesWithBruteForce(t *testing.T) {
 	}
 	if verdicts[true] < histories/2 || verdicts[false] < histories/2 {
 		t.Fatalf("lopsided verdicts: %d witnessed, %d violations", verdicts[true], verdicts[false])
+	}
+}
+
+// TestRegularAgreesWithOracle compares the Regular and Safe modes with
+// regularOracle on random single-writer crash-recovery histories.
+func TestRegularAgreesWithOracle(t *testing.T) {
+	const histories = 20000
+	rng := rand.New(rand.NewSource(42))
+	verdicts := map[bool]int{}
+	for trial := 0; trial < histories; trial++ {
+		h := randomHistory(rng, 2+rng.Intn(2), 4+rng.Intn(16), true)
+		for _, mode := range []Mode{Regular, Safe} {
+			got := checkVerdict(t, h, mode)
+			if want := regularOracle(h, mode == Regular); got != want {
+				t.Fatalf("trial %d, %v: Check says %v, oracle %v\n%v", trial, mode, got, want, h.Operations())
+			}
+			verdicts[got]++
+		}
+	}
+	if verdicts[true] < histories/2 || verdicts[false] < histories/2 {
+		t.Fatalf("lopsided verdicts: %d regular, %d violations", verdicts[true], verdicts[false])
 	}
 }

@@ -254,3 +254,60 @@ func TestSearchAgreesWithBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// regularOracle is the reference for the Regular and Safe modes: for every
+// completed read, a scan of every write of the register. A write whose
+// reply (a pending write's at its persistent bound) comes before the read
+// was invoked is a candidate iff no completed write was invoked after that
+// reply and also returned before the read; any write invoked before the
+// read returned and replying later is concurrent, and a candidate too. ⊥ is
+// a candidate iff no completed write returned before the read. A safe read
+// with a concurrent write may return anything. Values are matched as
+// written: the oracle expects a history that keeps the input contract.
+func regularOracle(h history.History, regular bool) bool {
+	for _, reg := range h.Registers() {
+		sub := h.Restrict(reg)
+		all := sub.Operations()
+		for _, r := range all {
+			if r.Type != history.Read || r.Pending() {
+				continue
+			}
+			concurrent := false
+			candidates := make(map[string]bool)
+			var before []int64 // replies of the writes that replied before r
+			var values []string
+			maxInv := int64(-1)
+			for _, w := range all {
+				if w.Type != history.Write {
+					continue
+				}
+				reply := w.Ret
+				if w.Pending() {
+					reply = searchBound(sub, w, Persistent)
+				}
+				switch {
+				case reply < r.Inv:
+					before, values = append(before, reply), append(values, w.Value)
+					if !w.Pending() && w.Inv > maxInv {
+						maxInv = w.Inv
+					}
+				case w.Inv < r.Ret:
+					concurrent = true
+					candidates[w.Value] = true
+				}
+			}
+			if maxInv < 0 {
+				candidates[history.Bottom] = true
+			}
+			for i, reply := range before {
+				if reply >= maxInv {
+					candidates[values[i]] = true
+				}
+			}
+			if !candidates[r.Value] && (regular || !concurrent) {
+				return false
+			}
+		}
+	}
+	return true
+}

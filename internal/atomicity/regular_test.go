@@ -2,6 +2,7 @@ package atomicity
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"recmem/internal/history"
@@ -14,11 +15,10 @@ func TestRegularSequentialLegal(t *testing.T) {
 		inv(1, history.Write, 3, "b"), ret(1, history.Write, 3, ""),
 		inv(2, history.Read, 4, ""), ret(2, history.Read, 4, "b"),
 	)
-	if err := CheckRegularSW(h); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSafeSW(h); err != nil {
-		t.Fatal(err)
+	for _, m := range []Mode{Regular, Safe} {
+		if err := Check(h, m); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
 	}
 }
 
@@ -26,7 +26,7 @@ func TestRegularInitialValue(t *testing.T) {
 	h := hb(
 		inv(2, history.Read, 1, ""), ret(2, history.Read, 1, history.Bottom),
 	)
-	if err := CheckRegularSW(h); err != nil {
+	if err := Check(h, Regular); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,12 +37,11 @@ func TestRegularStaleQuiescentReadViolation(t *testing.T) {
 		inv(1, history.Write, 2, "b"), ret(1, history.Write, 2, ""),
 		inv(2, history.Read, 3, ""), ret(2, history.Read, 3, "a"),
 	)
-	var v *Violation
-	if err := CheckRegularSW(h); !errors.As(err, &v) {
-		t.Fatalf("regular accepted stale quiescent read: %v", err)
-	}
-	if err := CheckSafeSW(h); !errors.As(err, &v) {
-		t.Fatalf("safe accepted stale quiescent read: %v", err)
+	for _, m := range []Mode{Regular, Safe} {
+		var v *Violation
+		if err := Check(h, m); !errors.As(err, &v) {
+			t.Fatalf("%v accepted stale quiescent read: %v", m, err)
+		}
 	}
 }
 
@@ -56,15 +55,15 @@ func TestRegularConcurrentReadMayReturnEither(t *testing.T) {
 		)
 	}
 	for _, val := range []string{"a", "b"} {
-		if err := CheckRegularSW(mk(val)); err != nil {
+		if err := Check(mk(val), Regular); err != nil {
 			t.Fatalf("read of %q during write rejected: %v", val, err)
 		}
 	}
-	if err := CheckRegularSW(mk("ghost")); err == nil {
+	if err := Check(mk("ghost"), Regular); err == nil {
 		t.Fatal("regular accepted a never-written value")
 	}
 	// Safe allows anything while concurrent.
-	if err := CheckSafeSW(mk("ghost")); err != nil {
+	if err := Check(mk("ghost"), Safe); err != nil {
 		t.Fatalf("safe rejected concurrent garbage: %v", err)
 	}
 }
@@ -80,7 +79,7 @@ func TestRegularAllowsNewOldInversion(t *testing.T) {
 		inv(2, history.Read, 4, ""), ret(2, history.Read, 4, "a"),
 		ret(1, history.Write, 2, ""),
 	)
-	if err := CheckRegularSW(h); err != nil {
+	if err := Check(h, Regular); err != nil {
 		t.Fatalf("regular must allow new-old inversion: %v", err)
 	}
 	// Atomicity forbids exactly this.
@@ -90,7 +89,7 @@ func TestRegularAllowsNewOldInversion(t *testing.T) {
 }
 
 // TestRegularPendingWriteStaysCandidate: a crashed write remains readable
-// (the transient reading of regularity in the crash-recovery model).
+// while its writer invokes nothing after it.
 func TestRegularPendingWriteStaysCandidate(t *testing.T) {
 	h := hb(
 		inv(1, history.Write, 1, "a"), ret(1, history.Write, 1, ""),
@@ -100,19 +99,77 @@ func TestRegularPendingWriteStaysCandidate(t *testing.T) {
 		inv(2, history.Read, 3, ""), ret(2, history.Read, 3, "b"),
 		inv(2, history.Read, 4, ""), ret(2, history.Read, 4, "a"),
 	)
-	if err := CheckRegularSW(h); err != nil {
+	if err := Check(h, Regular); err != nil {
 		t.Fatalf("pending write should stay a candidate: %v", err)
 	}
 }
 
-func TestRegularRejectsMultiWriter(t *testing.T) {
+// TestRegularSupersededPendingWrite: a crashed write's reply is bounded by
+// its writer's next invocation, so once the writer's next write completes,
+// a read invoked after it may no longer return the crashed write's value.
+// Linearizability, which leaves the crashed write pending forever, accepts
+// the history; every criterion bounded by the writer's next operation
+// rejects it.
+func TestRegularSupersededPendingWrite(t *testing.T) {
+	h := hb(
+		inv(1, history.Write, 1, "a"),
+		crash(1),
+		recover1(1),
+		inv(1, history.Write, 2, "b"), ret(1, history.Write, 2, ""),
+		inv(2, history.Read, 3, ""), ret(2, history.Read, 3, "b"),
+		inv(2, history.Read, 4, ""), ret(2, history.Read, 4, "a"),
+	)
+	if err := Check(h, Linearizable); err != nil {
+		t.Fatalf("linearizable: %v", err)
+	}
+	for _, m := range []Mode{Persistent, Transient, Regular, Safe} {
+		var v *Violation
+		if err := Check(h, m); !errors.As(err, &v) {
+			t.Fatalf("%v accepted a read of a superseded pending write: %v", m, err)
+		}
+	}
+}
+
+// TestRegularViolationString: a regular or safe violation names its
+// criterion.
+func TestRegularViolationString(t *testing.T) {
 	h := hb(
 		inv(1, history.Write, 1, "a"), ret(1, history.Write, 1, ""),
-		inv(2, history.Write, 2, "b"), ret(2, history.Write, 2, ""),
+		inv(1, history.Write, 2, "b"), ret(1, history.Write, 2, ""),
+		inv(2, history.Read, 3, ""), ret(2, history.Read, 3, "a"),
 	)
+	for m, prefix := range map[Mode]string{
+		Regular: `regular violation on register "x": `,
+		Safe:    `safe violation on register "x": `,
+	} {
+		err := Check(h, m)
+		if err == nil || !strings.HasPrefix(err.Error(), prefix) {
+			t.Fatalf("%v: error %q, want prefix %q", m, err, prefix)
+		}
+		if want := "p2:R(a) reads from p1:W(a), which p1:W(b) overwrote"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v: error %q lacks %q", m, err, want)
+		}
+	}
+}
+
+// TestRegularLatestOfTwoWriters: the checker attributes no write to a
+// writer, so writes of two processes are judged like any others. A read
+// after both may return only the later one; a read of the earlier one is a
+// read of an overwritten value.
+func TestRegularLatestOfTwoWriters(t *testing.T) {
+	mk := func(val string) history.History {
+		return hb(
+			inv(1, history.Write, 1, "a"), ret(1, history.Write, 1, ""),
+			inv(2, history.Write, 2, "b"), ret(2, history.Write, 2, ""),
+			inv(3, history.Read, 3, ""), ret(3, history.Read, 3, val),
+		)
+	}
+	if err := Check(mk("b"), Regular); err != nil {
+		t.Fatal(err)
+	}
 	var v *Violation
-	if err := CheckRegularSW(h); !errors.As(err, &v) {
-		t.Fatalf("expected multi-writer rejection, got %v", err)
+	if err := Check(mk("a"), Regular); !errors.As(err, &v) {
+		t.Fatalf("accepted a read of an overwritten value: %v", err)
 	}
 }
 
@@ -122,7 +179,7 @@ func TestRegularPendingReadIgnored(t *testing.T) {
 		inv(2, history.Read, 2, ""),
 		crash(2),
 	)
-	if err := CheckRegularSW(h); err != nil {
+	if err := Check(h, Regular); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -132,18 +189,17 @@ func TestRegularIllFormedRejected(t *testing.T) {
 		inv(1, history.Write, 1, "a"),
 		inv(1, history.Write, 2, "b"),
 	)
-	if err := CheckRegularSW(h); err == nil {
+	if err := Check(h, Regular); err == nil {
 		t.Fatal("accepted ill-formed history")
 	}
 }
 
 // TestRegularVirtualWritersOverlap: writes submitted through the batching
-// engine are recorded under one-shot virtual clients (procs >= virtualFrom)
-// and may overlap. A read after two overlapping completed writes may return
-// either (both are maximal), but a value strictly superseded by a later
-// non-overlapping write is a violation.
+// engine are recorded under one-shot virtual clients and may overlap. A
+// read after two overlapping completed writes may return either (both are
+// maximal), but a value strictly overwritten by a later non-overlapping
+// write is a violation.
 func TestRegularVirtualWritersOverlap(t *testing.T) {
-	const virtualFrom = 3
 	// Two overlapping virtual writes, then a read: either value is legal.
 	mk := func(val string) history.History {
 		return hb(
@@ -155,17 +211,12 @@ func TestRegularVirtualWritersOverlap(t *testing.T) {
 		)
 	}
 	for _, val := range []string{"a", "b"} {
-		if err := CheckRegularSWFrom(mk(val), virtualFrom); err != nil {
+		if err := Check(mk(val), Regular); err != nil {
 			t.Fatalf("overlapping virtual write %q rejected: %v", val, err)
 		}
 	}
-	if err := CheckRegularSWFrom(mk("ghost"), virtualFrom); err == nil {
+	if err := Check(mk("ghost"), Regular); err == nil {
 		t.Fatal("accepted a never-written value")
-	}
-	// The strict checker must still reject this as multi-writer.
-	var v *Violation
-	if err := CheckRegularSW(mk("a")); !errors.As(err, &v) {
-		t.Fatalf("strict checker accepted multi-proc writes: %v", err)
 	}
 
 	// A write that completed strictly before a later completed write is no
@@ -175,42 +226,39 @@ func TestRegularVirtualWritersOverlap(t *testing.T) {
 		inv(4, history.Write, 2, "b"), ret(4, history.Write, 2, ""),
 		inv(1, history.Read, 3, ""), ret(1, history.Read, 3, "a"),
 	)
-	if err := CheckRegularSWFrom(stale, virtualFrom); !errors.As(err, &v) {
-		t.Fatalf("accepted a superseded virtual write: %v", err)
+	var v *Violation
+	if err := Check(stale, Regular); !errors.As(err, &v) {
+		t.Fatalf("accepted an overwritten virtual write: %v", err)
 	}
 }
 
-// TestRegularVirtualAndSyncWriterMix: the synchronous single writer and its
-// own submitted (virtual) writes coexist; a second real process writing is
-// still rejected.
+// TestRegularVirtualAndSyncWriterMix: the synchronous writer and its own
+// submitted (virtual) writes coexist. A read after the virtual write
+// completed may not return the synchronous write it overwrote.
 func TestRegularVirtualAndSyncWriterMix(t *testing.T) {
-	const virtualFrom = 3
-	h := hb(
-		inv(0, history.Write, 1, "s"), ret(0, history.Write, 1, ""),
-		inv(3, history.Write, 2, "v"),
-		inv(1, history.Read, 3, ""), ret(1, history.Read, 3, "v"), // concurrent with the virtual write
-		ret(3, history.Write, 2, ""),
-		inv(1, history.Read, 4, ""), ret(1, history.Read, 4, "v"),
-	)
-	if err := CheckRegularSWFrom(h, virtualFrom); err != nil {
-		t.Fatal(err)
+	mk := func(val string) history.History {
+		return hb(
+			inv(0, history.Write, 1, "s"), ret(0, history.Write, 1, ""),
+			inv(3, history.Write, 2, "v"),
+			inv(1, history.Read, 3, ""), ret(1, history.Read, 3, "v"), // concurrent with the virtual write
+			ret(3, history.Write, 2, ""),
+			inv(1, history.Read, 4, ""), ret(1, history.Read, 4, val),
+		)
 	}
-	if err := CheckSafeSWFrom(h, virtualFrom); err != nil {
-		t.Fatal(err)
-	}
-	// Writes from two distinct real processes stay illegal.
-	bad := hb(
-		inv(0, history.Write, 1, "s"), ret(0, history.Write, 1, ""),
-		inv(1, history.Write, 2, "t"), ret(1, history.Write, 2, ""),
-	)
-	var v *Violation
-	if err := CheckRegularSWFrom(bad, virtualFrom); !errors.As(err, &v) {
-		t.Fatalf("accepted two real writers: %v", err)
+	for _, m := range []Mode{Regular, Safe} {
+		if err := Check(mk("v"), m); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		var v *Violation
+		if err := Check(mk("s"), m); !errors.As(err, &v) {
+			t.Fatalf("%v accepted the overwritten synchronous write: %v", m, err)
+		}
 	}
 }
 
 // TestRegularVirtualPendingWrite: a virtual write left pending by a crash
-// stays a candidate for later reads, like its synchronous counterpart.
+// has no next invocation to bound it, so it stays a candidate for later
+// reads.
 func TestRegularVirtualPendingWrite(t *testing.T) {
 	h := hb(
 		inv(0, history.Write, 1, "a"), ret(0, history.Write, 1, ""),
@@ -220,13 +268,13 @@ func TestRegularVirtualPendingWrite(t *testing.T) {
 		inv(1, history.Read, 3, ""), ret(1, history.Read, 3, "b"),
 		inv(1, history.Read, 4, ""), ret(1, history.Read, 4, "a"),
 	)
-	if err := CheckRegularSWFrom(h, 3); err != nil {
+	if err := Check(h, Regular); err != nil {
 		t.Fatalf("pending virtual write should stay a candidate: %v", err)
 	}
 }
 
-// TestAtomicImpliesRegular: every linearizable single-writer history is
-// regular (the paper's hierarchy: safe ⊂ regular ⊂ atomic).
+// TestAtomicImpliesRegular: every linearizable single-writer history here
+// is regular (the paper's hierarchy: safe ⊂ regular ⊂ atomic).
 func TestAtomicImpliesRegular(t *testing.T) {
 	histories := []history.History{
 		hb(
@@ -245,10 +293,10 @@ func TestAtomicImpliesRegular(t *testing.T) {
 		if err := Check(h, Linearizable); err != nil {
 			t.Fatalf("history %d not linearizable: %v", i, err)
 		}
-		if err := CheckRegularSW(h); err != nil {
+		if err := Check(h, Regular); err != nil {
 			t.Fatalf("history %d linearizable but not regular: %v", i, err)
 		}
-		if err := CheckSafeSW(h); err != nil {
+		if err := Check(h, Safe); err != nil {
 			t.Fatalf("history %d regular but not safe: %v", i, err)
 		}
 	}

@@ -178,9 +178,9 @@ func (c *Cluster) Read(ctx context.Context, proc int32, reg string) ([]byte, Rep
 // deliberate relaxation: an operation left pending by a crash has no
 // "next invocation of the same process" to bound its completion, so it may
 // linearize at any later point, exactly like a client that never returned.
-// CheckRegular and CheckSafe attribute writes from these virtual clients to
-// the single writer (atomicity.CheckRegularSWFrom), so RegularSW histories
-// built with the async API verify directly.
+// The regular and safe modes of Check attribute no write to a writer — the
+// node refuses a non-writer's write — so RegularSW histories built with the
+// async API verify directly.
 func (c *Cluster) SubmitWrite(proc int32, reg string, val []byte) (*core.Future, error) {
 	vp := c.vproc.Add(1) - 1
 	return c.nodes[proc].SubmitWrite(reg, val, c.writeObs(vp, reg, val))
@@ -280,20 +280,6 @@ func (c *Cluster) DumpTrace(w io.Writer) bool {
 // Check verifies the recorded history against the given criterion.
 func (c *Cluster) Check(mode atomicity.Mode) error {
 	return atomicity.Check(c.History(), mode)
-}
-
-// CheckRegular verifies the recorded history against single-writer
-// regularity (§VI). Writes submitted through the asynchronous API are
-// recorded under one-shot virtual clients (process ids from N upwards); the
-// checker attributes them to the single writer and lets them overlap.
-func (c *Cluster) CheckRegular() error {
-	return atomicity.CheckRegularSWFrom(c.History(), int32(c.cfg.N))
-}
-
-// CheckSafe verifies the recorded history against single-writer safety
-// (§VI), with the same virtual-client attribution as CheckRegular.
-func (c *Cluster) CheckSafe() error {
-	return atomicity.CheckSafeSWFrom(c.History(), int32(c.cfg.N))
 }
 
 // Close shuts down all nodes, the network, and the disks.

@@ -45,11 +45,7 @@ func testCtx(t *testing.T) context.Context {
 // verifyDefault checks c's history against the criterion its algorithm
 // promises — recmem.CriterionFor, the one table.
 func verifyDefault(c *cluster.Cluster) error {
-	cr := recmem.CriterionFor(c.Algorithm())
-	if cr == recmem.Regularity {
-		return c.CheckRegular()
-	}
-	return recmem.VerifyHistory(c.History(), cr)
+	return recmem.VerifyHistory(c.History(), recmem.CriterionFor(c.Algorithm()))
 }
 
 func allKinds() []core.AlgorithmKind {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"recmem/internal/atomicity"
 	"recmem/internal/core"
 	"recmem/internal/workload"
 )
@@ -19,18 +20,17 @@ func TestRegularClusterBasics(t *testing.T) {
 	if err != nil || string(val) != "v1" {
 		t.Fatalf("read = %q, %v", val, err)
 	}
-	if err := c.CheckRegular(); err != nil {
+	if err := c.Check(atomicity.Regular); err != nil {
 		t.Fatalf("regular verification: %v", err)
 	}
-	if err := c.CheckSafe(); err != nil {
+	if err := c.Check(atomicity.Safe); err != nil {
 		t.Fatalf("safe verification: %v", err)
 	}
 }
 
-// TestRegularAsyncSubmittedWrites closes the PR-1 gap: RegularSW writes
-// submitted through the batching engine are recorded as one-shot virtual
-// clients, and CheckRegular now attributes them to the single writer —
-// async histories verify directly against regularity.
+// TestRegularAsyncSubmittedWrites: RegularSW writes submitted through the
+// batching engine are recorded as one-shot virtual clients, whose writes
+// may overlap; async histories verify directly against regularity.
 func TestRegularAsyncSubmittedWrites(t *testing.T) {
 	c := newCluster(t, testConfig(5, core.RegularSW))
 	ctx := testCtx(t)
@@ -62,10 +62,10 @@ func TestRegularAsyncSubmittedWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.CheckRegular(); err != nil {
+	if err := c.Check(atomicity.Regular); err != nil {
 		t.Fatalf("async regular verification: %v", err)
 	}
-	if err := c.CheckSafe(); err != nil {
+	if err := c.Check(atomicity.Safe); err != nil {
 		t.Fatalf("async safe verification: %v", err)
 	}
 	// A non-writer still cannot submit.
@@ -105,10 +105,10 @@ func TestRegularWorkloadUnderCrashRecovery(t *testing.T) {
 		t.Fatalf("workload errors: writer %+v readers %+v", writes, readers)
 	}
 	t.Logf("writer %+v, readers %+v, %d crashes", writes, readers, crashes)
-	if err := c.CheckRegular(); err != nil {
+	if err := c.Check(atomicity.Regular); err != nil {
 		t.Fatalf("regularity violated: %v", err)
 	}
-	if err := c.CheckSafe(); err != nil {
+	if err := c.Check(atomicity.Safe); err != nil {
 		t.Fatalf("safety violated: %v", err)
 	}
 }

@@ -1,14 +1,15 @@
 package cluster_test
 
 // Scenario tests: deterministic message schedules reproducing the paper's
-// Figures 1-3 and the adversarial schedule of DESIGN.md §7. A gate installed
-// as the network filter controls (a) which processes' acknowledgements each
+// Figures 1-3 and the adversarial schedules of docs/adr/0024. A gate
+// installed as the network filter controls (a) which processes' acknowledgements each
 // destination hears — pinning every round's quorum — and (b) which processes
 // a writer's W messages reach — creating partially propagated ("floating")
 // writes.
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -329,11 +330,11 @@ func TestFigure3ReaderMustLog(t *testing.T) {
 	})
 }
 
-// orphanSchedule drives the adversarial schedule of DESIGN.md §7: five
-// crash-interrupted writes whose round-1 quorums alternately include the
-// previous float holder (ratcheting a high "floating" timestamp onto p3/p4
-// while {0,1,2} stay at zero), followed by two completed writes quorumed on
-// {0,1,2} and a read that hears the float holder.
+// orphanSchedule drives the five-node adversarial schedule of docs/adr/0024:
+// five crash-interrupted writes whose round-1 quorums alternately include
+// the previous float holder (ratcheting a high "floating" timestamp onto
+// p3/p4 while {0,1,2} stay at zero), followed by two completed writes
+// quorumed on {0,1,2} and a read that hears the float holder.
 func orphanSchedule(t *testing.T, s *scenario) (readValue string) {
 	t.Helper()
 	s.crashDuringWrite(0, "x", "f1", 3, 0, 1, 2) // tag seq 1 -> p3
@@ -385,8 +386,67 @@ func TestTransientOrphanDominance(t *testing.T) {
 	})
 }
 
+// orphanScheduleN3 is the three-node form of orphanSchedule, the mesh size
+// recmem-node deploys: the crash-interrupted writes all float on p2, each
+// one's round 1 hearing the previous one there (the first hears {0,1}), so
+// the k-th float mints sn = k(k+1)/2 (Fig. 5 line 11 with rec = k-1). Two
+// writes then complete on {0,1}, which never saw a float, minting
+// sn = k+1 and 2(k+1), and a read hears p2.
+func orphanScheduleN3(t *testing.T, s *scenario, floats int) (readValue string) {
+	t.Helper()
+	s.crashDuringWrite(0, "x", "f1", 2, 0, 1)
+	for i := 2; i <= floats; i++ {
+		s.crashDuringWrite(0, "x", fmt.Sprintf("f%d", i), 2, 0, 2)
+	}
+	s.g.hearAcksFrom(0, 0, 1)
+	s.g.deliverWritesTo(0, 0, 1)
+	s.write(0, "x", fmt.Sprintf("v%d", floats+1))
+	s.write(0, "x", fmt.Sprintf("v%d", floats+2))
+	s.g.hearAcksFrom(1, 1, 2)
+	got := s.read(1, "x")
+	s.g.clear()
+	return got
+}
+
+// TestTransientOrphanN3 runs orphanScheduleN3 with recmem-node's one-round
+// reads. Four floats only reach sn = 10, the second completed write's sn:
+// the literal tags collide, and which value the read returns is decided by
+// the order its acknowledgements are scanned in; hardened tags settle the
+// tie for the completed write. Five floats (sn = 15 against 12) dominate
+// outright, hardened or not: the read returns the orphan f5, and the
+// checker catches it.
+func TestTransientOrphanN3(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		hardened bool
+		floats   int
+		want     string // the read's value; an f value is the orphan
+	}{
+		{"literal-five-floats", false, 5, "f5"},
+		{"hardened-four-floats", true, 4, "v6"},
+		{"hardened-five-floats", true, 5, "f5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(3, core.Transient)
+			cfg.Node.OneRoundReads = true
+			cfg.Node.HardenedTags = tc.hardened
+			s := newScenario(t, cfg)
+			if got := orphanScheduleN3(t, s, tc.floats); got != tc.want {
+				t.Fatalf("read = %q, want %s", got, tc.want)
+			}
+			err := s.c.Check(atomicity.Transient)
+			var v *atomicity.Violation
+			if orphan := tc.want[0] == 'f'; orphan && !errors.As(err, &v) {
+				t.Fatalf("expected transient violation, got %v", err)
+			} else if !orphan && err != nil {
+				t.Fatalf("transient check: %v", err)
+			}
+		})
+	}
+}
+
 // TestTransientTagCollision exposes the timestamp collision of the literal
-// Fig. 5 transcription (DESIGN.md §7): after the schedule, a floating write
+// Fig. 5 transcription (docs/adr/0024): after the schedule, a floating write
 // and a later completed write carry the *same* [sn, pid] tag with different
 // values. WithHardenedTags the recovery counter tiebreak keeps all tags
 // distinct.

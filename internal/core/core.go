@@ -125,8 +125,9 @@ type Options struct {
 	RetransmitEvery time.Duration
 	// HardenedTags makes the transient algorithm append the persisted
 	// recovery counter to the timestamp as a final lexicographic tiebreak,
-	// closing the tag-collision window of the literal Figure 5 (DESIGN.md
-	// §7). Off by default: the default is the paper's algorithm.
+	// closing the tag-collision window of the literal Figure 5
+	// (docs/adr/0024). It does not close that ADR's orphan window. Off by
+	// default: the default is the paper's algorithm.
 	HardenedTags bool
 	// OneRoundReads lets an atomic read return after its query round when
 	// every acknowledgement of the majority it heard carries the same full

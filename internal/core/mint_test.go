@@ -17,7 +17,7 @@ import (
 //   - Fig. 4 (persistent, naive, crash-stop): sn := max_queried_sn + 1.
 //   - Fig. 5 (transient): sn := max_queried_sn + rec + 1, with the
 //     persisted recovery count compensating for the missing writer pre-log.
-//   - Hardened tags (DESIGN.md §7): the recovery count additionally rides
+//   - Hardened tags (docs/adr/0024): the recovery count additionally rides
 //     as the Rec lexicographic tiebreak; literal algorithms leave Rec 0.
 func TestMintTagMatchesDocumentedRules(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -175,8 +175,8 @@ func (nd *Node) mintTag(maxSeq int64) tag.Tag {
 
 // hardenedRec resolves the Rec tiebreak component a minted tag carries:
 // zero under the paper's literal algorithms, the persisted recovery count
-// under hardened tags — DESIGN.md §7's fix for the residual tag-collision
-// window.
+// under hardened tags, the fix for the residual tag-collision window
+// (docs/adr/0024).
 func (nd *Node) hardenedRec(rec int32) int32 {
 	if nd.opts.HardenedTags {
 		return rec

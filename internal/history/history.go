@@ -246,7 +246,8 @@ func (o Operation) String() string {
 }
 
 // Operations extracts all operation executions from h, in invocation order.
-// Read invocations record the value from the matching reply.
+// Read invocations record the value from the matching reply: the reply of
+// the operation its process has pending.
 func (h History) Operations() []Operation {
 	n := 0
 	for i := range h {
@@ -254,12 +255,12 @@ func (h History) Operations() []Operation {
 			n++
 		}
 	}
-	ops, indexOf := make([]Operation, 0, n), make(map[uint64]int, n)
+	ops, pending := make([]Operation, 0, n), make(map[int32]int)
 	for i := range h {
 		e := &h[i]
 		switch e.Kind {
 		case Invoke:
-			indexOf[e.OpID] = len(ops)
+			pending[e.Proc] = len(ops)
 			ops = append(ops, Operation{
 				OpID:  e.OpID,
 				Proc:  e.Proc,
@@ -270,8 +271,8 @@ func (h History) Operations() []Operation {
 				Ret:   PendingRet,
 			})
 		case Return:
-			i, ok := indexOf[e.OpID]
-			if !ok {
+			i, ok := pending[e.Proc]
+			if !ok || ops[i].OpID != e.OpID {
 				continue
 			}
 			ops[i].Ret = e.Seq

@@ -8,7 +8,7 @@
 // first.
 //
 // The optional Rec component supports the hardened variant of the transient
-// algorithm (see DESIGN.md §7): it records the writer's persisted recovery
+// algorithm (docs/adr/0024): it records the writer's persisted recovery
 // count and acts as a final tiebreak so that a writer that crashed in the
 // middle of a write can never re-issue the exact tag of the interrupted write
 // for a different value. With the paper's literal algorithm Rec is always

@@ -117,16 +117,7 @@ const (
 )
 
 // String returns the criterion name.
-func (c Criterion) String() string {
-	switch c {
-	case Regularity:
-		return "regular"
-	case Safety:
-		return "safe"
-	default:
-		return c.mode().String()
-	}
-}
+func (c Criterion) String() string { return c.mode().String() }
 
 func (c Criterion) mode() atomicity.Mode {
 	switch c {
@@ -136,6 +127,10 @@ func (c Criterion) mode() atomicity.Mode {
 		return atomicity.Persistent
 	case TransientAtomicity:
 		return atomicity.Transient
+	case Regularity:
+		return atomicity.Regular
+	case Safety:
+		return atomicity.Safe
 	default:
 		return 0
 	}
@@ -245,7 +240,8 @@ func WithRetransmitEvery(d time.Duration) Option {
 
 // WithHardenedTags makes the transient algorithm append the persisted
 // recovery counter to its timestamps as a final tiebreak, closing the
-// tag-collision window of the paper's literal Figure 5 (see DESIGN.md §7).
+// tag-collision window of the paper's literal Figure 5 (see docs/adr/0024).
+// It does not close the orphan window the same ADR describes.
 func WithHardenedTags() Option {
 	return optionFunc(func(c *config) { c.node.HardenedTags = true })
 }
@@ -373,19 +369,7 @@ func (c *Cluster) DefaultCriterion() Criterion { return CriterionFor(c.algo.kind
 func (c *Cluster) Verify() error { return c.VerifyCriterion(c.DefaultCriterion()) }
 
 // VerifyCriterion checks the recorded history against an explicit criterion.
-func (c *Cluster) VerifyCriterion(cr Criterion) error {
-	switch cr {
-	case Regularity:
-		return c.inner.CheckRegular()
-	case Safety:
-		return c.inner.CheckSafe()
-	}
-	m := cr.mode()
-	if m == 0 {
-		return fmt.Errorf("recmem: unknown criterion %d", int(cr))
-	}
-	return c.inner.Check(m)
-}
+func (c *Cluster) VerifyCriterion(cr Criterion) error { return c.inner.Check(cr.mode()) }
 
 // LatencyStats summarizes operation latencies.
 type LatencyStats struct {

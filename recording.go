@@ -3,7 +3,6 @@ package recmem
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -23,8 +22,8 @@ import (
 
 // RecordingVirtualBase is the first process id RecordingGroup hands to
 // one-shot virtual clients (asynchronous submissions, operations of unknown
-// fate). Real recorded processes always sit below it, so the regular/safe
-// checkers can attribute virtual writes with CheckRegularSWFrom semantics.
+// fate). Real recorded processes always sit below it, so the two id ranges
+// never collide.
 const RecordingVirtualBase = 1 << 20
 
 // RecordingGroup coordinates the Recording wrappers of one run: it assigns
@@ -122,20 +121,9 @@ func (g *RecordingGroup) Verify(cr Criterion) error {
 }
 
 // VerifyHistory checks an already-merged history (from
-// RecordingGroup.Merged) against the given criterion, attributing virtual
-// clients (process ids >= RecordingVirtualBase) per the recording rules.
+// RecordingGroup.Merged) against the given criterion.
 func VerifyHistory(merged history.History, cr Criterion) error {
-	switch cr {
-	case Regularity:
-		return atomicity.CheckRegularSWFrom(merged, RecordingVirtualBase)
-	case Safety:
-		return atomicity.CheckSafeSWFrom(merged, RecordingVirtualBase)
-	}
-	m := cr.mode()
-	if m == 0 {
-		return fmt.Errorf("recmem: unknown criterion %d", int(cr))
-	}
-	return atomicity.Check(merged, m)
+	return atomicity.Check(merged, cr.mode())
 }
 
 // Recording is a Client that records every operation, crash and recovery it

@@ -8,9 +8,12 @@
 #      by some command under cmd/ (flag.String/Bool/... call), and
 #   2. every backtick-quoted dotted identifier (`remote.ServerOptions`,
 #      `history.Merge`, ...) must have each exported segment present as a
-#      word somewhere in the Go sources.
+#      word somewhere in the Go sources, and
+#   3. every `*.md` file named in a Go comment, README.md or docs/ must
+#      exist in the repository (a path, or a name relative to the citing
+#      document: some file's path must end with it).
 #
-# Only backtick-quoted inline code is checked — prose hyphens and shell
+# Checks 1 and 2 look only at backtick-quoted inline code — prose hyphens and shell
 # transcripts stay free-form. The check is intentionally one-directional:
 # undocumented flags are fine, documented-but-gone flags are not.
 set -euo pipefail
@@ -54,8 +57,25 @@ for ident in $doc_idents; do
     done
 done
 
+# 3. Cited Markdown files must exist. Go comments are the text after the
+#    first // of a line; a URL's path is not a repository file.
+md_files=$(find . -name '*.md' -not -path './.git/*' | sed 's#^\./##')
+cited_md=$({
+    find . -name '*.go' -not -path './.git/*' -exec awk '{ i = index($0, "//"); if (i) print substr($0, i + 2) }' {} +
+    cat "${docs[@]}"
+} | grep -oE '(^|[^A-Za-z0-9_./:-])[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' |
+    sed -E 's#^[^A-Za-z0-9_./-]##; s#^(\.\.?/)+##' | sort -u)
+for md in $cited_md; do
+    if ! grep -qE "(^|/)${md//./\\.}\$" <<<"$md_files"; then
+        echo "\`$md\` is cited but no such file exists in the repository" >&2
+        grep -rl --include='*.go' -- "$md" . >&2 || true
+        grep -l -- "$md" "${docs[@]}" >&2 || true
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "doc check failed: update the documentation (or restore the symbol)" >&2
     exit 1
 fi
-echo "doc check: OK (${#docs[@]} files, $(wc -w <<<"$doc_flags") flags, $(wc -w <<<"$doc_idents") identifiers)"
+echo "doc check: OK (${#docs[@]} files, $(wc -w <<<"$doc_flags") flags, $(wc -w <<<"$doc_idents") identifiers, $(wc -w <<<"$cited_md") cited Markdown files)"
