@@ -410,11 +410,13 @@ func orphanScheduleN3(t *testing.T, s *scenario, floats int) (readValue string) 
 
 // TestTransientOrphanN3 runs orphanScheduleN3 with recmem-node's one-round
 // reads. Four floats only reach sn = 10, the second completed write's sn:
-// the literal tags collide, and which value the read returns is decided by
-// the order its acknowledgements are scanned in; hardened tags settle the
-// tie for the completed write. Five floats (sn = 15 against 12) dominate
-// outright, hardened or not: the read returns the orphan f5, and the
-// checker catches it.
+// the literal tags collide, and a tie goes to the lowest responder. Here
+// that is p1, which holds the completed write, so the read returns v6 —
+// the orphan on p2 loses the tie only because of where it sits: heard from
+// a lower id than the completed write, it would win. Hardened tags settle
+// the tie for the completed write wherever the values sit. Five floats
+// (sn = 15 against 12) dominate outright, hardened or not: the read returns
+// the orphan f5, and the checker catches it.
 func TestTransientOrphanN3(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -422,6 +424,7 @@ func TestTransientOrphanN3(t *testing.T) {
 		floats   int
 		want     string // the read's value; an f value is the orphan
 	}{
+		{"literal-four-floats", false, 4, "v6"},
 		{"literal-five-floats", false, 5, "f5"},
 		{"hardened-four-floats", true, 4, "v6"},
 		{"hardened-five-floats", true, 5, "f5"},

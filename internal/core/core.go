@@ -118,16 +118,47 @@ func ParseAlgorithm(name string) (AlgorithmKind, error) {
 // Recovers reports whether the algorithm supports crash-recovery.
 func (k AlgorithmKind) Recovers() bool { return k != CrashStop }
 
+// protocol is one algorithm's row of the policy table (docs/adr/0025): the
+// algorithms are one quorum protocol that differs only here, and every site
+// that differs reads a field instead of comparing the algorithm.
+type protocol struct {
+	durable      bool // replicas log adoptions (Fig. 4 line 24); the process recovers
+	preLog       bool // writer pre-log (Fig. 4 line 12); recovery finishes it (lines 40–47)
+	recMint      bool // mint sn + rec + 1 (Fig. 5 line 11); recovery bumps rec (lines 16–22)
+	everyStep    bool // §I-C: every step logs, one record per store
+	singleWriter bool // §VI: no query round, no write-back, safe and regular reads
+	readLog      bool // a write-back's adoption logs; Options.UnsafeNoReadLog clears it
+	oneRound     bool // Options.OneRoundReads, where the row allows it (docs/adr/0015)
+	hardened     bool // Options.HardenedTags, on a recMint row (docs/adr/0024)
+}
+
+// newProtocol builds kind's row and resolves the Options that change it; no
+// other code reads the algorithm's name or those Options.
+func newProtocol(kind AlgorithmKind, opts Options) protocol {
+	p := protocol{
+		durable:      kind.Recovers(),
+		preLog:       kind == Persistent || kind == Naive,
+		recMint:      kind == Transient || kind == RegularSW,
+		everyStep:    kind == Naive,
+		singleWriter: kind == RegularSW,
+		readLog:      !opts.UnsafeNoReadLog,
+	}
+	p.oneRound = opts.OneRoundReads && p.readLog && !p.everyStep && !p.singleWriter
+	p.hardened = opts.HardenedTags && p.recMint
+	return p
+}
+
 // Options tunes a node beyond the algorithm choice.
 type Options struct {
 	// RetransmitEvery is the resend period for unacknowledged rounds over
 	// the fair-lossy channels (default 25 ms).
 	RetransmitEvery time.Duration
-	// HardenedTags makes the transient algorithm append the persisted
-	// recovery counter to the timestamp as a final lexicographic tiebreak,
-	// closing the tag-collision window of the literal Figure 5
-	// (docs/adr/0024). It does not close that ADR's orphan window. Off by
-	// default: the default is the paper's algorithm.
+	// HardenedTags makes Transient and RegularSW, the rows that mint with the
+	// persisted recovery counter (recMint, docs/adr/0025), append it to the
+	// timestamp as a final lexicographic tiebreak, closing the tag-collision
+	// window of the literal Figure 5 (docs/adr/0024). It does not close that
+	// ADR's orphan window; the other rows ignore it. Off by default: the
+	// default is the paper's algorithm.
 	HardenedTags bool
 	// OneRoundReads lets an atomic read return after its query round when
 	// every acknowledgement of the majority it heard carries the same full
@@ -137,17 +168,18 @@ type Options struct {
 	// is exactly the post-condition of the write-back round, so the round is
 	// skipped: 2 communication steps, n messages, no log (docs/adr/0015).
 	// Any disagreement falls back to the write-back, which is when the
-	// paper's reader would have caused a log. Applies to CrashStop, Transient
-	// and Persistent; Naive (log-every-step is its point), RegularSW (already
-	// one round) and UnsafeNoReadLog (replicas adopt write-backs they never
-	// logged) ignore it. Off by default: the default is the paper's
-	// algorithm, which Figure 6 measures; recmem-node always sets it because
-	// the deployed-shape benchmark measured it (docs/adr/0015, Measured).
+	// paper's reader would have caused a log. It sets the row's oneRound
+	// (docs/adr/0025) for CrashStop, Transient and Persistent; Naive
+	// (everyStep), RegularSW (singleWriter: already one round) and a cleared
+	// readLog (replicas adopt write-backs they never logged) ignore it. Off
+	// by default: the default is the paper's algorithm, which Figure 6
+	// measures; recmem-node always sets it because the deployed-shape
+	// benchmark measured it (docs/adr/0015, Measured).
 	OneRoundReads bool
-	// UnsafeNoReadLog disables logging when handling a read's write-back
-	// round. This deliberately re-introduces the Theorem 2 impossibility
-	// (reads that leave no stable trace) and exists only to demonstrate the
-	// lower bound; never enable it otherwise.
+	// UnsafeNoReadLog clears the row's readLog: a read's write-back adopts
+	// without logging. This deliberately re-introduces the Theorem 2
+	// impossibility (reads that leave no stable trace) and exists only to
+	// demonstrate the lower bound; never enable it otherwise.
 	UnsafeNoReadLog bool
 }
 
@@ -214,6 +246,7 @@ type Node struct {
 	n      int
 	quorum int
 	kind   AlgorithmKind
+	proto  protocol // kind's row, with opts resolved into it
 	opts   Options
 
 	ep  transport.Endpoint
@@ -258,10 +291,8 @@ type Node struct {
 	// slices, retransmission timer); see roundState.
 	roundPool sync.Pool
 
-	// oneRound is Options.OneRoundReads resolved against the algorithm and
-	// the ablations; readsOne counts the read executions it completed after
-	// one round, readsTwo those that ran the write-back (ReadRounds).
-	oneRound           bool
+	// readsOne counts the read executions proto.oneRound completed after one
+	// round, readsTwo those that ran the write-back (ReadRounds).
 	readsOne, readsTwo atomic.Uint64
 
 	// adopter is the node's logger (listener.go) and its one store path: it
@@ -287,7 +318,8 @@ func NewNode(id int32, n int, kind AlgorithmKind, opts Options, deps Deps) (*Nod
 	if deps.Endpoint == nil || deps.IDs == nil {
 		return nil, errors.New("core: endpoint and id generator are required")
 	}
-	if kind.Recovers() && deps.Storage == nil {
+	proto := newProtocol(kind, opts)
+	if proto.durable && deps.Storage == nil {
 		return nil, fmt.Errorf("core: %v algorithm requires stable storage", kind)
 	}
 	if opts.RetransmitEvery <= 0 {
@@ -298,6 +330,7 @@ func NewNode(id int32, n int, kind AlgorithmKind, opts Options, deps Deps) (*Nod
 		n:            n,
 		quorum:       (n + 2) / 2, // ⌈(n+1)/2⌉
 		kind:         kind,
+		proto:        proto,
 		opts:         opts,
 		ep:           deps.Endpoint,
 		st:           deps.Storage,
@@ -311,8 +344,6 @@ func NewNode(id int32, n int, kind AlgorithmKind, opts Options, deps Deps) (*Nod
 		crashCh:      make(chan struct{}),
 		listenerDone: make(chan struct{}),
 	}
-	nd.oneRound = opts.OneRoundReads && !opts.UnsafeNoReadLog &&
-		(kind == CrashStop || kind == Transient || kind == Persistent)
 	// Mint the boot's incarnation epoch: one past whatever the last boot
 	// persisted (a cold start on empty storage gets 1). Recoveries mint
 	// further epochs via mintIncarnation; this first one is persisted there
@@ -399,7 +430,7 @@ func (nd *Node) regView(reg string) (regState, uint64, error) {
 		nd.mu.Unlock()
 		return rs, epoch, nil
 	}
-	if nd.st == nil || !nd.kind.Recovers() {
+	if nd.st == nil || !nd.proto.durable {
 		// No written/ record can exist, so the zero state is definitive.
 		// Not inserted: map presence stays "this incarnation adopted or
 		// loaded it", and the crash-stop baseline keeps its paper shape.
@@ -545,7 +576,7 @@ func (nd *Node) crashLocked(event, detail string, onEvent func()) {
 // permanently up" assumption; it can be retried after a failure. It returns
 // ErrCrashed if the process crashes again mid-recovery.
 func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
-	if !nd.kind.Recovers() {
+	if !nd.proto.durable {
 		return ErrCannotRecover
 	}
 	nd.mu.Lock()

@@ -47,7 +47,7 @@ var ErrBadConsistency = errors.New("core: read-consistency selection requires th
 // checkReadMode validates a read-consistency selection against the node's
 // algorithm.
 func (nd *Node) checkReadMode(mode ReadMode) error {
-	if mode != ReadDefault && nd.kind != RegularSW {
+	if mode != ReadDefault && !nd.proto.singleWriter {
 		return ErrBadConsistency
 	}
 	return nil
@@ -127,7 +127,7 @@ func (r *RegisterRef) SubmitWriteOwned(val []byte, obs OpObserver) (*Future, err
 	if len(val) > wire.MaxValueSize {
 		return nil, wire.ErrValueTooLarge
 	}
-	if nd.kind == RegularSW && nd.id != RegularWriter {
+	if nd.proto.singleWriter && nd.id != RegularWriter {
 		return nil, ErrNotWriter
 	}
 	op, epoch, err := nd.beginOp(obs)

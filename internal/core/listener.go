@@ -92,7 +92,7 @@ func (nd *Node) handleGroup(group, out []wire.Envelope) []wire.Envelope {
 		switch {
 		case env.Kind == wire.KindRead:
 			out = nd.handleRead(env, out)
-		case env.Kind == wire.KindSNQuery && nd.kind != Naive:
+		case env.Kind == wire.KindSNQuery && !nd.proto.everyStep:
 			out = nd.handleSNQuery(env, out)
 		case env.Kind == wire.KindSNQuery, env.Kind == wire.KindWrite, env.Kind == wire.KindWriteBack:
 			logged = append(logged, env)
@@ -185,7 +185,7 @@ func (a *adopter) drop(err error) {
 // before a crash is adopted after the recovery.
 func (a *adopter) drain() {
 	nd, limit := a.nd, listenerGatherLimit
-	if nd.kind == Naive {
+	if nd.proto.everyStep {
 		limit = 1
 	}
 	for {
@@ -377,7 +377,7 @@ func (nd *Node) commitGroup(batch []logItem, epoch uint64, out []wire.Envelope) 
 		case !nd.logsAdoption(env):
 			return false
 		}
-		return nd.kind == Naive || regs[env.Reg].win == i
+		return nd.proto.everyStep || regs[env.Reg].win == i
 	}
 	var recs []stable.Record
 	for i, it := range batch {
@@ -456,11 +456,11 @@ func (nd *Node) commitGroup(batch []logItem, epoch uint64, out []wire.Envelope) 
 }
 
 // logsAdoption reports whether handling env may log written/: never under
-// the crash-stop baseline, nor for a read's write-back under the
-// UnsafeNoReadLog ablation, which demonstrates the Theorem 2 lower bound.
-// Otherwise the log-optimal algorithms log exactly when they adopt a higher
-// timestamp (hence quiescent reads log nowhere), and Naive logs every W and
-// WB.
+// the crash-stop baseline (proto.durable), nor for a read's write-back under
+// the UnsafeNoReadLog ablation (proto.readLog), which demonstrates the
+// Theorem 2 lower bound. Otherwise the log-optimal algorithms log exactly
+// when they adopt a higher timestamp (hence quiescent reads log nowhere), and
+// Naive (proto.everyStep) logs every W and WB.
 func (nd *Node) logsAdoption(env wire.Envelope) bool {
-	return nd.kind != CrashStop && (env.Kind != wire.KindWriteBack || !nd.opts.UnsafeNoReadLog)
+	return nd.proto.durable && (env.Kind != wire.KindWriteBack || nd.proto.readLog)
 }

@@ -102,13 +102,13 @@ func (nd *Node) Write(ctx context.Context, reg string, val []byte, obs OpObserve
 	return op, err
 }
 
-// writeProtocol is the write common to the multi-writer algorithms: a
-// sequence-number query round, the timestamp mint (algorithm-specific), an
-// optional writer pre-log (persistent: Fig. 4 line 12), and the propagation
-// round. The single-writer regular register branches to its one-round form.
-// The returned tag is the minted timestamp — the write's tag witness (zero
-// if the execution failed before minting). epoch is the one it runs under;
-// q is the register's queue.
+// writeProtocol is the one write of every algorithm: a sequence-number
+// query round, the timestamp mint, an optional writer pre-log (Fig. 4 line
+// 12), and the propagation round. The §VI single writer (proto.singleWriter)
+// owns the sequence numbers, so it takes its own view instead of round 1 and
+// its round 2 must include its own acknowledgement. The returned tag is the
+// minted timestamp — the write's tag witness (zero if the execution failed
+// before minting). epoch is the one it runs under; q is the register's queue.
 //
 // Only the register's engine dispatcher calls this, one execution at a time:
 // the minted timestamp is derived from the queried majority maximum, so two
@@ -116,11 +116,8 @@ func (nd *Node) Write(ctx context.Context, reg string, val []byte, obs OpObserve
 // different values.
 func (nd *Node) writeProtocol(ctx context.Context, q *regQueue, op, epoch uint64, val []byte) (tag.Tag, error) {
 	reg := q.ref.reg
-	if nd.kind == RegularSW {
-		return nd.writeRegularSW(ctx, op, epoch, reg, val)
-	}
 	depth := 0
-	if nd.kind == Naive {
+	if nd.proto.everyStep {
 		// §I-C straw man: log the intent before doing anything.
 		depth = causal.After(depth)
 		if err := nd.storeLog(&q.pre, epoch, op, depth, recWStartPrefix+reg, encodeTagged(tag.Tag{Writer: nd.id}, val)); err != nil {
@@ -128,19 +125,33 @@ func (nd *Node) writeProtocol(ctx context.Context, q *regQueue, op, epoch uint64
 		}
 	}
 
-	// Round 1: collect sequence numbers from a majority (Fig. 4 lines 7–10).
-	acks, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{Kind: wire.KindSNQuery, Reg: reg, Depth: uint8(depth)}, broadcast)
-	if err != nil {
-		return tag.Tag{}, err
+	var seen int64
+	propagate := broadcast
+	if nd.proto.singleWriter {
+		// §VI: the writer's own view replaces round 1. Its listener logged
+		// every completed write before the required self-acknowledgement,
+		// so the view (lazily reloaded after a restart) never falls behind
+		// one, and mintTag's recovery count out-mints any unfinished write.
+		rs, _, err := nd.regView(reg)
+		if err != nil {
+			return tag.Tag{}, err
+		}
+		seen, propagate = rs.tag.Seq, roundOpts{require: nd.id, to: -1}
+	} else {
+		// Round 1: collect sequence numbers from a majority (Fig. 4 lines 7–10).
+		acks, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{Kind: wire.KindSNQuery, Reg: reg, Depth: uint8(depth)}, broadcast)
+		if err != nil {
+			return tag.Tag{}, err
+		}
+		depth, seen = maxAckDepth(acks, depth), maxAckSeq(acks)
 	}
-	depth = maxAckDepth(acks, depth)
-	newTag := nd.mintTag(maxAckSeq(acks))
+	newTag := nd.mintTag(seen)
 
 	// Writer pre-log (Fig. 4 line 12): the persistent algorithm's second
 	// causal log; it lets recovery finish the write and pins the minted
 	// timestamp so it can never be reused for a different value. One
 	// coalesced batch mints one tag, so this is the batch's single pre-log.
-	if nd.kind == Persistent || nd.kind == Naive {
+	if nd.proto.preLog {
 		depth = causal.After(depth)
 		if err := nd.storeLog(&q.pre, epoch, op, depth, recWritingPrefix+reg, encodeTagged(newTag, val)); err != nil {
 			return tag.Tag{}, err
@@ -148,9 +159,9 @@ func (nd *Node) writeProtocol(ctx context.Context, q *regQueue, op, epoch uint64
 	}
 
 	// Round 2: propagate the tagged value to a majority (Fig. 4 lines 13–15).
-	_, err = nd.runRoundOpts(ctx, op, epoch, wire.Envelope{
+	_, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{
 		Kind: wire.KindWrite, Reg: reg, Tag: newTag, Value: val, Depth: uint8(depth),
-	}, broadcast)
+	}, propagate)
 	if err != nil {
 		return tag.Tag{}, err
 	}
@@ -158,30 +169,18 @@ func (nd *Node) writeProtocol(ctx context.Context, q *regQueue, op, epoch uint64
 }
 
 // mintTag computes the new write timestamp from the highest sequence number
-// collected in round 1. All minting goes through tag.Next, so the [sn, pid]
-// advancement rule lives in exactly one place.
+// the write has seen. All minting goes through tag.Next, so the [sn, pid]
+// advancement rule lives in exactly one place: Fig. 4 line 11's sn := sn + 1,
+// or under proto.recMint Fig. 5 line 11's sn := sn + rec + 1, the persisted
+// recovery count compensating for the pre-log the write does not perform
+// (nd.rec stays 0 on every other row). Under proto.hardened the count also
+// rides as the Rec tiebreak (docs/adr/0024).
 func (nd *Node) mintTag(maxSeq int64) tag.Tag {
-	switch nd.kind {
-	case Transient:
-		// Fig. 5 line 11: sn := sn + rec + 1. The persisted recovery count
-		// compensates for pre-logs the transient write does not perform.
-		rec := nd.RecoveryCount()
-		return tag.Tag{Seq: maxSeq}.Next(nd.id, int64(rec), nd.hardenedRec(rec))
-	default:
-		// Fig. 4 line 11: sn := sn + 1.
-		return tag.Tag{Seq: maxSeq}.Next(nd.id, 0, 0)
+	rec := nd.RecoveryCount()
+	if nd.proto.hardened {
+		return tag.Tag{Seq: maxSeq}.Next(nd.id, int64(rec), rec)
 	}
-}
-
-// hardenedRec resolves the Rec tiebreak component a minted tag carries:
-// zero under the paper's literal algorithms, the persisted recovery count
-// under hardened tags, the fix for the residual tag-collision window
-// (docs/adr/0024).
-func (nd *Node) hardenedRec(rec int32) int32 {
-	if nd.opts.HardenedTags {
-		return rec
-	}
-	return 0
+	return tag.Tag{Seq: maxSeq}.Next(nd.id, int64(rec), 0)
 }
 
 // Read emulates the register's read operation at this process: query a
@@ -194,43 +193,6 @@ func (nd *Node) hardenedRec(rec int32) int32 {
 func (nd *Node) Read(ctx context.Context, reg string, obs OpObserver) ([]byte, uint64, error) {
 	val, op, _, _, err := nd.RegisterRef(reg).Read(ctx, ReadDefault, obs)
 	return val, op, err
-}
-
-// writeRegularSW is the §VI single-writer write: no query round — the
-// writer owns the sequence numbers. The new timestamp is minted from the
-// writer's own (stable-backed) view plus the persisted recovery count, and
-// propagated in one round that must include the writer's own
-// acknowledgement: by ack time the writer's listener has logged the
-// timestamp, so the view it restores after a crash never falls behind a
-// completed write, which keeps timestamps strictly monotone — unfinished
-// writes are out-minted by the recovery count exactly as in Fig. 5. One
-// causal log (all adopters log in parallel), 2 communication steps.
-func (nd *Node) writeRegularSW(ctx context.Context, op, epoch uint64, reg string, val []byte) (tag.Tag, error) {
-	if nd.id != RegularWriter {
-		return tag.Tag{}, ErrNotWriter
-	}
-	// The writer's own view materializes lazily after a restart: the first
-	// write loads the written/ record its listener logged, so the restored
-	// view never falls behind a completed write even though recovery no
-	// longer rebuilds the map eagerly.
-	rs, _, err := nd.regView(reg)
-	if err != nil {
-		return tag.Tag{}, err
-	}
-	own := rs.tag
-	nd.mu.Lock()
-	rec := nd.rec
-	nd.mu.Unlock()
-	// Fig. 5's advancement rule applied to the writer's own view: the
-	// recovery count out-mints any write the last incarnation left
-	// unfinished.
-	newTag := own.Next(nd.id, int64(rec), nd.hardenedRec(rec))
-	if _, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{
-		Kind: wire.KindWrite, Reg: reg, Tag: newTag, Value: val,
-	}, roundOpts{require: nd.id, to: -1}); err != nil {
-		return tag.Tag{}, err
-	}
-	return newTag, nil
 }
 
 // readProtocol returns the read value together with the tag under which it
@@ -255,16 +217,16 @@ func (nd *Node) readProtocol(ctx context.Context, q *regQueue, op, epoch uint64)
 	// majority that already agrees on best.Tag holds it logged — a replica
 	// never reports a tag its written/ record does not carry — which is the
 	// state the write-back round exists to establish (docs/adr/0015).
-	if nd.kind == RegularSW {
+	if nd.proto.singleWriter {
 		return best.Value, best.Tag, nil
 	}
-	if nd.oneRound && acksAgree(acks, best.Tag) {
+	if nd.proto.oneRound && acksAgree(acks, best.Tag) {
 		nd.readsOne.Add(1)
 		return best.Value, best.Tag, nil
 	}
 
 	depth := 0
-	if nd.kind == Naive {
+	if nd.proto.everyStep {
 		// Straw man: the reader logs what it is about to write back.
 		depth = causal.After(depth)
 		if err := nd.storeLog(&q.pre, epoch, op, depth, recWStartPrefix+reg, encodeTagged(best.Tag, best.Value)); err != nil {

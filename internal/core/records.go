@@ -146,7 +146,7 @@ func loadIncarnation(st stable.Storage) (uint64, error) {
 }
 
 // restoreCounter loads the only volatile state recovery materializes
-// eagerly: the persisted recovery counter (transient/regular-sw). The
+// eagerly: the persisted recovery counter (proto.recMint). The
 // register map is deliberately NOT rebuilt here — entries materialize
 // lazily, on first touch, from their written/ records (see regView), so a
 // restart's stable-storage footprint is O(pending + index) instead of
@@ -154,7 +154,7 @@ func loadIncarnation(st stable.Storage) (uint64, error) {
 // state, which is equivalent to the paper's explicitly initialized
 // store(written, 0, i, ⊥).
 func (nd *Node) restoreCounter() (int32, error) {
-	if nd.kind != Transient && nd.kind != RegularSW {
+	if !nd.proto.recMint {
 		return 0, nil
 	}
 	data, ok, err := nd.st.Retrieve(recRecovered)

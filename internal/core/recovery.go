@@ -10,7 +10,10 @@ import (
 
 // runRecoveryProcedure executes the algorithm-specific part of recovery,
 // after the volatile state has been restored from stable storage, and returns
-// what it found for Recover to publish once the recovery has succeeded. The
+// what it found for Recover to publish once the recovery has succeeded. What
+// it does is decided by what the write leaves behind (docs/adr/0025): a row
+// with the writer pre-log finishes the pending writes (Fig. 4), every other
+// durable row mints with the recovery count and bumps it (Fig. 5). The
 // model places no bound on the messages or logs a recovery procedure may use.
 // Its records go through the node's logger like every store, under the
 // recovery's epoch: queued behind whatever the logger holds, and dropped by a
@@ -22,16 +25,12 @@ func (nd *Node) runRecoveryProcedure(ctx context.Context, epoch uint64) (Recover
 	if err := nd.mintIncarnation(epoch); err != nil {
 		return RecoveryStats{}, err
 	}
-	switch nd.kind {
-	case Persistent, Naive:
+	if nd.proto.preLog {
 		pending, err := nd.finishPendingWrites(ctx, epoch)
 		return RecoveryStats{PendingWrites: pending}, err
-	case Transient, RegularSW:
-		rec, err := nd.bumpRecoveryCounter(epoch)
-		return RecoveryStats{RecoveryCount: rec}, err
-	default:
-		return RecoveryStats{}, ErrCannotRecover
 	}
+	rec, err := nd.bumpRecoveryCounter(epoch)
+	return RecoveryStats{RecoveryCount: rec}, err
 }
 
 // mintIncarnation persists and adopts the next incarnation epoch. It mints

@@ -197,12 +197,15 @@ func maxAckSeq(acks map[int32]wire.Envelope) int64 {
 }
 
 // bestAck returns the acknowledgement carrying the lexicographically highest
-// tag (Fig. 4 line 35: "select v with highest [sn, pid]").
+// tag (Fig. 4 line 35: "select v with highest [sn, pid]"). Equal tags go to
+// the lowest responder, so the choice never depends on map order: under the
+// literal Fig. 5 one tag can carry two values (docs/adr/0024), and a read
+// that hears both must return the same one on every replay.
 func bestAck(acks map[int32]wire.Envelope) wire.Envelope {
 	var best wire.Envelope
 	first := true
 	for _, a := range acks {
-		if first || best.Tag.Less(a.Tag) {
+		if c := a.Tag.Compare(best.Tag); first || c > 0 || c == 0 && a.From < best.From {
 			best = a
 			first = false
 		}

@@ -257,6 +257,15 @@ func ClientFaults(ctx context.Context, clients []recmem.Client, opts ClientFault
 	if opts.MeanInterval <= 0 {
 		opts.MeanInterval = 5 * time.Millisecond
 	}
+	// Each crash and recovery runs to its outcome under its own bound, not
+	// the window's: a remote node acts on a request whose reply the window
+	// cut off (a crash lands unrecorded; a recovery answers the cleanup with
+	// ErrNotDown, then aborts at the window's deadline) and stays down.
+	inject := func(op func(context.Context) error) error {
+		octx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
+		defer cancel()
+		return op(octx)
+	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	down := make(map[int]bool)
 	crashes := 0
@@ -274,13 +283,13 @@ func ClientFaults(ctx context.Context, clients []recmem.Client, opts ClientFault
 			if down[i] {
 				continue
 			}
-			if err := clients[i].Crash(ctx); err == nil {
+			if err := inject(clients[i].Crash); err == nil {
 				down[i] = true
 				crashes++
 			}
 		} else {
 			for i := range down {
-				if err := clients[i].Recover(ctx); err == nil || errors.Is(err, recmem.ErrNotDown) {
+				if err := inject(clients[i].Recover); err == nil || errors.Is(err, recmem.ErrNotDown) {
 					delete(down, i)
 				}
 				break

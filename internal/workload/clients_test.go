@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +84,82 @@ func TestClientFaultsKeepsMajority(t *testing.T) {
 	}
 	if err := c.Check(atomicity.Persistent); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// laggyClient answers crashes and recoveries the way a remote node does:
+// each takes effect, but its reply comes a lag later, and a caller whose
+// context ends first gets the context's error. A recovery whose context
+// ends first is aborted, the process stays down, and until that abort a
+// second Recover answers ErrNotDown.
+type laggyClient struct {
+	recmem.Client
+	crashLag, recoverLag time.Duration
+	recovering           *atomic.Bool
+}
+
+func (c laggyClient) Crash(ctx context.Context) error {
+	if err := c.Client.Crash(ctx); err != nil {
+		return err
+	}
+	select {
+	case <-time.After(c.crashLag):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (c laggyClient) Recover(ctx context.Context) error {
+	if !c.recovering.CompareAndSwap(false, true) {
+		return recmem.ErrNotDown
+	}
+	select {
+	case <-time.After(c.recoverLag):
+		defer c.recovering.Store(false)
+		return c.Client.Recover(ctx)
+	case <-ctx.Done():
+		time.AfterFunc(c.recoverLag, func() { c.recovering.Store(false) })
+		return ctx.Err()
+	}
+}
+
+// TestClientFaultsOutlastsItsWindow: a crash or recovery still in flight
+// when the injection window closes must not leave its process down. The
+// injections run back to back and only one kind lags, so that kind is
+// nearly always the one in flight at the close.
+func TestClientFaultsOutlastsItsWindow(t *testing.T) {
+	const lag = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name                 string
+		crashLag, recoverLag time.Duration
+	}{
+		{"crash", lag, 0},
+		{"recover", 0, lag},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := cluster.New(cluster.Config{
+				N:         3,
+				Algorithm: core.Persistent,
+				Node:      core.Options{RetransmitEvery: 5 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var clients []recmem.Client
+			for _, cl := range workload.Clients(c, workload.AllProcs(3)) {
+				clients = append(clients, laggyClient{cl, tc.crashLag, tc.recoverLag, new(atomic.Bool)})
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*lag)
+			defer cancel()
+			workload.ClientFaults(ctx, clients, workload.ClientFaultOptions{Seed: 1, MeanInterval: time.Nanosecond})
+			for p := int32(0); p < 3; p++ {
+				if !c.Node(p).Up() {
+					t.Fatalf("process %d still down after ClientFaults returned", p)
+				}
+			}
+		})
 	}
 }
 

@@ -238,19 +238,13 @@ func WithRetransmitEvery(d time.Duration) Option {
 	return optionFunc(func(c *config) { c.node.RetransmitEvery = d })
 }
 
-// WithHardenedTags makes the transient algorithm append the persisted
-// recovery counter to its timestamps as a final tiebreak, closing the
-// tag-collision window of the paper's literal Figure 5 (see docs/adr/0024).
-// It does not close the orphan window the same ADR describes.
+// WithHardenedTags makes the two algorithms that mint with the persisted
+// recovery counter — TransientAtomic and RegularRegister — append it to their
+// timestamps as a final tiebreak, closing the tag-collision window of the
+// paper's literal Figure 5 (see docs/adr/0024). It does not close the orphan
+// window the same ADR describes. The other algorithms ignore it.
 func WithHardenedTags() Option {
 	return optionFunc(func(c *config) { c.node.HardenedTags = true })
-}
-
-// WithUnsafeNoReadLog disables logging in the read's write-back round. This
-// re-introduces the impossibility of Theorem 2 and exists only so that the
-// lower bound can be demonstrated; never use it otherwise.
-func WithUnsafeNoReadLog() Option {
-	return optionFunc(func(c *config) { c.node.UnsafeNoReadLog = true })
 }
 
 // Cluster is a running shared-memory emulation over n simulated processes.
