@@ -75,7 +75,7 @@ kill-mesh:
 # escapes diffs the compiler's escape analysis over the hot-path packages
 # (internal/core, internal/frame, internal/nettcp, remote) against
 # scripts/escape-allowlist.txt: a new heap escape on the dispatch, round or
-# send path fails locally; CI runs it non-blocking.
+# send path fails, locally and in CI.
 escapes:
 	./scripts/check-escapes.sh
 
@@ -100,4 +100,4 @@ scenarios:
 	$(GO) test -run Scenario -v ./internal/cluster/...
 
 # ci is exactly what .github/workflows/ci.yml runs on every push.
-ci: build vet fmt docs-check test bench-smoke
+ci: build vet fmt docs-check escapes test bench-smoke

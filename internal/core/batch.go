@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"hash/maphash"
 	"runtime"
 	"sync"
 
@@ -11,43 +9,33 @@ import (
 )
 
 // This file implements the node's batching + pipelining engine (docs/adr/
-// 0001): an asynchronous submission API (SubmitWrite/SubmitRead returning
-// futures) backed by a per-register sharded dispatcher.
+// 0001): SubmitWrite/SubmitRead return futures, and each register's handle
+// queues its submissions. Two amortizations stack on top of the paper's
+// algorithms, neither of which changes a protocol rule:
 //
-// Two amortizations stack on top of the paper's algorithms, neither of which
-// changes a single protocol rule:
-//
-//   - Operation coalescing. All writes to one register that are pending at
-//     the same process when a dispatch begins are folded into ONE execution
-//     of the two-round write protocol: one sequence-number query, one minted
-//     tag, one propagation of the last submitted value, and therefore one
-//     causal log chain for the whole batch. This is sound because the
+//   - Operation coalescing. The writes pending at a register when a batch is
+//     taken are ONE execution of the write: one query, one minted tag, one
+//     propagation of the last submitted value, one causal log chain. The
 //     coalesced writes are pairwise concurrent (all submitted before the
-//     round starts, all completed after it commits), so linearizing them
-//     back to back at the commit point — earlier submissions immediately
-//     overwritten by later ones — is a valid ordering; the acknowledgement
-//     every submitter receives is backed by the batch's value being durable
-//     at a majority under a tag at least as high as any the folded writes
-//     would have minted. Pending reads coalesce the same way into one
-//     execution of the read protocol (query majority, write back), all
-//     returning its value.
-//   - Register pipelining. Each register's dispatcher runs independently, so
-//     rounds for different registers overlap in flight instead of
-//     serializing on the node's operation mutex; the node-level outbox
-//     group-commits the broadcasts of concurrently running rounds into
-//     per-destination batch frames (wire.EncodeBatch), so one network
-//     round-trip carries the coalesced rounds of many registers.
+//     batch starts, all completed after it commits), so linearizing them back
+//     to back at the commit point — earlier ones immediately overwritten by
+//     later ones — is a valid ordering, and every submitter's acknowledgement
+//     is backed by the batch's value being durable at a majority under a tag
+//     at least as high as any the folded writes would have minted. Pending
+//     reads coalesce the same way into one read, all returning its value.
+//   - Register pipelining. Each register runs its batches independently, so
+//     rounds of different registers overlap in flight, and the outbox
+//     group-commits their broadcasts into per-destination batch frames.
 //
 // The synchronous Write/Read are this same path — submit, then wait for the
 // future under opMu, which models the paper's sequential process (docs/adr/
-// 0011). A register's dispatcher is the only caller of its write protocol,
-// so no two executions at one node can mint the same timestamp for different
-// values, whichever API submitted them; mixing the two APIs on one node only
-// forfeits the per-process program order the synchronous calls guarantee.
+// 0011). A register runs one execution at a time, so no two executions at one
+// node can mint the same timestamp for different values, whichever API
+// submitted them.
 
 // batchSub is one submitted operation waiting in a register's queue. Subs
-// are engine-owned — created at submission, consumed by exactly one flush —
-// so they recycle through a pool: the steady-state submission path allocates
+// are engine-owned — created at submission, settled exactly once — so they
+// recycle through a pool: the steady-state submission path allocates
 // neither the sub nor (pool hits permitting) the future it carries.
 type batchSub struct {
 	read  bool
@@ -59,8 +47,8 @@ type batchSub struct {
 }
 
 // subPool recycles batchSubs; the engine is their sole owner (the submitter
-// only ever holds the future), so flush can release each one as soon as its
-// future completed.
+// only ever holds the future), so each is released once its outcome is
+// settled.
 var subPool = sync.Pool{New: func() any { return &batchSub{} }}
 
 // newSub takes a sub from the pool and fills it.
@@ -76,147 +64,122 @@ func putSub(s *batchSub) {
 	subPool.Put(s)
 }
 
-// engineShards is the number of locks the register-queue map is split
-// across; submissions for different registers rarely contend.
-const engineShards = 16
-
-// engine is the per-node batching dispatcher.
-type engine struct {
-	nd     *Node
-	seed   maphash.Seed
-	shards [engineShards]engineShard
-}
-
-// engineShard guards one slice of the register-queue map; each queue has its
-// own lock.
-type engineShard struct {
-	mu   sync.Mutex
-	regs map[string]*regQueue
-}
-
-// regQueue is the pending-submission queue of one register. Its drainer is
-// the register's dispatcher: the only caller of the register's protocols,
-// whose one pre-log in flight at a time waits in pre (storeLog). ref is the
-// register's handle, which Node.RegisterRef hands out, and carries its name.
-type regQueue struct {
-	drainQueue[*batchSub]
-	eng *engine
-	pre preLog
-	ref RegisterRef
-}
-
-func newEngine(nd *Node) *engine {
-	eng := &engine{nd: nd, seed: maphash.MakeSeed()}
-	for i := range eng.shards {
-		eng.shards[i].regs = make(map[string]*regQueue)
+// push queues s and starts a batch if none runs. Callers hold nd.mu.
+func (r *RegisterRef) push(s *batchSub, done *[]completion) {
+	r.subs = append(r.subs, s)
+	if !r.running {
+		r.next(done)
 	}
-	return eng
 }
 
-// queueFor resolves (creating on first use) the register's queue. Queues are
-// never removed from the map, so the returned pointer — and the handle it
-// holds — stays valid for the node's lifetime: a RegisterRef takes the
-// maphash + map lookup off the per-operation hot path.
-func (eng *engine) queueFor(reg string) *regQueue {
-	sh := &eng.shards[maphash.String(eng.seed, reg)%engineShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	q := sh.regs[reg]
-	if q == nil {
-		q = &regQueue{}
-		q.eng, q.owner = eng, q
-		q.ref = RegisterRef{nd: eng.nd, reg: reg, q: q}
-		sh.regs[reg] = q
-	}
-	return q
-}
-
-// drain dispatches batches for the register until its queue is empty: each
-// take is everything pending, flushed as one batch, so submissions arriving
-// during a flush form the next batch — group commit. Every sub was consumed
-// (its future completed) by the flush; only then can the subs recycle.
-func (q *regQueue) drain() {
+// next takes everything submitted since the last batch as the next batch and
+// starts its first execution, so submissions arriving during a batch form the
+// one after — group commit. Nothing outlives the incarnation that admitted it
+// (docs/adr/0018): a sub of a dead epoch completes here and runs nothing.
+// Callers hold nd.mu.
+func (r *RegisterRef) next(done *[]completion) {
+	nd := r.nd
 	for {
-		batch := q.take(0)
-		if len(batch) == 0 {
+		clear(r.batch)
+		r.batch, r.subs = r.subs, r.batch[:0]
+		live := r.batch[:0]
+		for _, s := range r.batch {
+			if s.epoch == nd.epoch {
+				live = append(live, s)
+			} else {
+				nd.complete(s, nil, tag.Tag{}, nd.downErrLocked(), done)
+			}
+		}
+		clear(r.batch[len(live):])
+		r.batch = live
+		r.running = len(live) > 0
+		if !r.running || r.start(false, done) || r.start(true, done) {
 			return
 		}
-		q.eng.flush(q, batch)
-		for _, s := range batch {
-			putSub(s)
-		}
 	}
 }
 
-// flush executes one batch: all writes coalesce into one write-protocol
-// execution propagating the last submitted value, then all reads coalesce
-// into one read-protocol execution. Reads ordered after the batch's writes
-// is a valid linearization because every operation in the batch is
-// concurrent with every other. Completion fires each future's registered
-// callback inline (docs/adr/0010); the batch is partitioned by two passes
-// over the slice instead of materializing per-kind sub-slices, and the
-// dispatcher recycles the consumed subs once the flush returns.
-//
-// Nothing outlives the incarnation that took it (docs/adr/0018): a sub
-// submitted before a crash completes here with ErrCrashed and runs nothing,
-// and the executions carry the epoch they start under into every round.
-func (eng *engine) flush(q *regQueue, batch []*batchSub) {
-	nd := eng.nd
-	nd.mu.Lock()
-	epoch, dead := nd.epoch, nd.downErrLocked()
-	nd.mu.Unlock()
-	writeCarrier, readCarrier := -1, -1
-	lastWrite := -1
-	var finalVal []byte
-	for i, s := range batch {
-		if s.epoch != epoch {
-			nd.finish(s, nil, tag.Tag{}, dead)
+// start begins the batch's execution of its writes (read false) or its
+// reads, and reports whether the batch has any: all the writes as one
+// execution propagating the last submitted value, all the reads as one
+// whose value they all return. Reads ordered after the batch's writes is a
+// valid linearization because every operation in the batch is concurrent
+// with every other. A batch whose epoch a crash ended meanwhile completes
+// instead. Callers hold nd.mu.
+func (r *RegisterRef) start(read bool, done *[]completion) bool {
+	nd := r.nd
+	var carrier *batchSub
+	var val []byte
+	for _, s := range r.batch {
+		if s != nil && s.read == read {
+			if carrier == nil {
+				carrier = s
+			}
+			val = s.val
+		}
+	}
+	switch {
+	case carrier == nil:
+		return false
+	case carrier.epoch != nd.epoch:
+		r.settle(read, nil, tag.Tag{}, nd.downErrLocked(), done)
+		return false
+	}
+	x := nd.getExec()
+	x.ref = r
+	if read {
+		x.start(&nd.proc, execRead, nd.newID(), carrier.op, carrier.epoch, r.reg)
+	} else {
+		x.start(&nd.proc, execWrite, nd.newID(), carrier.op, carrier.epoch, r.reg)
+		x.val, x.rec = val, nd.rec
+		if nd.proto.singleWriter {
+			// §VI: the writer's own view, materialized at submission,
+			// replaces round 1. Its listener logged every completed write
+			// before the required self-acknowledgement, so the view never
+			// falls behind one, and the recovery count out-mints any
+			// unfinished write.
+			x.seen = nd.regs[r.reg].tag.Seq
+		}
+	}
+	nd.launch(x, done)
+	return true
+}
+
+// executed hands x's outcome to the batch's submissions of its kind, then
+// starts what comes next: the batch's reads after its writes, else the next
+// batch. Callers hold nd.mu.
+func (r *RegisterRef) executed(x *execution, done *[]completion) {
+	read := x.kind == execRead
+	r.settle(read, x.val, x.tag, x.err, done)
+	if read || !r.start(true, done) {
+		r.next(done)
+	}
+}
+
+// settle completes the batch's submissions of one kind. Each read returns
+// val under wit. The writes return no value; the last one carries wit, the
+// tag minted for its surviving value, and the overwritten ones carry no
+// witness — a tag names exactly one committed value. Callers hold nd.mu.
+func (r *RegisterRef) settle(read bool, val []byte, wit tag.Tag, err error, done *[]completion) {
+	last := -1
+	for i, s := range r.batch {
+		if s != nil && s.read == read {
+			last = i
+		}
+	}
+	for i, s := range r.batch {
+		switch {
+		case s == nil || s.read != read:
 			continue
+		case read:
+			r.nd.complete(s, val, wit, err, done)
+		case i == last:
+			r.nd.complete(s, nil, wit, err, done)
+		default:
+			r.nd.complete(s, nil, tag.Tag{}, err, done)
 		}
-		if s.read {
-			if readCarrier < 0 {
-				readCarrier = i
-			}
-		} else {
-			if writeCarrier < 0 {
-				writeCarrier = i
-			}
-			lastWrite = i
-			finalVal = s.val
-		}
+		r.batch[i] = nil
 	}
-	ctx := context.Background() // rounds abort via crashCh on crash/close
-	if writeCarrier >= 0 {
-		wit, err := nd.writeProtocol(ctx, q, batch[writeCarrier].op, epoch, finalVal)
-		for i, s := range batch {
-			if s.read || s.epoch != epoch {
-				continue
-			}
-			// The batch mints one tag for its surviving (last) value; the
-			// overwritten submissions carry no witness — a tag names exactly
-			// one committed value.
-			w := tag.Tag{}
-			if i == lastWrite {
-				w = wit
-			}
-			nd.finish(s, nil, w, err)
-		}
-	}
-	if readCarrier >= 0 {
-		val, wit, err := nd.readProtocol(ctx, q, batch[readCarrier].op, epoch)
-		for _, s := range batch {
-			if s.read && s.epoch == epoch {
-				nd.finish(s, val, wit, err)
-			}
-		}
-	}
-}
-
-// finish settles one submitted operation: the history reply (endOp), then
-// the future.
-func (nd *Node) finish(s *batchSub, val []byte, wit tag.Tag, err error) {
-	inc, err := nd.endOp(s, err, val, wit)
-	s.fut.complete(val, wit, inc, err)
 }
 
 // SubmitWrite asynchronously writes val to the named register through the
@@ -242,10 +205,9 @@ func (nd *Node) SubmitRead(reg string, obs OpObserver) (*Future, error) {
 // large frames instead of stalling the drainer forever.
 const gatherYields = 64
 
-// outbox group-commits outgoing round broadcasts into per-destination batch
-// frames. Rounds push their sweeps and return; the queue's drainer gathers at
-// quiescence, then sends everything staged — including whatever accumulated
-// while the previous batch was on the wire.
+// outbox group-commits the executions' sweeps into per-destination batch
+// frames: its drainer gathers at quiescence, then sends everything staged —
+// including whatever accumulated while the previous batch was on the wire.
 type outbox struct {
 	drainQueue[wire.Envelope]
 	nd    *Node
@@ -256,14 +218,11 @@ type outbox struct {
 // frame per destination for each generation taken.
 func (ob *outbox) drain() {
 	for {
-		// Gather at quiescence instead of after a fixed wall-clock window:
-		// yield the processor so every runnable producer — the register
-		// dispatchers staging their sweeps, handlers answering arrived
-		// envelopes — gets to stage into this generation, and take once the
-		// queue stops growing between yields. A fixed sleep here serializes
-		// into every quorum round-trip of the pipeline; yielding costs
-		// nothing once the staging burst is over but still coalesces exactly
-		// the rounds that were concurrently runnable.
+		// Gather at quiescence, not after a fixed window: yield so every
+		// runnable producer — submitters, the listener and logger stepping
+		// executions — stages into this generation, and take once the queue
+		// stops growing. A fixed sleep would serialize into every round
+		// trip; yielding costs nothing once the burst is over.
 		prev := -1
 		for range gatherYields {
 			runtime.Gosched()

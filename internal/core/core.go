@@ -29,14 +29,11 @@
 // store.
 //
 // Every operation runs through one path, the node's batching + pipelining
-// engine (batch.go): SubmitWrite/SubmitRead return futures, concurrent
-// submissions to one register coalesce into a single execution of the
-// protocol (one minted timestamp and one causal log chain per batch), and
-// different registers' rounds overlap, their broadcasts group-committed into
-// per-destination batch frames. The paper's one-operation-at-a-time process
-// is the synchronous Write/Read: the same submission, awaited under the
-// node's operation mutex — a batch of one, which costs exactly the paper's
-// messages and logs. See docs/adr/0001 and docs/adr/0011.
+// engine (batch.go): concurrent submissions to one register coalesce into a
+// single execution, a phase machine (ops.go) the node steps (rounds.go). The
+// paper's sequential process is the synchronous Write/Read: a batch of one,
+// which costs exactly the paper's messages and logs (docs/adr/0001, 0011,
+// 0026).
 package core
 
 import (
@@ -242,12 +239,9 @@ type regState struct {
 // Node is one process of the emulation: a message listener (the paper's
 // listener thread) plus sequentially invoked client operations.
 type Node struct {
-	id     int32
-	n      int
-	quorum int
-	kind   AlgorithmKind
-	proto  protocol // kind's row, with opts resolved into it
-	opts   Options
+	proc // the row, with opts resolved into it, and the process's id, n, quorum
+	kind AlgorithmKind
+	opts Options
 
 	ep  transport.Endpoint
 	st  stable.Storage
@@ -263,43 +257,35 @@ type Node struct {
 	mu    sync.Mutex
 	state nodeState
 	epoch uint64
-	// inc is the incarnation epoch (docs/adr/0006): a monotonic per-boot
-	// counter, persisted under recIncarnation and minted (+1) at the start
-	// of every recovery procedure. Unlike epoch — the volatile crash
-	// generation, which restarts at every process birth — inc survives in
-	// stable storage, so two boots of one node never share a value.
-	// Deliberately NOT wiped by Crash: it is harness bookkeeping that lets
-	// remote observers infer crashes nobody injected, never protocol state.
+	// inc is the incarnation epoch (docs/adr/0006), minted at every recovery
+	// and persisted, so two boots never share one — unlike epoch, the
+	// volatile crash generation. Crash keeps it: it is harness bookkeeping
+	// for remote observers, never protocol state.
 	inc uint64
-	// regs is the volatile register map. An entry's presence means "this
-	// incarnation touched the register": entries appear on adoption and on
-	// lazy materialization from the written/ record (regView), never as an
-	// eager recovery-time rebuild — restarts are O(pending), not
-	// O(namespace) (docs/adr/0009). Crash wipes the map.
+	// regs is the volatile register map: entries appear on adoption and on
+	// lazy materialization from the written/ record (regView), never by a
+	// recovery-time rebuild (docs/adr/0009). Crash wipes it.
 	regs         map[string]regState
 	rec          int32 // volatile copy of the persisted recovery counter
 	lastRecovery RecoveryStats
-	pending      map[uint64]chan wire.Envelope
-	crashCh      chan struct{} // closed on crash; recreated on recovery
+	// execs holds the live executions (rounds.go) by the RPC their requests
+	// carry; execPool recycles them.
+	execs    map[uint64]*execution
+	execPool sync.Pool
 
-	// eng is the batching + pipelining engine behind SubmitWrite/SubmitRead;
-	// ob group-commits its round broadcasts into batch frames.
-	eng *engine
-	ob  *outbox
-
-	// roundPool recycles per-round working sets (ack channel, scratch
-	// slices, retransmission timer); see roundState.
-	roundPool sync.Pool
+	// refs holds the register handles (RegisterRef), each its register's
+	// submission queue; ob group-commits the executions' broadcasts into
+	// batch frames.
+	refsMu sync.Mutex
+	refs   map[string]*RegisterRef
+	ob     *outbox
 
 	// readsOne counts the read executions proto.oneRound completed after one
 	// round, readsTwo those that ran the write-back (ReadRounds).
 	readsOne, readsTwo atomic.Uint64
 
-	// adopter is the node's logger (listener.go) and its one store path: it
-	// persists the envelopes the listener hands over, the executions'
-	// pre-logs and the recoveries' records; it is pushed, taken and dropped
-	// under mu. logGroups and logRecords count its StoreBatch calls and the
-	// records they carried (Adoptions).
+	// adopter is the node's logger and its one store path (listener.go);
+	// logGroups and logRecords count its StoreBatch calls and their records.
 	adopter               adopter
 	logGroups, logRecords atomic.Uint64
 
@@ -326,11 +312,8 @@ func NewNode(id int32, n int, kind AlgorithmKind, opts Options, deps Deps) (*Nod
 		opts.RetransmitEvery = 25 * time.Millisecond
 	}
 	nd := &Node{
-		id:           id,
-		n:            n,
-		quorum:       (n + 2) / 2, // ⌈(n+1)/2⌉
+		proc:         proc{proto: proto, id: id, n: n, quorum: (n + 2) / 2}, // ⌈(n+1)/2⌉
 		kind:         kind,
-		proto:        proto,
 		opts:         opts,
 		ep:           deps.Endpoint,
 		st:           deps.Storage,
@@ -340,15 +323,13 @@ func NewNode(id int32, n int, kind AlgorithmKind, opts Options, deps Deps) (*Nod
 		tr:           deps.Trace,
 		state:        stateUp,
 		regs:         make(map[string]regState),
-		pending:      make(map[uint64]chan wire.Envelope),
-		crashCh:      make(chan struct{}),
+		execs:        make(map[uint64]*execution),
+		refs:         make(map[string]*RegisterRef),
 		listenerDone: make(chan struct{}),
 	}
-	// Mint the boot's incarnation epoch: one past whatever the last boot
-	// persisted (a cold start on empty storage gets 1). Recoveries mint
-	// further epochs via mintIncarnation; this first one is persisted there
-	// too, so an un-recovered boot may legitimately reuse 1 — it has never
-	// exposed a different epoch.
+	// The boot's incarnation epoch: one past the last persisted (1 on empty
+	// storage). Only recoveries persist one (mintIncarnation), so an
+	// un-recovered boot may reuse it — it never exposed another.
 	nd.inc = 1
 	if deps.Storage != nil {
 		prev, err := loadIncarnation(deps.Storage)
@@ -357,10 +338,10 @@ func NewNode(id int32, n int, kind AlgorithmKind, opts Options, deps Deps) (*Nod
 		}
 		nd.inc = prev + 1
 	}
-	nd.eng = newEngine(nd)
 	nd.ob = &outbox{nd: nd}
 	nd.ob.owner = nd.ob
 	nd.adopter.nd, nd.adopter.owner = nd, &nd.adopter
+	nd.execPool.New = func() any { return &execution{nd: nd, exec: exec{acks: make([]wire.Envelope, n)}} }
 	go nd.listen()
 	return nd, nil
 }
@@ -384,13 +365,10 @@ func (nd *Node) Up() bool {
 	return nd.state == stateUp
 }
 
-// RegisterState returns the node's view of a register, for tests and demos
-// (the harness-side equivalent of peeking at the paper's v and sn
-// variables). On a serving node the view materializes from stable storage on
-// first touch, exactly like the protocol paths; ok reports whether the
-// register holds any adopted state. A node that is down reports nothing —
-// its volatile state is gone and it must not serve — while a closed node
-// keeps reporting whatever volatile view it held at Close.
+// RegisterState returns the node's view of a register — the paper's v and
+// sn — for tests and demos, materialized on first touch like the protocol
+// paths; ok reports whether the register holds any adopted state. A down
+// node reports nothing; a closed one reports the view it held at Close.
 func (nd *Node) RegisterState(reg string) (tag.Tag, []byte, bool) {
 	nd.mu.Lock()
 	rs, ok := nd.regs[reg]
@@ -407,14 +385,10 @@ func (nd *Node) RegisterState(reg string) (tag.Tag, []byte, bool) {
 	return rs.tag, rs.val, !rs.tag.IsZero() || rs.val != nil
 }
 
-// regView returns the node's current view of one register, materializing the
-// map entry from the register's written/ record on first touch — the lazy
-// counterpart of the eager recovery-time rebuild this map used to get
-// (docs/adr/0009). The load happens off nd.mu (the engine's storage may
-// block); a crash, recovery, or racing adoption while loading invalidates
-// the loaded view, detected by the epoch re-check before insertion. The
-// returned epoch is the one the view is valid under, for callers that
-// persist state afterwards and must notice an intervening crash.
+// regView returns the node's view of one register, materializing the map
+// entry from its written/ record on first touch (docs/adr/0009). The load
+// happens off nd.mu; a crash while loading discards it (the epoch re-check).
+// The returned epoch is the one the view is valid under.
 func (nd *Node) regView(reg string) (regState, uint64, error) {
 	nd.mu.Lock()
 	if !nd.servingLocked() {
@@ -455,20 +429,12 @@ func (nd *Node) regView(reg string) (regState, uint64, error) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	if nd.epoch != epoch || !nd.servingLocked() {
-		// Crashed (or closed) while loading: the record read belongs to a
-		// dead incarnation's serving window — discard it.
-		if nd.state == stateClosed {
-			return regState{}, 0, ErrClosed
-		}
-		return regState{}, 0, ErrCrashed
+		return regState{}, 0, nd.downErrLocked()
 	}
 	if cur, ok := nd.regs[reg]; ok {
-		// A concurrent adoption (or another materializer) beat the load; its
-		// view is at least as fresh. Adopters store before they insert — the
-		// volatile view never runs ahead of the written/ record;
-		// OneRoundReads depends on it — and they materialize the entry
-		// before that store begins, so a load that raced one lands here
-		// rather than inserting a record whose store has not returned.
+		// An adoption or another load beat this one; its view is at least as
+		// fresh. Adopters materialize the entry before their store begins,
+		// so a load never inserts a record whose store has not returned.
 		return cur, epoch, nil
 	}
 	nd.regs[reg] = rs
@@ -494,10 +460,8 @@ func (nd *Node) ReadRounds() (one, two uint64) {
 }
 
 // Adoptions reports how many StoreBatch calls this node's logger made and how
-// many records they carried — every store of the node: the replica's
-// adoptions, the executions' own pre-logs and the recoveries' records
-// together. Records per group is the node's group-commit ratio (docs/adr/0017,
-// 0019).
+// many records they carried — every store of the node. Records per group is
+// its group-commit ratio (docs/adr/0017, 0019).
 func (nd *Node) Adoptions() (groups, records uint64) {
 	return nd.logGroups.Load(), nd.logRecords.Load()
 }
@@ -510,9 +474,8 @@ func (nd *Node) RecoveryCount() int32 {
 	return nd.rec
 }
 
-// RecoveryStats summarizes the stable-storage footprint of the last
-// completed recovery procedure — what a restart actually had to read now
-// that the register map materializes lazily (docs/adr/0009).
+// RecoveryStats summarizes what the last completed recovery procedure did
+// (docs/adr/0009).
 type RecoveryStats struct {
 	// PendingWrites is the number of writing/ pre-log records the recovery
 	// scan found and finished (persistent/naive; always 0 for the others).
@@ -531,33 +494,33 @@ func (nd *Node) LastRecovery() RecoveryStats {
 }
 
 // Crash makes the process fail: volatile state is wiped, in-flight
-// operations are interrupted, and the node stops participating until
-// Recover. onEvent, if non-nil, is invoked inside the state transition so
-// that the harness can record the crash event totally ordered with respect
-// to the node's operation events. Returns false if the node was already
-// down or closed.
+// operations end with ErrCrashed, and the node stops participating until
+// Recover. onEvent, if non-nil, runs inside the transition, so the harness
+// records the crash ordered with the operation events. It returns false if
+// the node was already down or closed.
 func (nd *Node) Crash(onEvent func()) bool {
+	var done []completion
 	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.state != stateUp && nd.state != stateRecovering {
-		return false
+	ok := nd.state == stateUp || nd.state == stateRecovering
+	if ok {
+		nd.crashLocked("crash", "volatile state wiped", onEvent, &done)
 	}
-	nd.crashLocked("crash", "volatile state wiped", onEvent)
-	return true
+	nd.mu.Unlock()
+	fire(done)
+	return ok
 }
 
 // crashLocked is the one transition into the crashed state, shared by Crash
-// and a failed recovery: a new epoch, the in-flight rounds aborted through
-// crashCh, the volatile state wiped, the logger's queue dropped, then the
-// trace event and the harness's onEvent. Caller holds nd.mu.
-func (nd *Node) crashLocked(event, detail string, onEvent func()) {
+// and a failed recovery: a new epoch, every live execution ended (their
+// completions join done), the volatile state wiped, the logger's queue
+// dropped, then the trace event and onEvent. Caller holds nd.mu.
+func (nd *Node) crashLocked(event, detail string, onEvent func(), done *[]completion) {
 	nd.state = stateDown
 	nd.epoch++
-	close(nd.crashCh)
-	nd.crashCh = make(chan struct{})
+	nd.failExecs(done)
 	nd.regs = make(map[string]regState)
 	nd.rec = 0
-	nd.adopter.drop(ErrCrashed)
+	nd.adopter.drop()
 	nd.traceEvent(event, detail)
 	if onEvent != nil {
 		onEvent()
@@ -565,16 +528,14 @@ func (nd *Node) crashLocked(event, detail string, onEvent func()) {
 }
 
 // Recover brings a crashed process back: stable state is reloaded and the
-// algorithm's recovery procedure runs (Fig. 4: finish the interrupted write
+// algorithm's recovery procedure runs (Fig. 4: finish the interrupted writes
 // with a majority; Fig. 5: increment and persist the recovery counter).
-// onEvent is invoked inside the transition out of the crashed state, before
-// the recovery procedure; onAbort is invoked (also inside the state lock)
-// if the procedure fails and the process falls back to the crashed state —
-// the harness records a crash event there so histories stay well-formed.
-// Recover blocks until the procedure completes, which requires a majority
-// of processes to be reachable — the model's "eventually a majority
-// permanently up" assumption; it can be retried after a failure. It returns
-// ErrCrashed if the process crashes again mid-recovery.
+// onEvent runs inside the transition out of the crashed state; onAbort, also
+// under the state lock, if the procedure fails and the process falls back to
+// the crashed state, so the harness's history stays well-formed. Recover
+// blocks until a majority is reachable — the model's "eventually a majority
+// permanently up" — and can be retried after a failure; a crash mid-recovery
+// makes it return ErrCrashed.
 func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 	if !nd.proto.durable {
 		return ErrCannotRecover
@@ -612,11 +573,13 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 		// The procedure could not complete (no reachable majority, storage
 		// fault, cancellation): fall back to the crashed state so Recover
 		// can be retried.
+		var done []completion
 		nd.mu.Lock()
 		if nd.state == stateRecovering && nd.epoch == epoch {
-			nd.crashLocked("recover-abort", err.Error(), onAbort)
+			nd.crashLocked("recover-abort", err.Error(), onAbort, &done)
 		}
 		nd.mu.Unlock()
+		fire(done)
 		return err
 	}
 
@@ -634,20 +597,16 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 
 // Close permanently shuts the node down. It does not touch stable storage.
 func (nd *Node) Close() {
+	var done []completion
 	nd.mu.Lock()
-	if nd.state == stateClosed {
-		nd.mu.Unlock()
-		return
+	if nd.state != stateClosed {
+		nd.state = stateClosed
+		nd.epoch++
+		nd.failExecs(&done)
+		nd.adopter.drop()
 	}
-	prev := nd.state
-	nd.state = stateClosed
-	nd.epoch++
-	if prev == stateUp || prev == stateRecovering {
-		close(nd.crashCh)
-		nd.crashCh = make(chan struct{})
-	}
-	nd.adopter.drop(ErrClosed)
 	nd.mu.Unlock()
+	fire(done)
 }
 
 // newID returns a fresh cluster-unique identifier.

@@ -7,8 +7,8 @@ import "sync"
 type drainer interface{ drain() }
 
 // drainQueue is a FIFO drained on demand by at most one goroutine: the
-// engine's per-register dispatchers, the outbox and the node's logger are its
-// three users (docs/adr/0018, 0019). The push that finds the queue idle starts
+// outbox and the node's logger are its two users (docs/adr/0018, 0019). The
+// push that finds the queue idle starts
 // owner.drain; take hands it the oldest items and marks the queue idle once
 // it finds it empty, so whatever is pushed while a batch is being handled
 // forms the next batch — group commit with no timer. drop discards what is
@@ -67,15 +67,11 @@ func (q *drainQueue[T]) queued() int {
 	return len(q.items) - q.head
 }
 
-// drop discards every queued item, handing each to settle first. A running
-// drainer keeps the batch it holds and finds the queue empty at its next
-// take.
-func (q *drainQueue[T]) drop(settle func(T)) {
+// drop discards every queued item. A running drainer keeps the batch it
+// holds and finds the queue empty at its next take.
+func (q *drainQueue[T]) drop() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, it := range q.items[q.head:] {
-		settle(it)
-	}
 	clear(q.items[q.head:])
 	q.items = q.items[:q.head]
 }

@@ -134,8 +134,8 @@ func (p *pipeNode) next() wire.Envelope {
 
 // TestDeadEpochRunsNothing: an operation taken before a crash does nothing
 // after the recovery (docs/adr/0018). W1 is held mid-execution: in its
-// writing/ pre-log for the algorithms that log one, and in its completion
-// callback for Transient, whose write path never touches the disk. A
+// writing/ pre-log for the algorithms that log one, and in its unacknowledged
+// round 2 for Transient, whose write path never touches the disk. A
 // synchronous Write W2 to the same register queues behind it. Then Crash,
 // Recover and release. A held pre-log holds the node's logger, and the
 // recovery's records queue behind it (the logger is FIFO, docs/adr/0019), so
@@ -157,17 +157,10 @@ func TestDeadEpochRunsNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			release := gate.release
-			if kind == Transient {
-				release = make(chan struct{})
-				w1.OnDone(func(*Future, any) { <-release }, nil)
-			}
 			p.ackRound(wire.KindSNQuery, w1.Op())
-			if kind == Transient {
-				p.ackRound(wire.KindWrite, w1.Op()) // W1 completes; its callback holds the dispatcher
-			} else {
+			if kind != Transient {
 				<-gate.entered // W1's pre-log is durable and held
-			}
+			} // Transient: W1's round 2 is out, and nobody acknowledges it
 
 			invoked := make(chan uint64, 1)
 			w2 := make(chan error, 1)
@@ -191,7 +184,7 @@ func TestDeadEpochRunsNothing(t *testing.T) {
 			go func() { recovered <- p.nd.Recover(ctx, nil, nil) }()
 			if kind != Transient {
 				p.waitQueued(1) // the recovery's incarnation record, behind W1's pre-log
-				close(release)
+				close(gate.release)
 				// The recovery's round for writing/x is the only W the node
 				// may send: acknowledge it from both peers.
 				for acked := map[int32]bool{self: true}; len(acked) < 3; {
@@ -206,9 +199,6 @@ func TestDeadEpochRunsNothing(t *testing.T) {
 			if err := <-recovered; err != nil {
 				t.Fatal(err)
 			}
-			if kind == Transient {
-				close(release)
-			}
 			for done := false; !done; {
 				select {
 				case err := <-w2:
@@ -220,10 +210,8 @@ func TestDeadEpochRunsNothing(t *testing.T) {
 					dead(env)
 				}
 			}
-			// Transient's W1 raced the crash to its acknowledgement; the
-			// others' was still to be sent.
-			if _, err := w1.Wait(ctx); kind != Transient && !errors.Is(err, ErrCrashed) {
-				t.Fatalf("W1, held in its pre-log through the crash = %v, want ErrCrashed", err)
+			if _, err := w1.Wait(ctx); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("W1, held through the crash = %v, want ErrCrashed", err)
 			}
 			probe, err := p.nd.SubmitRead("y", OpObserver{})
 			if err != nil {

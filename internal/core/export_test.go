@@ -6,3 +6,6 @@ import "recmem/internal/tag"
 func tagOf(seq int64, writer, rec int32) tag.Tag {
 	return tag.Tag{Seq: seq, Writer: writer, Rec: rec}
 }
+
+// mintTag is the timestamp a write would mint at nd after seeing maxSeq.
+func (nd *Node) mintTag(maxSeq int64) tag.Tag { return nd.mint(maxSeq, nd.RecoveryCount()) }

@@ -8,35 +8,21 @@ import (
 	"recmem/internal/tag"
 )
 
-// This file implements the engine's completion primitive (docs/adr/0010).
+// This file implements the engine's completion primitive (docs/adr/0010), a
+// callback-driven, pooled Future:
 //
-// A Future used to be a one-shot channel pair: eagerly allocated, completed
-// by closing the channel, awaited by a goroutine parked on it. That shape
-// forced every remote operation to cost one server goroutine (parked on
-// Done) before a single protocol message went out. The refactored Future is
-// callback-driven and pool-friendly:
+//   - OnDone registers a completion callback, fired exactly once when the
+//     operation completes — or at once, if it already has. A static function
+//     plus an opaque argument, so registering one allocates nothing.
+//   - Completion is field writes and one atomic store under the mutex, then
+//     one channel close; a waiter takes no lock, the done flag orders the
+//     result fields.
+//   - Futures come from a sync.Pool; the per-use done channel is allocated
+//     on the submitter's goroutine.
 //
-//   - OnDone registers a completion callback, fired exactly once from
-//     complete on the engine goroutine — or immediately, on the caller's
-//     goroutine, if the operation already finished. The callback takes a
-//     static function plus an opaque argument so registering one allocates
-//     nothing (a pointer boxed into an interface stays on its owner).
-//   - Completion is a handful of plain field writes followed by one atomic
-//     store and one channel close. The engine goroutine never takes a lock
-//     to complete an operation, and waiters never take one to read the
-//     outcome: the done flag's release/acquire pair orders the result
-//     fields. The mutex guards only the cold edges — callback registration
-//     racing completion, and the recycle bookkeeping.
-//   - Futures come from a sync.Pool. Release returns one after its operation
-//     completed. The done channel is per-use, allocated on the submitter's
-//     goroutine in newFuture — off the engine's critical path.
-//
-// Ownership rule: Release may only be called by the future's sole owner,
-// after completion. The engine itself never releases — the submitter owns
-// the future; consumers that fully control an operation's lifetime (the
-// remote server awaits every dispatch through OnDone) release in the
-// callback, everyone else lets the garbage collector take the future and
-// the pool simply hands out a fresh one next time.
+// Ownership rule: only the future's sole owner may Release it, after
+// completion. The engine never does; the remote server releases in its
+// OnDone callback, everyone else leaves the future to the garbage collector.
 
 // futurePool recycles completed futures across submissions; see Release.
 var futurePool = sync.Pool{New: func() any { return &Future{} }}
@@ -72,14 +58,14 @@ type Future struct {
 
 	// replied and abandoned are the hand-off between endOp and a synchronous
 	// caller that stops waiting (Node.await), both guarded by the owning
-	// node's mu: endOp sets replied when it records the history reply and
+	// node's mu: endOpLocked sets replied when it records the history reply and
 	// records none once abandoned is set.
 	replied, abandoned bool
 }
 
 // newFuture takes a future from the pool and binds it to the operation. The
 // done channel is allocated here, on the submitter's goroutine, so neither
-// waiters nor the completing engine goroutine ever pay for it.
+// waiters nor the completing goroutine ever pay for it.
 func newFuture(op uint64) *Future {
 	f := futurePool.Get().(*Future)
 	f.op = op
@@ -145,13 +131,14 @@ func (f *Future) Incarnation() (epoch uint64, ok bool) {
 }
 
 // OnDone registers cb to run exactly once when the operation completes,
-// with the future and arg — fired from complete on the engine goroutine, or
+// with the future and arg — fired from complete on the goroutine that ended
+// the operation's execution (the node's listener or logger, mostly), or
 // immediately on this goroutine if the operation already finished. The
 // static-function-plus-argument shape exists so the hot path registers a
 // completion without allocating a closure. At most one callback may be
-// registered per operation; the callback must not block (it runs inline in
-// the engine's dispatch loop) and is the natural place for a sole owner to
-// Release the future.
+// registered per operation; the callback must not block (the node's
+// listener or logger waits for it) and is the natural place for a sole
+// owner to Release the future.
 //
 // Exactly-once is the mutex's job: the done check and the registration are
 // one critical section, and complete collects the callback under the same
@@ -172,22 +159,25 @@ func (f *Future) OnDone(cb func(*Future, any), arg any) {
 	f.mu.Unlock()
 }
 
-// complete resolves the future: record the outcome, release blocked
-// waiters, fire the registered callback. Called exactly once per
-// use, on the engine goroutine that executed the operation. The
-// result fields are published by the done store (release) and the channel
-// close; the mutex is taken only to hand off the callback.
+// complete resolves the future: record the outcome, fire the registered
+// callback, release blocked waiters. Called exactly once per use, by fire,
+// after the node released its lock. The done store and the hand-off of the
+// callback share one f.mu section: the moment done is visible, an OnDone may
+// fire its callback itself, whose owner may Release the future and reuse it
+// for another operation, so neither that operation's callback nor its
+// channel may be read afterwards.
 func (f *Future) complete(val []byte, wit tag.Tag, inc uint64, err error) {
+	f.mu.Lock()
 	if f.done.Load() {
+		f.mu.Unlock()
 		panic("core: Future completed twice")
 	}
 	f.val, f.wit, f.inc, f.err = val, wit, inc, err
 	f.done.Store(true)
-	close(f.ch)
-	f.mu.Lock()
-	cb, arg := f.cb, f.cbID
+	ch, cb, arg := f.ch, f.cb, f.cbID
 	f.cb, f.cbID = nil, nil
 	f.mu.Unlock()
+	close(ch)
 	if cb != nil {
 		cb(f, arg)
 	}

@@ -7,6 +7,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,4 +119,40 @@ func TestFutureReleasePanicsOnPending(t *testing.T) {
 		f.Release()
 	}()
 	f.Release()
+}
+
+// TestFutureCompleteNeverFiresTheNextUse: an owner that registers after
+// completion gets its callback at once and may release the future, which
+// the pool hands to the next operation. The completion still on its way
+// must fire neither that operation's callback nor close its channel.
+func TestFutureCompleteNeverFiresTheNextUse(t *testing.T) {
+	for range 2000 {
+		f := newFuture(1)
+		completed := make(chan struct{})
+		go func() {
+			f.complete(nil, tag.Tag{}, 0, nil)
+			close(completed)
+		}()
+		for !f.done.Load() {
+		}
+		f.OnDone(func(*Future, any) {}, nil)
+		f.Release()
+		var fired atomic.Int32
+		g := newFuture(2)
+		g.OnDone(func(*Future, any) { fired.Add(1) }, nil)
+		<-completed
+		if n := fired.Load(); n != 0 {
+			t.Fatalf("the first operation's completion fired the next use's callback %d times", n)
+		}
+		select {
+		case <-g.Done():
+			t.Fatal("the first operation's completion closed the next use's channel")
+		default:
+		}
+		g.complete(nil, tag.Tag{}, 0, nil)
+		if n := fired.Load(); n != 1 {
+			t.Fatalf("the next use's own completion fired its callback %d times", n)
+		}
+		g.Release()
+	}
 }

@@ -35,19 +35,19 @@ func benchNode(b *testing.B) (*Node, []string) {
 	for i := range regs {
 		regs[i] = fmt.Sprintf("register-%04d", i)
 		// Populate the queue map, as a warmed-up node would be.
-		nd.eng.queueFor(regs[i])
+		nd.RegisterRef(regs[i])
 	}
 	return nd, regs
 }
 
 // BenchmarkStringLookup is the per-operation dispatch resolution of the
-// Node-level string API: shard hash + locked map lookup on every operation.
+// Node-level string API: a locked map lookup on every operation.
 func BenchmarkStringLookup(b *testing.B) {
 	nd, regs := benchNode(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg := regs[i%benchRegisters]
-		if nd.eng.queueFor(reg) == nil {
+		if nd.RegisterRef(reg) == nil {
 			b.Fatal("lost a register")
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkRegisterHandle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := refs[i%benchRegisters]
-		if r.q == nil {
+		if r.nd == nil {
 			b.Fatal("lost a register")
 		}
 	}

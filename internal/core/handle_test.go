@@ -105,8 +105,8 @@ func TestRegisterRefOps(t *testing.T) {
 	}
 }
 
-// TestRegisterRefFromQueueMap pins where handles live: in the engine's
-// queue map, one per register, so resolving a known name returns the same
+// TestRegisterRefFromQueueMap pins where handles live: in the node's map of
+// register queues, one per register, so resolving a known name returns the same
 // handle every time and allocates nothing.
 func TestRegisterRefFromQueueMap(t *testing.T) {
 	nd := handleCluster(t, 1, Persistent)[0]

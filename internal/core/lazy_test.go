@@ -24,8 +24,10 @@ func TestRecoveryIsLazy(t *testing.T) {
 		}
 	}
 	disk := tc.disks[1]
+	// The last write adopted: nothing of the writes is left on its way to the
+	// replica, whose recovery must then read no written/ record.
 	waitFor(t, time.Second, "replica adoption", func() bool {
-		return disk.RecordStores("written/r07") >= 1
+		return disk.RecordStores(fmt.Sprintf("written/r%02d", regs-1)) >= 1
 	})
 
 	tc.crash(1)

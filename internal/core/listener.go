@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"sync"
 
-	"recmem/internal/causal"
 	"recmem/internal/stable"
 	"recmem/internal/transport"
 	"recmem/internal/wire"
@@ -12,42 +10,37 @@ import (
 
 // listenerGatherLimit bounds how many already-delivered envelopes the
 // listener folds into one handling group, and how many queued items the
-// logger takes into one StoreBatch. Gathering is non-blocking — it only picks
-// up what the transport has buffered, typically the contents of one batch
-// frame — so it adds no latency, and the bound keeps a single group's reply
-// burst and a single group commit from growing without limit under sustained
-// load.
+// logger takes into one StoreBatch. Gathering never blocks, so it adds no
+// latency; the bound keeps one reply burst or group commit from growing
+// without limit under sustained load.
 const listenerGatherLimit = 128
 
-// adoptQueueLimit bounds the write envelopes queued on the logger at the
-// mesh's receive bound (nettcp's 4096-envelope queue): envelopes beyond it
-// are dropped — fair-lossy, the rounds retransmit — so a slow disk cannot
-// grow the replica's memory without limit. Pre-logs do not count: each
-// register's dispatcher queues at most one, and none is ever dropped.
+// adoptQueueLimit bounds the envelopes queued on the logger at the mesh's
+// receive bound (nettcp's 4096): beyond it they are dropped — fair-lossy,
+// the rounds retransmit — so a slow disk cannot grow the replica's memory
+// without limit. The executions' records do not count and are never dropped.
 const adoptQueueLimit = 4096
 
 // listen is the node's message listener — the paper's dedicated listener
 // thread ("every workstation … one thread that listens for and executes read
 // and write commands, and one that responds to broadcasted messages").
-// Handlers run sequentially; the node's own client operations run on the
-// callers' goroutines and rendezvous with the listener through the pending
-// acknowledgement channels.
-//
-// The listener never waits on the disk (docs/adr/0017): it routes
-// acknowledgements and answers SNQuery/Read inline — Fig. 4's read logs
-// nothing — and pushes the kinds that log onto the node's logger, whose
-// drainer persists them (adopter.drain): the write kinds, and under Naive the
-// SNQuery too. Everything already delivered (the envelopes of a batch frame
-// land back to back) is gathered into one group, and the replies one handled
-// group produced leave as one batch frame per destination (sendPerDest).
+// It never waits on the disk (docs/adr/0017): it steps the node's own
+// executions with their acknowledgements, answers what the row answers
+// inline, and pushes the kinds that log onto the node's logger. Everything
+// already delivered is gathered into one group, whose replies leave as one
+// batch frame per destination; the submissions whose executions the group
+// ended complete after that.
 func (nd *Node) listen() {
 	defer close(nd.listenerDone)
 	// Listener-owned scratch, reused across groups.
 	var group, replies, scratch []wire.Envelope
+	var done []completion
 	for env := range nd.ep.Recv() {
 		group = nd.gather(append(group[:0], env))
-		replies = nd.handleGroup(group, replies[:0])
+		replies = nd.handleGroup(group, replies[:0], &done)
 		scratch = nd.sendPerDest(replies, scratch)
+		fire(done)
+		done = done[:0]
 		clear(group) // drop value references before reuse
 		clear(replies)
 	}
@@ -70,31 +63,25 @@ func (nd *Node) gather(group []wire.Envelope) []wire.Envelope {
 	return group
 }
 
-// handleGroup dispatches one gathered delivery group: acknowledgements are
-// routed as they appear, query kinds are answered individually, and the kinds
-// that log — the write kinds, and Naive's SNQuery, which the straw man logs —
-// compacted in place to the front of group, are queued on the logger. A
-// process that is not serving drops them (a delivery to a down process), and
-// so does a full logger queue (fair-lossy; the rounds retransmit). The
-// replies are appended to out. The serving check and the push hold nd.mu, as
-// Crash's drop does, so no envelope delivered before a crash is queued after
-// it.
-func (nd *Node) handleGroup(group, out []wire.Envelope) []wire.Envelope {
+// handleGroup dispatches one gathered delivery group: acknowledgements go to
+// their executions, the kinds the row answers inline are answered into out,
+// and the rest, compacted in place to the front of group, are queued on the
+// logger — unless the process is not serving or the queue is full. The
+// serving check and the push share one nd.mu section, as Crash's drop does,
+// so no envelope delivered before a crash is queued after it.
+func (nd *Node) handleGroup(group, out []wire.Envelope, done *[]completion) []wire.Envelope {
+	nd.routeAcks(group, done)
 	logged := group[:0]
 	for _, env := range group {
 		if env.Kind.IsAck() {
-			nd.routeAck(env)
 			continue
 		}
 		if nd.tr != nil {
 			nd.traceEvent("recv", env.String())
 		}
-		switch {
-		case env.Kind == wire.KindRead:
-			out = nd.handleRead(env, out)
-		case env.Kind == wire.KindSNQuery && !nd.proto.everyStep:
-			out = nd.handleSNQuery(env, out)
-		case env.Kind == wire.KindSNQuery, env.Kind == wire.KindWrite, env.Kind == wire.KindWriteBack:
+		if nd.proto.inline(env.Kind) {
+			out = nd.answer(env, out)
+		} else {
 			logged = append(logged, env)
 		}
 	}
@@ -109,46 +96,25 @@ func (nd *Node) handleGroup(group, out []wire.Envelope) []wire.Envelope {
 	return out
 }
 
-// logItem is one entry of the logger's queue: an envelope to log — a W or
-// WB to adopt, or Naive's SNQuery — or, when pre is set, a record of one of
-// the node's own executions.
+// logItem is one entry of the logger's queue: an envelope — a W or WB, or
+// Naive's SNQuery — or, when x is set, the record pre of execution x, live
+// under RPC id.
 type logItem struct {
 	env wire.Envelope
-	pre *preLog
+	pre preLog
+	x   *execution
+	id  uint64
 }
 
-// preLog is one record of the node's own on its way through the logger
-// (storeLog): a causal log of an execution's chain — the writer's writing/
-// pre-log, Naive's intent logs — or a recovery's record. op and depth are
-// what the causal meter is told once it is stored; op 0 marks the harness's
-// own bookkeeping, which is no causal log. A register's dispatcher has at most
-// one in flight, so its regQueue owns it and waiting allocates nothing; a
-// recovery brings its own. It completes exactly once: by the logger with its
-// group's StoreBatch result, or by a crash's drop.
-type preLog struct {
-	rec   stable.Record
-	op    uint64
-	depth int
-	err   error
-	wait  sync.WaitGroup
-}
-
-// complete hands the execution waiting in storeLog its log's outcome.
-func (w *preLog) complete(err error) {
-	w.err = err
-	w.wait.Done()
-}
-
-// adopter is the node's logger (docs/adr/0019): its drainer is the only
-// goroutine that stores. It persists the envelopes the listener pushes and
-// the records storeLog pushes — the executions' logs and the recoveries' —
-// whatever was queued together as one StoreBatch. Its queue is pushed, taken
-// and dropped under nd.mu; Crash, a failed recovery and Close drop it.
+// adopter is the node's logger (docs/adr/0019), the only goroutine that
+// stores: whatever the listener and the executions queued together is one
+// StoreBatch. Its queue is pushed, taken and dropped under nd.mu.
 type adopter struct {
 	drainQueue[logItem]
 	nd               *Node
 	envs             int // queued envelopes, bounded by adoptQueueLimit; guarded by nd.mu
 	replies, scratch []wire.Envelope
+	done             []completion
 }
 
 // admit queues the envelopes of one delivery group that log, as many as
@@ -161,28 +127,20 @@ func (a *adopter) admit(envs []wire.Envelope) {
 	a.envs += len(envs)
 }
 
-// drop discards the queued envelopes and fails the queued pre-logs with err
-// — a crash loses volatile state. A group already taken is a store under
-// way; it completes. Callers hold nd.mu.
-func (a *adopter) drop(err error) {
-	a.drainQueue.drop(func(it logItem) {
-		if it.pre != nil {
-			it.pre.complete(err)
-		}
-	})
+// drop discards the queued items; their executions have ended (failExecs).
+// A group already taken is a store under way and completes. Callers hold
+// nd.mu.
+func (a *adopter) drop() {
+	a.drainQueue.drop()
 	a.envs = 0
 }
 
-// drain takes the oldest queued items, at most listenerGatherLimit at a
-// time, and commits each group — one StoreBatch — until the queue is empty.
-// Being the node's only store path, it keeps the stores in queue order and
-// never overlaps two of them; whatever is queued behind a running store
-// joins the next group — group commit with no timer. Naive's groups are
-// single items: the straw man stores each of its steps on its own (§I-C),
-// which is the cost it exists to show. Each group is taken together with
-// the epoch it was taken under, in one nd.mu section, so a group held through
-// a crash is dropped unacknowledged by the epoch check and nothing taken
-// before a crash is adopted after the recovery.
+// drain commits the queued items in order, one StoreBatch per group of at
+// most listenerGatherLimit, until the queue is empty: whatever queues behind
+// a running store joins the next group — group commit with no timer. Naive's
+// groups are single items, the per-step cost the straw man exists to show
+// (§I-C). A group is taken with its epoch in one nd.mu section, so nothing
+// taken before a crash is adopted or acknowledged after it.
 func (a *adopter) drain() {
 	nd, limit := a.nd, listenerGatherLimit
 	if nd.proto.everyStep {
@@ -192,7 +150,7 @@ func (a *adopter) drain() {
 		nd.mu.Lock()
 		batch, epoch := a.take(limit), nd.epoch
 		for _, it := range batch {
-			if it.pre == nil {
+			if it.x == nil {
 				a.envs--
 			}
 		}
@@ -200,19 +158,18 @@ func (a *adopter) drain() {
 		if len(batch) == 0 {
 			return
 		}
-		a.replies = nd.commitGroup(batch, epoch, a.replies[:0])
+		a.replies = nd.commitGroup(batch, epoch, a.replies[:0], &a.done)
 		a.scratch = nd.sendPerDest(a.replies, a.scratch)
+		fire(a.done)
+		a.done = a.done[:0]
 		clear(a.replies)
 	}
 }
 
 // sendPerDest hands envs to the endpoint as this node's, one batch frame per
-// destination, each destination's envelopes in their order in envs
-// (transport.SendAll: a single envelope, and an endpoint without batch
-// support, take the plain Send). With n a handful of processes, a scan per
-// destination needs neither a map nor a sort. envs is only read; group is
-// the caller's scratch, returned for reuse — the listener, the adopter and
-// the outbox each own one.
+// destination in envs' order (transport.SendAll). A scan per destination
+// needs neither a map nor a sort. group is the caller's scratch, returned for
+// reuse.
 func (nd *Node) sendPerDest(envs, group []wire.Envelope) []wire.Envelope {
 	for to := range int32(nd.n) {
 		group = group[:0]
@@ -231,22 +188,6 @@ func (nd *Node) sendPerDest(envs, group []wire.Envelope) []wire.Envelope {
 	return group[:0]
 }
 
-// routeAck delivers an acknowledgement to the round waiting for it, if any.
-// Stale acks (finished rounds, crashed operations) are dropped. The send
-// happens under nd.mu on purpose: a round deregisters its RPC under the same
-// lock before recycling its (pooled) channel, so holding the lock across the
-// non-blocking send is what makes "deregistered" mean "no sender left".
-func (nd *Node) routeAck(env wire.Envelope) {
-	nd.mu.Lock()
-	if ch := nd.pending[env.RPC]; ch != nil {
-		select {
-		case ch <- env:
-		default: // duplicate flood; fair-lossy channels may drop
-		}
-	}
-	nd.mu.Unlock()
-}
-
 // servingLocked reports whether the process participates in the protocol
 // (alive, or running its recovery procedure). Callers hold nd.mu.
 func (nd *Node) servingLocked() bool {
@@ -262,89 +203,45 @@ func (nd *Node) downErrLocked() error {
 	return ErrCrashed
 }
 
-// handleSNQuery implements Fig. 4 lines 18–20: reply with the current
-// sequence number (we return the full tag; the writer uses its Seq). The
-// register view materializes lazily — the first query after a restart loads
-// the written/ record. Naive's queries, which the straw man logs, go to the
-// logger instead (commitGroup).
-func (nd *Node) handleSNQuery(env wire.Envelope, out []wire.Envelope) []wire.Envelope {
+// answer replies to a request the row answers inline from the register's
+// view, loaded from its written/ record on first touch (none: ⊥). The view
+// never runs ahead of that record (commitGroup), which OneRoundReads relies
+// on — also while the logger holds a newer tag's store.
+func (nd *Node) answer(env wire.Envelope, out []wire.Envelope) []wire.Envelope {
 	cur, _, err := nd.regView(env.Reg)
 	if err != nil {
 		return out // down, crashed mid-load, or the record is unreadable
 	}
-	return append(out, wire.Envelope{
-		Kind: wire.KindSNAck, To: env.From, Reg: env.Reg,
-		RPC: env.RPC, Op: env.Op, Depth: env.Depth, Tag: cur.tag,
-	})
-}
-
-// handleRead implements Fig. 4 lines 28–30: reply with the current tagged
-// value, materialized from stable storage if this incarnation has not
-// touched the register yet (absent record = zero state, the paper's ⊥).
-// Under the logging algorithms the tag it reports is always one the written/
-// record already carries (see commitGroup), which OneRoundReads relies on —
-// also while the adopter holds a store of a newer tag: the view has not moved
-// yet, so the answer is the old, logged tag.
-func (nd *Node) handleRead(env wire.Envelope, out []wire.Envelope) []wire.Envelope {
-	cur, _, err := nd.regView(env.Reg)
-	if err != nil {
-		return out
-	}
-	return append(out, wire.Envelope{
-		Kind: wire.KindReadAck, To: env.From, Reg: env.Reg,
-		RPC: env.RPC, Op: env.Op, Depth: env.Depth, Tag: cur.tag, Value: cur.val,
-	})
+	_, reply, _ := nd.proto.replica(cur, env)
+	return append(out, reply)
 }
 
 // commitGroup stores one logger group, taken under crash generation epoch,
-// with a single StoreBatch and appends the acknowledgements of its envelopes
-// to out. It implements Fig. 4 lines 21–27 for both the write's second round
-// (W) and the read's write-back round (WB), as a reordering of individual
-// deliveries — legal over fair-lossy channels, which reorder freely: per
-// register, the envelope carrying the highest timestamp is processed first
-// (it is the only possible adoption), after which the rest of the register's
-// envelopes find the local timestamp at least as high and acknowledge
-// without logging. Naive, the straw man, logs every step instead: each of its
-// W, WB and SNQuery envelopes writes the register's resulting state, even one
-// that changes nothing, and each of its acknowledgements is one log deeper.
-// The group's records — adoptions and the node's own, in queue order —
-// persist as one batch, one group commit, and nothing is acknowledged unless
-// the whole batch is durable. Every stored record is reported here, to the
-// causal meter and the trace: this is the node's one store path.
+// with a single StoreBatch and appends its envelopes' replies to out. Each
+// envelope is one replica step (replica.go), reordered as fair-lossy
+// channels may: per register the highest timestamp goes first — the only
+// possible adoption — and the rest are answered as if delivered after it.
+// The records, adoptions and the executions' own in queue order, are one
+// group commit; nothing is acknowledged unless all are durable, every stored
+// record is reported to the causal meter and the trace here, the node's one
+// store path, and the executions are stepped with the outcome (settleLogs).
 //
-// Logging happens before the volatile update and before the acknowledgement
-// — a crash between them behaves like a crash just after the log, which the
-// algorithm tolerates. The order is load-bearing beyond the write's own ack:
-// the volatile view never runs ahead of the written/ record; OneRoundReads
-// depends on it (a read ack served from this view must not name a tag this
-// process could forget). The pre-logs' executions are woken as soon as the
-// batch returns: Fig. 4 asks only that the pre-log is durable before the
-// write's round 2 starts.
-func (nd *Node) commitGroup(batch []logItem, epoch uint64, out []wire.Envelope) []wire.Envelope {
-	// settle completes the group's pre-logs with the outcome of its store.
-	settle := func(err error) {
-		for _, it := range batch {
-			if it.pre != nil {
-				it.pre.complete(err)
-			}
-		}
-	}
-	// Each register's fate in the group: its state after it — the view,
-	// raised to the highest timestamp a W or WB delivered — and the index of
-	// the item that adopts that state (-1: none). Each regView materializes
-	// the entry before the store begins, so a concurrent load never inserts
-	// a record whose store has not returned. A view that cannot be read under
-	// epoch — a crash since the take, or an unreadable record — fails the
-	// whole group before anything is stored: no envelope is acknowledged (the
-	// rounds retransmit, exactly as for a crash detected later) and no
-	// pre-log of a dead incarnation is written.
+// Logging happens before the volatile update and the acknowledgement, so the
+// view never runs ahead of the written/ record; OneRoundReads depends on it
+// (a read ack must not name a tag this process could forget).
+func (nd *Node) commitGroup(batch []logItem, epoch uint64, out []wire.Envelope, done *[]completion) []wire.Envelope {
+	// Each register's fate in the group: its view before and after, and the
+	// item that adopts (-1: none). regView materializes the entry before the
+	// store begins, so a concurrent load never inserts a record whose store
+	// has not returned. A view unreadable under epoch — a crash since the
+	// take, a bad record — fails the whole group before anything is stored.
 	type fate struct {
-		st  regState
-		win int
+		view, st regState
+		win      int
 	}
 	regs := make(map[string]fate, len(batch))
 	for i, it := range batch {
-		if it.pre != nil {
+		if it.x != nil {
 			continue
 		}
 		env := it.env
@@ -355,112 +252,79 @@ func (nd *Node) commitGroup(batch []logItem, epoch uint64, out []wire.Envelope) 
 				err = ErrCrashed
 			}
 			if err != nil {
-				settle(err)
+				nd.settleLogs(batch, err, done)
 				return out
 			}
-			f = fate{st: cur, win: -1}
+			f = fate{view: cur, st: cur, win: -1}
 		}
-		if env.Kind != wire.KindSNQuery && f.st.tag.Less(env.Tag) {
-			f = fate{st: regState{tag: env.Tag, val: env.Value}, win: i}
+		if next := nd.proto.adopt(f.st, env); next.tag != f.st.tag {
+			f.st, f.win = next, i
 		}
 		regs[env.Reg] = f
 	}
-	// logs reports whether batch[i] writes a record: every record of the
-	// node's own and every Naive step; otherwise an adoption that logs. The
-	// two differ for the no-logging paths (crash-stop, the UnsafeNoReadLog
-	// ablation), which adopt without storing.
-	logs := func(i int) bool {
-		env := batch[i].env
-		switch {
-		case batch[i].pre != nil || env.Kind == wire.KindSNQuery:
-			return true
-		case !nd.logsAdoption(env):
-			return false
-		}
-		return nd.proto.everyStep || regs[env.Reg].win == i
-	}
+	start := len(out)
 	var recs []stable.Record
+	var logs []preLog
 	for i, it := range batch {
-		switch env := it.env; {
-		case !logs(i):
-		case it.pre != nil:
-			recs = append(recs, it.pre.rec)
-		case env.Kind == wire.KindSNQuery:
-			recs = append(recs, stable.Record{Name: recSNLogPrefix + env.Reg, Data: encodeTagged(regs[env.Reg].st.tag, nil)})
-		default:
-			st := regs[env.Reg].st
-			recs = append(recs, stable.Record{Name: recWrittenPrefix + env.Reg, Data: encodeTagged(st.tag, st.val)})
+		if it.x != nil {
+			recs, logs = append(recs, it.pre.rec), append(logs, it.pre)
+			continue
+		}
+		f := regs[it.env.Reg]
+		cur := f.st
+		if i == f.win {
+			cur = f.view
+		}
+		_, reply, rec := nd.proto.replica(cur, it.env)
+		out = append(out, reply)
+		if rec.Name != "" {
+			recs, logs = append(recs, rec), append(logs, preLog{rec: rec, op: it.env.Op, depth: int(reply.Depth)})
 		}
 	}
 	if len(recs) > 0 {
 		if err := nd.st.StoreBatch(recs); err != nil {
 			// Cannot acknowledge what is not durable; the rounds retransmit
 			// and the whole group is retried.
-			settle(err)
-			return out
+			nd.settleLogs(batch, err, done)
+			return out[:start]
 		}
 		nd.logGroups.Add(1)
 		nd.logRecords.Add(uint64(len(recs)))
-		// Metered before settle: a woken execution reuses its preLog.
-		j := 0
-		for i, it := range batch {
-			if !logs(i) {
-				continue
-			}
-			op, depth := it.env.Op, causal.After(int(it.env.Depth))
-			if it.pre != nil {
-				op, depth = it.pre.op, it.pre.depth
-			}
-			nd.recordLog(op, depth, len(recs[j].Data))
-			nd.traceEvent("store", recs[j].Name)
-			j++
+		for _, l := range logs {
+			nd.recordLog(l.op, l.depth, len(l.rec.Data))
+			nd.traceEvent("store", l.rec.Name)
 		}
-		settle(nil)
 	}
 
-	// Apply the volatile adoptions — only now, after StoreBatch returned —
-	// then acknowledge every envelope of the group: the logged ones with
-	// their deepened causal depth, the rest exactly as if they had been
-	// delivered after the winner. A Naive SNQuery is answered with the
-	// state it logged.
+	// Step the executions whose records the group stored — Fig. 4 asks only
+	// that a pre-log is durable before round 2 — then apply the adoptions.
 	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	nd.settleLogsLocked(batch, nil, done)
 	if nd.epoch != epoch || !nd.servingLocked() {
-		nd.mu.Unlock()
-		return out // crashed while logging; no acknowledgements
+		return out[:start] // crashed while logging; no acknowledgements
 	}
 	for reg, f := range regs {
 		if f.win >= 0 && nd.regs[reg].tag.Less(f.st.tag) {
 			nd.regs[reg] = f.st
 		}
 	}
-	nd.mu.Unlock()
-
-	for i, it := range batch {
-		if it.pre != nil {
-			continue
-		}
-		env, depth := it.env, int(it.env.Depth)
-		if logs(i) {
-			depth = causal.After(depth)
-		}
-		ack := wire.Envelope{
-			Kind: wire.KindWriteAck, To: env.From, Reg: env.Reg,
-			RPC: env.RPC, Op: env.Op, Depth: uint8(depth),
-		}
-		if env.Kind == wire.KindSNQuery {
-			ack.Kind, ack.Tag = wire.KindSNAck, regs[env.Reg].st.tag
-		}
-		out = append(out, ack)
-	}
 	return out
 }
 
-// logsAdoption reports whether handling env may log written/: never under
-// the crash-stop baseline (proto.durable), nor for a read's write-back under
-// the UnsafeNoReadLog ablation (proto.readLog), which demonstrates the
-// Theorem 2 lower bound. Otherwise the log-optimal algorithms log exactly
-// when they adopt a higher timestamp (hence quiescent reads log nowhere), and
-// Naive (proto.everyStep) logs every W and WB.
-func (nd *Node) logsAdoption(env wire.Envelope) bool {
-	return nd.proto.durable && (env.Kind != wire.KindWriteBack || nd.proto.readLog)
+// settleLogs steps each still live execution whose record is in batch with
+// its store's outcome.
+func (nd *Node) settleLogs(batch []logItem, err error, done *[]completion) {
+	nd.mu.Lock()
+	nd.settleLogsLocked(batch, err, done)
+	nd.mu.Unlock()
+}
+
+// settleLogsLocked is settleLogs for callers holding nd.mu.
+func (nd *Node) settleLogsLocked(batch []logItem, err error, done *[]completion) {
+	for _, it := range batch {
+		if it.x != nil && nd.execs[it.id] == it.x {
+			nd.apply(it.x, it.x.logged(err), done)
+		}
+	}
 }

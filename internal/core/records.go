@@ -24,11 +24,9 @@ const (
 	// logs (§I-C: "log each of its steps").
 	recWStartPrefix = "wstart/"
 	recSNLogPrefix  = "snlog/"
-	// recIncarnation holds the node's incarnation epoch: a monotonic
-	// per-boot counter minted on every recovery (docs/adr/0006). It is
-	// harness bookkeeping, not one of the paper's causal logs — the
-	// emulation algorithms never read it — so storing it is deliberately
-	// NOT reported to the causal meter (its preLog's op is 0).
+	// recIncarnation holds the node's incarnation epoch (docs/adr/0006):
+	// harness bookkeeping the algorithms never read, so it is no causal log
+	// (its preLog's op is 0).
 	recIncarnation = "incarnation"
 )
 
@@ -45,32 +43,6 @@ func WrittenRecordName(reg string) string { return recWrittenPrefix + reg }
 // (tag, value) pair — the content of a WrittenRecordName record. Exported
 // for the same harness tooling as WrittenRecordName.
 func EncodeWrittenPayload(t tag.Tag, val []byte) []byte { return encodeTagged(t, val) }
-
-// storeLog persists one record of the node's own through the node's logger
-// (adopter.drain): an execution's causal log, or a recovery's record. The
-// record joins the adoptions and other pre-logs queued with it in one
-// StoreBatch, and storeLog returns once that group is stored; the logger
-// then reports it to the causal meter under op at depth (op 0: not a causal
-// log). w is the waiter: the executing register's regQueue.pre, or the
-// recovery's own. The epoch check and the push share one nd.mu section, as
-// the listener's push and Crash's drop do, so a record of an execution a
-// crash has ended is never queued, and a queued one is either taken into a
-// group — a store under way — or failed by the drop.
-func (nd *Node) storeLog(w *preLog, epoch, op uint64, depth int, record string, payload []byte) error {
-	nd.mu.Lock()
-	if nd.epoch != epoch || !nd.servingLocked() {
-		err := nd.downErrLocked()
-		nd.mu.Unlock()
-		return err
-	}
-	w.rec, w.op, w.depth = stable.Record{Name: record, Data: payload}, op, depth
-	w.wait.Add(1)
-	nd.adopter.push(logItem{pre: w})
-	nd.mu.Unlock()
-	w.wait.Wait()
-	w.rec = stable.Record{}
-	return w.err
-}
 
 // encodeTagged serializes a (tag, value) pair for stable storage.
 func encodeTagged(t tag.Tag, val []byte) []byte {
@@ -146,13 +118,9 @@ func loadIncarnation(st stable.Storage) (uint64, error) {
 }
 
 // restoreCounter loads the only volatile state recovery materializes
-// eagerly: the persisted recovery counter (proto.recMint). The
-// register map is deliberately NOT rebuilt here — entries materialize
-// lazily, on first touch, from their written/ records (see regView), so a
-// restart's stable-storage footprint is O(pending + index) instead of
-// O(namespace) (docs/adr/0009). Registers never stored stay at their zero
-// state, which is equivalent to the paper's explicitly initialized
-// store(written, 0, i, ⊥).
+// eagerly: the persisted recovery counter (proto.recMint). The register map
+// materializes lazily (regView, docs/adr/0009); a register never stored stays
+// at its zero state, the paper's initial store(written, 0, i, ⊥).
 func (nd *Node) restoreCounter() (int32, error) {
 	if !nd.proto.recMint {
 		return 0, nil

@@ -5,51 +5,75 @@ import (
 	"strings"
 
 	"recmem/internal/stable"
-	"recmem/internal/wire"
 )
 
 // runRecoveryProcedure executes the algorithm-specific part of recovery,
 // after the volatile state has been restored from stable storage, and returns
-// what it found for Recover to publish once the recovery has succeeded. What
-// it does is decided by what the write leaves behind (docs/adr/0025): a row
+// what it found for Recover to publish once the recovery has succeeded. A row
 // with the writer pre-log finishes the pending writes (Fig. 4), every other
-// durable row mints with the recovery count and bumps it (Fig. 5). The
-// model places no bound on the messages or logs a recovery procedure may use.
-// Its records go through the node's logger like every store, under the
-// recovery's epoch: queued behind whatever the logger holds, and dropped by a
-// crash like any pre-log.
+// durable row bumps the recovery count it mints with (Fig. 5, docs/adr/0025);
+// the model bounds neither's messages or logs. Each step is a set of
+// executions (docs/adr/0026) under the recovery's epoch: their records queue
+// on the node's logger like every store, and a crash ends them like any other.
 func (nd *Node) runRecoveryProcedure(ctx context.Context, epoch uint64) (RecoveryStats, error) {
 	// Every recovery — regardless of algorithm — first mints a fresh
 	// incarnation epoch, so the epoch a client observes in replies strictly
 	// increases across each of the node's deaths (docs/adr/0006).
-	if err := nd.mintIncarnation(epoch); err != nil {
+	if err := nd.mintIncarnation(ctx, epoch); err != nil {
 		return RecoveryStats{}, err
 	}
 	if nd.proto.preLog {
 		pending, err := nd.finishPendingWrites(ctx, epoch)
 		return RecoveryStats{PendingWrites: pending}, err
 	}
-	rec, err := nd.bumpRecoveryCounter(epoch)
+	rec, err := nd.bumpRecoveryCounter(ctx, epoch)
 	return RecoveryStats{RecoveryCount: rec}, err
 }
 
-// mintIncarnation persists and adopts the next incarnation epoch. It mints
-// from the volatile counter — not the persisted record — so in-process
-// crash/recover cycles (which never re-read storage) still advance it; the
-// volatile counter is monotone across the node's whole lifetime (Crash never
-// wipes it), so the persisted record is too. The adoption below is NOT gated
-// on still being in stateRecovering: once stored, the epoch is burned, and a
-// retried recovery must mint past it or a later boot could duplicate it. A
-// record a crash dropped from the logger's queue was never stored, so that
-// epoch is not used up. This store is harness bookkeeping, not one of the
-// paper's causal logs, so it is logged under op 0 and not reported to the
-// causal meter.
-func (nd *Node) mintIncarnation(epoch uint64) error {
+// runExecs starts n executions under epoch, the i-th set up by start(x, i),
+// and waits until all have ended, epoch has ended or ctx ends.
+func (nd *Node) runExecs(ctx context.Context, epoch uint64, n int, start func(x *execution, i int)) error {
+	if n == 0 {
+		return nil
+	}
+	rc := &recovery{left: n, done: make(chan struct{})}
+	var done []completion
+	nd.mu.Lock()
+	if nd.epoch != epoch || !nd.servingLocked() {
+		err := nd.downErrLocked()
+		nd.mu.Unlock()
+		return err
+	}
+	for i := range n {
+		x := nd.getExec()
+		x.rc = rc
+		start(x, i)
+		nd.launch(x, &done)
+	}
+	nd.mu.Unlock()
+	fire(done)
+	select {
+	case <-rc.done:
+		return rc.err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// mintIncarnation persists and adopts the next incarnation epoch, minted from
+// the volatile counter, which Crash never wipes, so in-process cycles advance
+// it too. The adoption is NOT gated on still recovering: a stored epoch is
+// burned, and a retried recovery must mint past it; a record a crash dropped
+// from the logger's queue was never stored and burns nothing. It is harness
+// bookkeeping, not a causal log, so it is logged under op 0.
+func (nd *Node) mintIncarnation(ctx context.Context, epoch uint64) error {
 	nd.mu.Lock()
 	newInc := nd.inc + 1
 	nd.mu.Unlock()
-	var w preLog
-	if err := nd.storeLog(&w, epoch, 0, 0, recIncarnation, encodeEpoch(newInc)); err != nil {
+	if err := nd.runExecs(ctx, epoch, 1, func(x *execution, _ int) {
+		x.start(&nd.proc, execRecord, nd.newID(), 0, epoch, "")
+		x.pre = preLog{rec: stable.Record{Name: recIncarnation, Data: encodeEpoch(newInc)}}
+	}); err != nil {
 		return err
 	}
 	nd.mu.Lock()
@@ -62,17 +86,15 @@ func (nd *Node) mintIncarnation(epoch uint64) error {
 
 // finishPendingWrites is Fig. 4's Recover (lines 40–47): for every register
 // with a "writing" record, re-run the write's second round so the recorded
-// (tag, value) reaches a majority; it returns how many it re-ran. If the last write had in fact completed,
-// this re-writes an old value with an old timestamp, which replaces nothing;
-// if it had not, it completes the write before the process can invoke a new
-// operation — which is what persistent atomicity requires. The paper notes
-// this log sits outside read and write operations.
+// (tag, value) reaches a majority; it returns how many it re-ran. A write that
+// had completed is re-written under its old tag and replaces nothing; one that
+// had not completes before the process can invoke a new operation, which is
+// what persistent atomicity requires. The rounds run at once, one
+// propagate-only execution per record.
 //
-// The writing/ records are enumerated through the streaming scan, so the
-// restart reads O(pending) names — a process has at most a handful of
-// interrupted writes, however many registers it has adopted. The names are
-// accumulated before any Retrieve: Scanner implementations stream under
-// their internal locks, so the callback must not call back into the store.
+// The streaming scan reads O(pending) names, however many registers the node
+// adopted. The names are gathered before any Retrieve: a Scanner streams
+// under its internal locks, so the callback must not call back into the store.
 func (nd *Node) finishPendingWrites(ctx context.Context, epoch uint64) (int, error) {
 	var names []string
 	if err := stable.ScanRecords(nd.st, recWritingPrefix, func(name string) error {
@@ -81,7 +103,8 @@ func (nd *Node) finishPendingWrites(ctx context.Context, epoch uint64) (int, err
 	}); err != nil {
 		return 0, err
 	}
-	pending := 0
+	var regs []string
+	var writes []regState
 	for _, name := range names {
 		data, ok, err := nd.st.Retrieve(name)
 		if err != nil {
@@ -94,28 +117,27 @@ func (nd *Node) finishPendingWrites(ctx context.Context, epoch uint64) (int, err
 		if err != nil {
 			return 0, err
 		}
-		pending++
-		reg := strings.TrimPrefix(name, recWritingPrefix)
-		op := nd.newID()
-		if _, err := nd.runRoundOpts(ctx, op, epoch, wire.Envelope{
-			Kind: wire.KindWrite, Reg: reg, Tag: t, Value: v,
-		}, broadcast); err != nil {
-			return 0, err
-		}
+		regs, writes = append(regs, strings.TrimPrefix(name, recWritingPrefix)), append(writes, regState{tag: t, val: v})
 	}
-	return pending, nil
+	err := nd.runExecs(ctx, epoch, len(regs), func(x *execution, i int) {
+		x.start(&nd.proc, execFinish, nd.newID(), nd.newID(), epoch, regs[i])
+		x.tag, x.val = writes[i].tag, writes[i].val
+	})
+	if err != nil {
+		return 0, err
+	}
+	return len(regs), nil
 }
 
-// bumpRecoveryCounter is Fig. 5's Recover (lines 16–22): increment the
-// persisted recovery count, which it returns. Subsequent writes add it to the
-// queried sequence number, which keeps the writer's timestamps fresh without
-// a pre-log on the write's critical path — the one extra log happens here,
-// outside any operation. Recover adopts the count once the recovery has
-// succeeded.
-func (nd *Node) bumpRecoveryCounter(epoch uint64) (int32, error) {
+// bumpRecoveryCounter is Fig. 5's Recover (lines 16–22): persist and return
+// the incremented recovery count, which later writes add to the queried
+// sequence number instead of a pre-log. Recover adopts it on success.
+func (nd *Node) bumpRecoveryCounter(ctx context.Context, epoch uint64) (int32, error) {
 	newRec := nd.RecoveryCount() + 1
-	var w preLog
-	if err := nd.storeLog(&w, epoch, nd.newID(), 1, recRecovered, encodeCounter(newRec)); err != nil {
+	if err := nd.runExecs(ctx, epoch, 1, func(x *execution, _ int) {
+		x.start(&nd.proc, execRecord, nd.newID(), 0, epoch, "")
+		x.pre = preLog{rec: stable.Record{Name: recRecovered, Data: encodeCounter(newRec)}, op: nd.newID(), depth: 1}
+	}); err != nil {
 		return 0, err
 	}
 	return newRec, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -236,5 +237,47 @@ func TestLoggerSettlesDeadPreLogFirst(t *testing.T) {
 	}
 	if _, err := w1.Wait(ctx); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("W1, held in its pre-log through the crash = %v, want ErrCrashed", err)
+	}
+}
+
+// TestRecoveryFinishesPendingWritesAtOnce: Fig. 4's recovery starts one
+// propagate-only execution per writing/ record, so with three pending
+// writes all three W sweeps leave before any acknowledgement is delivered,
+// and Recover returns once all three are acknowledged.
+func TestRecoveryFinishesPendingWritesAtOnce(t *testing.T) {
+	const self = 0
+	disk := stable.NewMemDisk(stable.Profile{})
+	for i, reg := range []string{"x", "y", "z"} {
+		if err := disk.Store(recWritingPrefix+reg, encodeTagged(tagOf(int64(i+1), self, 0), []byte(reg))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := newPipeNode(t, self, Persistent, disk, nil)
+	defer close(p.ep.in)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	p.nd.Crash(nil)
+	recovered := make(chan error, 1)
+	go func() { recovered <- p.nd.Recover(ctx, nil, nil) }()
+	var sweeps []wire.Envelope
+	for seen := map[string]bool{}; len(seen) < 9; {
+		if env := p.next(); env.Kind == wire.KindWrite {
+			if key := fmt.Sprint(env.Reg, env.To); !seen[key] {
+				seen[key] = true
+				sweeps = append(sweeps, env)
+			}
+		}
+	}
+	for _, env := range sweeps {
+		if env.To != self {
+			p.ep.in <- wire.Envelope{Kind: wire.KindWriteAck, From: env.To, To: self, Reg: env.Reg, RPC: env.RPC, Op: env.Op}
+		}
+	}
+	if err := <-recovered; err != nil {
+		t.Fatal(err)
+	}
+	if got := p.nd.LastRecovery().PendingWrites; got != 3 {
+		t.Fatalf("recovery finished %d pending writes, want 3", got)
 	}
 }

@@ -72,7 +72,7 @@ type Envelope struct {
 	// Reg names the register the message belongs to; every register runs an
 	// independent instance of the protocol over the shared channels.
 	Reg string
-	// RPC correlates one request round with its acknowledgements.
+	// RPC correlates one execution's requests with their acknowledgements.
 	RPC uint64
 	// Op is the client operation (or recovery) on whose behalf the message
 	// is sent; used for causal-log accounting.

@@ -9,8 +9,8 @@
 # Exit 1 when a NEW escape appears: an allocation crept onto the dispatch or
 # round hot path that the allowlist does not bless. Escapes that disappear
 # are reported as stale allowlist entries but do not fail the run — prune
-# them when convenient. CI runs this as a non-blocking report; locally,
-# `make escapes` is the pre-commit check.
+# them when convenient. CI runs it as a blocking step; locally, `make
+# escapes` is the pre-commit check.
 set -euo pipefail
 
 root="$(git rev-parse --show-toplevel)"
