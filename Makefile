@@ -94,10 +94,13 @@ vet:
 docs-check:
 	./scripts/check-docs.sh
 
-# scenarios runs the long-form cluster scenario suite (the Figures 1-3
-# schedules and the recovery scenarios) used by the nightly CI job.
+# scenarios runs the recorded schedules on the step driver (Figures 1-3, the
+# mutants' kills, the orphan and collision schedules), the cluster's recovery
+# scenarios, and then the explorer over its full bound, which fails on any
+# violation (docs/adr/0027). The nightly CI job runs it.
 scenarios:
-	$(GO) test -run Scenario -v ./internal/cluster/...
+	$(GO) test -count=1 -run 'Driver|Mutant|Orphan|TagCollision|Explore|Scenario' ./internal/core/ ./internal/cluster/
+	$(GO) test -run '^$$' -bench ExploreBoundedSpace -benchtime 1x ./internal/core/
 
 # ci is exactly what .github/workflows/ci.yml runs on every push.
 ci: build vet fmt docs-check escapes test bench-smoke

@@ -1,9 +1,10 @@
 // Package cluster assembles a complete emulation: n processes (internal/core
 // nodes) over a simulated fair-lossy network (internal/netsim) with per-
 // process stable storage (internal/stable), plus the harness-side observers
-// the paper's model assumes but the processes never see — a global clock, a
-// history recorder feeding the atomicity checkers, causal-log and message
-// meters, and latency histograms for the performance analysis of §V.
+// the paper's model assumes but the processes never see — a history
+// recorder, whose numbering is the global clock, feeding the atomicity
+// checkers, causal-log and message meters, and latency histograms for the
+// performance analysis of §V.
 package cluster
 
 import (
@@ -17,7 +18,6 @@ import (
 
 	"recmem/internal/atomicity"
 	"recmem/internal/causal"
-	"recmem/internal/clock"
 	"recmem/internal/core"
 	"recmem/internal/history"
 	"recmem/internal/metrics"
@@ -65,7 +65,6 @@ type Cluster struct {
 	net   *netsim.Net
 	nodes []*core.Node
 	disks []stable.Storage
-	clk   *clock.Clock
 	rec   *history.Recorder
 	logs  *causal.Meter
 	msgs  *metrics.OpMeter
@@ -92,11 +91,10 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:  cfg,
 		net:  nw,
-		clk:  &clock.Clock{},
 		logs: causal.NewMeter(),
 		msgs: metrics.NewOpMeter(),
 	}
-	c.rec = history.NewRecorder(c.clk)
+	c.rec = history.NewRecorder()
 	c.vproc.Store(int32(cfg.N))
 	if cfg.TraceCapacity > 0 {
 		c.tr = trace.NewRing(cfg.TraceCapacity)

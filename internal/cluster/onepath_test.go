@@ -77,18 +77,6 @@ func TestBatchOfOneIsFigure6(t *testing.T) {
 			t.Run(tc.kind.String(), func(t *testing.T) { billOfOne(t, n, core.Options{OneRoundReads: true}, tc) })
 		}
 	})
-
-	// The UnsafeNoReadLog ablation clears the row's read log, and one-round
-	// reads with it (docs/adr/0015): a replica could report a write-back it
-	// never logged. The quiescent read keeps its write-back round, which
-	// still logs nothing, and the write's bill does not move.
-	t.Run("one-round-reads-no-read-log", func(t *testing.T) {
-		tc := cases[2]
-		if tc.kind != core.Persistent {
-			t.Fatalf("row 2 is %v, want the persistent row", tc.kind)
-		}
-		billOfOne(t, n, core.Options{OneRoundReads: true, UnsafeNoReadLog: true}, tc)
-	})
 }
 
 // billOfOne runs one synchronous write, then one quiescent read, on a fresh

@@ -2,13 +2,13 @@ package cluster_test
 
 // One-round reads (core.Options.OneRoundReads, docs/adr/0015): a read whose
 // round-1 majority agrees on one tag returns without the write-back round.
-// These tests pin when the fast path must NOT be taken (Figure 3's run ρ4),
-// that it leaves nothing behind to crash in, and that the same faulty
-// workloads verify with the option off and on.
+// These tests pin that it leaves nothing behind to crash in, and that the
+// same faulty workloads verify with the option off and on. When the fast path
+// must NOT be taken (Figure 3's run ρ4) is the step driver's
+// TestDriverFigure3OneRoundReads (internal/core).
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -36,107 +36,6 @@ func waitAdopted(t *testing.T, c *cluster.Cluster, reg, val string) {
 		}
 		return true
 	})
-}
-
-// TestFigure3RunRho4OneRoundReads replays run ρ4 of Figure 3 — the schedule
-// behind Theorem 2, "no emulation can read without logging" — with one-round
-// reads on. R1 hears {2,3,4} and sees p3's partially propagated v2 beside two
-// v1s: the majority disagrees, so it is exactly the read the paper says must
-// cause a log, and it runs both rounds. The write-back's adopters then crash
-// and recover; R2 hears only them and still returns v2, now from an agreeing
-// — and logged — majority, in one round.
-func TestFigure3RunRho4OneRoundReads(t *testing.T) {
-	for _, kind := range []core.AlgorithmKind{core.Persistent, core.Transient} {
-		t.Run(kind.String(), func(t *testing.T) {
-			const n = 5
-			cfg := testConfig(n, kind)
-			cfg.Node.OneRoundReads = true
-			s := newScenario(t, cfg)
-			read := func(proc int32) (string, cluster.Report) {
-				t.Helper()
-				val, rep, err := s.c.Read(testCtx(t), proc, "x")
-				if err != nil {
-					t.Fatalf("read at %d: %v", proc, err)
-				}
-				return string(val), rep
-			}
-			oneRound := metrics.OpTrace{Rounds: 1, Sends: n}
-
-			s.write(0, "x", "v1")
-			for p := int32(0); p < n; p++ {
-				s.waitValue(p, "x", "v1")
-			}
-
-			// W(v2) reaches only p3 and stays in flight.
-			s.g.hearAcksFrom(0, 0, 1, 2)
-			s.g.deliverWritesTo(0, 3)
-			v2done := make(chan error, 1)
-			go func() {
-				_, err := s.c.Write(testCtx(t), 0, "x", []byte("v2"))
-				v2done <- err
-			}()
-			s.waitValue(3, "x", "v2")
-
-			// R1 at p2 hears {2,3,4}: v1, v2, v1. No agreement — two rounds,
-			// and the write-back makes p1 and p4 log.
-			s.g.hearAcksFrom(2, 2, 3, 4)
-			got, r1 := read(2)
-			if got != "v2" {
-				t.Fatalf("R1 = %q, want v2", got)
-			}
-			if tr := s.c.MsgTrace(r1.Op); tr.Rounds != 2 || tr.Sends != 2*n {
-				t.Fatalf("R1 observed a partial write yet cost %+v, want the two-round read", tr)
-			}
-			s.waitValue(1, "x", "v2")
-			s.waitValue(4, "x", "v2")
-			if logs := s.c.LogCost(r1.Op).Logs; logs < 2 {
-				t.Fatalf("R1 caused %d logs, want p1 and p4 (at least) to log its write-back", logs)
-			}
-
-			// The reader and the other adopters crash and recover; only what
-			// was logged survives.
-			for _, p := range []int32{1, 2, 4} {
-				s.c.Crash(p)
-			}
-			for _, p := range []int32{1, 2, 4} {
-				if err := s.c.Recover(testCtx(t), p); err != nil {
-					t.Fatalf("recover %d: %v", p, err)
-				}
-			}
-
-			// R2 at the recovered reader hears {1,2,4}: three logged v2s.
-			s.g.hearAcksFrom(2, 1, 2, 4)
-			got, r2 := read(2)
-			if got != "v2" {
-				t.Fatalf("R2 = %q, want v2 (R1's write-back was logged)", got)
-			}
-			if tr := s.c.MsgTrace(r2.Op); tr != oneRound {
-				t.Fatalf("R2 heard an agreeing majority yet cost %+v, want %+v", tr, oneRound)
-			}
-			// A third read elsewhere, same agreeing majority: one round, and
-			// nobody logs for either.
-			s.g.hearAcksFrom(4, 1, 2, 4)
-			got, r3 := read(4)
-			if got != "v2" {
-				t.Fatalf("R3 = %q, want v2", got)
-			}
-			if tr := s.c.MsgTrace(r3.Op); tr != oneRound {
-				t.Fatalf("R3 cost %+v, want %+v", tr, oneRound)
-			}
-			if l2, l3 := s.c.LogCost(r2.Op).Logs, s.c.LogCost(r3.Op).Logs; l2 != 0 || l3 != 0 {
-				t.Fatalf("one-round reads caused %d and %d logs, want none", l2, l3)
-			}
-
-			// Unstick the pending W(v2) so the cluster winds down.
-			s.c.Crash(0)
-			if err := <-v2done; !errors.Is(err, core.ErrCrashed) {
-				t.Fatalf("W(v2) returned %v", err)
-			}
-			if err := s.c.Check(atomicity.Transient); err != nil {
-				t.Fatalf("transient check: %v", err)
-			}
-		})
-	}
 }
 
 // TestReaderCrashAfterOneRoundRead is TestReaderCrashMidRead's twin: with the

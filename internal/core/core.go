@@ -124,7 +124,6 @@ type protocol struct {
 	recMint      bool // mint sn + rec + 1 (Fig. 5 line 11); recovery bumps rec (lines 16–22)
 	everyStep    bool // §I-C: every step logs, one record per store
 	singleWriter bool // §VI: no query round, no write-back, safe and regular reads
-	readLog      bool // a write-back's adoption logs; Options.UnsafeNoReadLog clears it
 	oneRound     bool // Options.OneRoundReads, where the row allows it (docs/adr/0015)
 	hardened     bool // Options.HardenedTags, on a recMint row (docs/adr/0024)
 }
@@ -138,9 +137,8 @@ func newProtocol(kind AlgorithmKind, opts Options) protocol {
 		recMint:      kind == Transient || kind == RegularSW,
 		everyStep:    kind == Naive,
 		singleWriter: kind == RegularSW,
-		readLog:      !opts.UnsafeNoReadLog,
 	}
-	p.oneRound = opts.OneRoundReads && p.readLog && !p.everyStep && !p.singleWriter
+	p.oneRound = opts.OneRoundReads && !p.everyStep && !p.singleWriter
 	p.hardened = opts.HardenedTags && p.recMint
 	return p
 }
@@ -167,17 +165,11 @@ type Options struct {
 	// Any disagreement falls back to the write-back, which is when the
 	// paper's reader would have caused a log. It sets the row's oneRound
 	// (docs/adr/0025) for CrashStop, Transient and Persistent; Naive
-	// (everyStep), RegularSW (singleWriter: already one round) and a cleared
-	// readLog (replicas adopt write-backs they never logged) ignore it. Off
+	// (everyStep) and RegularSW (singleWriter: already one round) ignore it. Off
 	// by default: the default is the paper's algorithm, which Figure 6
 	// measures; recmem-node always sets it because the deployed-shape
 	// benchmark measured it (docs/adr/0015, Measured).
 	OneRoundReads bool
-	// UnsafeNoReadLog clears the row's readLog: a read's write-back adopts
-	// without logging. This deliberately re-introduces the Theorem 2
-	// impossibility (reads that leave no stable trace) and exists only to
-	// demonstrate the lower bound; never enable it otherwise.
-	UnsafeNoReadLog bool
 }
 
 // Deps wires a node to its substrate.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -17,7 +16,7 @@ import (
 // The driver runs n processes of one algorithm on their phase machines
 // (ops.go) and replica steps (replica.go) alone: no goroutine, no network,
 // no clock (docs/adr/0026). A run is a list of inputs — invoke, deliver,
-// logged, timeout, crash, recover — applied in order, so the same list
+// take, logged, timeout, crash, recover — applied in order, so the same list
 // always gives the same history. It stands in for the node's host: messages
 // wait in one in-flight list until a deliver picks one, each process's
 // logger is a queue a logged input drains one item at a time, and stable
@@ -25,6 +24,10 @@ import (
 // machine each; the node's batching is the node's business. A recovery runs
 // the row's procedure — Fig. 4's pending writes, Fig. 5's counter — without
 // the incarnation record, which is the node's bookkeeping.
+//
+// The driver also hosts the mutants (mutant_test.go): a row with one field
+// flipped, or one of its own host steps varied (fault), and the explorer
+// (explore_test.go) that searches its inputs (docs/adr/0027).
 
 // action is what one input does.
 type action uint8
@@ -59,6 +62,9 @@ func (s step) String() string {
 	case doSafeRead:
 		return fmt.Sprintf("safe-read(%d,%s)", s.p, s.reg)
 	case doDeliver:
+		if s.rpc != 0 {
+			return fmt.Sprintf("deliver(%v#%d %d->%d)", s.kind, s.rpc, s.from, s.p)
+		}
 		return fmt.Sprintf("deliver(%v %d->%d)", s.kind, s.from, s.p)
 	}
 	return fmt.Sprintf("%s(%d)", [...]string{doTake: "take", doLogged: "logged", doTimeout: "timeout", doCrash: "crash", doRecover: "recover"}[s.do], s.p)
@@ -82,9 +88,13 @@ type driver struct {
 	net    []wire.Envelope // sent and not yet delivered, in send order
 	ids    uint64
 	hist   history.History
-	ops    []*dop   // the client operations, in invocation order
-	inputs []step   // every input applied, in order
-	trail  []string // every send and store, stamped with its process's epoch
+	ops    []*dop // the client operations, in invocation order
+	byOp   map[uint64]*dop
+	inputs []step // every input applied, in order
+	faults fault  // the mutant's host variations (mutant_test.go)
+	// broken lists the host's invariants a step breached: an execution of a
+	// dead epoch that asked to send or log, an operation that ended twice.
+	broken []string
 }
 
 // dproc is one process: its machines, its replica state and its storage.
@@ -99,9 +109,22 @@ type dproc struct {
 	logq  []dlog
 	held  *dlog // the store the logger has under way
 	// recovering counts the recovery's executions still running, and
-	// recRec is the count its Fig. 5 record raises rec to.
+	// recRec is the count the recovery leaves rec at.
 	recovering int
 	recRec     int32
+	// The operations and crashes the process has had, for the explorer's
+	// budget.
+	writes, reads, crashes int
+}
+
+// running reports whether p runs a client operation.
+func (p *dproc) running() bool {
+	for _, x := range p.execs {
+		if x.client != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // dexec is one machine and, for a client operation, its history op.
@@ -110,15 +133,17 @@ type dexec struct {
 	client *dop
 }
 
-// dop is one client operation: its history id, what it did and how it ended.
+// dop is one client operation: its history id, what it did and how it ended,
+// and what it cost — its rounds and their sends, and the records any process
+// stored for it.
 type dop struct {
-	id     uint64
-	typ    history.OpType
-	reg    string
-	ends   int // how many times the operation completed
-	err    error
-	val    string
-	rounds int
+	id                  uint64
+	typ                 history.OpType
+	reg                 string
+	ends                int // how many times the operation completed
+	err                 error
+	val                 string
+	rounds, sends, logs int
 }
 
 // dlog is one item of a process's logger queue: an envelope, or a
@@ -130,7 +155,7 @@ type dlog struct {
 }
 
 func newDriver(t testing.TB, n int, kind AlgorithmKind, opts Options) *driver {
-	d := &driver{t: t}
+	d := &driver{t: t, byOp: map[uint64]*dop{}}
 	p := newProtocol(kind, opts)
 	for i := range n {
 		d.ps = append(d.ps, &dproc{
@@ -201,6 +226,7 @@ func (d *driver) do(s step) bool {
 		}
 		p.state = stateDown
 		p.epoch++
+		p.crashes++
 		for _, id := range sortedKeys(p.execs) {
 			d.step(p, p.execs[id], p.execs[id].crash())
 		}
@@ -213,10 +239,12 @@ func (d *driver) do(s step) bool {
 		}
 		d.event(history.Event{Proc: p.id, Kind: history.Recover})
 		p.state = stateRecovering
-		if data, ok := p.disk[recRecovered]; ok {
+		if data, ok := p.disk[recRecovered]; ok && p.proto.recMint {
 			p.rec, _ = decodeCounter(data)
 		}
-		if p.proto.preLog {
+		p.recRec = p.rec
+		switch {
+		case d.finishes(p.id):
 			for _, name := range sortedKeys(p.disk) {
 				if reg, ok := strings.CutPrefix(name, recWritingPrefix); ok {
 					t, v, _ := decodeTagged(p.disk[name])
@@ -225,7 +253,7 @@ func (d *driver) do(s step) bool {
 					d.begin(p, x)
 				}
 			}
-		} else {
+		case d.bumps(p.id):
 			p.recRec = p.rec + 1
 			x := d.start(p, execRecord, 0, "")
 			x.pre = preLog{rec: stable.Record{Name: recRecovered, Data: encodeCounter(p.recRec)}, op: d.next(), depth: 1}
@@ -237,6 +265,12 @@ func (d *driver) do(s step) bool {
 	return false
 }
 
+// finishes reports whether p's recovery finishes Fig. 4's pending writes,
+// and bumps whether it logs Fig. 5's raised recovery count instead; the
+// node's runRecoveryProcedure makes the same choice.
+func (d *driver) finishes(p int32) bool { return d.ps[p].proto.preLog && !d.has(noFinish) }
+func (d *driver) bumps(p int32) bool    { return !d.ps[p].proto.preLog && !d.has(noBump) }
+
 // invoke starts a client operation at p.
 func (d *driver) invoke(p *dproc, s step) bool {
 	if p.state != stateUp {
@@ -246,12 +280,16 @@ func (d *driver) invoke(p *dproc, s step) bool {
 	switch s.do {
 	case doWrite:
 		kind, typ = execWrite, history.Write
+		p.writes++
+	case doRead:
+		p.reads++
 	case doSafeRead:
 		kind = execSafe
 	}
 	x := d.start(p, kind, d.next(), s.reg)
 	x.client = &dop{id: x.op, typ: typ, reg: s.reg}
 	d.ops = append(d.ops, x.client)
+	d.byOp[x.op] = x.client
 	d.event(history.Event{Proc: p.id, Kind: history.Invoke, Op: typ, OpID: x.op, Reg: s.reg, Value: s.val})
 	if kind == execWrite {
 		x.val, x.rec = []byte(s.val), p.rec
@@ -280,38 +318,44 @@ func (d *driver) begin(p *dproc, x *dexec) {
 
 // step carries out one machine output at p, as the node's apply does.
 func (d *driver) step(p *dproc, x *dexec, o output) {
+	if x.epoch != p.epoch && (len(o.send) > 0 || o.log) {
+		d.broken = append(d.broken, fmt.Sprintf("p%d: an execution of dead epoch %d asked to send or log", p.id, x.epoch))
+	}
 	for _, env := range o.send {
 		d.send(p, env)
 	}
 	if o.log {
 		p.logq = append(p.logq, dlog{x: x})
 	}
+	c := x.client
+	if c != nil && o.round {
+		c.sends += o.sends
+	}
 	if !o.done {
 		return
 	}
 	delete(p.execs, x.id)
-	if c := x.client; c != nil {
-		c.ends++
-		c.err, c.rounds = x.err, x.rounds
-		if x.err == nil {
-			if c.typ == history.Read {
-				c.val = string(x.val)
-			}
-			d.event(history.Event{Proc: p.id, Kind: history.Return, Op: c.typ, OpID: c.id, Reg: c.reg, Value: c.val, Tag: x.tag})
-		}
+	if c == nil {
+		p.recovering--
+		d.recovered(p)
 		return
 	}
-	p.recovering--
-	d.recovered(p)
+	if c.ends++; c.ends > 1 {
+		d.broken = append(d.broken, fmt.Sprintf("p%d: operation %d ended %d times", p.id, c.id, c.ends))
+	}
+	c.err, c.rounds = x.err, x.rounds
+	if x.err == nil {
+		if c.typ == history.Read {
+			c.val = string(x.val)
+		}
+		d.event(history.Event{Proc: p.id, Kind: history.Return, Op: c.typ, OpID: c.id, Reg: c.reg, Value: c.val, Tag: x.tag})
+	}
 }
 
 // recovered ends a recovery whose executions all ended.
 func (d *driver) recovered(p *dproc) {
 	if p.state == stateRecovering && p.recovering == 0 {
-		p.state = stateUp
-		if p.proto.recMint {
-			p.rec = p.recRec
-		}
+		p.state, p.rec = stateUp, p.recRec
 	}
 }
 
@@ -326,9 +370,21 @@ func (d *driver) receive(p *dproc, env wire.Envelope) {
 			d.step(p, x, x.ack(env))
 		}
 	case p.proto.inline(env.Kind):
-		_, reply, _ := p.proto.replica(d.view(p, env.Reg), env)
+		cur := d.view(p, env.Reg)
+		if d.has(readUnlogged) && env.Kind == wire.KindRead {
+			cur = d.queued(p, cur, env.Reg)
+		}
+		_, reply, _ := p.proto.replica(cur, env)
 		d.send(p, reply)
 	default:
+		cur := d.view(p, env.Reg)
+		if d.has(ackBeforeLog) {
+			_, reply, _ := p.proto.replica(cur, env)
+			d.send(p, reply)
+		}
+		if d.has(adoptBeforeStore) {
+			p.regs[env.Reg] = p.proto.adopt(cur, env)
+		}
 		p.logq = append(p.logq, dlog{env: env})
 	}
 }
@@ -349,7 +405,7 @@ func (d *driver) store(p *dproc) {
 	it := *p.held
 	p.held = nil
 	if it.x != nil {
-		d.persist(p, it.epoch, it.x.pre.rec.Name, it.x.pre.rec.Data)
+		d.persist(p, it.x.pre.op, it.x.pre.rec)
 		if p.execs[it.x.id] == it.x {
 			d.step(p, it.x, it.x.logged(nil))
 		}
@@ -358,25 +414,38 @@ func (d *driver) store(p *dproc) {
 	if it.epoch != p.epoch {
 		return
 	}
-	cur := d.view(p, it.env.Reg)
-	next, reply, rec := p.proto.replica(cur, it.env)
-	if rec.Name != "" {
-		d.persist(p, it.epoch, rec.Name, rec.Data)
+	env := it.env
+	cur := d.view(p, env.Reg)
+	if d.has(adoptBeforeStore) {
+		cur = d.stored(p, env.Reg) // the view ran ahead; the record follows the log
 	}
-	if cur.tag.Less(next.tag) {
-		p.regs[it.env.Reg] = next
+	next, reply, rec := p.proto.replica(cur, env)
+	if rec.Name != "" && !d.drops(env.Kind) {
+		d.persist(p, env.Op, rec)
 	}
-	d.send(p, reply)
+	if d.view(p, env.Reg).tag.Less(next.tag) {
+		p.regs[env.Reg] = next
+	}
+	if !d.has(ackBeforeLog) {
+		d.send(p, reply)
+	}
 }
 
 // view materializes p's view of reg from its written/ record on first touch.
 func (d *driver) view(p *dproc, reg string) regState {
 	rs, ok := p.regs[reg]
 	if !ok {
-		if data, ok := p.disk[recWrittenPrefix+reg]; ok {
-			rs.tag, rs.val, _ = decodeTagged(data)
-		}
+		rs = d.stored(p, reg)
 		p.regs[reg] = rs
+	}
+	return rs
+}
+
+// stored is p's written/ record of reg (none: ⊥).
+func (d *driver) stored(p *dproc, reg string) regState {
+	var rs regState
+	if data, ok := p.disk[recWrittenPrefix+reg]; ok {
+		rs.tag, rs.val, _ = decodeTagged(data)
 	}
 	return rs
 }
@@ -384,12 +453,14 @@ func (d *driver) view(p *dproc, reg string) regState {
 func (d *driver) send(p *dproc, env wire.Envelope) {
 	env.From = p.id
 	d.net = append(d.net, env)
-	d.trail = append(d.trail, fmt.Sprintf("%d@%d send %v", p.id, p.epoch, env))
 }
 
-func (d *driver) persist(p *dproc, epoch uint64, name string, data []byte) {
-	p.disk[name] = data
-	d.trail = append(d.trail, fmt.Sprintf("%d@%d store %s", p.id, epoch, name))
+// persist writes rec to p's storage and charges it to operation op.
+func (d *driver) persist(p *dproc, op uint64, rec stable.Record) {
+	p.disk[rec.Name] = rec.Data
+	if c := d.byOp[op]; c != nil {
+		c.logs++
+	}
 }
 
 func (d *driver) event(e history.Event) {
@@ -454,6 +525,15 @@ func (d *driver) trip(p int32, kind wire.Kind, peers ...int32) []step {
 	return s
 }
 
+// stepLog is the log a §I-C operation at p takes before its next round: a
+// write's intent, the value a read writes back.
+func (d *driver) stepLog(p int32) []step {
+	if d.ps[p].proto.everyStep {
+		return []step{logged(p)}
+	}
+	return nil
+}
+
 // preLog is the writer p's pre-log, where the row has one.
 func (d *driver) preLog(p int32) []step {
 	if d.ps[p].proto.preLog {
@@ -471,27 +551,63 @@ func (d *driver) all() []int32 {
 	return ps
 }
 
-// fullWrite is W(val) at w reaching everyone.
-func (d *driver) fullWrite(w int32, reg, val string) []step {
-	s := append([]step{write(w, reg, val)}, d.trip(w, wire.KindSNQuery, d.all()...)...)
-	s = append(s, d.preLog(w)...)
-	return append(s, d.trip(w, wire.KindWrite, d.all()...)...)
+// minted is W(val) at w up to its round 2: the intent, the query round
+// hearing peers (§VI's writer has none), and the pre-log.
+func (d *driver) minted(w int32, reg, val string, peers ...int32) []step {
+	s := append([]step{write(w, reg, val)}, d.stepLog(w)...)
+	if !d.ps[w].proto.singleWriter {
+		s = append(s, d.trip(w, wire.KindSNQuery, peers...)...)
+	}
+	return append(s, d.preLog(w)...)
 }
 
-// fullRead is a two-round read at p whose rounds hear peers.
+// completed is W(val) at w whose rounds hear and reach peers.
+func (d *driver) completed(w int32, reg, val string, peers ...int32) []step {
+	return append(d.minted(w, reg, val, peers...), d.trip(w, wire.KindWrite, peers...)...)
+}
+
+// float is W(val) at w whose query round hears peers and whose round 2
+// reaches f alone, which logs it; the write stays in flight.
+func (d *driver) float(w int32, reg, val string, f int32, peers ...int32) []step {
+	return append(d.minted(w, reg, val, peers...), deliver(w, f, wire.KindWrite), logged(f))
+}
+
+// fullRead is a read at p whose rounds hear peers: two, or §VI's one.
 func (d *driver) fullRead(p int32, reg string, peers ...int32) []step {
 	s := append([]step{read(p, reg)}, d.trip(p, wire.KindRead, peers...)...)
+	if d.ps[p].proto.singleWriter {
+		return s
+	}
+	s = append(s, d.stepLog(p)...)
 	return append(s, d.trip(p, wire.KindWriteBack, peers...)...)
 }
 
 // recovery recovers p and runs its procedure where it waits on nothing but
-// its own log: Fig. 5's recovery-counter record.
+// its own log: Fig. 5's recovery-counter record. Fig. 4's pending writes
+// are the caller's to finish (finish).
 func (d *driver) recovery(p int32) []step {
 	s := []step{{do: doRecover, p: p}}
-	if d.ps[p].proto.recMint {
+	if d.bumps(p) {
 		s = append(s, logged(p))
 	}
 	return s
+}
+
+// finish is the round 2 of the one pending write p's recovery finishes, to
+// everyone, where the recovery finishes it.
+func (d *driver) finish(p int32) []step {
+	if d.finishes(p) {
+		return d.trip(p, wire.KindWrite, d.all()...)
+	}
+	return nil
+}
+
+// crashDuringWrite is float, then the writer's crash and its recovery,
+// which finishes the write where the row does.
+func (d *driver) crashDuringWrite(w int32, reg, val string, f int32, peers ...int32) []step {
+	s := append(d.float(w, reg, val, f, peers...), crash(w))
+	s = append(s, d.recovery(w)...)
+	return append(s, d.finish(w)...)
 }
 
 // figure12 is the schedule of Figure 1, which Figure 2 replays against the
@@ -501,18 +617,9 @@ func (d *driver) recovery(p int32) []step {
 // mints and holds its round 2 while p1 reads twice, hearing {0,1,2} and then
 // {1,2,3}; then W(v3) completes and p2 reads from everyone.
 func figure12(d *driver) []step {
-	s := d.fullWrite(0, "x", "v1")
-	s = append(s, write(0, "x", "v2"))
-	s = append(s, d.trip(0, wire.KindSNQuery, 0, 1, 2)...)
-	s = append(s, d.preLog(0)...)
-	s = append(s, deliver(0, 3, wire.KindWrite), logged(3), crash(0))
-	s = append(s, d.recovery(0)...)
-	if d.ps[0].proto.preLog {
-		s = append(s, d.trip(0, wire.KindWrite, d.all()...)...)
-	}
-	s = append(s, write(0, "x", "v3"))
-	s = append(s, d.trip(0, wire.KindSNQuery, 0, 1, 2)...)
-	s = append(s, d.preLog(0)...)
+	s := d.completed(0, "x", "v1", d.all()...)
+	s = append(s, d.crashDuringWrite(0, "x", "v2", 3, 0, 1, 2)...)
+	s = append(s, d.minted(0, "x", "v3", 0, 1, 2)...)
 	s = append(s, d.fullRead(1, "x", 0, 1, 2)...)
 	s = append(s, d.fullRead(1, "x", 1, 2, 3)...)
 	s = append(s, d.trip(0, wire.KindWrite, d.all()...)...)
@@ -524,34 +631,36 @@ func figure12(d *driver) []step {
 // writes it back to 1, 2, 3 and 4; p1, p2 and p4 crash and recover; R2 at
 // p2 hears {1,2,4}. R2 writes back unless a one-round read returns at once.
 func figure3(d *driver) []step {
-	s := d.fullWrite(0, "x", "v1")
-	s = append(s, write(0, "x", "v2"))
-	s = append(s, d.trip(0, wire.KindSNQuery, 0, 1, 2)...)
-	s = append(s, d.preLog(0)...)
-	s = append(s, deliver(0, 3, wire.KindWrite), logged(3))
+	s := d.completed(0, "x", "v1", d.all()...)
+	s = append(s, d.float(0, "x", "v2", 3, 0, 1, 2)...)
 	s = append(s, d.fullRead(2, "x", 2, 3, 4)...)
 	s = append(s, deliver(2, 1, wire.KindWriteBack), logged(1))
 	s = append(s, crash(1), crash(2), crash(4))
 	for _, p := range []int32{1, 2, 4} {
 		s = append(s, d.recovery(p)...)
 	}
-	s = append(s, read(2, "x"))
-	s = append(s, d.trip(2, wire.KindRead, 1, 2, 4)...)
-	if !d.ps[2].proto.oneRound {
-		s = append(s, d.trip(2, wire.KindWriteBack, 1, 2, 4)...)
+	if d.ps[2].proto.oneRound {
+		return append(s, append([]step{read(2, "x")}, d.trip(2, wire.KindRead, 1, 2, 4)...)...)
 	}
-	return s
+	return append(s, d.fullRead(2, "x", 1, 2, 4)...)
 }
 
-// replay runs script on two fresh drivers, requires the same history from
-// both, byte for byte, and returns the first.
-func replay(t *testing.T, kind AlgorithmKind, opts Options, script func(*driver) []step) *driver {
+// replay runs script on two fresh drivers from mk, requires the same history
+// from both, byte for byte, and returns the first.
+func replay(t *testing.T, mk func() *driver, script func(*driver) []step) *driver {
+	t.Helper()
+	return replayRun(t, mk, func(d *driver) { d.run(script(d)...) })
+}
+
+// replayRun is replay for a script that runs the driver itself, choosing its
+// next inputs from what the run did so far.
+func replayRun(t *testing.T, mk func() *driver, script func(*driver)) *driver {
 	t.Helper()
 	var first *driver
 	var runs [2]string
 	for i := range runs {
-		d := newDriver(t, 5, kind, opts)
-		d.run(script(d)...)
+		d := mk()
+		script(d)
 		runs[i] = fmt.Sprintf("%+v", d.hist)
 		if first == nil {
 			first = d
@@ -563,12 +672,17 @@ func replay(t *testing.T, kind AlgorithmKind, opts Options, script func(*driver)
 	return first
 }
 
+// rowDriver makes fresh n-process drivers of one row.
+func rowDriver(t testing.TB, n int, kind AlgorithmKind, opts Options) func() *driver {
+	return func() *driver { return newDriver(t, n, kind, opts) }
+}
+
 // TestDriverFigure1 is Figure 1's run on the transient algorithm (Fig. 5):
 // R1 returns v1 and R2 returns v2 while W(v3), invoked after the writer's
 // recovery, is in progress — transient-atomic, not persistent-atomic
 // (property P1 of Theorem 1's proof).
 func TestDriverFigure1(t *testing.T) {
-	d := replay(t, Transient, Options{}, figure12)
+	d := replay(t, rowDriver(t, 5, Transient, Options{}), figure12)
 	if got := d.returned(); !slices.Equal(got, []string{"v1", "v2", "v3"}) {
 		t.Fatalf("reads returned %q, want v1, v2, v3", got)
 	}
@@ -584,7 +698,7 @@ func TestDriverFigure1(t *testing.T) {
 // 4): the recovery finishes W(v2), so both reads return v2 and the history
 // is persistent-atomic.
 func TestDriverFigure2(t *testing.T) {
-	d := replay(t, Persistent, Options{}, figure12)
+	d := replay(t, rowDriver(t, 5, Persistent, Options{}), figure12)
 	if got := d.returned(); !slices.Equal(got, []string{"v2", "v2", "v3"}) {
 		t.Fatalf("reads returned %q, want v2, v2, v3", got)
 	}
@@ -594,51 +708,70 @@ func TestDriverFigure2(t *testing.T) {
 }
 
 // TestDriverFigure3 is Theorem 2 ("no emulation can read without
-// logging"): with the read's write-back unlogged (Options.UnsafeNoReadLog)
+// logging"): with the read's write-back unlogged (the no-read-log mutant)
 // the crashes lose it and R2 returns v1, a transient-atomicity violation;
 // logged, R2 returns v2.
 func TestDriverFigure3(t *testing.T) {
-	for _, unsafe := range []bool{true, false} {
-		d := replay(t, Persistent, Options{UnsafeNoReadLog: unsafe}, figure3)
-		want := []string{"v2", "v2"}
-		if unsafe {
-			want = []string{"v2", "v1"}
-		}
-		if got := d.returned(); !slices.Equal(got, want) {
-			t.Fatalf("UnsafeNoReadLog=%v: reads returned %q, want %q", unsafe, got, want)
-		}
-		var v *atomicity.Violation
-		if err := atomicity.Check(d.hist, atomicity.Transient); unsafe && !errors.As(err, &v) || !unsafe && err != nil {
-			t.Fatalf("UnsafeNoReadLog=%v: transient check = %v", unsafe, err)
-		}
+	for _, tc := range []struct {
+		name string
+		m    mutant
+		want []string
+	}{{"ablation", mutantNamed("no-read-log"), []string{"v2", "v1"}}, {"control", mutant{}, []string{"v2", "v2"}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := replay(t, func() *driver { return newDriver(t, 5, Persistent, Options{}).mutate(tc.m) }, figure3)
+			if got := d.returned(); !slices.Equal(got, tc.want) {
+				t.Fatalf("reads returned %q, want %q", got, tc.want)
+			}
+			var v *atomicity.Violation
+			if err := atomicity.Check(d.hist, atomicity.Transient); tc.m.faults != 0 && !errors.As(err, &v) || tc.m.faults == 0 && err != nil {
+				t.Fatalf("transient check = %v", err)
+			}
+		})
 	}
 }
 
-// TestDriverFigure3OneRoundReads replays run ρ4 with one-round reads: R1
-// hears v1, v2, v1 and runs both rounds, and R2, hearing the logged v2 from
-// the recovered {1,2,4}, returns it after one.
+// TestDriverFigure3OneRoundReads replays run ρ4 with one-round reads. R1
+// hears v1, v2, v1 — the read the paper says must cause a log — and runs
+// both rounds: 2n sends, and its write-back makes p1 and p4 (at least) log.
+// R2, hearing the logged v2 from the recovered {1,2,4}, and R3 at p4 from the
+// same majority return it after one round: n sends, no log.
 func TestDriverFigure3OneRoundReads(t *testing.T) {
+	const n = 5
 	for _, kind := range []AlgorithmKind{Persistent, Transient} {
-		d := replay(t, kind, Options{OneRoundReads: true}, figure3)
-		var rounds []int
-		for _, op := range d.ops {
-			if op.typ == history.Read {
-				rounds = append(rounds, op.rounds)
+		t.Run(kind.String(), func(t *testing.T) {
+			d := replay(t, rowDriver(t, n, kind, Options{OneRoundReads: true}), func(d *driver) []step {
+				s := append(figure3(d), read(4, "x"))
+				return append(s, d.trip(4, wire.KindRead, 1, 2, 4)...)
+			})
+			if got := d.returned(); !slices.Equal(got, []string{"v2", "v2", "v2"}) {
+				t.Fatalf("reads returned %q, want v2 three times", got)
 			}
-		}
-		if got := d.returned(); !slices.Equal(got, []string{"v2", "v2"}) || !slices.Equal(rounds, []int{2, 1}) {
-			t.Fatalf("%v: reads returned %q in %v rounds, want v2, v2 in 2, 1", kind, got, rounds)
-		}
-		if err := atomicity.Check(d.hist, atomicity.Transient); err != nil {
-			t.Fatalf("%v: transient check: %v", kind, err)
-		}
+			d.quiesce() // the stragglers of R1's write-back log
+			var reads []*dop
+			for _, op := range d.ops {
+				if op.typ == history.Read {
+					reads = append(reads, op)
+				}
+			}
+			if r1 := reads[0]; r1.rounds != 2 || r1.sends != 2*n || r1.logs < 2 {
+				t.Fatalf("R1 observed a partial write yet cost %d rounds, %d sends, %d logs; want 2, %d, at least 2", r1.rounds, r1.sends, r1.logs, 2*n)
+			}
+			for i, r := range reads[1:] {
+				if r.rounds != 1 || r.sends != n || r.logs != 0 {
+					t.Fatalf("R%d heard an agreeing majority yet cost %d rounds, %d sends, %d logs; want 1, %d, 0", i+2, r.rounds, r.sends, r.logs, n)
+				}
+			}
+			if err := atomicity.Check(d.hist, atomicity.Transient); err != nil {
+				t.Fatalf("transient check: %v", err)
+			}
+		})
 	}
 }
 
 // TestDriverCrashInEveryPhase crashes an execution in each phase it can
 // wait in. Each time its operation completes exactly once, with
-// ErrCrashed; nothing of the dead epoch is sent after the crash, and nothing
-// is stored but the one store already under way; and once recovered, the
+// ErrCrashed; nothing of the dead epoch is sent or logged after the crash,
+// and the one store already under way lands; and once recovered, the
 // process's next operation succeeds.
 func TestDriverCrashInEveryPhase(t *testing.T) {
 	type phaseCase struct {
@@ -675,19 +808,22 @@ func TestDriverCrashInEveryPhase(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			d := newDriver(t, 3, c.kind, Options{})
 			d.run(c.steps(d)...)
-			dead, mark := fmt.Sprintf("%d@%d ", c.p, d.ps[c.p].epoch-1), len(d.trail)
+			stored := len(d.ps[c.p].disk)
 			for _, p := range d.all() {
 				d.run(step{do: doTimeout, p: p})
 			}
 			d.quiesce()
-			var after []string
-			for _, e := range d.trail[mark:] {
-				if strings.HasPrefix(e, dead) && e != dead+"store "+c.lands {
-					after = append(after, e)
-				}
+			if len(d.broken) > 0 {
+				t.Fatalf("after the crash: %q", d.broken)
 			}
-			if len(after) > 0 {
-				t.Fatalf("after the crash, the dead epoch did %q", after)
+			if c.lands != "" {
+				if _, ok := d.ps[c.p].disk[c.lands]; !ok {
+					t.Fatalf("the store under way at the crash, %s, did not land", c.lands)
+				}
+				stored++
+			}
+			if len(d.ps[c.p].disk) != stored {
+				t.Fatalf("after the crash, the dead epoch stored %d records, want %d", len(d.ps[c.p].disk), stored)
 			}
 			if op := d.ops[0]; op.ends != 1 || !errors.Is(op.err, ErrCrashed) {
 				t.Fatalf("the crashed operation completed %d times, with %v; want once, ErrCrashed", op.ends, op.err)
@@ -702,57 +838,4 @@ func TestDriverCrashInEveryPhase(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDriverSeededReplay is the driver's step mode: a seeded choice of the
-// next input among those that apply — deliveries in any order, stores,
-// retransmissions, invocations, crashes and recoveries — recorded as the run
-// goes, and replayed on a fresh driver to the same history, byte for byte.
-// Every history is persistent-atomic.
-func TestDriverSeededReplay(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		d := newDriver(t, 3, Persistent, Options{})
-		rng := rand.New(rand.NewSource(seed))
-		writes := 0
-		for range 300 {
-			d.apply(d.pick(rng, &writes))
-		}
-		d.quiesce()
-		again := newDriver(t, 3, Persistent, Options{}).run(d.inputs...)
-		if a, b := fmt.Sprintf("%+v", d.hist), fmt.Sprintf("%+v", again.hist); a != b {
-			t.Fatalf("seed %d: the recorded inputs replay to another history:\n%s\n%s", seed, a, b)
-		}
-		if err := atomicity.Check(d.hist, atomicity.Persistent); err != nil {
-			t.Fatalf("seed %d: %v\ninputs: %v", seed, err, d.inputs)
-		}
-	}
-}
-
-// pick draws the next input: mostly a delivery or a store, now and then an
-// invocation at an idle process (values are unique), a retransmission, a
-// crash, or a recovery.
-func (d *driver) pick(rng *rand.Rand, writes *int) step {
-	p := int32(rng.Intn(len(d.ps)))
-	switch r := rng.Intn(100); {
-	case r < 55 && len(d.net) > 0:
-		return deliverEnv(d.net[rng.Intn(len(d.net))])
-	case r < 80 && (d.ps[p].held != nil || len(d.ps[p].logq) > 0):
-		return logged(p)
-	case r < 83:
-		return step{do: doTimeout, p: p}
-	case r < 84:
-		return crash(p)
-	case r < 90:
-		return step{do: doRecover, p: p}
-	}
-	for _, x := range d.ps[p].execs {
-		if x.client != nil {
-			return step{do: doTimeout, p: p} // one operation at a time
-		}
-	}
-	if rng.Intn(2) == 0 {
-		*writes++
-		return write(p, "x", fmt.Sprintf("v%d", *writes))
-	}
-	return read(p, "x")
 }

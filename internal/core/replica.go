@@ -35,9 +35,8 @@ func (p protocol) adopt(cur regState, env wire.Envelope) regState {
 // reply leaves (an empty Name: none). An SN query is answered with the tag
 // (lines 18–20), a read with the tag and value (lines 28–30), a W or WB with
 // an acknowledgement (lines 21–27). What logs is the row's:
-//   - a W or WB that adopts logs written/ (line 24) on every durable row,
-//     and a WB only while readLog holds (Options.UnsafeNoReadLog, the
-//     Theorem 2 ablation, clears it);
+//   - a W or WB that adopts logs written/ (line 24) on every durable row —
+//     a read's write-back too, which Theorem 2 requires (docs/adr/0027);
 //   - §I-C logs every W, WB and SN query, each writing the register's
 //     resulting state;
 //   - crash-stop logs nothing, and no read ever logs.
@@ -59,8 +58,7 @@ func (p protocol) replica(cur regState, env wire.Envelope) (regState, wire.Envel
 			rec = stable.Record{Name: recSNLogPrefix + env.Reg, Data: encodeTagged(cur.tag, nil)}
 		}
 	case wire.KindWrite, wire.KindWriteBack:
-		logs := p.durable && (env.Kind == wire.KindWrite || p.readLog) && (p.everyStep || next.tag != cur.tag)
-		if logs {
+		if p.durable && (p.everyStep || next.tag != cur.tag) {
 			rec = stable.Record{Name: recWrittenPrefix + env.Reg, Data: encodeTagged(next.tag, next.val)}
 		}
 	}

@@ -24,7 +24,6 @@ func TestReplicaTable(t *testing.T) {
 		{"crash-stop", newProtocol(CrashStop, Options{}), "SN R", nil},
 		{"transient", newProtocol(Transient, Options{}), "SN R", map[wire.Kind]string{wire.KindWrite: "<", wire.KindWriteBack: "<"}},
 		{"persistent", newProtocol(Persistent, Options{}), "SN R", map[wire.Kind]string{wire.KindWrite: "<", wire.KindWriteBack: "<"}},
-		{"persistent/no-read-log", newProtocol(Persistent, Options{UnsafeNoReadLog: true}), "SN R", map[wire.Kind]string{wire.KindWrite: "<"}},
 		{"naive", newProtocol(Naive, Options{}), "R", map[wire.Kind]string{wire.KindSNQuery: "<=>", wire.KindWrite: "<=>", wire.KindWriteBack: "<=>"}},
 		{"regular-sw", newProtocol(RegularSW, Options{}), "SN R", map[wire.Kind]string{wire.KindWrite: "<", wire.KindWriteBack: "<"}},
 	}

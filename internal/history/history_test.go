@@ -186,7 +186,7 @@ func TestOperationString(t *testing.T) {
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(nil)
+	r := NewRecorder()
 	var wg sync.WaitGroup
 	for p := int32(1); p <= 4; p++ {
 		wg.Add(1)
@@ -203,6 +203,11 @@ func TestRecorderConcurrent(t *testing.T) {
 	if len(h) != 800 {
 		t.Fatalf("recorded %d events, want 800", len(h))
 	}
+	for i, e := range h {
+		if e.Seq != int64(i+1) {
+			t.Fatalf("event %d is numbered %d: the recorder numbers events 1, 2, … in the order it records them", i, e.Seq)
+		}
+	}
 	if err := h.Validate(); err != nil {
 		t.Fatalf("recorded history ill-formed: %v", err)
 	}
@@ -212,7 +217,7 @@ func TestRecorderConcurrent(t *testing.T) {
 }
 
 func TestRecorderCrashRecover(t *testing.T) {
-	r := NewRecorder(nil)
+	r := NewRecorder()
 	id := r.Invoke(1, Write, "x", "a")
 	r.Crash(1)
 	r.Recover(1)

@@ -4,29 +4,23 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"recmem/internal/clock"
 	"recmem/internal/tag"
 )
 
-// Recorder accumulates the events of a run, stamping them on a global clock.
-// It is the harness-side observer the paper's model assumes: the processes
-// never read it. Safe for concurrent use.
+// Recorder accumulates the events of a run, numbered in the order it records
+// them: the paper's fictional global clock, a device outside the processes
+// that totally orders the events of a run. It is the harness-side observer
+// the paper's model assumes: the processes never read it. Safe for
+// concurrent use.
 type Recorder struct {
-	clk    *clock.Clock
 	nextOp atomic.Uint64
 
 	mu     sync.Mutex
 	events History
 }
 
-// NewRecorder returns a Recorder stamping events on clk. If clk is nil a
-// private clock is used.
-func NewRecorder(clk *clock.Clock) *Recorder {
-	if clk == nil {
-		clk = &clock.Clock{}
-	}
-	return &Recorder{clk: clk}
-}
+// NewRecorder returns an empty Recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Invoke records an operation invocation and returns the OpID that must be
 // passed to Return. For writes, value is the value being written.
@@ -66,10 +60,10 @@ func (r *Recorder) Recover(proc int32) {
 }
 
 func (r *Recorder) append(e Event) {
-	// The clock stamp and the append happen under one lock so that the
-	// recorded order equals the stamp order even under concurrency.
+	// The number and the append happen under one lock, so the recorded
+	// order is the numbered order even under concurrency.
 	r.mu.Lock()
-	e.Seq = r.clk.Now().Seq
+	e.Seq = int64(len(r.events)) + 1
 	r.events = append(r.events, e)
 	r.mu.Unlock()
 }

@@ -19,8 +19,8 @@ type Kind uint8
 // highest sequence number, W/W_ack propagate a tagged value, R/R_ack query
 // tagged values. WriteBack is the W message of a read's second round — the
 // algorithm treats it identically to W; it is distinguished only so that the
-// harness can account read-induced logs separately and so that the
-// no-read-log ablation (Theorem 2 demonstration) can target it.
+// harness can account read-induced logs separately and so that the tests'
+// no-read-log mutant (Theorem 2, docs/adr/0027) can target it.
 const (
 	KindSNQuery Kind = iota + 1
 	KindSNAck
